@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import cordes
-from .fespace import DiscreteFunction, FESpace, SpaceConfig, build_space
+from .fespace import DiscreteFunction, FESpace, SpaceConfig, build_space, gather
 from .forms import FormParams, get_operators, norm_k
 from .mesh import MeshLevel, refine_conforming
 from .solver import SolveOptions, SolveStats, solve_discrete
@@ -51,8 +51,7 @@ def estimate(
     element plus face jump terms weighted so each interior face is counted
     once in the total (1/2 per adjacent element, 1 on the boundary)."""
     ops = get_operators(space)
-    mesh = space.mesh
-    ne = mesh.n_elements
+    ne = space.mesh.n_elements
 
     uH = ops.hessian_at_qp(u)
     g, _, _ = cordes.f_gamma_field(
@@ -61,26 +60,19 @@ def estimate(
     g2 = (g**2).reshape(ne, -1)
     res = space.detJ * np.einsum("q,eq->e", ops.wq, g2)
 
-    gradjump = np.zeros(ne)
-    valjump = np.zeros(ne)
-    loc = space.local_coeffs(u.coeffs)
-    for fd in ops.face_data:
-        elems = fd["elems"]
-        delta = 0.5 if fd["interior"] else 1.0
-        h = fd["length"]
-        coeff = np.concatenate([loc[e] for e in elems])
-        jv = fd["jval"] @ coeff
-        jg = np.einsum("qai,a->qi", fd["jgrad"], coeff)
-        val_term = (1.0 / h**3) * float(fd["wq"] @ jv**2)
-        for e in elems:
-            valjump[e] += delta * val_term
-        if fd["interior"]:
-            grad_term = (1.0 / h) * float(
-                np.einsum("q,qi,qi->", fd["wq"], jg, jg)
-            )
-            for e in elems:
-                gradjump[e] += delta * grad_term
-    return EstimatorReport(res, gradjump, valjump)
+    ft = ops.faces
+    x = gather(u.coeffs, ft.dofs)
+    jv = np.einsum("fqa,fa->fq", ft.jval, x)
+    jg = np.einsum("fqai,fa->fqi", ft.jgrad, x)
+    val_term = np.einsum("fq,fq->f", ft.wq, jv**2) / ft.length**3
+    grad_term = ft.interior * np.einsum("fq,fqi,fqi->f", ft.wq, jg, jg) / ft.length
+    sides = ft.elems >= 0
+
+    def per_element(term):
+        share = ft.avg * term[:, None]
+        return np.bincount(ft.elems[sides], share[sides], minlength=ne)
+
+    return EstimatorReport(res, per_element(grad_term), per_element(val_term))
 
 
 def mark(report: EstimatorReport, strategy: str = "doerfler", param: float = 0.5):
@@ -195,7 +187,6 @@ def transfer_solution(
     injection (exact for nested meshes)."""
     old_space = u.space
     new_mesh = new_space.mesh
-    ops = get_operators(new_space)
     coeffs = np.zeros(new_space.dim)
     if new_space.config.s == 0:
         # modal projection of the parent polynomial onto each child element
@@ -220,7 +211,6 @@ def transfer_solution(
             idx = new_space.dofmap[e]
             valid = idx >= 0
             coeffs[idx[valid]] = vals[valid]
-    del ops
     return coeffs
 
 
@@ -256,8 +246,7 @@ def adaptive_solve(
         space = build_space(mesh, config.space)
         opts = config.solve_opts
         if config.transfer_guess and prev_u is not None:
-            opts = SolveOptions(**{**opts.__dict__})
-            opts.initial_guess = transfer_solution(prev_u, space)
+            opts = replace(opts, initial_guess=transfer_solution(prev_u, space))
         u, stats = solve_discrete(space, problem, config.params, opts)
         report = estimate(space, problem, u, config.params)
         if config.uniform:

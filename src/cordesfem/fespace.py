@@ -106,10 +106,24 @@ class FESpace:
 
     def local_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
         """Gather (ne, nloc) local coefficients; Dirichlet slots are zero."""
-        out = np.zeros(self.dofmap.shape)
-        valid = self.dofmap >= 0
-        out[valid] = coeffs[self.dofmap[valid]]
-        return out
+        return gather(coeffs, self.dofmap)
+
+
+def gather(coeffs: np.ndarray, dofs: np.ndarray) -> np.ndarray:
+    """coeffs[dofs] with zeros where a dof index is negative."""
+    out = np.zeros(dofs.shape)
+    valid = dofs >= 0
+    out[valid] = coeffs[dofs[valid]]
+    return out
+
+
+def assemble_csr(rows, cols, data, shape) -> sp.csr_matrix:
+    """Sum COO triplets into a CSR matrix. The three arrays broadcast
+    together; entries with a negative row or column index (Dirichlet dofs,
+    the missing side of a boundary face) are dropped."""
+    rows, cols, data = (a.ravel() for a in np.broadcast_arrays(rows, cols, data))
+    keep = (rows >= 0) & (cols >= 0)
+    return sp.csr_matrix((data[keep], (rows[keep], cols[keep])), shape=shape)
 
 
 def _c0_dofmap(mesh: MeshLevel, p: int):
@@ -119,45 +133,36 @@ def _c0_dofmap(mesh: MeshLevel, p: int):
     vertex_dof[~bmask] = np.arange(np.count_nonzero(~bmask))
     next_dof = int(np.count_nonzero(~bmask))
 
-    n_edge = p - 1
-    face_dof = np.full((mesh.n_faces, max(n_edge, 1)), -1, dtype=np.int64)
-    for f in range(mesh.n_faces):
-        if mesh.face_kind[f] == BOUNDARY or n_edge == 0:
-            continue
-        face_dof[f, :n_edge] = np.arange(next_dof, next_dof + n_edge)
-        next_dof += n_edge
+    n_edge = p - 1  # >= 1 since p >= 2
+    face_dof = np.full((mesh.n_faces, n_edge), -1, dtype=np.int64)
+    inner = mesh.face_kind != BOUNDARY
+    n_inner = int(np.count_nonzero(inner))
+    face_dof[inner] = next_dof + np.arange(n_inner * n_edge).reshape(n_inner, n_edge)
+    next_dof += n_inner * n_edge
 
-    face_idx = mesh.face_index()
     nodes = bas.lagrange_nodes(p)
-    nloc = len(nodes)
     n_int = (p - 1) * (p - 2) // 2
+    tri, ne = mesh.tri, mesh.n_elements
+    # face_verts rows are sorted pairs in lexicographic order, so their keys
+    # are sorted too
+    face_keys = mesh.face_verts[:, 0] * nv + mesh.face_verts[:, 1]
 
-    dofmap = np.full((mesh.n_elements, nloc), -1, dtype=np.int64)
-    for e in range(mesh.n_elements):
-        gv = mesh.tri[e]
-        for l, (i0, i1, i2) in enumerate(nodes):
-            bary = (i0, i1, i2)
-            zeros = [a for a in range(3) if bary[a] == 0]
-            if len(zeros) == 2:  # vertex node
-                a = next(a for a in range(3) if bary[a] == p)
-                dofmap[e, l] = vertex_dof[gv[a]]
-            elif len(zeros) == 1:  # edge node
-                b, c = [a for a in range(3) if a != zeros[0]]
-                gb, gc = int(gv[b]), int(gv[c])
-                f = face_idx[(min(gb, gc), max(gb, gc))]
-                slot = bary[c] if gb < gc else bary[b]
-                dofmap[e, l] = face_dof[f, slot - 1]
-            # interior nodes are numbered in the second pass
-
-    if n_int > 0:
-        interior_locs = [
-            l for l, (i0, i1, i2) in enumerate(nodes) if i0 > 0 and i1 > 0 and i2 > 0
-        ]
-        for e in range(mesh.n_elements):
-            for j, l in enumerate(interior_locs):
-                dofmap[e, l] = next_dof + e * n_int + j
-        next_dof += mesh.n_elements * n_int
-
+    dofmap = np.full((ne, len(nodes)), -1, dtype=np.int64)
+    j = 0  # running index of the interior nodes
+    for l, bary in enumerate(nodes):
+        zeros = np.flatnonzero(bary == 0)
+        if len(zeros) == 2:  # vertex node
+            dofmap[:, l] = vertex_dof[tri[:, np.argmax(bary)]]
+        elif len(zeros) == 1:  # edge node
+            b, c = [a for a in range(3) if a != zeros[0]]
+            gb, gc = tri[:, b], tri[:, c]
+            f = np.searchsorted(face_keys, np.minimum(gb, gc) * nv + np.maximum(gb, gc))
+            slot = np.where(gb < gc, bary[c], bary[b])
+            dofmap[:, l] = face_dof[f, slot - 1]
+        else:  # interior node
+            dofmap[:, l] = next_dof + np.arange(ne) * n_int + j
+            j += 1
+    next_dof += ne * n_int
     return dofmap, next_dof
 
 
@@ -181,32 +186,19 @@ class DiscreteFunction:
     def eval_element(self, elem: int, ref_pts: np.ndarray, order: int = 0):
         """Value / gradient / Hessian fields on one element at ref points."""
         tab = self.space.eval_shape(elem, ref_pts, order)
-        loc = self.space.local_coeffs(self.coeffs)[elem]
+        loc = gather(self.coeffs, self.space.dofmap[elem])
         return np.einsum("ql...,l->q...", tab, loc)
-
-    def export_samples(self, path, lattice: int = 2) -> None:
-        """Plain text: one line `f <elem> <values...>` of lattice samples."""
-        pts = bas.lagrange_ref_points(lattice)
-        with open(path, "w") as fh:
-            for e in range(self.space.mesh.n_elements):
-                vals = self.eval_element(e, pts)
-                fh.write("f " + str(e) + " " + " ".join(repr(v) for v in vals) + "\n")
-
-    def export_coeffs_csv(self, path) -> None:
-        np.savetxt(path, self.coeffs, delimiter=",")
 
 
 def mass_matrix(space: FESpace) -> sp.csr_matrix:
     rule = space.elem_rule
     vals = space.basis.eval(rule.points, 0)  # (nq, nloc) shared across elements
     local = np.einsum("q,qa,qb->ab", rule.weights, vals, vals)
-    ne, nloc = space.mesh.n_elements, space.nloc
-    rows = np.repeat(space.dofmap, nloc, axis=1).ravel()
-    cols = np.tile(space.dofmap, (1, nloc)).ravel()
-    data = (local[None, :, :] * space.detJ[:, None, None]).ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    return sp.csr_matrix(
-        (data[keep], (rows[keep], cols[keep])), shape=(space.dim, space.dim)
+    return assemble_csr(
+        space.dofmap[:, :, None],
+        space.dofmap[:, None, :],
+        local[None, :, :] * space.detJ[:, None, None],
+        (space.dim, space.dim),
     )
 
 

@@ -9,18 +9,27 @@ Lifted quantities are represented by modal coefficients in the orthonormal
 degree-q basis per element, so liftings reduce to face integrals against
 modal traces and all lifted bilinear forms are products of sparse
 coefficient maps.
+
+All face terms (jump penalties, facewise stabilization, liftings and the
+estimator's jumps) read one `FaceTables`, built per space in a single
+batched pass. A boundary face is a two-sided face whose plus side has
+weight 0 and dofs -1; jump and average weights are per-face arrays, so
+face integrals are batched einsums with no interior/boundary branch. Those
+einsums keep the factor and summation order of a face-by-face assembly, so
+every matrix is bitwise the one a per-face loop would build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import cordes
 from .basis import ortho_basis
-from .fespace import DiscreteFunction, FESpace, SpaceError
+from .fespace import DiscreteFunction, FESpace, SpaceError, assemble_csr
 from .mesh import INTERIOR
 from .quadrature import segment_rule
 
@@ -51,12 +60,80 @@ def _validate_params(params: FormParams, s: int) -> None:
         raise SpaceError("rho must be positive for the DG space (s=0)")
 
 
+@dataclass(frozen=True)
+class FaceTables:
+    """Struct-of-arrays traces of the local shape functions on all faces.
+
+    Every face is two-sided. The plus side of a boundary face has element
+    -1, dofs -1 and jump and average weights 0, so interior and boundary
+    faces share one code path. The `2 nloc` local dofs of a face are those
+    of its minus element followed by those of its plus element.
+    """
+
+    elems: np.ndarray  # (nf, 2) minus and plus element, plus -1 on the boundary
+    interior: np.ndarray  # (nf,) bool
+    normal: np.ndarray  # (nf, 2)
+    length: np.ndarray  # (nf,)
+    wq: np.ndarray  # (nf, nqf) physical quadrature weights
+    avg: np.ndarray  # (nf, 2) average weights, (1/2, 1/2) or (1, 0)
+    dofs: np.ndarray  # (nf, 2 nloc), -1 on the missing side and Dirichlet dofs
+    jval: np.ndarray  # (nf, nqf, 2 nloc) value jumps of the face shape functions
+    jgrad: np.ndarray  # (nf, nqf, 2 nloc, 2) gradient jumps
+    psi: np.ndarray  # (nf, 2, nqf, nmod) modal traces per side
+
+
+def face_tables(space: FESpace, modal) -> tuple[FaceTables, np.ndarray]:
+    """FaceTables of a space, plus the averaged Hessian traces
+    (nf, nqf, 2 nloc, 2, 2) that only assembly reads, from one basis
+    tabulation per derivative order on all face points."""
+    mesh = space.mesh
+    nf, nloc = mesh.n_faces, space.nloc
+    frule = segment_rule(space.config.quad_exactness)
+    nqf = frule.n
+    p0 = mesh.vertices[mesh.face_verts[:, 0]]
+    d = mesh.vertices[mesh.face_verts[:, 1]] - p0
+    length = np.hypot(d[:, 0], d[:, 1])
+    xq = p0[:, None, :] + frule.points[None, :, :1] * d[:, None, :]  # (nf, nqf, 2)
+    interior = mesh.face_kind == INTERIOR
+    elems = mesh.face_elems
+    # the missing plus side borrows the minus element; its zero weights and
+    # -1 dofs keep it out of every sum
+    side = np.where(elems >= 0, elems, elems[:, :1])
+    iJ = space.invJ[side]  # (nf, 2, 2, 2)
+    ref = (xq[:, None] - space.v0[side][:, :, None]) @ iJ.transpose(0, 1, 3, 2)
+    pts = ref.reshape(-1, 2)
+    tab = (nf, 2, nqf, nloc)
+    val = space.basis.eval(pts, 0).reshape(tab)
+    G = space.basis.eval(pts, 1).reshape(*tab, 2)
+    grad = np.einsum("fski,fsqlk->fsqli", iJ, G)
+    H = space.basis.eval(pts, 2).reshape(*tab, 2, 2)
+    hess = np.einsum("fski,fsqlkm,fsmj->fsqlij", iJ, H, iJ)
+    psi = modal.eval(pts, 0).reshape(nf, 2, nqf, -1)
+
+    jump = np.where(interior[:, None], [1.0, -1.0], [1.0, 0.0])
+    avg = np.where(interior[:, None], [0.5, 0.5], [1.0, 0.0])
+
+    def by_face(w, t):
+        # weight each side and merge the sides: (nf, 2, nqf, nloc, ...)
+        # -> (nf, nqf, 2 nloc, ...)
+        t = w.reshape(w.shape + (1,) * (t.ndim - 2)) * t
+        return np.moveaxis(t, 1, 2).reshape(nf, nqf, 2 * nloc, *t.shape[4:])
+
+    dofs = np.where(elems[:, :, None] >= 0, space.dofmap[side], -1)
+    tables = FaceTables(
+        elems=elems, interior=interior, normal=mesh.face_normals, length=length,
+        wq=frule.weights[None, :] * length[:, None], avg=avg,
+        dofs=dofs.reshape(nf, 2 * nloc), jval=by_face(jump, val),
+        jgrad=by_face(jump, grad), psi=psi,
+    )
+    return tables, by_face(avg, hess)
+
+
 class Operators:
     """All assembled matrices and coefficient maps for one FESpace."""
 
     def __init__(self, space: FESpace):
         self.space = space
-        mesh = space.mesh
         cfg = space.config
         self.nmod = (cfg.q + 1) * (cfg.q + 2) // 2
         self.modal = ortho_basis(cfg.q)
@@ -76,8 +153,9 @@ class Operators:
         # physical quad points, (ne, nq, 2)
         self.X = space.v0[:, None, :] + np.einsum("eij,qj->eqi", space.J, rule.points)
 
+        self.faces, ahess = face_tables(space, self.modal)
         self._assemble_volume()
-        self._assemble_faces()
+        self._assemble_faces(ahess)
         self._assemble_modal_maps()
         self._combine()
 
@@ -92,174 +170,72 @@ class Operators:
         M1 = np.einsum("e,q,eqai,eqbi->eab", dJ, w, PG, PG)
         M2 = np.einsum("e,q,eqaij,eqbij->eab", dJ, w, PH, PH)
         ML = np.einsum("e,q,eqa,eqb->eab", dJ, w, lapl, lapl)
-        self.M0 = self._scatter_elem(M0)
-        self.M1 = self._scatter_elem(M1)
-        self.M2 = self._scatter_elem(M2)
-        self.ML = self._scatter_elem(ML)
-
-    def _scatter_elem(self, local):
-        sp_ = self.space
-        nloc = sp_.nloc
-        rows = np.repeat(sp_.dofmap, nloc, axis=1).ravel()
-        cols = np.tile(sp_.dofmap, (1, nloc)).ravel()
-        data = local.ravel()
-        keep = (rows >= 0) & (cols >= 0)
-        return sp.csr_matrix(
-            (data[keep], (rows[keep], cols[keep])), shape=(sp_.dim, sp_.dim)
+        rows, cols = sp_.dofmap[:, :, None], sp_.dofmap[:, None, :]
+        self.M0, self.M1, self.M2, self.ML = (
+            assemble_csr(rows, cols, M, (sp_.dim, sp_.dim)) for M in (M0, M1, M2, ML)
         )
 
     # ------------------------------------------------------------------- faces
-    def _assemble_faces(self):
-        sp_ = self.space
-        mesh = sp_.mesh
-        frule = segment_rule(sp_.config.quad_exactness)
-        s1 = frule.points[:, 0]
-        self.face_data = []
-        trip_jg, trip_jv, trip_sf = [], [], []
+    def _assemble_faces(self, ahess):
+        ft = self.faces
+        n, wq, jval, jgrad = ft.normal, ft.wq, ft.jval, ft.jgrad
+        t = np.stack([-n[:, 1], n[:, 0]], axis=1)
+        rows, cols = ft.dofs[:, :, None], ft.dofs[:, None, :]
+        shape = (self.space.dim, self.space.dim)
 
-        for f in range(mesh.n_faces):
-            a, b = mesh.face_verts[f]
-            p0, p1 = mesh.vertices[a], mesh.vertices[b]
-            length = float(np.hypot(*(p1 - p0)))
-            n = mesh.face_normals[f]
-            t = np.array([-n[1], n[0]])
-            xq = p0[None, :] + s1[:, None] * (p1 - p0)[None, :]
-            wq = frule.weights * length
-            interior = mesh.face_kind[f] == INTERIOR
-            elems = [int(e) for e in mesh.face_elems[f] if e >= 0]
+        # jump penalty ingredients (raw, unweighted by sigma/rho); gradient
+        # jumps are penalized on interior faces only
+        I = ft.interior
+        h = ft.length[:, None, None]
+        loc = (1.0 / h[I]) * np.einsum("fq,fqai,fqbi->fab", wq[I], jgrad[I], jgrad[I])
+        self.Jgrad = assemble_csr(rows[I], cols[I], loc, shape)
+        loc = (1.0 / h**3) * np.einsum("fq,fqa,fqb->fab", wq, jval, jval)
+        self.Jval = assemble_csr(rows, cols, loc, shape)
 
-            vals, grads, hess, refs = [], [], [], []
-            for e in elems:
-                r = sp_.to_reference(e, xq)
-                refs.append(r)
-                vals.append(sp_.eval_shape(e, r, 0))
-                grads.append(sp_.eval_shape(e, r, 1))
-                hess.append(sp_.eval_shape(e, r, 2))
-            dofs = np.concatenate([sp_.dofmap[e] for e in elems])
-
-            if interior:
-                jval = np.concatenate([vals[0], -vals[1]], axis=1)
-                jgrad = np.concatenate([grads[0], -grads[1]], axis=1)
-                aval = 0.5 * np.concatenate([vals[0], vals[1]], axis=1)
-                ahess = 0.5 * np.concatenate([hess[0], hess[1]], axis=1)
-            else:
-                jval, jgrad = vals[0], grads[0]
-                aval, ahess = vals[0], hess[0]
-
-            self.face_data.append(
-                dict(
-                    elems=elems,
-                    dofs=dofs,
-                    refs=refs,
-                    wq=wq,
-                    xq=xq,
-                    n=n,
-                    t=t,
-                    length=length,
-                    interior=bool(interior),
-                    jval=jval,
-                    jgrad=jgrad,
-                )
-            )
-
-            # jump penalty ingredients (raw, unweighted by sigma/rho)
-            if interior:
-                loc = (1.0 / length) * np.einsum("q,qai,qbi->ab", wq, jgrad, jgrad)
-                trip_jg.append((loc, dofs))
-            loc = (1.0 / length**3) * np.einsum("q,qa,qb->ab", wq, jval, jval)
-            trip_jv.append((loc, dofs))
-
-            # facewise stabilization terms
-            tHn = np.einsum("i,qaij,j->qa", t, ahess, n)
-            tj = np.einsum("qai,i->qa", jgrad, t)
-            loc = -np.einsum("q,qa,qb->ab", wq, tHn, tj)
-            loc = loc + loc.T
-            if interior:
-                tt = np.einsum("i,qaij,j->qa", t, ahess, t)
-                jn = np.einsum("qai,i->qa", jgrad, n)
-                l2 = np.einsum("q,qa,qb->ab", wq, tt, jn)
-                loc = loc + l2 + l2.T
-            trip_sf.append((loc, dofs))
-
-        self.Jgrad = self._scatter_faces(trip_jg)
-        self.Jval = self._scatter_faces(trip_jv)
-        self.Sface = self._scatter_faces(trip_sf)
-
-    def _scatter_faces(self, triplets):
-        dim = self.space.dim
-        rows, cols, data = [], [], []
-        for loc, dofs in triplets:
-            nd = len(dofs)
-            r = np.repeat(dofs, nd)
-            c = np.tile(dofs, nd)
-            rows.append(r)
-            cols.append(c)
-            data.append(loc.ravel())
-        if not rows:
-            return sp.csr_matrix((dim, dim))
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        data = np.concatenate(data)
-        keep = (rows >= 0) & (cols >= 0)
-        return sp.csr_matrix(
-            (data[keep], (rows[keep], cols[keep])), shape=(dim, dim)
-        )
+        # facewise stabilization terms; the tangential-tangential part lives
+        # on interior faces only
+        tHn = np.einsum("fi,fqaij,fj->fqa", t, ahess, n)
+        tj = np.einsum("fqai,fi->fqa", jgrad, t)
+        tt = np.einsum("fi,fqaij,fj->fqa", t, ahess, t)
+        jn = np.einsum("fqai,fi->fqa", jgrad, n)
+        loc = -np.einsum("fq,fqa,fqb->fab", wq, tHn, tj)
+        l2 = np.einsum("fq,fqa,fqb->fab", wq * I[:, None], tt, jn)
+        loc = loc + loc.transpose(0, 2, 1) + l2 + l2.transpose(0, 2, 1)
+        self.Sface = assemble_csr(rows, cols, loc, shape)
 
     # -------------------------------------------------------- modal coefficient maps
     def _assemble_modal_maps(self):
         sp_ = self.space
-        ne, nloc, nmod = sp_.mesh.n_elements, sp_.nloc, self.nmod
-        nrows = ne * nmod
+        ne, nmod = sp_.mesh.n_elements, self.nmod
+        shape = (ne * nmod, sp_.dim)
+        mods = np.arange(nmod)
 
         # broken Hessian maps: modal coefficients of each shape function's
         # physical Hessian components (exact since p - 2 <= q)
         coeff = np.einsum("q,qa,eqlij->eailj", self.wq, self.Bm, self.PH)
-        self.D2 = {}
-        rows = (np.arange(ne)[:, None, None] * nmod + np.arange(nmod)[None, :, None])
-        rows = np.broadcast_to(rows[..., None], (ne, nmod, 1, nloc)).ravel()
-        cols = np.broadcast_to(
-            sp_.dofmap[:, None, None, :], (ne, nmod, 1, nloc)
-        ).ravel()
-        for (i, j) in ((0, 0), (0, 1), (1, 1)):
-            data = coeff[:, :, i, :, j].reshape(ne, nmod, 1, nloc).ravel()
-            keep = cols >= 0
-            self.D2[(i, j)] = sp.csr_matrix(
-                (data[keep], (rows[keep], cols[keep])), shape=(nrows, sp_.dim)
-            )
+        rows = (np.arange(ne)[:, None] * nmod + mods)[:, :, None]
+        cols = sp_.dofmap[:, None, :]
+        self.D2 = {
+            (i, j): assemble_csr(rows, cols, coeff[:, :, i, :, j], shape)
+            for (i, j) in ((0, 0), (0, 1), (1, 1))
+        }
 
-        # lifting maps R[(i, j)] of the gradient jumps
-        trips = {key: ([], [], []) for key in ((0, 0), (0, 1), (1, 0), (1, 1))}
-        for fd in self.face_data:
-            n = fd["n"]
-            wq = fd["wq"]
-            cF = 0.5 if fd["interior"] else 1.0
-            if fd["interior"]:
-                src = fd["jgrad"]  # (nqf, 2*nloc, 2)
-            else:
-                g = fd["jgrad"]
-                src = g - np.einsum("qai,i,j->qaj", g, n, n)  # tangential part
-            for side, e in enumerate(fd["elems"]):
-                psi = self.modal.eval(fd["refs"][side], 0)  # (nqf, nmod)
-                scale = cF / sp_.detJ[e]
-                base = e * nmod
-                for (i, j), (rr, cc, dd) in trips.items():
-                    loc = scale * n[j] * np.einsum(
-                        "q,qa,qm->ma", wq, src[:, :, i], psi
-                    )
-                    rr.append(
-                        np.repeat(base + np.arange(nmod), len(fd["dofs"]))
-                    )
-                    cc.append(np.tile(fd["dofs"], nmod))
-                    dd.append(loc.ravel())
+        # lifting maps R[(i, j)] of the gradient jumps; boundary faces lift
+        # only the tangential part of the trace
+        ft = self.faces
+        n, g = ft.normal, ft.jgrad
+        tangential = g - np.einsum("fqai,fi,fj->fqaj", g, n, n)
+        src = np.where(ft.interior[:, None, None, None], g, tangential)
+        scale = ft.avg / sp_.detJ[ft.elems]  # the plus side of a boundary face is 0
+        elems = ft.elems[:, :, None]
+        rows = np.where(elems >= 0, elems * nmod + mods, -1)[..., None]
+        cols = ft.dofs[:, None, None, :]
         self.R = {}
-        for key, (rr, cc, dd) in trips.items():
-            rows_ = np.concatenate(rr)
-            cols_ = np.concatenate(cc)
-            data_ = np.concatenate(dd)
-            keep = cols_ >= 0
-            self.R[key] = sp.csr_matrix(
-                (data_[keep], (rows_[keep], cols_[keep])), shape=(nrows, sp_.dim)
-            )
+        for i in (0, 1):
+            loc = np.einsum("fq,fqa,fsqm->fsma", ft.wq, src[..., i], ft.psi)
+            for j in (0, 1):
+                data = (scale * n[:, j, None])[:, :, None, None] * loc
+                self.R[(i, j)] = assemble_csr(rows, cols, data, shape)
 
         # diagonal of the modal L2 inner product: int_K psi_a psi_b = detJ_e δ_ab
         self.Wmod = np.repeat(sp_.detJ, nmod)
@@ -268,13 +244,17 @@ class Operators:
         D2, R = self.D2, self.R
         self.TrR = (R[(0, 0)] + R[(1, 1)]).tocsr()
         self.Delta_k = (D2[(0, 0)] + D2[(1, 1)] - self.TrR).tocsr()
-        H = {
-            (0, 0): D2[(0, 0)] - R[(0, 0)],
-            (0, 1): D2[(0, 1)] - R[(0, 1)],
-            (1, 0): D2[(0, 1)] - R[(1, 0)],
-            (1, 1): D2[(1, 1)] - R[(1, 1)],
-        }
-        self.H = H
+        self.S_facewise = (self.M2 - self.ML + self.Sface).tocsr()
+        self.norm_gram = (self.M2 + self.M1 + self.M0 + self.Jgrad + self.Jval).tocsr()
+        self.jump_gram = (self.Jgrad + self.Jval).tocsr()
+
+    @cached_property
+    def S_lifted(self) -> sp.csr_matrix:
+        """Stabilization matrix from the lifted Hessians, built on first use:
+        only the lifted mode of `stab_form` reads it."""
+        D2, R = self.D2, self.R
+        # D2 stores the symmetric broken Hessian's upper triangle only
+        H = {(i, j): D2[(min(i, j), max(i, j))] - R[(i, j)] for (i, j) in R}
         W = sp.diags(self.Wmod)
 
         def gram(A, B):
@@ -284,10 +264,7 @@ class Operators:
         S = S - gram(self.Delta_k, self.Delta_k)
         S = S + gram(self.TrR, self.TrR)
         S = S - sum(gram(R[k], R[k]) for k in R)
-        self.S_lifted = S.tocsr()
-        self.S_facewise = (self.M2 - self.ML + self.Sface).tocsr()
-        self.norm_gram = (self.M2 + self.M1 + self.M0 + self.Jgrad + self.Jval).tocsr()
-        self.jump_gram = (self.Jgrad + self.Jval).tocsr()
+        return S.tocsr()
 
     # ------------------------------------------------------------- state fields
     def hessian_at_qp(self, u: DiscreteFunction) -> np.ndarray:
@@ -413,12 +390,6 @@ class LiftedHessianField:
     @property
     def lifted_lapl(self) -> np.ndarray:
         return np.einsum("emii->em", self.lifted_hess)
-
-    def eval(self, elem: int, ref_pts: np.ndarray, which: str = "lifted_hess"):
-        ops = get_operators(self.space)
-        psi = ops.modal.eval(np.atleast_2d(ref_pts), 0)
-        field = getattr(self, which)
-        return np.einsum("qm,m...->q...", psi, field[elem])
 
 
 def lifted_hessian(space: FESpace, v: DiscreteFunction) -> LiftedHessianField:

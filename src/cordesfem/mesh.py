@@ -38,7 +38,6 @@ class MeshLevel:
     level: np.ndarray  # (ne,) bisection generation per element
     ancestor: np.ndarray  # (ne,) element id in the previous MeshLevel, or -1
     k: int = 0
-    flip_interior_normals: bool = False
 
     # face data, filled in __post_init__
     face_verts: np.ndarray = field(default=None, repr=False)
@@ -53,7 +52,7 @@ class MeshLevel:
         areas = signed_areas(v, t)
         if np.any(areas <= 0.0):
             raise MeshError("element with nonpositive signed area")
-        fv, fk, fe, fn = _build_faces(v, t, self.flip_interior_normals)
+        fv, fk, fe, fn = _build_faces(v, t)
         object.__setattr__(self, "face_verts", fv)
         object.__setattr__(self, "face_kind", fk)
         object.__setattr__(self, "face_elems", fe)
@@ -84,13 +83,6 @@ class MeshLevel:
         mask[self.face_verts[self.face_kind == BOUNDARY].ravel()] = True
         return mask
 
-    def face_index(self) -> dict:
-        """Map sorted global vertex pair -> face id."""
-        return {
-            (int(a), int(b)): i
-            for i, (a, b) in enumerate(np.sort(self.face_verts, axis=1))
-        }
-
 
 def signed_areas(vertices: np.ndarray, tri: np.ndarray) -> np.ndarray:
     p0 = vertices[tri[:, 0]]
@@ -99,60 +91,56 @@ def signed_areas(vertices: np.ndarray, tri: np.ndarray) -> np.ndarray:
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
-def canonical_normal(p0: np.ndarray, p1: np.ndarray, flip: bool = False) -> np.ndarray:
-    """Normal of the segment p0-p1 from the lexicographic tangent rule."""
-    a, b = (p0, p1) if (p0[0], p0[1]) <= (p1[0], p1[1]) else (p1, p0)
-    t = b - a
-    L = float(np.hypot(t[0], t[1]))
-    if L == 0.0:
+def canonical_normal(p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
+    """Normal of the segment p0-p1 from the lexicographic tangent rule, for
+    endpoints of shape (2,) or a batch of shape (n, 2)."""
+    p0, p1 = np.asarray(p0, dtype=float), np.asarray(p1, dtype=float)
+    x0, y0, x1, y1 = p0[..., 0], p0[..., 1], p1[..., 0], p1[..., 1]
+    swap = (x0 > x1) | ((x0 == x1) & (y0 > y1))
+    t = np.where(swap[..., None], p0 - p1, p1 - p0)
+    L = np.hypot(t[..., 0], t[..., 1])
+    if np.any(L == 0.0):
         raise MeshError("degenerate face with coincident endpoints")
-    n = np.array([t[1], -t[0]]) / L
-    return -n if flip else n
+    return np.stack([t[..., 1], -t[..., 0]], axis=-1) / L[..., None]
 
 
-def _build_faces(vertices, tri, flip_interior):
-    edge_map: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for e in range(len(tri)):
-        vs = tri[e]
-        for loc, (a, b) in enumerate(((vs[1], vs[2]), (vs[2], vs[0]), (vs[0], vs[1]))):
-            key = (int(min(a, b)), int(max(a, b)))
-            edge_map.setdefault(key, []).append((e, loc))
-    keys = sorted(edge_map)
-    nf = len(keys)
-    fv = np.empty((nf, 2), dtype=np.int64)
-    fk = np.empty(nf, dtype=np.int8)
-    fe = np.full((nf, 2), -1, dtype=np.int64)
-    fn = np.empty((nf, 2))
-    for i, key in enumerate(keys):
-        adj = edge_map[key]
-        if len(adj) > 2:
-            raise MeshError(f"face {key} shared by more than two elements")
-        fv[i] = key
-        p0, p1 = vertices[key[0]], vertices[key[1]]
-        if len(adj) == 2:
-            fk[i] = INTERIOR
-            n = canonical_normal(p0, p1, flip_interior)
-        else:
-            fk[i] = BOUNDARY
-            n = _outward_normal(vertices, tri[adj[0][0]], p0, p1)
-        fn[i] = n
-        # minus side: the element for which n is outward pointing
-        elems = [a[0] for a in adj]
-        if len(elems) == 2:
-            out0 = _outward_normal(vertices, tri[elems[0]], p0, p1)
-            if np.dot(out0, n) < 0.0:
-                elems = [elems[1], elems[0]]
-        fe[i, : len(elems)] = elems
+def _build_faces(vertices, tri):
+    # the three edges of element e are rows 3e..3e+2, local edge l opposite
+    # local vertex l; faces come out sorted by their vertex pair
+    ends = np.sort(tri[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2), axis=1)
+    fv, face_of, count = np.unique(
+        ends, axis=0, return_inverse=True, return_counts=True
+    )
+    if np.any(count > 2):
+        key = tuple(int(v) for v in fv[np.argmax(count)])
+        raise MeshError(f"face {key} shared by more than two elements")
+    # adjacent elements of each face in element order
+    side = np.argsort(face_of.ravel(), kind="stable") // 3
+    first = np.cumsum(count) - count
+    interior = count == 2
+    fe = np.full((len(fv), 2), -1, dtype=np.int64)
+    fe[:, 0] = side[first]
+    fe[interior, 1] = side[first[interior] + 1]
+    fk = np.where(interior, INTERIOR, BOUNDARY).astype(np.int8)
+    p0, p1 = vertices[fv[:, 0]], vertices[fv[:, 1]]
+    out0 = _outward_normal(vertices, tri[fe[:, 0]], p0, p1)
+    fn = np.where(interior[:, None], canonical_normal(p0, p1), out0)
+    # minus side: the element for which n is outward pointing
+    swap = np.einsum("fi,fi->f", out0, fn) < 0.0
+    fe[swap] = fe[swap, ::-1]
     return fv, fk, fe, fn
 
 
 def _outward_normal(vertices, elem_verts, p0, p1):
+    """Unit normals of the segments p0-p1, (n, 2), pointing out of the
+    elements with vertices elem_verts, (n, 3)."""
     t = p1 - p0
-    n = np.array([t[1], -t[0]])
-    n /= np.hypot(n[0], n[1])
-    centroid = vertices[elem_verts].mean(axis=0)
+    n = np.stack([t[:, 1], -t[:, 0]], axis=1)
+    n /= np.hypot(n[:, 0], n[:, 1])[:, None]
+    centroid = vertices[elem_verts].mean(axis=1)
     mid = 0.5 * (p0 + p1)
-    return n if np.dot(n, mid - centroid) > 0.0 else -n
+    outward = np.einsum("fi,fi->f", n, mid - centroid) > 0.0
+    return np.where(outward[:, None], n, -n)
 
 
 def _ccw(vertices, peak, b, c):
@@ -164,7 +152,7 @@ def _ccw(vertices, peak, b, c):
     return peak, c, b
 
 
-def unit_square_mesh(n: int, flip_interior_normals: bool = False) -> MeshLevel:
+def unit_square_mesh(n: int) -> MeshLevel:
     """Structured triangulation of (0,1)^2 with 2*n^2 right triangles.
 
     Refinement edges are the square diagonals (hypotenuses).
@@ -193,11 +181,10 @@ def unit_square_mesh(n: int, flip_interior_normals: bool = False) -> MeshLevel:
         np.zeros(ne, dtype=np.int64),
         np.full(ne, -1, dtype=np.int64),
         k=0,
-        flip_interior_normals=flip_interior_normals,
     )
 
 
-def convex_polygon_mesh(points, flip_interior_normals: bool = False) -> MeshLevel:
+def convex_polygon_mesh(points) -> MeshLevel:
     """Fan triangulation of a convex polygon given by its counterclockwise
     vertices. Nonconvex input is rejected."""
     pts = np.asarray(points, dtype=float)
@@ -228,7 +215,6 @@ def convex_polygon_mesh(points, flip_interior_normals: bool = False) -> MeshLeve
         np.zeros(ne, dtype=np.int64),
         np.full(ne, -1, dtype=np.int64),
         k=0,
-        flip_interior_normals=flip_interior_normals,
     )
 
 
@@ -317,7 +303,6 @@ def refine_conforming(mesh: MeshLevel, marked) -> MeshLevel:
         np.array(new_level, dtype=np.int64),
         np.array(new_anc, dtype=np.int64),
         k=mesh.k + 1,
-        flip_interior_normals=mesh.flip_interior_normals,
     )
 
 

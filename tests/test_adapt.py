@@ -18,10 +18,12 @@ from cordesfem import (
     build_space,
     estimate,
     get_problem,
+    jump_seminorm,
     mark,
     unit_square_mesh,
 )
 from cordesfem.adapt import AdaptError
+from cordesfem.quadrature import quadrature_rule
 
 
 def _singleton_problem(f_const):
@@ -67,6 +69,50 @@ def test_estimator_decomposition(spaces, rng):
     assert report.total ** 2 == pytest.approx(total_sq, rel=1e-12)
     for part in report.parts():
         assert np.all(part >= 0)
+
+
+@pytest.mark.parametrize("p,s", [(2, 0), (2, 1), (3, 0), (3, 1)])
+def test_estimator_face_terms_match_face_loop(p, s, spaces, rng):
+    # jump terms recomputed face by face from element traces with an
+    # independent quadrature: (1/h) int |[grad u]|^2 on interior faces and
+    # h^-3 int [u]^2 on all faces, shared 1/2 per side or 1 on the boundary
+    space = spaces(3, p, s)
+    mesh = space.mesh
+    u = rng.standard_normal(space.dim)
+    seg = quadrature_rule("segment", 2 * p + 4)
+    gradjump = np.zeros(mesh.n_elements)
+    valjump = np.zeros(mesh.n_elements)
+    for f in range(mesh.n_faces):
+        pa, pb = mesh.vertices[mesh.face_verts[f]]
+        h = np.linalg.norm(pb - pa)
+        xq = pa + seg.points[:, :1] * (pb - pa)
+        wq = seg.weights * h
+        elems = [int(e) for e in mesh.face_elems[f] if e >= 0]
+        traces = []
+        for e in elems:
+            idx = space.dofmap[e]
+            loc = np.where(idx >= 0, u[idx], 0.0)
+            ref = space.to_reference(e, xq)
+            traces.append((space.eval_shape(e, ref, 0) @ loc,
+                           np.einsum("qli,l->qi", space.eval_shape(e, ref, 1), loc)))
+        if len(elems) == 2:
+            jv = traces[0][0] - traces[1][0]
+            jg = traces[0][1] - traces[1][1]
+            grad_term = np.einsum("q,qi,qi->", wq, jg, jg) / h
+        else:
+            jv, grad_term = traces[0][0], 0.0
+        val_term = wq @ jv**2 / h**3
+        for e in elems:
+            gradjump[e] += grad_term / len(elems)
+            valjump[e] += val_term / len(elems)
+
+    report = estimate(space, get_problem("two_control_switch"),
+                      DiscreteFunction(space, u), FormParams.defaults(p, s))
+    atol = 1e-12 * gradjump.max()
+    assert np.allclose(report.eta_sq_gradjump, gradjump, rtol=1e-10, atol=atol)
+    assert np.allclose(report.eta_sq_valjump, valjump, rtol=1e-10, atol=atol)
+    total = gradjump.sum() + valjump.sum()
+    assert jump_seminorm(space, u) ** 2 == pytest.approx(total, rel=1e-10)
 
 
 # --------------------------------------------------------------------- marking
