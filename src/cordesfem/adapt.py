@@ -9,10 +9,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import cordes
+from .basis import lagrange_ref_points
 from .fespace import DiscreteFunction, FESpace, SpaceConfig, build_space, gather
-from .forms import FormParams, get_operators, norm_k
+from .forms import FormParams, get_operators, jump_seminorm
 from .mesh import MeshLevel, refine_conforming
-from .solver import SolveOptions, SolveStats, solve_discrete
+from .quadrature import triangle_rule
+from .solver import SolveOptions, solve_discrete
 
 
 class AdaptError(ValueError):
@@ -54,9 +56,7 @@ def estimate(
     ne = space.mesh.n_elements
 
     uH = ops.hessian_at_qp(u)
-    g, _, _ = cordes.f_gamma_field(
-        problem, ops.X.reshape(-1, 2), uH.reshape(-1, 2, 2)
-    )
+    g, _, _ = cordes.f_gamma_field(problem, ops.X.reshape(-1, 2), uH)
     g2 = (g**2).reshape(ne, -1)
     res = space.detJ * np.einsum("q,eq->e", ops.wq, g2)
 
@@ -157,60 +157,34 @@ def error_norm_k(space: FESpace, u: DiscreteFunction, exact: cordes.ExactSolutio
     The exact solution is smooth with zero boundary trace, so its own jump
     contributions vanish and the jump part reduces to that of u_k.
     """
-    from .quadrature import triangle_rule
-
     rule = triangle_rule(space.config.quad_exactness + extra_exactness)
-    ops = get_operators(space)
-    vol = 0.0
-    loc = space.local_coeffs(u.coeffs)
-    for e in range(space.mesh.n_elements):
-        x = space.to_physical(e, rule.points)
-        dv = exact.value(x) - space.eval_shape(e, rule.points, 0) @ loc[e]
-        dg = exact.gradient(x) - np.einsum(
-            "qli,l->qi", space.eval_shape(e, rule.points, 1), loc[e]
-        )
-        dh = exact.hessian(x) - np.einsum(
-            "qlij,l->qij", space.eval_shape(e, rule.points, 2), loc[e]
-        )
-        vol += space.detJ[e] * float(
-            rule.weights
-            @ (dv**2 + np.einsum("qi,qi->q", dg, dg) + np.einsum("qij,qij->q", dh, dh))
-        )
-    jump_sq = float(u.coeffs @ (ops.jump_gram @ u.coeffs))
-    return float(np.sqrt(vol + max(jump_sq, 0.0)))
+    x = space.points(rule.points).reshape(-1, 2)
+    dv = exact.value(x) - u.eval(rule.points, 0).ravel()
+    dg = exact.gradient(x) - u.eval(rule.points, 1).reshape(-1, 2)
+    dh = exact.hessian(x) - u.eval(rule.points, 2).reshape(-1, 2, 2)
+    sq = dv**2 + np.einsum("ni,ni->n", dg, dg) + np.einsum("nij,nij->n", dh, dh)
+    vol = float(space.detJ @ (sq.reshape(-1, rule.n) @ rule.weights))
+    return float(np.sqrt(vol + jump_seminorm(space, u) ** 2))
 
 
 def transfer_solution(
     u: DiscreteFunction, new_space: FESpace
 ) -> np.ndarray:
     """Initial-guess transfer to a refined mesh by element-wise polynomial
-    injection (exact for nested meshes)."""
-    old_space = u.space
-    new_mesh = new_space.mesh
-    coeffs = np.zeros(new_space.dim)
-    if new_space.config.s == 0:
-        # modal projection of the parent polynomial onto each child element
-        rule = new_space.elem_rule
+    injection (exact for nested meshes): the parent polynomial is evaluated
+    at each child's Lagrange nodes (C0) or quadrature points, then projected
+    onto the modal basis (DG)."""
+    rule = new_space.elem_rule
+    dg = new_space.config.s == 0
+    pts = rule.points if dg else lagrange_ref_points(new_space.config.p)
+    parent = new_space.mesh.ancestor
+    vals = u.eval(u.space.ref_points(new_space.points(pts), parent), 0, parent)
+    if dg:
         B = new_space.basis.eval(rule.points, 0)
-        for e in range(new_mesh.n_elements):
-            parent = int(new_mesh.ancestor[e])
-            x = new_space.to_physical(e, rule.points)
-            ref_old = old_space.to_reference(parent, x)
-            vals = u.eval_element(parent, ref_old, 0)
-            modal = np.einsum("q,q,qa->a", rule.weights, vals, B)
-            coeffs[new_space.dofmap[e]] = modal
-    else:
-        from .basis import lagrange_ref_points
-
-        nodes = lagrange_ref_points(new_space.config.p)
-        for e in range(new_mesh.n_elements):
-            parent = int(new_mesh.ancestor[e])
-            x = new_space.to_physical(e, nodes)
-            ref_old = old_space.to_reference(parent, x)
-            vals = u.eval_element(parent, ref_old, 0)
-            idx = new_space.dofmap[e]
-            valid = idx >= 0
-            coeffs[idx[valid]] = vals[valid]
+        vals = np.einsum("q,eq,qa->ea", rule.weights, vals, B)
+    coeffs = np.zeros(new_space.dim)
+    valid = new_space.dofmap >= 0
+    coeffs[new_space.dofmap[valid]] = vals[valid]
     return coeffs
 
 

@@ -24,10 +24,6 @@ def monomial_exponents(p: int) -> np.ndarray:
     return np.array(exps, dtype=np.int64)
 
 
-def space_dim(p: int) -> int:
-    return (p + 1) * (p + 2) // 2
-
-
 def _eval_monomials(pts: np.ndarray, exps: np.ndarray, order: int) -> np.ndarray:
     x = pts[:, 0][:, None]
     y = pts[:, 1][:, None]

@@ -130,6 +130,30 @@ def verify_ellipticity_cordes(
     return CordesReport(nu_est, passed, worst, min_eig)
 
 
+def _inf_sup(
+    problem: ControlProblem, x: np.ndarray, M: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One pass over the control pairs: f_gamma_field's (values, opt_alpha,
+    opt_beta) plus the (na, nb, n, 2, 2) table of gamma * a."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    M = np.asarray(M, dtype=float).reshape(len(x), DIM, DIM)
+    na, nb = len(problem.controls.alphas), len(problem.controls.betas)
+    table = np.empty((na, nb, len(x)))
+    gamma_a = np.empty((na, nb, len(x), DIM, DIM))
+    for ia, ib, alpha, beta in problem.control_pairs():
+        a = np.asarray(problem.coeffs.a(x, alpha, beta), dtype=float)
+        f = np.asarray(problem.coeffs.f(x, alpha, beta), dtype=float)
+        gamma = _gamma_field(a)
+        table[ia, ib] = gamma * (np.einsum("nij,nij->n", a, M) - f)
+        gamma_a[ia, ib] = gamma[:, None, None] * a
+    ib_opt = np.argmax(table, axis=1)  # (na, n), first max wins
+    sup = np.take_along_axis(table, ib_opt[:, None, :], axis=1)[:, 0, :]
+    ia_opt = np.argmin(sup, axis=0)  # (n,), first min wins
+    values = np.take_along_axis(sup, ia_opt[None, :], axis=0)[0]
+    opt_beta = ib_opt[ia_opt, np.arange(len(x))]
+    return values, ia_opt, opt_beta, gamma_a
+
+
 def f_gamma_field(
     problem: ControlProblem, x: np.ndarray, M: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -139,21 +163,7 @@ def f_gamma_field(
     inf over alpha of the sup over beta of gamma * (a : M - f), first index
     winning ties.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    M = np.asarray(M, dtype=float).reshape(len(x), DIM, DIM)
-    na, nb = len(problem.controls.alphas), len(problem.controls.betas)
-    table = np.empty((na, nb, len(x)))
-    for ia, ib, alpha, beta in problem.control_pairs():
-        a = np.asarray(problem.coeffs.a(x, alpha, beta), dtype=float)
-        f = np.asarray(problem.coeffs.f(x, alpha, beta), dtype=float)
-        gamma = _gamma_field(a)
-        table[ia, ib] = gamma * (np.einsum("nij,nij->n", a, M) - f)
-    ib_opt = np.argmax(table, axis=1)  # (na, n), first max wins
-    sup = np.take_along_axis(table, ib_opt[:, None, :], axis=1)[:, 0, :]
-    ia_opt = np.argmin(sup, axis=0)  # (n,), first min wins
-    values = np.take_along_axis(sup, ia_opt[None, :], axis=0)[0]
-    opt_beta = ib_opt[ia_opt, np.arange(len(x))]
-    return values, ia_opt, opt_beta
+    return _inf_sup(problem, x, M)[:3]
 
 
 def f_gamma_eval(problem: ControlProblem, x, M) -> PointwiseFG:
@@ -184,16 +194,5 @@ def frozen_coefficients(
     problem: ControlProblem, x: np.ndarray, M: np.ndarray
 ) -> np.ndarray:
     """gamma * a at the optimal controls of F_gamma, per point: (n, 2, 2)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    _, ia, ib = f_gamma_field(problem, x, M)
-    out = np.empty((len(x), DIM, DIM))
-    for a_idx in np.unique(ia):
-        for b_idx in np.unique(ib):
-            mask = (ia == a_idx) & (ib == b_idx)
-            if not np.any(mask):
-                continue
-            alpha = problem.controls.alphas[int(a_idx)]
-            beta = problem.controls.betas[int(b_idx)]
-            a = np.asarray(problem.coeffs.a(x[mask], alpha, beta), dtype=float)
-            out[mask] = _gamma_field(a)[:, None, None] * a
-    return out
+    _, ia, ib, gamma_a = _inf_sup(problem, x, M)
+    return gamma_a[ia, ib, np.arange(len(ia))]

@@ -4,11 +4,16 @@ The DG space uses the orthonormal modal basis per element, so the mass
 matrix is 2|K| times the identity on each element. The C0 space uses
 Lagrange nodes shared across faces, with homogeneous Dirichlet conditions
 imposed by dropping boundary nodes from the global numbering.
+
+Evaluation is batched: `FESpace.points`/`ref_points` are the affine maps
+and `FESpace.shapes` the batched shape tables (the only place that applies
+the inverse Jacobians), for shared or per-element reference points on any
+set of elements; `DiscreteFunction.eval` evaluates a function through them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -17,6 +22,10 @@ import scipy.sparse.linalg as spla
 from . import basis as bas
 from .mesh import BOUNDARY, MeshLevel
 from .quadrature import triangle_rule
+
+
+# default `elems` of the batched evaluators: every element, in order
+ALL = slice(None)
 
 
 class SpaceError(ValueError):
@@ -67,14 +76,10 @@ class FESpace:
         self.invJ[:, 0, 1] = -J[:, 0, 1] / self.detJ
         self.invJ[:, 1, 0] = -J[:, 1, 0] / self.detJ
         self.invJ[:, 1, 1] = J[:, 0, 0] / self.detJ
-        self.areas = 0.5 * self.detJ
 
         if s == 0:
-            ne = mesh.n_elements
-            self.dofmap = np.arange(ne * self.nloc, dtype=np.int64).reshape(
-                ne, self.nloc
-            )
-            self.dim = ne * self.nloc
+            self.dim = mesh.n_elements * self.nloc
+            self.dofmap = np.arange(self.dim, dtype=np.int64).reshape(-1, self.nloc)
         else:
             self.dofmap, self.dim = _c0_dofmap(mesh, p)
 
@@ -82,27 +87,51 @@ class FESpace:
         self._ops = None  # cache slot for the forms.Operators of this space
 
     # ---------------------------------------------------------------- geometry
+    def points(self, ref_pts: np.ndarray, elems=ALL) -> np.ndarray:
+        """Physical images (n, nq, 2) of reference points, shared (nq, 2) or
+        per element (n, nq, 2), on elements `elems` (index array or ALL)."""
+        ref_pts = np.asarray(ref_pts, dtype=float)
+        sub = "qj" if ref_pts.ndim == 2 else "eqj"
+        shift = np.einsum(f"eij,{sub}->eqi", self.J[elems], ref_pts)
+        return self.v0[elems][:, None, :] + shift
+
+    def ref_points(self, phys_pts: np.ndarray, elems=ALL) -> np.ndarray:
+        """Reference coordinates (n, nq, 2) of physical points, shared (nq, 2)
+        or per element (n, nq, 2), on elements `elems` (index array or ALL)."""
+        shift = phys_pts - self.v0[elems][:, None, :]
+        return shift @ self.invJ[elems].transpose(0, 2, 1)
+
     def to_physical(self, elem: int, ref_pts: np.ndarray) -> np.ndarray:
-        ref_pts = np.atleast_2d(ref_pts)
-        return self.v0[elem] + ref_pts @ self.J[elem].T
+        return self.points(np.atleast_2d(ref_pts), [elem])[0]
 
     def to_reference(self, elem: int, phys_pts: np.ndarray) -> np.ndarray:
-        phys_pts = np.atleast_2d(phys_pts)
-        return (phys_pts - self.v0[elem]) @ self.invJ[elem].T
+        return self.ref_points(np.atleast_2d(phys_pts), [elem])[0]
 
     # ------------------------------------------------------------------- shapes
+    def shapes(self, ref_pts: np.ndarray, order: int = 0, elems=ALL) -> np.ndarray:
+        """Physical values (order 0), gradients (1) or Hessians (2) of the
+        local shape functions, (n, nq, nloc, ...), on elements `elems` at
+        shared (nq, 2) or per-element (n, nq, 2) reference points, from one
+        tabulation of the reference basis."""
+        if order not in (0, 1, 2):
+            raise SpaceError(f"derivative order {order} not supported (max 2)")
+        ref_pts = np.asarray(ref_pts, dtype=float)
+        shared = ref_pts.ndim == 2
+        tab = self.basis.eval(ref_pts.reshape(-1, 2), order)
+        if not shared:
+            tab = tab.reshape(ref_pts.shape[:2] + tab.shape[1:])
+        iJ = self.invJ[elems]
+        if order == 0:
+            return np.broadcast_to(tab, (len(iJ),) + tab.shape) if shared else tab
+        q = "q" if shared else "eq"
+        if order == 1:
+            return np.einsum(f"eki,{q}lk->eqli", iJ, tab)
+        return np.einsum(f"eki,{q}lkm,emj->eqlij", iJ, tab, iJ)
+
     def eval_shape(self, elem: int, ref_pts: np.ndarray, order: int = 0):
         """Physical-space values/gradients/Hessians of the local shape
         functions of one element at reference points."""
-        if order not in (0, 1, 2):
-            raise SpaceError(f"derivative order {order} not supported (max 2)")
-        tab = self.basis.eval(ref_pts, order)
-        if order == 0:
-            return tab
-        iJ = self.invJ[elem]
-        if order == 1:
-            return np.einsum("ki,qlk->qli", iJ, tab)
-        return np.einsum("ki,qlkm,mj->qlij", iJ, tab, iJ)
+        return self.shapes(np.atleast_2d(ref_pts), order, [elem])[0]
 
     def local_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
         """Gather (ne, nloc) local coefficients; Dirichlet slots are zero."""
@@ -183,11 +212,17 @@ class DiscreteFunction:
                 f"space dimension is {self.space.dim}"
             )
 
+    def eval(self, ref_pts: np.ndarray, order: int = 0, elems=ALL) -> np.ndarray:
+        """Values (n, nq), gradients (n, nq, 2) or Hessians (n, nq, 2, 2) on
+        elements `elems` at shared (nq, 2) or per-element (n, nq, 2)
+        reference points."""
+        tab = self.space.shapes(ref_pts, order, elems)
+        loc = gather(self.coeffs, self.space.dofmap[elems])
+        return np.einsum("eql...,el->eq...", tab, loc)
+
     def eval_element(self, elem: int, ref_pts: np.ndarray, order: int = 0):
         """Value / gradient / Hessian fields on one element at ref points."""
-        tab = self.space.eval_shape(elem, ref_pts, order)
-        loc = gather(self.coeffs, self.space.dofmap[elem])
-        return np.einsum("ql...,l->q...", tab, loc)
+        return self.eval(np.atleast_2d(ref_pts), order, [elem])[0]
 
 
 def mass_matrix(space: FESpace) -> sp.csr_matrix:
@@ -203,17 +238,17 @@ def mass_matrix(space: FESpace) -> sp.csr_matrix:
 
 
 def project_l2(space: FESpace, f) -> DiscreteFunction:
-    """L2-orthogonal projection of a callable f(x) with x of shape (n, 2)."""
+    """L2-orthogonal projection of a callable f(x) with x of shape (n, 2).
+
+    f is called once, on the quadrature points of all elements together.
+    """
     rule = space.elem_rule
     vals = space.basis.eval(rule.points, 0)
-    rhs = np.zeros(space.dim)
-    for e in range(space.mesh.n_elements):
-        x = space.to_physical(e, rule.points)
-        fe = np.asarray(f(x), dtype=float)
-        loc = space.detJ[e] * np.einsum("q,q,qa->a", rule.weights, fe, vals)
-        idx = space.dofmap[e]
-        valid = idx >= 0
-        np.add.at(rhs, idx[valid], loc[valid])
+    x = space.points(rule.points)
+    fx = np.asarray(f(x.reshape(-1, 2)), dtype=float).reshape(x.shape[:2])
+    loc = space.detJ[:, None] * np.einsum("q,eq,qa->ea", rule.weights, fx, vals)
+    valid = space.dofmap >= 0
+    rhs = np.bincount(space.dofmap[valid], loc[valid], minlength=space.dim)
     M = mass_matrix(space)
     try:
         coeffs = spla.spsolve(M.tocsc(), rhs)

@@ -29,7 +29,7 @@ import scipy.sparse as sp
 
 from . import cordes
 from .basis import ortho_basis
-from .fespace import DiscreteFunction, FESpace, SpaceError, assemble_csr
+from .fespace import DiscreteFunction, FESpace, SpaceError, assemble_csr, mass_matrix
 from .mesh import INTERIOR
 from .quadrature import segment_rule
 
@@ -99,16 +99,13 @@ def face_tables(space: FESpace, modal) -> tuple[FaceTables, np.ndarray]:
     # the missing plus side borrows the minus element; its zero weights and
     # -1 dofs keep it out of every sum
     side = np.where(elems >= 0, elems, elems[:, :1])
-    iJ = space.invJ[side]  # (nf, 2, 2, 2)
-    ref = (xq[:, None] - space.v0[side][:, :, None]) @ iJ.transpose(0, 1, 3, 2)
-    pts = ref.reshape(-1, 2)
+    e = side.ravel()
+    ref = space.ref_points(np.repeat(xq, 2, axis=0), e)  # (2 nf, nqf, 2)
     tab = (nf, 2, nqf, nloc)
-    val = space.basis.eval(pts, 0).reshape(tab)
-    G = space.basis.eval(pts, 1).reshape(*tab, 2)
-    grad = np.einsum("fski,fsqlk->fsqli", iJ, G)
-    H = space.basis.eval(pts, 2).reshape(*tab, 2, 2)
-    hess = np.einsum("fski,fsqlkm,fsmj->fsqlij", iJ, H, iJ)
-    psi = modal.eval(pts, 0).reshape(nf, 2, nqf, -1)
+    val = space.shapes(ref, 0, e).reshape(tab)
+    grad = space.shapes(ref, 1, e).reshape(*tab, 2)
+    hess = space.shapes(ref, 2, e).reshape(*tab, 2, 2)
+    psi = modal.eval(ref.reshape(-1, 2), 0).reshape(nf, 2, nqf, -1)
 
     jump = np.where(interior[:, None], [1.0, -1.0], [1.0, 0.0])
     avg = np.where(interior[:, None], [0.5, 0.5], [1.0, 0.0])
@@ -141,17 +138,11 @@ class Operators:
         rule = space.elem_rule
         self.wq = rule.weights
         self.ref_pts = rule.points
-        self.B = space.basis.eval(rule.points, 0)  # (nq, nloc)
-        Gh = space.basis.eval(rule.points, 1)
-        Hh = space.basis.eval(rule.points, 2)
         self.Bm = self.modal.eval(rule.points, 0)  # (nq, nmod)
-
-        iJ = space.invJ
         # physical derivatives of shape functions at element quad points
-        self.PG = np.einsum("eki,qlk->eqli", iJ, Gh)
-        self.PH = np.einsum("eki,qlkm,emj->eqlij", iJ, Hh, iJ)
-        # physical quad points, (ne, nq, 2)
-        self.X = space.v0[:, None, :] + np.einsum("eij,qj->eqi", space.J, rule.points)
+        self.PG = space.shapes(rule.points, 1)
+        self.PH = space.shapes(rule.points, 2)
+        self.X = space.points(rule.points)  # physical quad points, (ne, nq, 2)
 
         self.faces, ahess = face_tables(space, self.modal)
         self._assemble_volume()
@@ -163,16 +154,15 @@ class Operators:
     def _assemble_volume(self):
         sp_ = self.space
         w, dJ = self.wq, sp_.detJ
-        B, PG, PH = self.B, self.PG, self.PH
+        PG, PH = self.PG, self.PH
         lapl = np.einsum("eqlii->eql", PH)
-        loc0 = np.einsum("q,qa,qb->ab", w, B, B)
-        M0 = dJ[:, None, None] * loc0[None]
         M1 = np.einsum("e,q,eqai,eqbi->eab", dJ, w, PG, PG)
         M2 = np.einsum("e,q,eqaij,eqbij->eab", dJ, w, PH, PH)
         ML = np.einsum("e,q,eqa,eqb->eab", dJ, w, lapl, lapl)
         rows, cols = sp_.dofmap[:, :, None], sp_.dofmap[:, None, :]
-        self.M0, self.M1, self.M2, self.ML = (
-            assemble_csr(rows, cols, M, (sp_.dim, sp_.dim)) for M in (M0, M1, M2, ML)
+        self.M0 = mass_matrix(sp_)
+        self.M1, self.M2, self.ML = (
+            assemble_csr(rows, cols, M, (sp_.dim, sp_.dim)) for M in (M1, M2, ML)
         )
 
     # ------------------------------------------------------------------- faces
@@ -330,9 +320,7 @@ def nonlinear_residual(
     ops = get_operators(space)
     ne, nq = space.mesh.n_elements, len(ops.wq)
     uH = ops.hessian_at_qp(u)
-    g, _, _ = cordes.f_gamma_field(
-        problem, ops.X.reshape(-1, 2), uH.reshape(-1, 2, 2)
-    )
+    g, _, _ = cordes.f_gamma_field(problem, ops.X.reshape(-1, 2), uH)
     g = g.reshape(ne, nq)
     mvec = np.einsum("e,q,eq,qa->ea", space.detJ, ops.wq, g, ops.Bm).ravel()
     lin = (params.theta * ops.S_facewise + ops.penalty_matrix(params)) @ u.coeffs
@@ -351,9 +339,8 @@ def frozen_jacobian(
     ops = get_operators(space)
     ne, nq, nmod = space.mesh.n_elements, len(ops.wq), ops.nmod
     uH = ops.hessian_at_qp(u)
-    c = cordes.frozen_coefficients(
-        problem, ops.X.reshape(-1, 2), uH.reshape(-1, 2, 2)
-    ).reshape(ne, nq, 2, 2)
+    c = cordes.frozen_coefficients(problem, ops.X.reshape(-1, 2), uH)
+    c = c.reshape(ne, nq, 2, 2)
 
     N = sp.csr_matrix((space.dim, space.dim))
     for (i, j), mult in (((0, 0), 1.0), ((0, 1), 2.0), ((1, 1), 1.0)):
@@ -376,20 +363,15 @@ def frozen_jacobian(
 @dataclass
 class LiftedHessianField:
     """Per-element modal representations of the Hessian, the lifted gradient
-    jump, the lifted Hessian and the lifted Laplacian of one function."""
+    jump and the lifted Hessian of one function."""
 
     space: FESpace
     hess: np.ndarray  # (ne, nmod, 2, 2) broken Hessian
     lift: np.ndarray  # (ne, nmod, 2, 2) lifting of the gradient jumps
-    modal_degree: int
 
     @property
     def lifted_hess(self) -> np.ndarray:
         return self.hess - self.lift
-
-    @property
-    def lifted_lapl(self) -> np.ndarray:
-        return np.einsum("emii->em", self.lifted_hess)
 
 
 def lifted_hessian(space: FESpace, v: DiscreteFunction) -> LiftedHessianField:
@@ -405,4 +387,4 @@ def lifted_hessian(space: FESpace, v: DiscreteFunction) -> LiftedHessianField:
             hess[:, :, j, i] = comp
     for (i, j), A in ops.R.items():
         lift[:, :, i, j] = (A @ x).reshape(ne, nmod)
-    return LiftedHessianField(space, hess, lift, space.config.q)
+    return LiftedHessianField(space, hess, lift)

@@ -20,10 +20,12 @@ from cordesfem import (
     get_problem,
     jump_seminorm,
     mark,
+    project_l2,
     unit_square_mesh,
 )
-from cordesfem.adapt import AdaptError
-from cordesfem.quadrature import quadrature_rule
+from cordesfem.adapt import AdaptError, error_norm_k, transfer_solution
+from cordesfem.forms import get_operators
+from cordesfem.quadrature import quadrature_rule, triangle_rule
 
 
 def _singleton_problem(f_const):
@@ -113,6 +115,80 @@ def test_estimator_face_terms_match_face_loop(p, s, spaces, rng):
     assert np.allclose(report.eta_sq_valjump, valjump, rtol=1e-10, atol=atol)
     total = gradjump.sum() + valjump.sum()
     assert jump_seminorm(space, u) ** 2 == pytest.approx(total, rel=1e-10)
+
+
+# ------------------------------------------------- error norm and transfer
+
+
+@pytest.mark.parametrize("p,s", [(2, 0), (3, 0), (2, 1), (3, 1)])
+def test_error_norm_matches_element_loop(p, s, spaces, rng):
+    # on the locally refined level of the hierarchy, against the volume
+    # integrals summed element by element with one-element evaluations
+    space = spaces(3, p, s)
+    exact = get_problem("two_control_switch").exact
+    u = DiscreteFunction(space, 0.1 * rng.standard_normal(space.dim))
+    rule = triangle_rule(space.config.quad_exactness + 2)
+    vol = 0.0
+    for e in range(space.mesh.n_elements):
+        x = space.to_physical(e, rule.points)
+        dv = exact.value(x) - u.eval_element(e, rule.points, 0)
+        dg = exact.gradient(x) - u.eval_element(e, rule.points, 1)
+        dh = exact.hessian(x) - u.eval_element(e, rule.points, 2)
+        sq = dv**2 + (dg**2).sum(axis=1) + (dh**2).sum(axis=(1, 2))
+        vol += space.detJ[e] * (rule.weights @ sq)
+    want = np.sqrt(vol + jump_seminorm(space, u) ** 2)
+    assert error_norm_k(space, u, exact) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("s", [0, 1])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("level", [0, 2])
+def test_transfer_exact_on_nested_local_refinement(level, p, s, spaces, rng):
+    # levels 1 and 3 of the hierarchy refine 0 and 2 locally, so children
+    # of several bisection depths share the transferred function
+    coarse, fine = spaces(level, p, s), spaces(level + 1, p, s)
+    u = DiscreteFunction(coarse, rng.standard_normal(coarse.dim))
+    v = DiscreteFunction(fine, transfer_solution(u, fine))
+    pts = rng.dirichlet(np.ones(3), size=6)[:, 1:]
+    for e in range(fine.mesh.n_elements):
+        parent = fine.mesh.ancestor[e]
+        ref = coarse.to_reference(parent, fine.to_physical(e, pts))
+        want = u.eval_element(parent, ref)
+        assert np.allclose(v.eval_element(e, pts), want, rtol=1e-10, atol=1e-10)
+
+
+def test_basis_tabulations_do_not_grow_with_elements(spaces, monkeypatch):
+    # error_norm_k, transfer_solution and project_l2 tabulate the reference
+    # basis a fixed number of times, whatever the element count
+    from cordesfem.basis import RefBasis
+
+    calls = []
+    tabulate = RefBasis.eval
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return tabulate(self, *args, **kwargs)
+
+    monkeypatch.setattr(RefBasis, "eval", counting)
+    exact = get_problem("two_control_switch").exact
+    counts = {}
+    for level in (0, 2):
+        for s in (0, 1):
+            coarse, fine = spaces(level, 3, s), spaces(level + 1, 3, s)
+            u = DiscreteFunction(coarse, np.ones(coarse.dim))
+            get_operators(coarse)
+            calls.clear()
+            error_norm_k(coarse, u, exact)
+            n_err = len(calls)
+            calls.clear()
+            transfer_solution(u, fine)
+            n_transfer = len(calls)
+            calls.clear()
+            project_l2(fine, lambda x: x[:, 0])
+            counts[level, s] = (n_err, n_transfer, len(calls))
+    for s in (0, 1):
+        assert counts[0, s] == counts[2, s]
+        assert max(counts[2, s]) <= 3
 
 
 # --------------------------------------------------------------------- marking

@@ -93,6 +93,44 @@ def test_order_three_rejected(spaces):
         space.eval_shape(0, np.array([[0.3, 0.3]]), 3)
 
 
+def _reference_shapes(space, e, pts, order):
+    # the affine chain rule written out per element: grad = G invJ and
+    # hess = invJ^T H invJ for every point and shape function
+    tab = space.basis.eval(pts, order)
+    iJ = space.invJ[e]
+    if order == 0:
+        return tab
+    if order == 1:
+        return tab @ iJ
+    return iJ.T @ tab @ iJ
+
+
+@pytest.mark.parametrize("p,s", [(2, 0), (3, 0), (2, 1), (3, 1)])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_batched_shapes_and_eval_match_per_element_transform(p, s, order, spaces, rng):
+    space = spaces(3, p, s)
+    ne = space.mesh.n_elements
+    coeffs = rng.standard_normal(space.dim)
+    u = DiscreteFunction(space, coeffs)
+    shared = rng.dirichlet(np.ones(3), size=5)[:, 1:]  # points of the triangle
+    elems = rng.choice(ne, size=9)  # with repeats, in no particular order
+    per_elem = rng.dirichlet(np.ones(3), size=(9, 4))[:, :, 1:]
+    cases = [
+        (shared, np.arange(ne), space.shapes(shared, order), u.eval(shared, order)),
+        (per_elem, elems, space.shapes(per_elem, order, elems),
+         u.eval(per_elem, order, elems)),
+    ]
+    for pts, es, tab, vals in cases:
+        assert tab.shape[:3] == (len(es), pts.shape[-2], space.nloc)
+        for k, e in enumerate(es):
+            want = _reference_shapes(space, e, pts if pts.ndim == 2 else pts[k], order)
+            scale = np.abs(want).max()
+            assert np.allclose(tab[k], want, rtol=1e-12, atol=1e-13 * scale)
+            loc = np.where(space.dofmap[e] >= 0, coeffs[space.dofmap[e]], 0.0)
+            want_u = np.tensordot(loc, want, axes=(0, 1))
+            assert np.allclose(vals[k], want_u, rtol=1e-12, atol=1e-12 * scale)
+
+
 # --------------------------------------------------------------- L2 projection
 
 

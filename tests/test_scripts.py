@@ -1,0 +1,27 @@
+"""Smoke test of the scripts: each runs to completion on tiny arguments."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+# every script runs in tmp_path, so relative output paths land there
+@pytest.mark.parametrize("script,args", [
+    ("uniform_convergence.py", ["--levels", "2", "--n0", "1",
+                                "--problems", "poisson_singleton", "--out", "out"]),
+    ("adaptive_study.py", ["--p", "2", "--max-dofs", "200", "--out", "out"]),
+    ("monotonicity_probe.py", ["--levels", "1", "--samples", "2"]),
+])
+def test_script_runs(script, args, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
