@@ -55,8 +55,7 @@ def estimate(
     ops = get_operators(space)
     ne = space.mesh.n_elements
 
-    uH = ops.hessian_at_qp(u)
-    g, _, _ = cordes.f_gamma_field(problem, ops.X.reshape(-1, 2), uH)
+    g, _, _ = cordes.inf_sup(ops.coefficients(problem), ops.hessian_at_qp(u))
     g2 = (g**2).reshape(ne, -1)
     res = space.detJ * np.einsum("q,eq->e", ops.wq, g2)
 

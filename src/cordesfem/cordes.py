@@ -5,6 +5,12 @@ Coefficient callables are vectorized: a(x, alpha, beta) maps points of shape
 (n,). Controls are finite samplings of the compact control spaces; the
 inf-sup over the sampled lists is exact, with ties broken by lowest index so
 that frozen-control linearizations are deterministic.
+
+The inf-sup has two parts: `tabulate` evaluates the u-independent
+coefficients a, f and gamma of every control pair at fixed points, and
+`inf_sup` gives F_gamma and its optimal controls from such a table for any
+Hessian values. `forms.Operators` keeps the table of its quadrature points,
+so a whole solve and estimate call a and f once per control pair.
 """
 
 from __future__ import annotations
@@ -82,13 +88,13 @@ class CordesReport:
 def gamma_eval(a: np.ndarray) -> float:
     """Renormalization Tr(a) / |a|^2 with the Frobenius norm."""
     a = np.asarray(a, dtype=float)
-    fro2 = float(np.sum(a * a))
-    if fro2 == 0.0:
+    if not np.any(a):
         raise CordesError("gamma undefined for the zero matrix")
-    return float(np.trace(a)) / fro2
+    return float(_gamma_field(a.reshape(1, DIM, DIM))[0])
 
 
 def _gamma_field(a: np.ndarray) -> np.ndarray:
+    """Tr(a) / |a|^2 per matrix of a (n, 2, 2)."""
     fro2 = np.einsum("nij,nij->n", a, a)
     return np.einsum("nii->n", a) / fro2
 
@@ -130,40 +136,59 @@ def verify_ellipticity_cordes(
     return CordesReport(nu_est, passed, worst, min_eig)
 
 
-def _inf_sup(
-    problem: ControlProblem, x: np.ndarray, M: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One pass over the control pairs: f_gamma_field's (values, opt_alpha,
-    opt_beta) plus the (na, nb, n, 2, 2) table of gamma * a."""
+@dataclass(frozen=True)
+class CoefficientTable:
+    """The u-independent coefficients of every control pair at fixed points:
+    a (na, nb, n, 2, 2), f and gamma = Tr(a) / |a|^2 (na, nb, n)."""
+
+    a: np.ndarray
+    f: np.ndarray
+    gamma: np.ndarray
+
+    def frozen(self, opt_alpha: np.ndarray, opt_beta: np.ndarray) -> np.ndarray:
+        """gamma * a at one control pair per point, (n, 2, 2)."""
+        n = np.arange(len(opt_alpha))
+        gamma = self.gamma[opt_alpha, opt_beta, n]
+        return gamma[:, None, None] * self.a[opt_alpha, opt_beta, n]
+
+
+def tabulate(problem: ControlProblem, x: np.ndarray) -> CoefficientTable:
+    """Coefficients of every control pair at points x (n, 2), from one call of
+    a and f per pair."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    M = np.asarray(M, dtype=float).reshape(len(x), DIM, DIM)
     na, nb = len(problem.controls.alphas), len(problem.controls.betas)
-    table = np.empty((na, nb, len(x)))
-    gamma_a = np.empty((na, nb, len(x), DIM, DIM))
+    a = np.empty((na, nb, len(x), DIM, DIM))
+    f = np.empty((na, nb, len(x)))
     for ia, ib, alpha, beta in problem.control_pairs():
-        a = np.asarray(problem.coeffs.a(x, alpha, beta), dtype=float)
-        f = np.asarray(problem.coeffs.f(x, alpha, beta), dtype=float)
-        gamma = _gamma_field(a)
-        table[ia, ib] = gamma * (np.einsum("nij,nij->n", a, M) - f)
-        gamma_a[ia, ib] = gamma[:, None, None] * a
-    ib_opt = np.argmax(table, axis=1)  # (na, n), first max wins
-    sup = np.take_along_axis(table, ib_opt[:, None, :], axis=1)[:, 0, :]
+        a[ia, ib] = problem.coeffs.a(x, alpha, beta)
+        f[ia, ib] = problem.coeffs.f(x, alpha, beta)
+    gamma = _gamma_field(a.reshape(-1, DIM, DIM)).reshape(na, nb, len(x))
+    return CoefficientTable(a, f, gamma)
+
+
+def inf_sup(
+    table: CoefficientTable, M: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """F_gamma over the tabulated points for Hessian values M (n, 2, 2), or
+    any shape holding n of them: (values, opt_alpha, opt_beta). The
+    optimizers realize the exact inf over alpha of the sup over beta of
+    gamma * (a : M - f), first index winning ties."""
+    n = table.f.shape[2]
+    M = np.asarray(M, dtype=float).reshape(n, DIM, DIM)
+    values = table.gamma * (np.einsum("abnij,nij->abn", table.a, M) - table.f)
+    ib_opt = np.argmax(values, axis=1)  # (na, n), first max wins
+    sup = np.take_along_axis(values, ib_opt[:, None, :], axis=1)[:, 0, :]
     ia_opt = np.argmin(sup, axis=0)  # (n,), first min wins
-    values = np.take_along_axis(sup, ia_opt[None, :], axis=0)[0]
-    opt_beta = ib_opt[ia_opt, np.arange(len(x))]
-    return values, ia_opt, opt_beta, gamma_a
+    inf = np.take_along_axis(sup, ia_opt[None, :], axis=0)[0]
+    return inf, ia_opt, ib_opt[ia_opt, np.arange(n)]
 
 
 def f_gamma_field(
     problem: ControlProblem, x: np.ndarray, M: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized F_gamma over points x (n, 2) with Hessian values M (n, 2, 2).
-
-    Returns (values, opt_alpha, opt_beta); the optimizers realize the exact
-    inf over alpha of the sup over beta of gamma * (a : M - f), first index
-    winning ties.
-    """
-    return _inf_sup(problem, x, M)[:3]
+    """Vectorized F_gamma over points x (n, 2) with Hessian values M (n, 2, 2):
+    `inf_sup` of a fresh tabulation, (values, opt_alpha, opt_beta)."""
+    return inf_sup(tabulate(problem, x), M)
 
 
 def f_gamma_eval(problem: ControlProblem, x, M) -> PointwiseFG:
@@ -194,5 +219,5 @@ def frozen_coefficients(
     problem: ControlProblem, x: np.ndarray, M: np.ndarray
 ) -> np.ndarray:
     """gamma * a at the optimal controls of F_gamma, per point: (n, 2, 2)."""
-    _, ia, ib, gamma_a = _inf_sup(problem, x, M)
-    return gamma_a[ia, ib, np.arange(len(ia))]
+    table = tabulate(problem, x)
+    return table.frozen(*inf_sup(table, M)[1:])

@@ -17,6 +17,11 @@ weight 0 and dofs -1; jump and average weights are per-face arrays, so
 face integrals are batched einsums with no interior/boundary branch. Those
 einsums keep the factor and summation order of a face-by-face assembly, so
 every matrix is bitwise the one a per-face loop would build.
+
+Newton's u-independent work is done once per space: `Operators` caches the
+coefficient table of the last problem and the linear part of the last
+`FormParams`, which residuals, Jacobians and the estimator all read. The
+frozen Jacobian is one scatter of batched element blocks, times Delta_k^T.
 """
 
 from __future__ import annotations
@@ -127,10 +132,11 @@ def face_tables(space: FESpace, modal) -> tuple[FaceTables, np.ndarray]:
 
 
 class Operators:
-    """All assembled matrices and coefficient maps for one FESpace."""
+    """All assembled matrices and coefficient maps for one FESpace, and lazy
+    caches of its u-independent Newton data. It keeps no reference to the
+    space, which holds it, so it is freed with the space without the GC."""
 
     def __init__(self, space: FESpace):
-        self.space = space
         cfg = space.config
         self.nmod = (cfg.q + 1) * (cfg.q + 2) // 2
         self.modal = ortho_basis(cfg.q)
@@ -139,39 +145,43 @@ class Operators:
         self.wq = rule.weights
         self.ref_pts = rule.points
         self.Bm = self.modal.eval(rule.points, 0)  # (nq, nmod)
-        # physical derivatives of shape functions at element quad points
-        self.PG = space.shapes(rule.points, 1)
+        # physical Hessians of the shape functions at element quad points
         self.PH = space.shapes(rule.points, 2)
         self.X = space.points(rule.points)  # physical quad points, (ne, nq, 2)
 
         self.faces, ahess = face_tables(space, self.modal)
-        self._assemble_volume()
-        self._assemble_faces(ahess)
-        self._assemble_modal_maps()
-        self._combine()
+        # the volume Gram matrices and Sface are only summed into S_facewise
+        # and norm_gram, so they are not kept
+        volume = self._assemble_volume(space)
+        Sface = self._assemble_faces(space, ahess)
+        self._assemble_modal_maps(space)
+        self._combine(*volume, Sface)
+        self._table = None  # (problem, cordes.CoefficientTable)
+        self._linear = None  # (FormParams, linear part)
 
     # ------------------------------------------------------------------ volume
-    def _assemble_volume(self):
-        sp_ = self.space
-        w, dJ = self.wq, sp_.detJ
-        PG, PH = self.PG, self.PH
+    def _assemble_volume(self, sp_: FESpace):
+        """M0, M1, M2, ML: the L2, H1, Hessian and Laplacian Gram matrices."""
+        w, dJ, PH = self.wq, sp_.detJ, self.PH
+        PG = sp_.shapes(sp_.elem_rule.points, 1)
         lapl = np.einsum("eqlii->eql", PH)
         M1 = np.einsum("e,q,eqai,eqbi->eab", dJ, w, PG, PG)
         M2 = np.einsum("e,q,eqaij,eqbij->eab", dJ, w, PH, PH)
         ML = np.einsum("e,q,eqa,eqb->eab", dJ, w, lapl, lapl)
         rows, cols = sp_.dofmap[:, :, None], sp_.dofmap[:, None, :]
-        self.M0 = mass_matrix(sp_)
-        self.M1, self.M2, self.ML = (
-            assemble_csr(rows, cols, M, (sp_.dim, sp_.dim)) for M in (M1, M2, ML)
-        )
+        shape = (sp_.dim, sp_.dim)
+        M1, M2, ML = (assemble_csr(rows, cols, M, shape) for M in (M1, M2, ML))
+        return mass_matrix(sp_), M1, M2, ML
 
     # ------------------------------------------------------------------- faces
-    def _assemble_faces(self, ahess):
+    def _assemble_faces(self, space: FESpace, ahess):
+        """Sets the jump penalty matrices Jgrad and Jval; returns Sface, the
+        face terms of the facewise stabilization."""
         ft = self.faces
         n, wq, jval, jgrad = ft.normal, ft.wq, ft.jval, ft.jgrad
         t = np.stack([-n[:, 1], n[:, 0]], axis=1)
         rows, cols = ft.dofs[:, :, None], ft.dofs[:, None, :]
-        shape = (self.space.dim, self.space.dim)
+        shape = (space.dim, space.dim)
 
         # jump penalty ingredients (raw, unweighted by sigma/rho); gradient
         # jumps are penalized on interior faces only
@@ -191,11 +201,10 @@ class Operators:
         loc = -np.einsum("fq,fqa,fqb->fab", wq, tHn, tj)
         l2 = np.einsum("fq,fqa,fqb->fab", wq * I[:, None], tt, jn)
         loc = loc + loc.transpose(0, 2, 1) + l2 + l2.transpose(0, 2, 1)
-        self.Sface = assemble_csr(rows, cols, loc, shape)
+        return assemble_csr(rows, cols, loc, shape)
 
     # -------------------------------------------------------- modal coefficient maps
-    def _assemble_modal_maps(self):
-        sp_ = self.space
+    def _assemble_modal_maps(self, sp_: FESpace):
         ne, nmod = sp_.mesh.n_elements, self.nmod
         shape = (ne * nmod, sp_.dim)
         mods = np.arange(nmod)
@@ -230,12 +239,13 @@ class Operators:
         # diagonal of the modal L2 inner product: int_K psi_a psi_b = detJ_e δ_ab
         self.Wmod = np.repeat(sp_.detJ, nmod)
 
-    def _combine(self):
+    def _combine(self, M0, M1, M2, ML, Sface):
         D2, R = self.D2, self.R
         self.TrR = (R[(0, 0)] + R[(1, 1)]).tocsr()
-        self.Delta_k = (D2[(0, 0)] + D2[(1, 1)] - self.TrR).tocsr()
-        self.S_facewise = (self.M2 - self.ML + self.Sface).tocsr()
-        self.norm_gram = (self.M2 + self.M1 + self.M0 + self.Jgrad + self.Jval).tocsr()
+        # CSC, so that Delta_k^T, which residuals and Jacobians apply, is CSR
+        self.Delta_k = (D2[(0, 0)] + D2[(1, 1)] - self.TrR).tocsc()
+        self.S_facewise = (M2 - ML + Sface).tocsr()
+        self.norm_gram = (M2 + M1 + M0 + self.Jgrad + self.Jval).tocsr()
         self.jump_gram = (self.Jgrad + self.Jval).tocsr()
 
     @cached_property
@@ -259,11 +269,27 @@ class Operators:
     # ------------------------------------------------------------- state fields
     def hessian_at_qp(self, u: DiscreteFunction) -> np.ndarray:
         """Broken Hessian of u at the element quadrature points, (ne, nq, 2, 2)."""
-        loc = self.space.local_coeffs(u.coeffs)
+        loc = u.space.local_coeffs(u.coeffs)
         return np.einsum("eqlij,el->eqij", self.PH, loc)
 
     def penalty_matrix(self, params: FormParams) -> sp.csr_matrix:
         return (params.sigma * self.Jgrad + params.rho * self.Jval).tocsr()
+
+    # ----------------------------------------------------- u-independent caches
+    def coefficients(self, problem: cordes.ControlProblem) -> cordes.CoefficientTable:
+        """Coefficient table of `problem` at the quadrature points X, kept
+        until another problem (by identity) asks for it."""
+        if self._table is None or self._table[0] is not problem:
+            self._table = (problem, cordes.tabulate(problem, self.X.reshape(-1, 2)))
+        return self._table[1]
+
+    def linear_part(self, params: FormParams) -> sp.csr_matrix:
+        """theta S_facewise + sigma Jgrad + rho Jval, kept until other
+        FormParams ask for it."""
+        if self._linear is None or self._linear[0] != params:
+            lin = params.theta * self.S_facewise + self.penalty_matrix(params)
+            self._linear = (params, lin.tocsr())
+        return self._linear[1]
 
 
 def get_operators(space: FESpace) -> Operators:
@@ -319,12 +345,10 @@ def nonlinear_residual(
     _validate_params(params, space.config.s)
     ops = get_operators(space)
     ne, nq = space.mesh.n_elements, len(ops.wq)
-    uH = ops.hessian_at_qp(u)
-    g, _, _ = cordes.f_gamma_field(problem, ops.X.reshape(-1, 2), uH)
+    g, _, _ = cordes.inf_sup(ops.coefficients(problem), ops.hessian_at_qp(u))
     g = g.reshape(ne, nq)
     mvec = np.einsum("e,q,eq,qa->ea", space.detJ, ops.wq, g, ops.Bm).ravel()
-    lin = (params.theta * ops.S_facewise + ops.penalty_matrix(params)) @ u.coeffs
-    return ops.Delta_k.T @ mvec + lin
+    return ops.Delta_k.T @ mvec + ops.linear_part(params) @ u.coeffs
 
 
 def frozen_jacobian(
@@ -334,27 +358,22 @@ def frozen_jacobian(
     params: FormParams,
 ) -> sp.csr_matrix:
     """Linearization of the residual with controls frozen at the pointwise
-    optimizers of F_gamma at the state u."""
+    optimizers of F_gamma at the state u: Delta_k^T G plus the linear part.
+
+    G maps dofs to the modal coefficients of the frozen gamma a : D^2 v; its
+    element blocks are detJ Bm^T diag(wq c_ij) PH_ij summed over i, j. This
+    is exact without a modal projection of PH, whose degree p - 2 <= q."""
     _validate_params(params, space.config.s)
     ops = get_operators(space)
-    ne, nq, nmod = space.mesh.n_elements, len(ops.wq), ops.nmod
-    uH = ops.hessian_at_qp(u)
-    c = cordes.frozen_coefficients(problem, ops.X.reshape(-1, 2), uH)
-    c = c.reshape(ne, nq, 2, 2)
-
-    N = sp.csr_matrix((space.dim, space.dim))
-    for (i, j), mult in (((0, 0), 1.0), ((0, 1), 2.0), ((1, 1), 1.0)):
-        # per-element blocks detJ * Bm^T diag(wq * c_ij) Bm
-        blocks = np.einsum(
-            "e,q,eq,qa,qb->eab", space.detJ, ops.wq, c[:, :, i, j], ops.Bm, ops.Bm
-        )
-        P = sp.bsr_matrix(
-            (blocks, np.arange(ne), np.arange(ne + 1)),
-            shape=(ne * nmod, ne * nmod),
-        )
-        N = N + mult * (ops.Delta_k.T @ (P @ ops.D2[(i, j)]))
-    lin = params.theta * ops.S_facewise + ops.penalty_matrix(params)
-    return (N + lin).tocsr()
+    ne, nmod = space.mesh.n_elements, ops.nmod
+    table = ops.coefficients(problem)
+    _, ia, ib = cordes.inf_sup(table, ops.hessian_at_qp(u))
+    c = table.frozen(ia, ib).reshape(ne, -1, 2, 2)
+    c = c * (space.detJ[:, None] * ops.wq)[:, :, None, None]
+    blocks = np.einsum("qa,eql->eal", ops.Bm, np.einsum("eqij,eqlij->eql", c, ops.PH))
+    rows = (np.arange(ne)[:, None] * nmod + np.arange(nmod))[:, :, None]
+    G = assemble_csr(rows, space.dofmap[:, None, :], blocks, (ne * nmod, space.dim))
+    return ops.Delta_k.T @ G + ops.linear_part(params)
 
 
 # ------------------------------------------------------------------ lifted fields

@@ -81,10 +81,14 @@ def linear_solve(matrix: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
         if rnorm <= target:
             break
         x = x + scale * lu.solve(scale * resid)
-    anorm = spla.norm(matrix, np.inf)
-    denom = anorm * np.linalg.norm(x, np.inf) + bnorm
+    finite = np.all(np.isfinite(x))
+    if finite and rnorm <= target:
+        return x
+    # the backward error, and the matrix norm it needs, only when the
+    # residual gate fails
+    denom = spla.norm(matrix, np.inf) * np.linalg.norm(x, np.inf) + bnorm
     backward = rnorm / denom if denom > 0 and np.isfinite(rnorm) else np.inf
-    if not np.all(np.isfinite(x)) or (rnorm > target and backward > 1e-13):
+    if not finite or backward > 1e-13:
         raise SolverError(
             f"linear solve inaccurate (residual {rnorm:.3e}, |b| {bnorm:.3e}, "
             f"backward error {backward:.3e}); "

@@ -9,9 +9,15 @@ from cordesfem import (
     CoefficientField,
     ControlProblem,
     ControlSet,
+    FormParams,
+    SpaceConfig,
+    build_space,
+    estimate,
     gamma_eval,
     get_problem,
     registry,
+    solve_discrete,
+    unit_square_mesh,
     verify_ellipticity_cordes,
 )
 from cordesfem.cordes import (
@@ -19,7 +25,9 @@ from cordesfem.cordes import (
     f_gamma_eval,
     f_gamma_field,
     f_unrenormalized_field,
+    frozen_coefficients,
 )
+from cordesfem.forms import get_operators
 
 
 def _const_problem(mat, nu, f=None):
@@ -163,6 +171,62 @@ def test_cordes_inequalities_pointwise(name, rng):
     slack = 1e-12 * (1 + fro)
     assert np.all(np.abs(fM - fN - tr) <= np.sqrt(1 - prob.nu) * fro + slack)
     assert np.all(np.abs(fM - fN) <= (1 + np.sqrt(3)) * fro + slack)
+
+
+@pytest.mark.parametrize("name", ["poisson_singleton", "two_control_switch",
+                                  "rotated_anisotropic"])
+def test_tabulated_inf_sup_matches_control_pair_loop(name, rng):
+    # the batched kernel over a coefficient table gives bitwise the values,
+    # the controls and the frozen gamma a of a loop over control pairs
+    prob = get_problem(name)
+    pts = rng.uniform(0, 1, size=(60, 2))
+    M = rng.standard_normal((60, 2, 2))
+    M = 0.5 * (M + np.transpose(M, (0, 2, 1)))
+    na, nb, n = len(prob.controls.alphas), len(prob.controls.betas), len(pts)
+    table = np.empty((na, nb, n))
+    gamma_a = np.empty((na, nb, n, 2, 2))
+    for ia, ib, alpha, beta in prob.control_pairs():
+        a = np.asarray(prob.coeffs.a(pts, alpha, beta), dtype=float)
+        f = prob.coeffs.f(pts, alpha, beta)
+        gamma = np.einsum("nii->n", a) / np.einsum("nij,nij->n", a, a)
+        table[ia, ib] = gamma * (np.einsum("nij,nij->n", a, M) - f)
+        gamma_a[ia, ib] = gamma[:, None, None] * a
+    sup = table.max(axis=1)
+    ia = np.argmin(sup, axis=0)
+    ib = np.argmax(table[ia, :, np.arange(n)], axis=1)
+    values, opt_alpha, opt_beta = f_gamma_field(prob, pts, M)
+    assert np.array_equal(values, sup.min(axis=0))
+    assert np.array_equal(opt_alpha, ia) and np.array_equal(opt_beta, ib)
+    frozen = frozen_coefficients(prob, pts, M)
+    assert np.array_equal(frozen, gamma_a[ia, ib, np.arange(n)])
+
+
+def test_coefficient_callables_run_once_per_control_pair():
+    # the coefficient table is cached on the space's operators: building
+    # them calls nothing, a whole solve and estimate one a and one f per pair
+    base = get_problem("rotated_anisotropic")
+    calls = {"a": 0, "f": 0}
+
+    def counted(name, fn):
+        def wrapper(x, alpha, beta):
+            calls[name] += 1
+            return fn(x, alpha, beta)
+        return wrapper
+
+    prob = ControlProblem(
+        domain=base.domain, controls=base.controls, nu=base.nu,
+        coeffs=CoefficientField(counted("a", base.coeffs.a),
+                                counted("f", base.coeffs.f)),
+    )
+    space = build_space(unit_square_mesh(3), SpaceConfig(p=2, s=0))
+    get_operators(space)
+    assert calls == {"a": 0, "f": 0}
+    params = FormParams.defaults(2, 0)
+    u, stats = solve_discrete(space, prob, params)
+    estimate(space, prob, u, params)
+    pairs = len(prob.controls.alphas) * len(prob.controls.betas)
+    assert stats.newton_iters > 1
+    assert calls == {"a": pairs, "f": pairs}
 
 
 def test_empty_control_set_rejected():

@@ -1,7 +1,11 @@
 """Stabilization, liftings, penalties, residual/Jacobian, mesh-dependent norms."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cordesfem import (
     DiscreteFunction,
@@ -21,6 +25,7 @@ from cordesfem import (
     uniform_refine,
     unit_square_mesh,
 )
+from cordesfem.cordes import frozen_coefficients
 from cordesfem.forms import get_operators
 from cordesfem.mesh import INTERIOR
 from cordesfem.quadrature import quadrature_rule
@@ -266,6 +271,72 @@ def test_jacobian_coercive_sample(spaces, rng):
         x = rng.standard_normal(space.dim)
         cs.append(float(x @ (J @ x)) / float(x @ x))
     assert min(cs) > 0.0
+
+
+@pytest.mark.parametrize("p,s", [(2, 0), (2, 1), (3, 0), (3, 1)])
+def test_jacobian_matches_modal_triple_product(p, s, spaces, rng):
+    # Delta_k^T P_ij D2_ij summed over the Hessian components, with P_ij the
+    # block-diagonal modal mass weighted by the frozen gamma a_ij
+    prob = get_problem("rotated_anisotropic")
+    space = spaces(3, p, s)
+    params = FormParams.defaults(p, s)
+    ops = get_operators(space)
+    u = DiscreteFunction(space, rng.standard_normal(space.dim))
+    ne = space.mesh.n_elements
+    c = frozen_coefficients(prob, ops.X.reshape(-1, 2), ops.hessian_at_qp(u))
+    c = c.reshape(ne, -1, 2, 2)
+    ref = params.theta * ops.S_facewise + ops.penalty_matrix(params)
+    for (i, j), mult in (((0, 0), 1.0), ((0, 1), 2.0), ((1, 1), 1.0)):
+        blocks = np.einsum("e,q,eq,qa,qb->eab", space.detJ, ops.wq, c[:, :, i, j],
+                           ops.Bm, ops.Bm)
+        P = sp.block_diag(list(blocks), format="csr")
+        ref = ref + mult * (ops.Delta_k.T @ (P @ ops.D2[(i, j)]))
+    ref = ref.tocsr()
+    J = frozen_jacobian(space, prob, u, params)
+    assert abs(J - ref).max() <= 1e-13 * abs(ref).max()
+    for A in (J, ref):
+        A.eliminate_zeros()
+        A.sort_indices()
+    assert np.array_equal(J.indptr, ref.indptr)
+    assert np.array_equal(J.indices, ref.indices)
+
+
+@pytest.mark.parametrize("s", [0, 1])
+def test_cached_newton_data_follows_problem_and_params(s, mesh_hierarchy, rng):
+    # one space serving alternating problems and parameters gives the
+    # numbers of a fresh space for each combination
+    mesh, p = mesh_hierarchy[1], 2
+    probs = [get_problem("rotated_anisotropic"), get_problem("two_control_switch")]
+    params = [FormParams.defaults(p, s), FormParams(0.3, 7.0, 50.0 * (s == 0))]
+    space = build_space(mesh, SpaceConfig(p=p, s=s))
+    coeffs = rng.standard_normal(space.dim)
+    for ip, ifp in ((0, 0), (1, 0), (1, 1), (0, 1), (0, 0), (1, 1)):
+        prob, par = probs[ip], params[ifp]
+        fresh = build_space(mesh, SpaceConfig(p=p, s=s))
+        u, uf = DiscreteFunction(space, coeffs), DiscreteFunction(fresh, coeffs)
+        assert np.array_equal(nonlinear_residual(space, prob, u, par),
+                              nonlinear_residual(fresh, prob, uf, par))
+        J = frozen_jacobian(space, prob, u, par)
+        Jf = frozen_jacobian(fresh, prob, uf, par)
+        assert (J != Jf).nnz == 0
+
+
+def test_operators_freed_with_their_space():
+    # no reference cycle between a space and its operators: they go with
+    # the last reference to the space, without the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        space = build_space(unit_square_mesh(2), SpaceConfig(p=2, s=0))
+        prob, params = get_problem("two_control_switch"), FormParams.defaults(2, 0)
+        u = DiscreteFunction(space, np.ones(space.dim))
+        nonlinear_residual(space, prob, u, params)
+        frozen_jacobian(space, prob, u, params)
+        ops = weakref.ref(get_operators(space))
+        del space, u
+        assert ops() is None
+    finally:
+        gc.enable()
 
 
 # ----------------------------------------------------------------------- norms
