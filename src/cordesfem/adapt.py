@@ -148,15 +148,15 @@ class AdaptiveTrace:
             json.dump(payload, fh, indent=2)
 
 
-def error_norm_k(space: FESpace, u: DiscreteFunction, exact: cordes.ExactSolution,
-                 extra_exactness: int = 2) -> float:
+def error_norm_k(space: FESpace, u: DiscreteFunction,
+                 exact: cordes.ExactSolution) -> float:
     """Mesh-dependent norm of (u_exact - u_k), with a quadrature rule two
     degrees beyond the default so quadrature error stays subordinate.
 
     The exact solution is smooth with zero boundary trace, so its own jump
     contributions vanish and the jump part reduces to that of u_k.
     """
-    rule = triangle_rule(space.config.quad_exactness + extra_exactness)
+    rule = triangle_rule(space.config.quad_exactness + 2)
     x = space.points(rule.points).reshape(-1, 2)
     dv = exact.value(x) - u.eval(rule.points, 0).ravel()
     dg = exact.gradient(x) - u.eval(rule.points, 1).reshape(-1, 2)
@@ -197,7 +197,6 @@ class AdaptiveConfig:
     eta_tol: float | None = None
     max_iters: int = 30
     solve_opts: SolveOptions = field(default_factory=SolveOptions)
-    transfer_guess: bool = True
     uniform: bool = False
 
 
@@ -218,7 +217,7 @@ def adaptive_solve(
     for it in range(config.max_iters):
         space = build_space(mesh, config.space)
         opts = config.solve_opts
-        if config.transfer_guess and prev_u is not None:
+        if prev_u is not None:
             opts = replace(opts, initial_guess=transfer_solution(prev_u, space))
         u, stats = solve_discrete(space, problem, config.params, opts)
         report = estimate(space, problem, u, config.params)

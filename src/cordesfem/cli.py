@@ -18,7 +18,7 @@ import numpy as np
 
 from .adapt import AdaptiveConfig, AdaptiveTrace, adaptive_solve
 from .cordes import verify_ellipticity_cordes
-from .fespace import SpaceConfig
+from .fespace import FESpace, SpaceConfig
 from .forms import FormParams
 from .mesh import unit_square_mesh, write_mesh_txt, write_vtk
 from .problems import get_problem
@@ -96,10 +96,9 @@ def run_study(config: StudyConfig) -> dict:
 
     problem = get_problem(config.problem)
     mesh0 = unit_square_mesh(config.n0)
-    samples = 0.5 * (
-        mesh0.vertices[mesh0.tri[:, 0]]
-        + 0.5 * (mesh0.vertices[mesh0.tri[:, 1]] + mesh0.vertices[mesh0.tri[:, 2]])
-    )
+    # the scheme evaluates a at the element quadrature points, so check there
+    space0 = FESpace(mesh0, config.space_config())
+    samples = space0.points(space0.elem_rule.points).reshape(-1, 2)
     report = verify_ellipticity_cordes(problem, samples)
     if not report.passed:
         raise SystemExit(

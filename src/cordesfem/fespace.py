@@ -172,9 +172,6 @@ def _c0_dofmap(mesh: MeshLevel, p: int):
     nodes = bas.lagrange_nodes(p)
     n_int = (p - 1) * (p - 2) // 2
     tri, ne = mesh.tri, mesh.n_elements
-    # face_verts rows are sorted pairs in lexicographic order, so their keys
-    # are sorted too
-    face_keys = mesh.face_verts[:, 0] * nv + mesh.face_verts[:, 1]
 
     dofmap = np.full((ne, len(nodes)), -1, dtype=np.int64)
     j = 0  # running index of the interior nodes
@@ -184,10 +181,8 @@ def _c0_dofmap(mesh: MeshLevel, p: int):
             dofmap[:, l] = vertex_dof[tri[:, np.argmax(bary)]]
         elif len(zeros) == 1:  # edge node
             b, c = [a for a in range(3) if a != zeros[0]]
-            gb, gc = tri[:, b], tri[:, c]
-            f = np.searchsorted(face_keys, np.minimum(gb, gc) * nv + np.maximum(gb, gc))
-            slot = np.where(gb < gc, bary[c], bary[b])
-            dofmap[:, l] = face_dof[f, slot - 1]
+            slot = np.where(tri[:, b] < tri[:, c], bary[c], bary[b])
+            dofmap[:, l] = face_dof[mesh.elem_faces[:, zeros[0]], slot - 1]
         else:  # interior node
             dofmap[:, l] = next_dof + np.arange(ne) * n_int + j
             j += 1

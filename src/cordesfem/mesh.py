@@ -7,6 +7,12 @@ lexicographically smaller endpoint to the larger and the normal is the
 clockwise rotation of the tangent; boundary faces always carry the outward
 normal. The normal of a face therefore depends on its endpoint coordinates
 only, never on the refinement level.
+
+The face numbering is the only edge identity: `face_verts` holds the sorted
+vertex pair of each face and `elem_faces[e, l]` the face opposite local
+vertex l, so column 0 is the refinement edge. Newest-vertex bisection works
+on it with arrays: a boolean closure over faces, midpoints numbered by
+first occurrence, and up to four children per element from fixed slots.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ class MeshLevel:
     face_kind: np.ndarray = field(default=None, repr=False)
     face_elems: np.ndarray = field(default=None, repr=False)  # (nf, 2), minus first
     face_normals: np.ndarray = field(default=None, repr=False)
+    elem_faces: np.ndarray = field(default=None, repr=False)  # (ne, 3)
 
     def __post_init__(self):
         v, t = self.vertices, self.tri
@@ -52,11 +59,12 @@ class MeshLevel:
         areas = signed_areas(v, t)
         if np.any(areas <= 0.0):
             raise MeshError("element with nonpositive signed area")
-        fv, fk, fe, fn = _build_faces(v, t)
+        fv, fk, fe, fn, ef = _build_faces(v, t)
         object.__setattr__(self, "face_verts", fv)
         object.__setattr__(self, "face_kind", fk)
         object.__setattr__(self, "face_elems", fe)
         object.__setattr__(self, "face_normals", fn)
+        object.__setattr__(self, "elem_faces", ef)
 
     @property
     def n_vertices(self) -> int:
@@ -128,7 +136,7 @@ def _build_faces(vertices, tri):
     # minus side: the element for which n is outward pointing
     swap = np.einsum("fi,fi->f", out0, fn) < 0.0
     fe[swap] = fe[swap, ::-1]
-    return fv, fk, fe, fn
+    return fv, fk, fe, fn, face_of.reshape(-1, 3)
 
 
 def _outward_normal(vertices, elem_verts, p0, p1):
@@ -162,26 +170,11 @@ def unit_square_mesh(n: int) -> MeshLevel:
     xs = np.linspace(0.0, 1.0, n + 1)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     vertices = np.column_stack([X.ravel(), Y.ravel()])
-
-    def vid(i, j):
-        return i * (n + 1) + j
-
-    tris = []
-    for i in range(n):
-        for j in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            tris.append((v00, v10, v01))  # peak v00, hypotenuse v10-v01
-            tris.append((v11, v01, v10))  # peak v11, hypotenuse v01-v10
-    tri = np.array(tris, dtype=np.int64)
-    ne = len(tri)
-    return MeshLevel(
-        vertices,
-        tri,
-        np.zeros(ne, dtype=np.int64),
-        np.full(ne, -1, dtype=np.int64),
-        k=0,
-    )
+    v00 = ((n + 1) * np.arange(n)[:, None] + np.arange(n)).ravel()
+    v10, v01 = v00 + n + 1, v00 + 1
+    # per cell: peak v00 with hypotenuse v10-v01, then peak v11 with v01-v10
+    tri = np.stack([np.c_[v00, v10, v01], np.c_[v10 + 1, v01, v10]], axis=1)
+    return _initial_mesh(vertices, tri.reshape(-1, 3))
 
 
 def convex_polygon_mesh(points) -> MeshLevel:
@@ -207,15 +200,14 @@ def convex_polygon_mesh(points) -> MeshLevel:
         peak = verts[int(np.argmax(lengths))]
         rest = [v for v in verts if v != peak]
         tris.append(_ccw(pts, peak, rest[0], rest[1]))
-    tri = np.array(tris, dtype=np.int64)
+    return _initial_mesh(pts.copy(), np.array(tris, dtype=np.int64))
+
+
+def _initial_mesh(vertices, tri) -> MeshLevel:
+    """Level 0: every element of generation 0 and without ancestor."""
     ne = len(tri)
-    return MeshLevel(
-        pts.copy(),
-        tri,
-        np.zeros(ne, dtype=np.int64),
-        np.full(ne, -1, dtype=np.int64),
-        k=0,
-    )
+    return MeshLevel(vertices, tri, np.zeros(ne, dtype=np.int64),
+                     np.full(ne, -1, dtype=np.int64))
 
 
 def refine_conforming(mesh: MeshLevel, marked) -> MeshLevel:
@@ -225,83 +217,54 @@ def refine_conforming(mesh: MeshLevel, marked) -> MeshLevel:
     set yields an identical copy. Every new element records the id of the
     element of `mesh` it came from.
     """
-    marked = set(int(m) for m in marked)
-    if not marked <= set(range(mesh.n_elements)):
+    ne, nv = mesh.n_elements, mesh.n_vertices
+    marked = np.fromiter(marked, dtype=np.int64)
+    if marked.size and (marked.min() < 0 or marked.max() >= ne):
         raise MeshError("marked set contains ids outside the mesh")
 
-    tri = mesh.tri
-
-    def edge_key(a, b):
-        return (int(min(a, b)), int(max(a, b)))
-
-    # closure by edge marking: mark refinement edges until no element has a
-    # marked non-refinement edge without its refinement edge marked too
-    marked_edges: set[tuple[int, int]] = set()
-    for e in marked:
-        marked_edges.add(edge_key(tri[e, 1], tri[e, 2]))
-    max_rounds = mesh.n_elements + mesh.n_faces + 2
-    for _ in range(max_rounds):
-        changed = False
-        for e in range(mesh.n_elements):
-            ref_edge = edge_key(tri[e, 1], tri[e, 2])
-            if ref_edge in marked_edges:
-                continue
-            others = (
-                edge_key(tri[e, 0], tri[e, 1]),
-                edge_key(tri[e, 2], tri[e, 0]),
-            )
-            if others[0] in marked_edges or others[1] in marked_edges:
-                marked_edges.add(ref_edge)
-                changed = True
-        if not changed:
+    # closure by edge marking: split refinement edges until no element has a
+    # split non-refinement edge without its refinement edge split too; every
+    # round splits at least one more face, so the loop ends
+    ef = mesh.elem_faces
+    split = np.zeros(mesh.n_faces, dtype=bool)
+    split[ef[marked, 0]] = True
+    while True:
+        grow = ~split[ef[:, 0]] & (split[ef[:, 1]] | split[ef[:, 2]])
+        if not grow.any():
             break
-    else:  # pragma: no cover - broken refinement-edge assignment
-        raise MeshError("conformity closure failed to terminate")
+        split[ef[grow, 0]] = True
 
-    vertices = [tuple(p) for p in mesh.vertices]
-    midpoint: dict[tuple[int, int], int] = {}
+    # new vertices are numbered in the order an element sweep meets the split
+    # faces: per element the refinement edge, then edge (peak, b), then (c, peak)
+    sweep = ef[:, [0, 2, 1]]
+    faces, first = np.unique(sweep[split[sweep]], return_index=True)
+    faces = faces[np.argsort(first)]
+    mid = np.full(mesh.n_faces, -1, dtype=np.int64)
+    mid[faces] = nv + np.arange(len(faces))
+    ends = mesh.vertices[mesh.face_verts[faces]]
+    vertices = np.concatenate([mesh.vertices, 0.5 * (ends[:, 0] + ends[:, 1])])
 
-    def mid(a, b):
-        key = edge_key(a, b)
-        vi = midpoint.get(key)
-        if vi is None:
-            pm = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
-            vi = len(vertices)
-            vertices.append((pm[0], pm[1]))
-            midpoint[key] = vi
-        return vi
-
-    new_tri: list[tuple[int, int, int]] = []
-    new_level: list[int] = []
-    new_anc: list[int] = []
-
-    def emit(verts, level, anc):
-        new_tri.append(verts)
-        new_level.append(level)
-        new_anc.append(anc)
-
-    def bisect(verts, level, anc, depth):
-        peak, b, c = verts
-        if edge_key(b, c) not in marked_edges:
-            emit(verts, level, anc)
-            return
-        if depth > 2:  # pragma: no cover
-            raise MeshError("bisection recursion exceeded bound; "
-                            "refinement-edge assignment is broken")
-        m = mid(b, c)
-        # children: newest vertex m becomes the peak; refinement edges are the
-        # former edges (peak, b) and (peak, c)
-        bisect((m, peak, b), level + 1, anc, depth + 1)
-        bisect((m, c, peak), level + 1, anc, depth + 1)
-
-    for e in range(mesh.n_elements):
-        bisect(tuple(int(v) for v in tri[e]), int(mesh.level[e]), e, 0)
-
+    # children in depth-first order [A1, A2, B1, B2]: bisection makes the
+    # midpoint m the peak of (m, peak, b) and (m, c, peak), whose refinement
+    # edges (peak, b) and (c, peak) may be split once more, at m1 and m2
+    s0, s1, s2 = split[ef].T
+    m, m2, m1 = mid[ef].T
+    peak, b, c = mesh.tri.T
+    slots = np.stack([
+        np.where(s2[:, None], np.c_[m1, m, peak],
+                 np.where(s0[:, None], np.c_[m, peak, b], mesh.tri)),
+        np.c_[m1, b, m],
+        np.where(s1[:, None], np.c_[m2, m, c], np.c_[m, c, peak]),
+        np.c_[m2, peak, m],
+    ], axis=1)
+    keep = np.c_[np.ones(ne, dtype=bool), s2, s0, s1]
+    two = np.full(ne, 2)
+    offset = np.c_[s0.astype(np.int64) + s2, two, 1 + s1.astype(np.int64), two]
     return MeshLevel(
-        np.array(vertices, dtype=float),
-        np.array(new_tri, dtype=np.int64),
-        np.array(new_level, dtype=np.int64),
-        np.array(new_anc, dtype=np.int64),
+        vertices,
+        slots[keep],
+        (mesh.level[:, None] + offset)[keep],
+        np.repeat(np.arange(ne, dtype=np.int64), keep.sum(axis=1)),
         k=mesh.k + 1,
     )
 

@@ -26,14 +26,15 @@ class SolverError(RuntimeError):
         self.stats = stats
 
 
+# Newton backtracking: halve the step up to MAX_BACKTRACKS times
+DAMPING = 0.5
+MAX_BACKTRACKS = 10
+
+
 @dataclass
 class SolveOptions:
-    tol: float = 1e-10
-    scale_tol_by_data: bool = True  # tol * (1 + |R(0)|_{M^-1}), mesh-robust
+    tol: float = 1e-10  # scaled to tol * (1 + |R(0)|_{M^-1}), mesh-robust
     max_newton: int = 50
-    damping: float = 0.5
-    max_backtracks: int = 10
-    fallback_tau: float | None = None  # None -> adaptive halving from 1.0
     max_fallback: int = 2000
     initial_guess: np.ndarray | None = None
 
@@ -58,12 +59,15 @@ def linear_solve(matrix: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
     """
     matrix = matrix.tocsc()
     # symmetric diagonal equilibration tames the scale spread between
-    # vertex/edge/interior dofs of high-order spaces before factorizing
+    # vertex/edge/interior dofs of high-order spaces before factorizing;
+    # entry (i, j) becomes (a_ij s_i) s_j on the pattern of the CSC matrix
     d = np.abs(matrix.diagonal())
     d[d == 0.0] = 1.0
     scale = 1.0 / np.sqrt(d)
-    D = sp.diags(scale)
-    scaled = (D @ matrix @ D).tocsc()
+    col_scale = np.repeat(scale, np.diff(matrix.indptr))
+    scaled = sp.csc_matrix(
+        (matrix.data * scale[matrix.indices] * col_scale, matrix.indices,
+         matrix.indptr), shape=matrix.shape)
     try:
         lu = spla.splu(scaled)
     except RuntimeError as err:
@@ -121,15 +125,12 @@ def solve_discrete(
     rn = res_norm(r)
     stats.residual_history.append(rn)
 
-    tol = opts.tol
-    if opts.scale_tol_by_data:
-        if opts.initial_guess is None or not np.any(u):
-            rn0 = rn
-        else:
-            zero = DiscreteFunction(space, np.zeros(space.dim))
-            rn0 = res_norm(nonlinear_residual(space, problem, zero, params))
-        tol = opts.tol * (1.0 + rn0)
-    opts = replace(opts, tol=tol)
+    if opts.initial_guess is None or not np.any(u):
+        rn0 = rn
+    else:
+        zero = DiscreteFunction(space, np.zeros(space.dim))
+        rn0 = res_norm(nonlinear_residual(space, problem, zero, params))
+    opts = replace(opts, tol=opts.tol * (1.0 + rn0))
 
     # residual evaluations carry roundoff proportional to the operator
     # norms; once accepted steps stall inside this band the iteration has
@@ -149,7 +150,7 @@ def solve_discrete(
         step = 1.0
         accepted = False
         rn_prev = rn
-        for _ in range(opts.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             trial = DiscreteFunction(space, u + step * delta)
             rt = nonlinear_residual(space, problem, trial, params)
             rtn = res_norm(rt)
@@ -157,7 +158,7 @@ def solve_discrete(
                 u, uf, r, rn = trial.coeffs, trial, rt, rtn
                 accepted = True
                 break
-            step *= opts.damping
+            step *= DAMPING
         stats.newton_iters += 1
         if not accepted:
             break
@@ -170,9 +171,9 @@ def solve_discrete(
         stats.final_residual = rn
         return uf, stats
 
-    # fixed-point fallback u <- u - tau * M^{-1} R(u)
-    tau = opts.fallback_tau if opts.fallback_tau is not None else 1.0
-    adaptive = opts.fallback_tau is None
+    # fixed-point fallback u <- u - tau * M^{-1} R(u), tau halved from 1.0
+    # until the residual falls
+    tau = 1.0
     for _ in range(opts.max_fallback):
         if rn <= opts.tol:
             break
@@ -181,7 +182,7 @@ def solve_discrete(
             trial = DiscreteFunction(space, u - tau * d)
             rt = nonlinear_residual(space, problem, trial, params)
             rtn = res_norm(rt)
-            if rtn < rn or not adaptive or tau < 1e-8:
+            if rtn < rn or tau < 1e-8:
                 break
             tau *= 0.5
         if rtn >= rn:

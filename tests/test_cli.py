@@ -1,11 +1,14 @@
 """Study driver: argument parsing, config files, outputs, reproducibility."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cordesfem import cli, get_problem
 from cordesfem.cli import build_config, main, run_study
+from cordesfem.cordes import CoefficientField
 
 
 def test_arg_parsing_defaults():
@@ -89,3 +92,23 @@ def test_bad_problem_name_rejected(tmp_path):
     with pytest.raises((SystemExit, KeyError)):
         run_study(build_config(["--problem", "no_such", "--out",
                                 str(tmp_path / "x")]))
+
+
+def test_cordes_check_sees_quadrature_points(tmp_path, monkeypatch):
+    # a = diag(1, 2) on the strip x < 0.1 breaks the declared nu = 1 there
+    # only; every element centroid of the n0 = 2 mesh lies at x >= 0.125
+    base = get_problem("poisson_singleton")
+
+    def a(x, alpha, beta):
+        out = base.coeffs.a(x, alpha, beta)
+        out[:, 1, 1] += x[:, 0] < 0.1
+        return out
+
+    strip = replace(base, coeffs=CoefficientField(a, base.coeffs.f))
+    monkeypatch.setattr(cli, "get_problem", lambda name: strip)
+    with pytest.raises(SystemExit, match="fails the ellipticity/Cordes check"):
+        run_study(build_config([
+            "--problem", "poisson_singleton", "--p", "2", "--cont", "dg",
+            "--uniform", "--levels", "1", "--n0", "2",
+            "--out", str(tmp_path / "x"),
+        ]))

@@ -194,6 +194,112 @@ def test_mesh_txt_roundtrip_format(tmp_path):
     assert np.allclose(verts, m.vertices)
 
 
+PENTAGON = np.array([[0, 0], [2, 0], [3, 1.5], [1, 3], [-1, 1]], dtype=float)
+
+
+def _reference_refine(mesh, marked):
+    """Element-by-element newest-vertex bisection: closure sweeps over all
+    elements with edges as vertex pairs, then recursive bisection."""
+    tri = mesh.tri
+
+    def key(a, b):
+        return (int(min(a, b)), int(max(a, b)))
+
+    split = {key(tri[e, 1], tri[e, 2]) for e in marked}
+    changed = True
+    while changed:
+        changed = False
+        for p, b, c in tri:
+            ref, sides = key(b, c), (key(p, b), key(c, p))
+            if ref not in split and (sides[0] in split or sides[1] in split):
+                split.add(ref)
+                changed = True
+
+    vertices = [tuple(x) for x in mesh.vertices]
+    midpoint = {}
+    out_tri, out_level, out_anc = [], [], []
+
+    def bisect(verts, level, anc):
+        p, b, c = verts
+        if key(b, c) not in split:
+            out_tri.append(verts)
+            out_level.append(level)
+            out_anc.append(anc)
+            return
+        if key(b, c) not in midpoint:
+            midpoint[key(b, c)] = len(vertices)
+            pm = 0.5 * (mesh.vertices[b] + mesh.vertices[c])
+            vertices.append((pm[0], pm[1]))
+        m = midpoint[key(b, c)]
+        bisect((m, p, b), level + 1, anc)
+        bisect((m, c, p), level + 1, anc)
+
+    for e in range(mesh.n_elements):
+        bisect(tuple(int(v) for v in tri[e]), int(mesh.level[e]), e)
+    return (np.array(vertices, dtype=float), np.array(out_tri, dtype=np.int64),
+            np.array(out_level, dtype=np.int64), np.array(out_anc, dtype=np.int64))
+
+
+@st.composite
+def _marking_sequences(draw):
+    start = draw(st.sampled_from(["square1", "square2", "square3", "pentagon"]))
+    fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return start, fractions, seed
+
+
+@given(_marking_sequences())
+@settings(max_examples=40, deadline=None)
+def test_refinement_bitwise_matches_elementwise_reference(case):
+    start, fractions, seed = case
+    rng = np.random.default_rng(seed)
+    if start == "pentagon":
+        m = convex_polygon_mesh(PENTAGON)
+    else:
+        m = unit_square_mesh(int(start[-1]))
+    for frac in fractions:
+        size = int(round(frac * m.n_elements))
+        marked = set(rng.choice(m.n_elements, size=size, replace=False).tolist())
+        fine = refine_conforming(m, marked)
+        ref = _reference_refine(m, marked)
+        for name, want in zip(("vertices", "tri", "level", "ancestor"), ref):
+            got = getattr(fine, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), name
+        m = fine
+
+
+@pytest.mark.parametrize("make", [
+    lambda: unit_square_mesh(3),
+    lambda: convex_polygon_mesh(PENTAGON),
+    lambda: refine_conforming(unit_square_mesh(2), {0, 5, 6}),
+])
+def test_elem_faces_are_opposite_edges(make):
+    m = make()
+    assert m.elem_faces.shape == (m.n_elements, 3)
+    for l in range(3):
+        others = np.sort(np.delete(m.tri, l, axis=1), axis=1)
+        assert np.array_equal(m.face_verts[m.elem_faces[:, l]], others)
+
+
+@pytest.mark.parametrize("bad", [{8}, {0, 100}, {-1}, [3, -2]])
+def test_refine_rejects_ids_outside_mesh(bad):
+    with pytest.raises(MeshError):
+        refine_conforming(unit_square_mesh(2), bad)
+
+
+@pytest.mark.parametrize("marked", [
+    range(2, 6), np.array([2, 3, 4, 5]), np.arange(2, 6, dtype=np.int32),
+    [np.int64(5), np.int64(2), 3, 4], set(),
+])
+def test_refine_accepts_any_iterable_of_ids(marked):
+    m = unit_square_mesh(2)
+    want = refine_conforming(m, set(int(e) for e in marked))
+    got = refine_conforming(m, marked)
+    for name in ("vertices", "tri", "level", "ancestor"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
 @given(st.sets(st.integers(min_value=0, max_value=7), max_size=8))
 @settings(max_examples=25, deadline=None)
 def test_refinement_always_conforming(marked):
