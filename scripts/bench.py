@@ -1,0 +1,142 @@
+#!/usr/bin/env python3
+"""Layer timings at fixed sizes plus the perfbench workloads, in one
+BENCH_<tag>.json.
+
+Run from the repository root:
+
+    PYTHONPATH=src python scripts/bench.py --tag mytag
+
+Layers: on `unit_square_mesh(2)` bisected uniformly 9 times (4,096
+elements: 40,960 DG p=3 dofs and 18,241 C0 p=3 dofs), each of 3
+repetitions builds a fresh space and times, in one process, the
+`Operators` build, one Newton solve of `poisson_singleton`, `error_norm_k`
+and `estimate`. Times are raw wall seconds; the file keeps every
+repetition and their median.
+
+Workloads: every workload that BENCHMARK.json lists runs once through
+`perfbench/run.py` in a subprocess, with its run length and seed 1; the
+file keeps the JSON line it prints. Nothing in perfbench/ is changed.
+
+`--size tiny` is a seconds-long check that the script works: 1 bisection,
+1 repetition, 1 s workload runs at perfbench's tiny size.
+
+Both parts are measured on the same host in one invocation, so two
+BENCH files taken back to back compare two versions of the source tree.
+"""
+
+import argparse
+import json
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+from cordesfem import (
+    FormParams,
+    SpaceConfig,
+    build_space,
+    estimate,
+    get_problem,
+    solve_discrete,
+    uniform_refine,
+    unit_square_mesh,
+)
+from cordesfem.adapt import error_norm_k
+from cordesfem.forms import get_operators
+
+ROOT = Path(__file__).resolve().parent.parent
+# (name, continuity flag s) of the layer cases, all at p = 3
+CASES = (("dg_p3", 0), ("c0_p3", 1))
+SEED = 1
+# size -> (bisections of unit_square_mesh(2), repetitions, workload seconds
+# or None for BENCHMARK.json's run length)
+SIZES = {"full": (9, 3, None), "tiny": (1, 1, 1.0)}
+
+
+def timed(fn, *args):
+    start = time.perf_counter()
+    result = fn(*args)
+    return time.perf_counter() - start, result
+
+
+def layer_times(mesh, s, repeat):
+    """Wall times of one level's layers, `repeat` times on fresh spaces."""
+    problem = get_problem("poisson_singleton")
+    params = FormParams.defaults(3, s)
+    runs = []
+    for _ in range(repeat):
+        t_space, space = timed(build_space, mesh, SpaceConfig(p=3, s=s))
+        t_ops, _ = timed(get_operators, space)
+        t_solve, (u, stats) = timed(solve_discrete, space, problem, params)
+        t_err, err = timed(error_norm_k, space, u, problem.exact)
+        t_est, report = timed(estimate, space, problem, u, params)
+        runs.append({
+            "ndofs": space.dim, "space_s": t_space, "operators_s": t_ops,
+            "solve_s": t_solve, "error_norm_k_s": t_err, "estimate_s": t_est,
+            "newton_iters": stats.newton_iters, "error_norm_k": err,
+            "eta_total": report.total,
+        })
+        del space, u, report
+    out = {"elements": mesh.n_elements, "ndofs": runs[0]["ndofs"], "runs": runs}
+    for key in runs[0]:
+        if key.endswith("_s"):
+            out[key] = statistics.median(run[key] for run in runs)
+    return out
+
+
+def perfbench(workload, seconds, size):
+    """The last (JSON) line that perfbench/run.py prints for one workload."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload",
+         workload, "--seed", str(SEED), "--seconds", str(seconds),
+         "--size", size],
+        capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def main():
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--tag", required=True, help="output is BENCH_<tag>.json")
+    ap.add_argument("--size", choices=tuple(SIZES), default="full")
+    args = ap.parse_args()
+    refines, repeat, seconds = SIZES[args.size]
+    seconds = seconds or bench["run_seconds"]
+
+    mesh = unit_square_mesh(2)
+    for _ in range(refines):
+        mesh = uniform_refine(mesh)
+    result = {
+        "tag": args.tag,
+        "env": {"python": platform.python_version(), "numpy": np.__version__,
+                "scipy": scipy.__version__, "machine": platform.machine()},
+        "args": {"size": args.size, "refines": refines, "repeat": repeat,
+                 "seed": SEED, "seconds": seconds},
+        # the workloads run first: Linux carries the peak RSS of this process
+        # at fork into a child's ru_maxrss, which perfbench reports
+        "perfbench": {
+            wl["name"]: perfbench(wl["name"], seconds, args.size)
+            for wl in bench["workloads"]
+        },
+        "layers": {name: layer_times(mesh, s, repeat) for name, s in CASES},
+    }
+    path = Path(f"BENCH_{args.tag}.json")
+    path.write_text(json.dumps(result, indent=1) + "\n")
+    for name, layer in result["layers"].items():
+        times = ", ".join(f"{k} {v:.3f}" for k, v in layer.items()
+                          if k.endswith("_s"))
+        print(f"{name} ({layer['ndofs']} dofs): {times}")
+    for name, run in result["perfbench"].items():
+        metrics = ", ".join(f"{k} {m['value']:.4g}"
+                            for k, m in run["metrics"].items())
+        print(f"{name}: {metrics}")
+    print(f"wrote {path.resolve()}")
+
+
+if __name__ == "__main__":
+    main()

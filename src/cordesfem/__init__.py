@@ -29,11 +29,9 @@ from .fespace import (
 )
 from .forms import (
     FormParams,
-    LiftedHessianField,
     frozen_jacobian,
     jump_penalty_form,
     jump_seminorm,
-    lifted_hessian,
     nonlinear_residual,
     norm_k,
     stab_form,

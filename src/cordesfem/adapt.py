@@ -10,9 +10,9 @@ import numpy as np
 
 from . import cordes
 from .basis import lagrange_ref_points
-from .fespace import DiscreteFunction, FESpace, SpaceConfig, build_space, gather
-from .forms import FormParams, get_operators, jump_seminorm
-from .mesh import MeshLevel, refine_conforming
+from .fespace import DiscreteFunction, FESpace, SpaceConfig, build_space
+from .forms import FormParams, face_jumps, get_operators, jump_seminorm
+from .mesh import MeshLevel, halve, refine_conforming
 from .quadrature import triangle_rule
 from .solver import SolveOptions, solve_discrete
 
@@ -36,11 +36,8 @@ class EstimatorReport:
         return float(np.sqrt(self.per_element.sum()))
 
     def parts(self) -> tuple[float, float, float]:
-        return (
-            float(np.sqrt(self.eta_sq_residual.sum())),
-            float(np.sqrt(self.eta_sq_gradjump.sum())),
-            float(np.sqrt(self.eta_sq_valjump.sum())),
-        )
+        terms = (self.eta_sq_residual, self.eta_sq_gradjump, self.eta_sq_valjump)
+        return tuple(float(np.sqrt(t.sum())) for t in terms)
 
 
 def estimate(
@@ -60,11 +57,7 @@ def estimate(
     res = space.detJ * np.einsum("q,eq->e", ops.wq, g2)
 
     ft = ops.faces
-    x = gather(u.coeffs, ft.dofs)
-    jv = np.einsum("fqa,fa->fq", ft.jval, x)
-    jg = np.einsum("fqai,fa->fqi", ft.jgrad, x)
-    val_term = np.einsum("fq,fq->f", ft.wq, jv**2) / ft.length**3
-    grad_term = ft.interior * np.einsum("fq,fqi,fqi->f", ft.wq, jg, jg) / ft.length
+    grad_term, val_term = face_jumps(space, u)
     sides = ft.elems >= 0
 
     def per_element(term):
@@ -180,7 +173,7 @@ def transfer_solution(
     vals = u.eval(u.space.ref_points(new_space.points(pts), parent), 0, parent)
     if dg:
         B = new_space.basis.eval(rule.points, 0)
-        vals = np.einsum("q,eq,qa->ea", rule.weights, vals, B)
+        vals = vals @ (rule.weights[:, None] * B)
     coeffs = np.zeros(new_space.dim)
     valid = new_space.dofmap >= 0
     coeffs[new_space.dofmap[valid]] = vals[valid]
@@ -255,13 +248,8 @@ def adaptive_solve(
             break
         if it == config.max_iters - 1:
             break
-        fine = refine_conforming(mesh, marked)
-        if config.uniform:
-            # two bisection sweeps halve h and keep the mesh self-similar,
-            # which makes convergence slopes clean level over level; compose
-            # the ancestor maps so guess transfer still sees this level
-            finer = refine_conforming(fine, range(fine.n_elements))
-            fine = replace(finer, ancestor=fine.ancestor[finer.ancestor])
-        mesh = fine
+        # uniform mode halves h, so convergence slopes are clean level over
+        # level; ancestors refer to this level, which guess transfer reads
+        mesh = halve(mesh) if config.uniform else refine_conforming(mesh, marked)
         prev_u = u
     return trace

@@ -74,7 +74,8 @@ class RefBasis:
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         mono = _eval_monomials(pts, self.exps, order)
-        return np.einsum("lm,qm...->ql...", self.coeffs, mono)
+        out = self.coeffs @ mono.reshape(len(pts), len(self.exps), 2**order)
+        return out.reshape((len(pts), self.n) + mono.shape[2:])
 
 
 def ortho_basis(p: int) -> RefBasis:

@@ -20,8 +20,9 @@ from .adapt import AdaptiveConfig, AdaptiveTrace, adaptive_solve
 from .cordes import verify_ellipticity_cordes
 from .fespace import FESpace, SpaceConfig
 from .forms import FormParams
-from .mesh import unit_square_mesh, write_mesh_txt, write_vtk
-from .problems import get_problem
+from .mesh import MeshLevel, convex_polygon_mesh, uniform_refine, unit_square_mesh
+from .mesh import write_mesh_txt, write_vtk
+from .problems import UNIT_SQUARE, get_problem
 from .solver import SolveOptions
 
 
@@ -87,6 +88,18 @@ def _fit_slope(x: np.ndarray, y: np.ndarray, window: int = 3):
     return float(coef[0]), r2
 
 
+def _domain_mesh(domain: np.ndarray, n0: int) -> MeshLevel:
+    """unit_square_mesh(n0) on the unit square; any other convex polygon is
+    fan-triangulated and bisected uniformly until it has at least the
+    2 n0^2 elements of that mesh."""
+    if np.array_equal(domain, UNIT_SQUARE):
+        return unit_square_mesh(n0)
+    mesh = convex_polygon_mesh(domain)
+    while mesh.n_elements < 2 * n0**2:
+        mesh = uniform_refine(mesh)
+    return mesh
+
+
 def run_study(config: StudyConfig) -> dict:
     """Execute the study, write trace.csv / summary.json / mesh exports and
     return the summary dict."""
@@ -95,7 +108,7 @@ def run_study(config: StudyConfig) -> dict:
     out.mkdir(parents=True, exist_ok=True)
 
     problem = get_problem(config.problem)
-    mesh0 = unit_square_mesh(config.n0)
+    mesh0 = _domain_mesh(problem.domain, config.n0)
     # the scheme evaluates a at the element quadrature points, so check there
     space0 = FESpace(mesh0, config.space_config())
     samples = space0.points(space0.elem_rule.points).reshape(-1, 2)

@@ -6,9 +6,11 @@ Lagrange nodes shared across faces, with homogeneous Dirichlet conditions
 imposed by dropping boundary nodes from the global numbering.
 
 Evaluation is batched: `FESpace.points`/`ref_points` are the affine maps
-and `FESpace.shapes` the batched shape tables (the only place that applies
-the inverse Jacobians), for shared or per-element reference points on any
-set of elements; `DiscreteFunction.eval` evaluates a function through them.
+and `FESpace.shapes` the shape tables, at shared or per-element reference
+points. `_chain_rule` alone applies the inverse Jacobians, as one batched
+matmul with invJ (gradients) or invJ (x) invJ (flattened Hessians).
+`DiscreteFunction.eval` is coefficient-first: coefficients meet the
+reference tabulation in one matmul, and only the result is transformed.
 """
 
 from __future__ import annotations
@@ -116,26 +118,28 @@ class FESpace:
         if order not in (0, 1, 2):
             raise SpaceError(f"derivative order {order} not supported (max 2)")
         ref_pts = np.asarray(ref_pts, dtype=float)
-        shared = ref_pts.ndim == 2
         tab = self.basis.eval(ref_pts.reshape(-1, 2), order)
-        if not shared:
-            tab = tab.reshape(ref_pts.shape[:2] + tab.shape[1:])
-        iJ = self.invJ[elems]
-        if order == 0:
-            return np.broadcast_to(tab, (len(iJ),) + tab.shape) if shared else tab
-        q = "q" if shared else "eq"
-        if order == 1:
-            return np.einsum(f"eki,{q}lk->eqli", iJ, tab)
-        return np.einsum(f"eki,{q}lkm,emj->eqlij", iJ, tab, iJ)
+        m = ref_pts.shape[-2] * self.nloc
+        flat = tab.reshape(ref_pts.shape[:-2] + (m, 2**order))
+        out = _chain_rule(flat, self.invJ[elems], order)
+        return out.reshape((len(out), ref_pts.shape[-2]) + tab.shape[1:])
 
     def eval_shape(self, elem: int, ref_pts: np.ndarray, order: int = 0):
         """Physical-space values/gradients/Hessians of the local shape
         functions of one element at reference points."""
         return self.shapes(np.atleast_2d(ref_pts), order, [elem])[0]
 
-    def local_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
-        """Gather (ne, nloc) local coefficients; Dirichlet slots are zero."""
-        return gather(coeffs, self.dofmap)
+
+def _chain_rule(ref: np.ndarray, invJ: np.ndarray, order: int) -> np.ndarray:
+    """Physical derivatives (n, m, 2^order) from reference ones, shared
+    (m, 2^order) or per element (n, m, 2^order), of the maps with inverse
+    Jacobians invJ (n, 2, 2): gradients times invJ, flattened Hessians times
+    T[(k, m), (i, j)] = invJ[k, i] invJ[m, j]. Order 0 is the identity."""
+    if order == 0:
+        return np.broadcast_to(ref, (len(invJ),) + ref.shape[-2:])
+    if order == 2:
+        invJ = (invJ[:, :, None, :, None] * invJ[:, None, :, None, :]).reshape(-1, 4, 4)
+    return np.matmul(ref, invJ)
 
 
 def gather(coeffs: np.ndarray, dofs: np.ndarray) -> np.ndarray:
@@ -211,9 +215,18 @@ class DiscreteFunction:
         """Values (n, nq), gradients (n, nq, 2) or Hessians (n, nq, 2, 2) on
         elements `elems` at shared (nq, 2) or per-element (n, nq, 2)
         reference points."""
-        tab = self.space.shapes(ref_pts, order, elems)
-        loc = gather(self.coeffs, self.space.dofmap[elems])
-        return np.einsum("eql...,el->eq...", tab, loc)
+        space = self.space
+        ref_pts = np.asarray(ref_pts, dtype=float)
+        loc = gather(self.coeffs, space.dofmap[elems])
+        n, nq, nloc = len(loc), ref_pts.shape[-2], space.nloc
+        tab = space.basis.eval(ref_pts.reshape(-1, 2), order)
+        tab = tab.reshape(ref_pts.shape[:-2] + (nq, nloc, 2**order))
+        if ref_pts.ndim == 2:  # one (n, nloc) @ (nloc, nq 2^order) product
+            ref = loc @ tab.transpose(1, 0, 2).reshape(nloc, -1)
+        else:
+            ref = (loc[:, None, None, :] @ tab)[:, :, 0]
+        out = _chain_rule(ref.reshape(n, nq, 2**order), space.invJ[elems], order)
+        return out.reshape((n, nq) + (2,) * order)
 
     def eval_element(self, elem: int, ref_pts: np.ndarray, order: int = 0):
         """Value / gradient / Hessian fields on one element at ref points."""
@@ -223,7 +236,7 @@ class DiscreteFunction:
 def mass_matrix(space: FESpace) -> sp.csr_matrix:
     rule = space.elem_rule
     vals = space.basis.eval(rule.points, 0)  # (nq, nloc) shared across elements
-    local = np.einsum("q,qa,qb->ab", rule.weights, vals, vals)
+    local = (vals.T * rule.weights) @ vals
     return assemble_csr(
         space.dofmap[:, :, None],
         space.dofmap[:, None, :],
@@ -241,7 +254,7 @@ def project_l2(space: FESpace, f) -> DiscreteFunction:
     vals = space.basis.eval(rule.points, 0)
     x = space.points(rule.points)
     fx = np.asarray(f(x.reshape(-1, 2)), dtype=float).reshape(x.shape[:2])
-    loc = space.detJ[:, None] * np.einsum("q,eq,qa->ea", rule.weights, fx, vals)
+    loc = space.detJ[:, None] * (fx @ (rule.weights[:, None] * vals))
     valid = space.dofmap >= 0
     rhs = np.bincount(space.dofmap[valid], loc[valid], minlength=space.dim)
     M = mass_matrix(space)

@@ -10,13 +10,14 @@ degree-q basis per element, so liftings reduce to face integrals against
 modal traces and all lifted bilinear forms are products of sparse
 coefficient maps.
 
-All face terms (jump penalties, facewise stabilization, liftings and the
-estimator's jumps) read one `FaceTables`, built per space in a single
-batched pass. A boundary face is a two-sided face whose plus side has
-weight 0 and dofs -1; jump and average weights are per-face arrays, so
-face integrals are batched einsums with no interior/boundary branch. Those
-einsums keep the factor and summation order of a face-by-face assembly, so
-every matrix is bitwise the one a per-face loop would build.
+All face terms (penalties, facewise stabilization, liftings, and the jump
+seminorm and estimator jumps as sums of squares) read one `FaceTables`,
+built per space in a single batched pass. A boundary face is a two-sided
+face whose plus side has weight 0 and dofs -1; jump and average weights
+are per-face arrays, so face integrals have no interior/boundary branch.
+Element and face Grams are one weighted-Gram matmul each (`_gram`) and the
+modal maps plain matmuls, so every matrix agrees to roundoff, not bitwise,
+with the one a per-element or per-face loop would build.
 
 Newton's u-independent work is done once per space: `Operators` caches the
 coefficient table of the last problem and the linear part of the last
@@ -34,7 +35,8 @@ import scipy.sparse as sp
 
 from . import cordes
 from .basis import ortho_basis
-from .fespace import DiscreteFunction, FESpace, SpaceError, assemble_csr, mass_matrix
+from .fespace import DiscreteFunction, FESpace, SpaceError, assemble_csr, gather
+from .fespace import mass_matrix
 from .mesh import INTERIOR
 from .quadrature import segment_rule
 
@@ -131,6 +133,18 @@ def face_tables(space: FESpace, modal) -> tuple[FaceTables, np.ndarray]:
     return tables, by_face(avg, hess)
 
 
+def _gram(w, A, B=None):
+    """Weighted Gram blocks sum_q w_q A[q, a, ...] . B[q, b, ...], (n, na, nb),
+    of (n, nq, na, ...) tables (B defaults to A) and weights (nq,) or (n, nq),
+    as one batched matmul over the quadrature points and components."""
+    # rows of At, Bt: (quadrature point, component); sizes fit empty batches
+    n, nq, c = A.shape[0], A.shape[1], int(np.prod(A.shape[3:]))
+    At = np.moveaxis(A, 2, 1).reshape(n, A.shape[2], nq * c)
+    Bt = At if B is None else np.moveaxis(B, 2, 1).reshape(n, B.shape[2], nq * c)
+    w = np.repeat(w, c, axis=-1)[..., None, :]
+    return (At * w) @ Bt.transpose(0, 2, 1)
+
+
 class Operators:
     """All assembled matrices and coefficient maps for one FESpace, and lazy
     caches of its u-independent Newton data. It keeps no reference to the
@@ -162,12 +176,10 @@ class Operators:
     # ------------------------------------------------------------------ volume
     def _assemble_volume(self, sp_: FESpace):
         """M0, M1, M2, ML: the L2, H1, Hessian and Laplacian Gram matrices."""
-        w, dJ, PH = self.wq, sp_.detJ, self.PH
+        w, PH = sp_.detJ[:, None] * self.wq, self.PH
         PG = sp_.shapes(sp_.elem_rule.points, 1)
-        lapl = np.einsum("eqlii->eql", PH)
-        M1 = np.einsum("e,q,eqai,eqbi->eab", dJ, w, PG, PG)
-        M2 = np.einsum("e,q,eqaij,eqbij->eab", dJ, w, PH, PH)
-        ML = np.einsum("e,q,eqa,eqb->eab", dJ, w, lapl, lapl)
+        lapl = PH[..., 0, 0] + PH[..., 1, 1]
+        M1, M2, ML = _gram(w, PG), _gram(w, PH), _gram(w, lapl)
         rows, cols = sp_.dofmap[:, :, None], sp_.dofmap[:, None, :]
         shape = (sp_.dim, sp_.dim)
         M1, M2, ML = (assemble_csr(rows, cols, M, shape) for M in (M1, M2, ML))
@@ -187,19 +199,21 @@ class Operators:
         # jumps are penalized on interior faces only
         I = ft.interior
         h = ft.length[:, None, None]
-        loc = (1.0 / h[I]) * np.einsum("fq,fqai,fqbi->fab", wq[I], jgrad[I], jgrad[I])
+        loc = (1.0 / h[I]) * _gram(wq[I], jgrad[I])
         self.Jgrad = assemble_csr(rows[I], cols[I], loc, shape)
-        loc = (1.0 / h**3) * np.einsum("fq,fqa,fqb->fab", wq, jval, jval)
+        loc = (1.0 / h**3) * _gram(wq, jval)
         self.Jval = assemble_csr(rows, cols, loc, shape)
 
         # facewise stabilization terms; the tangential-tangential part lives
         # on interior faces only
-        tHn = np.einsum("fi,fqaij,fj->fqa", t, ahess, n)
+        def hess(a, b):  # a . ahess . b per face, (nf, nqf, 2 nloc)
+            ab = (a[:, :, None] * b[:, None, :]).reshape(-1, 4, 1)
+            return (ahess.reshape(len(ab), -1, 4) @ ab).reshape(jgrad.shape[:-1])
+
         tj = np.einsum("fqai,fi->fqa", jgrad, t)
-        tt = np.einsum("fi,fqaij,fj->fqa", t, ahess, t)
         jn = np.einsum("fqai,fi->fqa", jgrad, n)
-        loc = -np.einsum("fq,fqa,fqb->fab", wq, tHn, tj)
-        l2 = np.einsum("fq,fqa,fqb->fab", wq * I[:, None], tt, jn)
+        loc = -_gram(wq, hess(t, n), tj)
+        l2 = _gram(wq * I[:, None], hess(t, t), jn)
         loc = loc + loc.transpose(0, 2, 1) + l2 + l2.transpose(0, 2, 1)
         return assemble_csr(rows, cols, loc, shape)
 
@@ -211,11 +225,13 @@ class Operators:
 
         # broken Hessian maps: modal coefficients of each shape function's
         # physical Hessian components (exact since p - 2 <= q)
-        coeff = np.einsum("q,qa,eqlij->eailj", self.wq, self.Bm, self.PH)
+        PH = self.PH
+        coeff = (self.wq[:, None] * self.Bm).T @ PH.reshape(ne, len(self.wq), -1)
+        coeff = coeff.reshape(ne, nmod, *PH.shape[2:])
         rows = (np.arange(ne)[:, None] * nmod + mods)[:, :, None]
         cols = sp_.dofmap[:, None, :]
         self.D2 = {
-            (i, j): assemble_csr(rows, cols, coeff[:, :, i, :, j], shape)
+            (i, j): assemble_csr(rows, cols, coeff[..., i, j], shape)
             for (i, j) in ((0, 0), (0, 1), (1, 1))
         }
 
@@ -223,15 +239,16 @@ class Operators:
         # only the tangential part of the trace
         ft = self.faces
         n, g = ft.normal, ft.jgrad
-        tangential = g - np.einsum("fqai,fi,fj->fqaj", g, n, n)
+        tangential = g - np.einsum("fqai,fi->fqa", g, n)[..., None] * n[:, None, None]
         src = np.where(ft.interior[:, None, None, None], g, tangential)
         scale = ft.avg / sp_.detJ[ft.elems]  # the plus side of a boundary face is 0
         elems = ft.elems[:, :, None]
         rows = np.where(elems >= 0, elems * nmod + mods, -1)[..., None]
         cols = ft.dofs[:, None, None, :]
+        psi = ft.psi.transpose(0, 1, 3, 2)  # (nf, 2, nmod, nqf)
         self.R = {}
         for i in (0, 1):
-            loc = np.einsum("fq,fqa,fsqm->fsma", ft.wq, src[..., i], ft.psi)
+            loc = psi @ (ft.wq[:, :, None] * src[..., i])[:, None]
             for j in (0, 1):
                 data = (scale * n[:, j, None])[:, :, None, None] * loc
                 self.R[(i, j)] = assemble_csr(rows, cols, data, shape)
@@ -246,7 +263,6 @@ class Operators:
         self.Delta_k = (D2[(0, 0)] + D2[(1, 1)] - self.TrR).tocsc()
         self.S_facewise = (M2 - ML + Sface).tocsr()
         self.norm_gram = (M2 + M1 + M0 + self.Jgrad + self.Jval).tocsr()
-        self.jump_gram = (self.Jgrad + self.Jval).tocsr()
 
     @cached_property
     def S_lifted(self) -> sp.csr_matrix:
@@ -269,8 +285,7 @@ class Operators:
     # ------------------------------------------------------------- state fields
     def hessian_at_qp(self, u: DiscreteFunction) -> np.ndarray:
         """Broken Hessian of u at the element quadrature points, (ne, nq, 2, 2)."""
-        loc = u.space.local_coeffs(u.coeffs)
-        return np.einsum("eqlij,el->eqij", self.PH, loc)
+        return u.eval(self.ref_pts, 2)
 
     def penalty_matrix(self, params: FormParams) -> sp.csr_matrix:
         return (params.sigma * self.Jgrad + params.rho * self.Jval).tocsr()
@@ -325,10 +340,20 @@ def norm_k(space: FESpace, v) -> float:
     return float(np.sqrt(max(x @ (ops.norm_gram @ x), 0.0)))
 
 
+def face_jumps(space: FESpace, v) -> tuple[np.ndarray, np.ndarray]:
+    """Per-face (1/h) int |[grad v]|^2 (interior faces) and h^-3 int [v]^2:
+    sums of squares of jump traces, accurate where x . (Jgrad + Jval) x
+    cancels (C0 value jumps, small gradient jumps on fine meshes)."""
+    ft = get_operators(space).faces
+    x = gather(_vec(v), ft.dofs)
+    jv = np.einsum("fqa,fa->fq", ft.jval, x)
+    jg = np.einsum("fqai,fa->fqi", ft.jgrad, x)
+    grad = ft.interior * np.einsum("fq,fqi,fqi->f", ft.wq, jg, jg) / ft.length
+    return grad, np.einsum("fq,fq->f", ft.wq, jv**2) / ft.length**3
+
+
 def jump_seminorm(space: FESpace, v) -> float:
-    ops = get_operators(space)
-    x = _vec(v)
-    return float(np.sqrt(max(x @ (ops.jump_gram @ x), 0.0)))
+    return float(np.sqrt(sum(term.sum() for term in face_jumps(space, v))))
 
 
 def _vec(v) -> np.ndarray:
@@ -346,9 +371,8 @@ def nonlinear_residual(
     ops = get_operators(space)
     ne, nq = space.mesh.n_elements, len(ops.wq)
     g, _, _ = cordes.inf_sup(ops.coefficients(problem), ops.hessian_at_qp(u))
-    g = g.reshape(ne, nq)
-    mvec = np.einsum("e,q,eq,qa->ea", space.detJ, ops.wq, g, ops.Bm).ravel()
-    return ops.Delta_k.T @ mvec + ops.linear_part(params) @ u.coeffs
+    mvec = ((space.detJ[:, None] * ops.wq) * g.reshape(ne, nq)) @ ops.Bm
+    return ops.Delta_k.T @ mvec.ravel() + ops.linear_part(params) @ u.coeffs
 
 
 def frozen_jacobian(
@@ -368,42 +392,11 @@ def frozen_jacobian(
     ne, nmod = space.mesh.n_elements, ops.nmod
     table = ops.coefficients(problem)
     _, ia, ib = cordes.inf_sup(table, ops.hessian_at_qp(u))
-    c = table.frozen(ia, ib).reshape(ne, -1, 2, 2)
+    c = table.frozen(ia, ib).reshape(ne, -1, 4, 1)
     c = c * (space.detJ[:, None] * ops.wq)[:, :, None, None]
-    blocks = np.einsum("qa,eql->eal", ops.Bm, np.einsum("eqij,eqlij->eql", c, ops.PH))
+    PH = ops.PH.reshape(c.shape[:2] + (-1, 4))
+    blocks = ops.Bm.T @ (PH @ c)[..., 0]
     rows = (np.arange(ne)[:, None] * nmod + np.arange(nmod))[:, :, None]
     G = assemble_csr(rows, space.dofmap[:, None, :], blocks, (ne * nmod, space.dim))
     return ops.Delta_k.T @ G + ops.linear_part(params)
 
-
-# ------------------------------------------------------------------ lifted fields
-
-
-@dataclass
-class LiftedHessianField:
-    """Per-element modal representations of the Hessian, the lifted gradient
-    jump and the lifted Hessian of one function."""
-
-    space: FESpace
-    hess: np.ndarray  # (ne, nmod, 2, 2) broken Hessian
-    lift: np.ndarray  # (ne, nmod, 2, 2) lifting of the gradient jumps
-
-    @property
-    def lifted_hess(self) -> np.ndarray:
-        return self.hess - self.lift
-
-
-def lifted_hessian(space: FESpace, v: DiscreteFunction) -> LiftedHessianField:
-    ops = get_operators(space)
-    ne, nmod = space.mesh.n_elements, ops.nmod
-    hess = np.zeros((ne, nmod, 2, 2))
-    lift = np.zeros((ne, nmod, 2, 2))
-    x = _vec(v)
-    for (i, j), A in ops.D2.items():
-        comp = (A @ x).reshape(ne, nmod)
-        hess[:, :, i, j] = comp
-        if i != j:
-            hess[:, :, j, i] = comp
-    for (i, j), A in ops.R.items():
-        lift[:, :, i, j] = (A @ x).reshape(ne, nmod)
-    return LiftedHessianField(space, hess, lift)

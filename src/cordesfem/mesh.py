@@ -37,7 +37,7 @@ class SizeData:
 
 @dataclass(frozen=True)
 class MeshLevel:
-    """One level of the adaptive hierarchy. Immutable after construction."""
+    """One level of the adaptive hierarchy, immutable once a function returns it."""
 
     vertices: np.ndarray  # (nv, 2)
     tri: np.ndarray  # (ne, 3) peak-first, counterclockwise
@@ -271,6 +271,15 @@ def refine_conforming(mesh: MeshLevel, marked) -> MeshLevel:
 
 def uniform_refine(mesh: MeshLevel) -> MeshLevel:
     return refine_conforming(mesh, range(mesh.n_elements))
+
+
+def halve(mesh: MeshLevel) -> MeshLevel:
+    """Two uniform bisection sweeps (h halves, shapes repeat); `ancestor` is
+    composed to refer to `mesh` before the level is shared, with no rebuild."""
+    fine = uniform_refine(mesh)
+    finer = uniform_refine(fine)
+    object.__setattr__(finer, "ancestor", fine.ancestor[finer.ancestor])
+    return finer
 
 
 def min_angle(mesh: MeshLevel) -> float:

@@ -1,5 +1,7 @@
 """Estimators, marking strategies, and the solve-estimate-mark-refine loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,8 +25,10 @@ from cordesfem import (
     project_l2,
     unit_square_mesh,
 )
+from cordesfem import mesh as mesh_mod
 from cordesfem.adapt import AdaptError, error_norm_k, transfer_solution
 from cordesfem.forms import get_operators
+from cordesfem.mesh import uniform_refine
 from cordesfem.quadrature import quadrature_rule, triangle_rule
 
 
@@ -291,3 +295,35 @@ def test_trace_csv_columns(tmp_path):
                 "eta_gradjump", "eta_valjump", "err_norm_k", "newton_iters",
                 "marked"):
         assert col in header
+
+
+def test_uniform_step_builds_each_face_table_once(monkeypatch):
+    # a uniform step is two bisection sweeps; each builds one face table, and
+    # the level handed on equals the second sweep with the composed ancestors
+    built = []
+    build_faces = mesh_mod._build_faces
+
+    def counting(vertices, tri):
+        built.append(len(tri))
+        return build_faces(vertices, tri)
+
+    monkeypatch.setattr(mesh_mod, "_build_faces", counting)
+    meshes = []
+    config = AdaptiveConfig(space=SpaceConfig(p=2, s=0),
+                            params=FormParams.defaults(2, 0), max_iters=3,
+                            uniform=True)
+    mesh0 = unit_square_mesh(2)
+    built.clear()
+    adaptive_solve(get_problem("poisson_singleton"), mesh0, config,
+                   callback=lambda step, mesh, *rest: meshes.append(mesh))
+    assert built == [16, 32, 64, 128]
+    want = mesh0
+    for mesh in meshes[1:]:
+        fine = uniform_refine(want)
+        finer = uniform_refine(fine)
+        want = replace(finer, ancestor=fine.ancestor[finer.ancestor])
+        assert mesh.k == want.k
+        for name in ("vertices", "tri", "level", "ancestor", "face_verts",
+                     "face_kind", "face_elems", "face_normals", "elem_faces"):
+            got, ref = getattr(mesh, name), getattr(want, name)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), name

@@ -112,3 +112,25 @@ def test_cordes_check_sees_quadrature_points(tmp_path, monkeypatch):
             "--uniform", "--levels", "1", "--n0", "2",
             "--out", str(tmp_path / "x"),
         ]))
+
+
+def test_study_meshes_the_problem_domain(tmp_path, monkeypatch):
+    # every mesh of a study on a pentagon lies inside the pentagon
+    pentagon = np.array([[0.2, 0.0], [0.8, 0.0], [1.0, 0.6], [0.5, 1.0], [0.0, 0.6]])
+    base = get_problem("poisson_singleton")
+    prob = replace(base, domain=pentagon, exact=None)
+    monkeypatch.setattr(cli, "get_problem", lambda name: prob)
+    out = tmp_path / "x"
+    run_study(build_config([
+        "--problem", "poisson_singleton", "--p", "2", "--cont", "dg",
+        "--uniform", "--levels", "2", "--n0", "2", "--out", str(out),
+    ]))
+    edges = np.roll(pentagon, -1, axis=0) - pentagon
+    for k in range(2):
+        lines = (out / f"mesh_{k}.txt").read_text().splitlines()
+        v = np.array([[float(t) for t in ln.split()[1:]] for ln in lines
+                      if ln.startswith("v ")])
+        rel = v[:, None, :] - pentagon[None]
+        cross = edges[None, :, 0] * rel[..., 1] - edges[None, :, 1] * rel[..., 0]
+        assert cross.min() >= -1e-12
+        assert len(v) > len(pentagon)

@@ -11,7 +11,9 @@ from cordesfem import (
     project_l2,
     unit_square_mesh,
 )
-from cordesfem.fespace import SpaceError, mass_matrix
+from cordesfem.basis import _eval_monomials
+from cordesfem.fespace import SpaceError, gather, mass_matrix
+from cordesfem.forms import get_operators
 
 
 def test_dg_dimension_two_triangles():
@@ -129,6 +131,50 @@ def test_batched_shapes_and_eval_match_per_element_transform(p, s, order, spaces
             loc = np.where(space.dofmap[e] >= 0, coeffs[space.dofmap[e]], 0.0)
             want_u = np.tensordot(loc, want, axes=(0, 1))
             assert np.allclose(vals[k], want_u, rtol=1e-12, atol=1e-12 * scale)
+
+
+def _einsum_shapes(space, pts, order, elems):
+    # the element kernels as naive einsums: basis coefficients times
+    # monomials, then invJ (order 1) or invJ^T . H . invJ (order 2)
+    mono = _eval_monomials(pts.reshape(-1, 2), space.basis.exps, order)
+    tab = np.einsum("lm,qm...->ql...", space.basis.coeffs, mono)
+    q = "q"
+    if pts.ndim == 3:
+        tab, q = tab.reshape(pts.shape[:2] + tab.shape[1:]), "eq"
+    iJ = space.invJ[elems]
+    if order == 0:
+        return np.broadcast_to(tab, (len(iJ),) + tab.shape) if q == "q" else tab
+    if order == 1:
+        return np.einsum(f"eki,{q}lk->eqli", iJ, tab)
+    return np.einsum(f"eki,{q}lkm,emj->eqlij", iJ, tab, iJ)
+
+
+def _assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("s", [0, 1])
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_matmul_kernels_match_einsum(p, s, spaces, rng):
+    # shapes, coefficient-first eval and hessian_at_qp on a nonuniform mesh,
+    # at the shared quadrature points and at per-element points
+    space = spaces(3, p, s)
+    ne = space.mesh.n_elements
+    u = DiscreteFunction(space, rng.standard_normal(space.dim))
+    elems = rng.choice(ne, size=9)
+    per_elem = rng.dirichlet(np.ones(3), size=(9, 4))[:, :, 1:]
+    rule = space.elem_rule.points
+    for pts, es in ((rule, np.arange(ne)), (per_elem, elems)):
+        loc = gather(u.coeffs, space.dofmap[es])
+        for order in (0, 1, 2):
+            want = _einsum_shapes(space, pts, order, es)
+            _assert_close(space.shapes(pts, order, es), want)
+            _assert_close(u.eval(pts, order, es),
+                          np.einsum("eql...,el->eq...", want, loc))
+    PH = _einsum_shapes(space, rule, 2, np.arange(ne))
+    _assert_close(get_operators(space).hessian_at_qp(u),
+                  np.einsum("eqlij,el->eqij", PH, gather(u.coeffs, space.dofmap)))
 
 
 # --------------------------------------------------------------- L2 projection

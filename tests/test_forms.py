@@ -16,7 +16,6 @@ from cordesfem import (
     get_problem,
     jump_penalty_form,
     jump_seminorm,
-    lifted_hessian,
     nonlinear_residual,
     norm_k,
     project_l2,
@@ -26,8 +25,9 @@ from cordesfem import (
     unit_square_mesh,
 )
 from cordesfem.cordes import frozen_coefficients
-from cordesfem.forms import get_operators
-from cordesfem.mesh import INTERIOR
+from cordesfem.fespace import assemble_csr, mass_matrix
+from cordesfem.forms import face_tables, get_operators
+from cordesfem.mesh import INTERIOR, convex_polygon_mesh
 from cordesfem.quadrature import quadrature_rule
 
 
@@ -73,8 +73,10 @@ def test_stab_form_bounded_by_jump_seminorms(mesh_hierarchy, rng):
 
 def test_zero_function_lifts_to_zero(spaces):
     space = spaces(1, 2, 0)
-    field = lifted_hessian(space, DiscreteFunction(space, np.zeros(space.dim)))
-    assert np.abs(field.lifted_hess).max() == 0.0
+    # the broken Hessian and lifting maps send zero to zero
+    ops, x = get_operators(space), np.zeros(space.dim)
+    for A in (*ops.D2.values(), *ops.R.values()):
+        assert np.abs(A @ x).max() == 0.0
 
 
 def test_unit_jump_lifting_value_from_definition():
@@ -301,6 +303,97 @@ def test_jacobian_matches_modal_triple_product(p, s, spaces, rng):
     assert np.array_equal(J.indices, ref.indices)
 
 
+def _einsum_matrices(space, ops):
+    # the volume Grams, face Grams, D2 and R maps as naive einsums over the
+    # same shape and face tables; each matrix comes with the largest local
+    # entry summed into it, the scale of its roundoff (the value jumps of a
+    # C0 space cancel, so its Jval is roundoff only)
+    w, dJ = ops.wq, space.detJ
+    PG, PH = space.shapes(ops.ref_pts, 1), ops.PH
+    lapl = np.einsum("eqlii->eql", PH)
+    shape = (space.dim, space.dim)
+
+    def scatter(rows, cols, data, shape=shape):
+        return assemble_csr(rows, cols, data, shape), np.abs(data).max()
+
+    rows, cols = space.dofmap[:, :, None], space.dofmap[:, None, :]
+    M0 = mass_matrix(space)
+    M0 = M0, abs(M0).max()
+    M1, M2, ML = (scatter(rows, cols, M) for M in (
+        np.einsum("e,q,eqai,eqbi->eab", dJ, w, PG, PG),
+        np.einsum("e,q,eqaij,eqbij->eab", dJ, w, PH, PH),
+        np.einsum("e,q,eqa,eqb->eab", dJ, w, lapl, lapl)))
+    ft, ahess = face_tables(space, ops.modal)
+    n, wq, I, g = ft.normal, ft.wq, ft.interior, ft.jgrad
+    t = np.stack([-n[:, 1], n[:, 0]], axis=1)
+    rows, cols = ft.dofs[:, :, None], ft.dofs[:, None, :]
+    h = ft.length[:, None, None]
+    Jgrad = scatter(rows[I], cols[I], (1.0 / h[I]) * np.einsum(
+        "fq,fqai,fqbi->fab", wq[I], g[I], g[I]))
+    Jval = scatter(rows, cols, (1.0 / h**3) * np.einsum(
+        "fq,fqa,fqb->fab", wq, ft.jval, ft.jval))
+    tHn = np.einsum("fi,fqaij,fj->fqa", t, ahess, n)
+    tt = np.einsum("fi,fqaij,fj->fqa", t, ahess, t)
+    loc = -np.einsum("fq,fqa,fqb->fab", wq, tHn, np.einsum("fqai,fi->fqa", g, t))
+    l2 = np.einsum("fq,fqa,fqb->fab", wq * I[:, None], tt,
+                   np.einsum("fqai,fi->fqa", g, n))
+    Sface = scatter(rows, cols,
+                    loc + loc.transpose(0, 2, 1) + l2 + l2.transpose(0, 2, 1))
+
+    def total(*parts):
+        return sum(A for A, _ in parts), max(scale for _, scale in parts)
+
+    out = {
+        "norm_gram": total(M2, M1, M0, Jgrad, Jval),
+        "S_facewise": total(M2, (-ML[0], ML[1]), Sface),
+        "Jgrad": Jgrad, "Jval": Jval,
+    }
+    ne, nmod = space.mesh.n_elements, ops.nmod
+    mshape = (ne * nmod, space.dim)
+    coeff = np.einsum("q,qa,eqlij->eailj", w, ops.Bm, PH)
+    mrows = (np.arange(ne)[:, None] * nmod + np.arange(nmod))[:, :, None]
+    for i, j in ((0, 0), (0, 1), (1, 1)):
+        out[f"D2{i}{j}"] = scatter(mrows, space.dofmap[:, None, :],
+                                   coeff[:, :, i, :, j], mshape)
+    tangential = g - np.einsum("fqai,fi,fj->fqaj", g, n, n)
+    src = np.where(I[:, None, None, None], g, tangential)
+    scale = ft.avg / dJ[ft.elems]
+    elems = ft.elems[:, :, None]
+    rrows = np.where(elems >= 0, elems * nmod + np.arange(nmod), -1)[..., None]
+    for i in (0, 1):
+        loc = np.einsum("fq,fqa,fsqm->fsma", wq, src[..., i], ft.psi)
+        for j in (0, 1):
+            data = (scale * n[:, j, None])[:, :, None, None] * loc
+            out[f"R{i}{j}"] = scatter(rrows, ft.dofs[:, None, None, :], data, mshape)
+    return out
+
+
+@pytest.mark.parametrize("s", [0, 1])
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_matmul_assembly_matches_einsum(p, s, spaces):
+    space = spaces(3, p, s)
+    ops = get_operators(space)
+    got = {"norm_gram": ops.norm_gram, "S_facewise": ops.S_facewise,
+           "Jgrad": ops.Jgrad, "Jval": ops.Jval}
+    got.update({f"D2{i}{j}": A for (i, j), A in ops.D2.items()})
+    got.update({f"R{i}{j}": A for (i, j), A in ops.R.items()})
+    want = _einsum_matrices(space, ops)
+    assert got.keys() == want.keys()
+    for name, (ref, scale) in want.items():
+        A, ref = got[name].tocsr(), ref.tocsr()
+        tol = 1e-13 * scale
+        assert abs(A - ref).max() <= tol, name
+        if name == "S_facewise":
+            # M2 - ML + Sface cancels exactly in places, and sparse addition
+            # drops exact zeros, so which roundoff-sized entries it stores
+            # depends on the summation order; compare the rest
+            A, ref = (M.multiply(abs(M) > tol).tocsr() for M in (A, ref))
+        A.sort_indices()
+        ref.sort_indices()
+        assert np.array_equal(A.indptr, ref.indptr), name
+        assert np.array_equal(A.indices, ref.indices), name
+
+
 @pytest.mark.parametrize("s", [0, 1])
 def test_cached_newton_data_follows_problem_and_params(s, mesh_hierarchy, rng):
     # one space serving alternating problems and parameters gives the
@@ -347,6 +440,43 @@ def test_norms_of_zero(spaces):
     zero = np.zeros(space.dim)
     assert norm_k(space, zero) == 0.0
     assert jump_seminorm(space, zero) == 0.0
+
+
+@pytest.mark.parametrize("s", [0, 1])
+def test_jump_seminorm_free_of_cancellation(s):
+    # a degree-4 bubble is in the space, so its jumps vanish; perturbing one
+    # element's dofs by 1e-6 gives a jump seminorm that the perturbation
+    # alone fixes, with no cancellation in its own small quadratic form. The
+    # quadratic form of the sum loses ~1e-5 of it on a C0 space (8x8 mesh),
+    # the per-face sums of squares do not
+    space = build_space(unit_square_mesh(8), SpaceConfig(p=4, s=s))
+    ops = get_operators(space)
+    bubble = project_l2(space, lambda x: np.prod(x * (1 - x), axis=1))
+    dofs = space.dofmap[space.mesh.n_elements // 2]
+    dofs = dofs[dofs >= 0]
+    bump = np.zeros(space.dim)
+    bump[dofs] = 1e-6 * np.linspace(1.0, 2.0, len(dofs))
+    want = bump @ ((ops.Jgrad + ops.Jval) @ bump)
+    got = jump_seminorm(space, bubble.coeffs + bump) ** 2
+    assert got == pytest.approx(want, rel=1e-8)
+
+
+def test_operators_on_a_mesh_without_interior_faces():
+    # the one-element mesh of a triangle domain: empty interior-face batches
+    mesh = convex_polygon_mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    assert mesh.n_elements == 1 and not np.any(mesh.face_kind == INTERIOR)
+    space = build_space(mesh, SpaceConfig(p=3, s=0))
+    ops = get_operators(space)
+    assert ops.Jgrad.nnz == 0 and ops.Jval.nnz > 0
+    v = project_l2(space, lambda x: x[:, 0] * x[:, 1])
+    assert jump_seminorm(space, v) > 0.0
+    assert norm_k(space, v) == pytest.approx(
+        np.sqrt(v.coeffs @ (ops.norm_gram @ v.coeffs)), rel=1e-12)
+    # and batches of no elements, at shared and per-element points
+    none = np.zeros(0, dtype=np.int64)
+    for pts in (ops.ref_pts, np.zeros((0, len(ops.wq), 2))):
+        assert v.eval(pts, 2, none).shape == (0, len(ops.wq), 2, 2)
+        assert space.shapes(pts, 1, none).shape == (0, len(ops.wq), space.nloc, 2)
 
 
 def test_norm_oracle_quadratic():

@@ -16,6 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
                                 "--problems", "poisson_singleton", "--out", "out"]),
     ("adaptive_study.py", ["--p", "2", "--max-dofs", "200", "--out", "out"]),
     ("monotonicity_probe.py", ["--levels", "1", "--samples", "2"]),
+    ("bench.py", ["--tag", "tiny", "--size", "tiny"]),
 ])
 def test_script_runs(script, args, tmp_path):
     env = dict(os.environ)
