@@ -10,15 +10,19 @@ Layers: on `unit_square_mesh(2)` bisected uniformly 9 times (4,096
 elements: 40,960 DG p=3 dofs and 18,241 C0 p=3 dofs), each of 3
 repetitions builds a fresh space and times, in one process, the
 `Operators` build, one Newton solve of `poisson_singleton`, `error_norm_k`
-and `estimate`. Times are raw wall seconds; the file keeps every
-repetition and their median.
+and `estimate`. Inside the Newton solve it also records the factor time
+and fill, nnz(L + U - I) / nnz(A), of every `scipy.sparse.linalg.splu`
+call: the first factors the norm Gram matrix and the second the first
+frozen Jacobian, in any version of the solver. Times are raw wall seconds;
+the file keeps every repetition and their median.
 
 Workloads: every workload that BENCHMARK.json lists runs once through
 `perfbench/run.py` in a subprocess, with its run length and seed 1; the
 file keeps the JSON line it prints. Nothing in perfbench/ is changed.
 
-`--size tiny` is a seconds-long check that the script works: 1 bisection,
-1 repetition, 1 s workload runs at perfbench's tiny size.
+`--size tiny` is a seconds-long check that the script works: 3 bisections
+(640 DG dofs, enough for the solver's nested-dissection order), 1
+repetition, 1 s workload runs at perfbench's tiny size.
 
 Both parts are measured on the same host in one invocation, so two
 BENCH files taken back to back compare two versions of the source tree.
@@ -35,6 +39,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy
+import scipy.sparse.linalg as spla
 
 from cordesfem import (
     FormParams,
@@ -55,13 +60,29 @@ CASES = (("dg_p3", 0), ("c0_p3", 1))
 SEED = 1
 # size -> (bisections of unit_square_mesh(2), repetitions, workload seconds
 # or None for BENCHMARK.json's run length)
-SIZES = {"full": (9, 3, None), "tiny": (1, 1, 1.0)}
+SIZES = {"full": (9, 3, None), "tiny": (3, 1, 1.0)}
 
 
 def timed(fn, *args):
     start = time.perf_counter()
     result = fn(*args)
     return time.perf_counter() - start, result
+
+
+def lu_spans(fn, *args):
+    """fn(*args) and the (seconds, fill) of every splu call it makes."""
+    spans, splu = [], spla.splu
+
+    def recorded(A, *rest, **options):
+        seconds, lu = timed(lambda: splu(A, *rest, **options))
+        spans.append((seconds, (lu.nnz - A.shape[0]) / A.nnz))
+        return lu
+
+    spla.splu = recorded
+    try:
+        return fn(*args), spans
+    finally:
+        spla.splu = splu
 
 
 def layer_times(mesh, s, repeat):
@@ -72,19 +93,23 @@ def layer_times(mesh, s, repeat):
     for _ in range(repeat):
         t_space, space = timed(build_space, mesh, SpaceConfig(p=3, s=s))
         t_ops, _ = timed(get_operators, space)
-        t_solve, (u, stats) = timed(solve_discrete, space, problem, params)
+        t_solve, ((u, stats), lus) = timed(
+            lu_spans, solve_discrete, space, problem, params)
+        (t_gram, gram_fill), (t_jac, jac_fill) = lus[:2]
         t_err, err = timed(error_norm_k, space, u, problem.exact)
         t_est, report = timed(estimate, space, problem, u, params)
         runs.append({
             "ndofs": space.dim, "space_s": t_space, "operators_s": t_ops,
-            "solve_s": t_solve, "error_norm_k_s": t_err, "estimate_s": t_est,
+            "solve_s": t_solve, "gram_lu_s": t_gram, "jacobian_lu_s": t_jac,
+            "gram_fill": gram_fill, "jacobian_fill": jac_fill,
+            "error_norm_k_s": t_err, "estimate_s": t_est,
             "newton_iters": stats.newton_iters, "error_norm_k": err,
             "eta_total": report.total,
         })
         del space, u, report
     out = {"elements": mesh.n_elements, "ndofs": runs[0]["ndofs"], "runs": runs}
     for key in runs[0]:
-        if key.endswith("_s"):
+        if key.endswith(("_s", "_fill")):
             out[key] = statistics.median(run[key] for run in runs)
     return out
 
@@ -129,7 +154,7 @@ def main():
     path.write_text(json.dumps(result, indent=1) + "\n")
     for name, layer in result["layers"].items():
         times = ", ".join(f"{k} {v:.3f}" for k, v in layer.items()
-                          if k.endswith("_s"))
+                          if k.endswith(("_s", "_fill")))
         print(f"{name} ({layer['ndofs']} dofs): {times}")
     for name, run in result["perfbench"].items():
         metrics = ", ".join(f"{k} {m['value']:.4g}"

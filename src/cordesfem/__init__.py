@@ -15,9 +15,6 @@ from .cordes import (
     ControlProblem,
     ControlSet,
     ExactSolution,
-    PointwiseFG,
-    f_gamma_eval,
-    gamma_eval,
     verify_ellipticity_cordes,
 )
 from .fespace import (

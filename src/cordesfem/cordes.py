@@ -71,13 +71,6 @@ class ControlProblem:
 
 
 @dataclass(frozen=True)
-class PointwiseFG:
-    value: float
-    opt_alpha: int
-    opt_beta: int
-
-
-@dataclass(frozen=True)
 class CordesReport:
     nu_est: float
     passed: bool
@@ -85,17 +78,11 @@ class CordesReport:
     min_eigenvalue: float
 
 
-def gamma_eval(a: np.ndarray) -> float:
-    """Renormalization Tr(a) / |a|^2 with the Frobenius norm."""
-    a = np.asarray(a, dtype=float)
-    if not np.any(a):
-        raise CordesError("gamma undefined for the zero matrix")
-    return float(_gamma_field(a.reshape(1, DIM, DIM))[0])
-
-
 def _gamma_field(a: np.ndarray) -> np.ndarray:
     """Tr(a) / |a|^2 per matrix of a (n, 2, 2)."""
     fro2 = np.einsum("nij,nij->n", a, a)
+    if not np.all(fro2 > 0.0):
+        raise CordesError("gamma undefined for the zero matrix")
     return np.einsum("nii->n", a) / fro2
 
 
@@ -189,30 +176,6 @@ def f_gamma_field(
     """Vectorized F_gamma over points x (n, 2) with Hessian values M (n, 2, 2):
     `inf_sup` of a fresh tabulation, (values, opt_alpha, opt_beta)."""
     return inf_sup(tabulate(problem, x), M)
-
-
-def f_gamma_eval(problem: ControlProblem, x, M) -> PointwiseFG:
-    """Pointwise F_gamma with recorded optimal controls."""
-    M = np.asarray(M, dtype=float)
-    if not np.allclose(M, M.T, atol=1e-12):
-        raise CordesError("Hessian argument must be symmetric")
-    values, ia, ib = f_gamma_field(problem, np.asarray(x).reshape(1, 2), M)
-    return PointwiseFG(float(values[0]), int(ia[0]), int(ib[0]))
-
-
-def f_unrenormalized_field(
-    problem: ControlProblem, x: np.ndarray, M: np.ndarray
-) -> np.ndarray:
-    """Plain inf-sup of (a : M - f), without the gamma renormalization."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    M = np.asarray(M, dtype=float).reshape(len(x), DIM, DIM)
-    na, nb = len(problem.controls.alphas), len(problem.controls.betas)
-    table = np.empty((na, nb, len(x)))
-    for ia, ib, alpha, beta in problem.control_pairs():
-        a = np.asarray(problem.coeffs.a(x, alpha, beta), dtype=float)
-        f = np.asarray(problem.coeffs.f(x, alpha, beta), dtype=float)
-        table[ia, ib] = np.einsum("nij,nij->n", a, M) - f
-    return table.max(axis=1).min(axis=0)
 
 
 def frozen_coefficients(

@@ -87,6 +87,7 @@ class FESpace:
 
         self.elem_rule = triangle_rule(config.quad_exactness)
         self._ops = None  # cache slot for the forms.Operators of this space
+        self._order = None  # cache slot for the solver.dof_order of this space
 
     # ---------------------------------------------------------------- geometry
     def points(self, ref_pts: np.ndarray, elems=ALL) -> np.ndarray:
@@ -103,12 +104,6 @@ class FESpace:
         shift = phys_pts - self.v0[elems][:, None, :]
         return shift @ self.invJ[elems].transpose(0, 2, 1)
 
-    def to_physical(self, elem: int, ref_pts: np.ndarray) -> np.ndarray:
-        return self.points(np.atleast_2d(ref_pts), [elem])[0]
-
-    def to_reference(self, elem: int, phys_pts: np.ndarray) -> np.ndarray:
-        return self.ref_points(np.atleast_2d(phys_pts), [elem])[0]
-
     # ------------------------------------------------------------------- shapes
     def shapes(self, ref_pts: np.ndarray, order: int = 0, elems=ALL) -> np.ndarray:
         """Physical values (order 0), gradients (1) or Hessians (2) of the
@@ -123,11 +118,6 @@ class FESpace:
         flat = tab.reshape(ref_pts.shape[:-2] + (m, 2**order))
         out = _chain_rule(flat, self.invJ[elems], order)
         return out.reshape((len(out), ref_pts.shape[-2]) + tab.shape[1:])
-
-    def eval_shape(self, elem: int, ref_pts: np.ndarray, order: int = 0):
-        """Physical-space values/gradients/Hessians of the local shape
-        functions of one element at reference points."""
-        return self.shapes(np.atleast_2d(ref_pts), order, [elem])[0]
 
 
 def _chain_rule(ref: np.ndarray, invJ: np.ndarray, order: int) -> np.ndarray:
@@ -227,10 +217,6 @@ class DiscreteFunction:
             ref = (loc[:, None, None, :] @ tab)[:, :, 0]
         out = _chain_rule(ref.reshape(n, nq, 2**order), space.invJ[elems], order)
         return out.reshape((n, nq) + (2,) * order)
-
-    def eval_element(self, elem: int, ref_pts: np.ndarray, order: int = 0):
-        """Value / gradient / Hessian fields on one element at ref points."""
-        return self.eval(np.atleast_2d(ref_pts), order, [elem])[0]
 
 
 def mass_matrix(space: FESpace) -> sp.csr_matrix:

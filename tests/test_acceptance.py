@@ -96,13 +96,13 @@ def test_criterion_2_lifting_adjoint_and_zero_trace():
                 e_minus, e_plus = mesh.face_elems[f]
                 gm = np.einsum(
                     "qlk,l->qk",
-                    space.eval_shape(e_minus, space.to_reference(e_minus, xq), 1),
+                    space.shapes(space.ref_points(xq, [e_minus])[0], 1, [e_minus])[0],
                     u[space.dofmap[e_minus]],
                 )
                 if e_plus >= 0:
                     gp = np.einsum(
                         "qlk,l->qk",
-                        space.eval_shape(e_plus, space.to_reference(e_plus, xq), 1),
+                        space.shapes(space.ref_points(xq, [e_plus])[0], 1, [e_plus])[0],
                         u[space.dofmap[e_plus]],
                     )
                     jump_i = (gm - gp)[:, i]
@@ -112,7 +112,7 @@ def test_criterion_2_lifting_adjoint_and_zero_trace():
                     jump_i = tang[:, i]
                     cF, sides = 1.0, (e_minus,)
                 for e in sides:
-                    psi_f = ops.modal.eval(space.to_reference(e, xq), 0)
+                    psi_f = ops.modal.eval(space.ref_points(xq, [e])[0], 0)
                     rhs[e] += cF * n[j] * np.einsum("q,q,qa->a", wq, jump_i, psi_f)
             err = np.abs(lhs - rhs).max() / (1 + np.abs(rhs).max())
             worst = max(worst, err)
@@ -135,7 +135,7 @@ def test_criterion_3_cordes_inequalities():
     rule = quadrature_rule("triangle", 6)
     mesh = unit_square_mesh(3)
     space = build_space(mesh, SpaceConfig(p=2, s=0))
-    pts = np.vstack([space.to_physical(e, rule.points)
+    pts = np.vstack([space.points(rule.points, [e])[0]
                      for e in range(mesh.n_elements)])
     for name in ("poisson_singleton", "two_control_switch",
                  "rotated_anisotropic"):

@@ -98,9 +98,9 @@ def test_estimator_face_terms_match_face_loop(p, s, spaces, rng):
         for e in elems:
             idx = space.dofmap[e]
             loc = np.where(idx >= 0, u[idx], 0.0)
-            ref = space.to_reference(e, xq)
-            traces.append((space.eval_shape(e, ref, 0) @ loc,
-                           np.einsum("qli,l->qi", space.eval_shape(e, ref, 1), loc)))
+            ref = space.ref_points(xq, [e])[0]
+            traces.append((space.shapes(ref, 0, [e])[0] @ loc,
+                           np.einsum("qli,l->qi", space.shapes(ref, 1, [e])[0], loc)))
         if len(elems) == 2:
             jv = traces[0][0] - traces[1][0]
             jg = traces[0][1] - traces[1][1]
@@ -134,10 +134,10 @@ def test_error_norm_matches_element_loop(p, s, spaces, rng):
     rule = triangle_rule(space.config.quad_exactness + 2)
     vol = 0.0
     for e in range(space.mesh.n_elements):
-        x = space.to_physical(e, rule.points)
-        dv = exact.value(x) - u.eval_element(e, rule.points, 0)
-        dg = exact.gradient(x) - u.eval_element(e, rule.points, 1)
-        dh = exact.hessian(x) - u.eval_element(e, rule.points, 2)
+        x = space.points(rule.points, [e])[0]
+        dv = exact.value(x) - u.eval(rule.points, 0, [e])[0]
+        dg = exact.gradient(x) - u.eval(rule.points, 1, [e])[0]
+        dh = exact.hessian(x) - u.eval(rule.points, 2, [e])[0]
         sq = dv**2 + (dg**2).sum(axis=1) + (dh**2).sum(axis=(1, 2))
         vol += space.detJ[e] * (rule.weights @ sq)
     want = np.sqrt(vol + jump_seminorm(space, u) ** 2)
@@ -156,9 +156,9 @@ def test_transfer_exact_on_nested_local_refinement(level, p, s, spaces, rng):
     pts = rng.dirichlet(np.ones(3), size=6)[:, 1:]
     for e in range(fine.mesh.n_elements):
         parent = fine.mesh.ancestor[e]
-        ref = coarse.to_reference(parent, fine.to_physical(e, pts))
-        want = u.eval_element(parent, ref)
-        assert np.allclose(v.eval_element(e, pts), want, rtol=1e-10, atol=1e-10)
+        ref = coarse.ref_points(fine.points(pts, [e])[0], [parent])[0]
+        want = u.eval(ref, 0, [parent])[0]
+        assert np.allclose(v.eval(pts, 0, [e])[0], want, rtol=1e-10, atol=1e-10)
 
 
 def test_basis_tabulations_do_not_grow_with_elements(spaces, monkeypatch):

@@ -13,7 +13,6 @@ from cordesfem import (
     SpaceConfig,
     build_space,
     estimate,
-    gamma_eval,
     get_problem,
     registry,
     solve_discrete,
@@ -22,10 +21,10 @@ from cordesfem import (
 )
 from cordesfem.cordes import (
     CordesError,
-    f_gamma_eval,
     f_gamma_field,
-    f_unrenormalized_field,
     frozen_coefficients,
+    inf_sup,
+    tabulate,
 )
 from cordesfem.forms import get_operators
 
@@ -44,6 +43,25 @@ def _const_problem(mat, nu, f=None):
 
 
 SAMPLES = np.array([[0.25, 0.25], [0.5, 0.75], [0.9, 0.1]])
+
+
+def gamma_eval(a):
+    """gamma = Tr(a) / |a|^2 of one matrix, from the coefficient table."""
+    table = tabulate(_const_problem(np.asarray(a, dtype=float), nu=1.0), SAMPLES[:1])
+    return float(table.gamma[0, 0, 0])
+
+
+def f_gamma_eval(problem, x, M):
+    """F_gamma at one point: (value, opt_alpha, opt_beta)."""
+    values, ia, ib = inf_sup(tabulate(problem, np.reshape(x, (1, 2))), M)
+    return float(values[0]), int(ia[0]), int(ib[0])
+
+
+def f_unrenormalized_field(problem, x, M):
+    """Plain inf-sup of (a : M - f), without the gamma renormalization."""
+    table = tabulate(problem, x)
+    plain = np.einsum("abnij,nij->abn", table.a, M) - table.f
+    return plain.max(axis=1).min(axis=0)
 
 
 # ----------------------------------------------------------------------- gamma
@@ -113,9 +131,9 @@ def test_registry_problems_pass_their_declared_nu():
 
 def test_singleton_identity_hessian():
     prob = _const_problem(np.eye(2), nu=1.0)
-    out = f_gamma_eval(prob, np.array([0.5, 0.5]), np.eye(2))
-    assert out.value == pytest.approx(2.0)
-    assert out.opt_alpha == 0 and out.opt_beta == 0
+    value, opt_alpha, opt_beta = f_gamma_eval(prob, np.array([0.5, 0.5]), np.eye(2))
+    assert value == pytest.approx(2.0)
+    assert opt_alpha == 0 and opt_beta == 0
 
 
 def test_switching_problem_zero_at_exact_hessian():
@@ -123,8 +141,8 @@ def test_switching_problem_zero_at_exact_hessian():
     pts = np.array([[0.3, 0.7], [0.1, 0.1], [0.8, 0.45]])
     for x in pts:
         M = prob.exact.hessian(x[None])[0]
-        out = f_gamma_eval(prob, x, M)
-        assert abs(out.value) <= 1e-12
+        value, _, _ = f_gamma_eval(prob, x, M)
+        assert abs(value) <= 1e-12
 
 
 def test_brute_force_inf_sup_of_switch_term(rng):

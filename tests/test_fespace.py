@@ -56,8 +56,8 @@ def test_lagrange_partition_of_unity(spaces, rng):
     # gradients to zero at any reference point
     space = spaces(1, 2, 1)
     pts = rng.uniform(0.05, 0.4, size=(5, 2))
-    vals = space.eval_shape(0, pts, 0)
-    grads = space.eval_shape(0, pts, 1)
+    vals = space.shapes(pts, 0, [0])[0]
+    grads = space.shapes(pts, 1, [0])[0]
     assert np.allclose(vals.sum(axis=1), 1.0, atol=1e-12)
     assert np.allclose(grads.sum(axis=1), 0.0, atol=1e-12)
 
@@ -75,15 +75,15 @@ def test_dg_basis_orthonormal(spaces):
 def test_hessian_matches_finite_differences(spaces):
     space = spaces(0, 2, 0)
     pts = np.array([[0.25, 0.3]])
-    hess = space.eval_shape(2, pts, 2)[0]
+    hess = space.shapes(pts, 2, [2])[0][0]
     eps = 1e-6
     for d in range(2):
         shift = np.zeros(2)
         shift[d] = eps
-        ref_plus = space.to_reference(2, space.to_physical(2, pts) + shift)
-        ref_minus = space.to_reference(2, space.to_physical(2, pts) - shift)
-        gp = space.eval_shape(2, ref_plus, 1)[0]
-        gm = space.eval_shape(2, ref_minus, 1)[0]
+        ref_plus = space.ref_points(space.points(pts, [2])[0] + shift, [2])[0]
+        ref_minus = space.ref_points(space.points(pts, [2])[0] - shift, [2])[0]
+        gp = space.shapes(ref_plus, 1, [2])[0][0]
+        gm = space.shapes(ref_minus, 1, [2])[0][0]
         fd = (gp - gm) / (2 * eps)
         scale = max(1.0, np.abs(hess[:, :, d]).max())
         assert np.abs(fd - hess[:, :, d]).max() <= 1e-6 * scale
@@ -92,7 +92,7 @@ def test_hessian_matches_finite_differences(spaces):
 def test_order_three_rejected(spaces):
     space = spaces(0, 2, 0)
     with pytest.raises(SpaceError):
-        space.eval_shape(0, np.array([[0.3, 0.3]]), 3)
+        space.shapes(np.array([[0.3, 0.3]]), 3, [0])[0]
 
 
 def _reference_shapes(space, e, pts, order):
@@ -190,9 +190,9 @@ def test_projection_reproduces_space_member(s, spaces, rng):
         out = np.zeros(len(x))
         # piecewise evaluation through a dense point-location pass
         for e in range(space.mesh.n_elements):
-            ref = space.to_reference(e, x)
+            ref = space.ref_points(x, [e])[0]
             inside = np.all(ref >= -1e-12, axis=1) & (ref.sum(axis=1) <= 1 + 1e-12)
-            out[inside] = u.eval_element(e, ref[inside])
+            out[inside] = u.eval(ref[inside], 0, [e])[0]
         return out
 
     if s == 1:
@@ -205,8 +205,8 @@ def test_projection_exact_for_linears(spaces):
     v = project_l2(space, lambda x: x[:, 0])
     pts = np.array([[0.2, 0.2], [0.1, 0.6]])
     for e in range(space.mesh.n_elements):
-        phys = space.to_physical(e, pts)
-        assert np.allclose(v.eval_element(e, pts), phys[:, 0], atol=1e-12)
+        phys = space.points(pts, [e])[0]
+        assert np.allclose(v.eval(pts, 0, [e])[0], phys[:, 0], atol=1e-12)
 
 
 def test_projection_orthogonality(spaces):
@@ -241,9 +241,9 @@ def test_c0_traces_continuous(spaces, rng):
         e_minus, e_plus = mesh.face_elems[f]
         va, vb = mesh.face_verts[f]
         pts = (1 - t)[:, None] * mesh.vertices[va] + t[:, None] * mesh.vertices[vb]
-        vals_minus = u.eval_element(e_minus, space.to_reference(e_minus, pts))
+        vals_minus = u.eval(space.ref_points(pts, [e_minus])[0], 0, [e_minus])[0]
         if e_plus >= 0:
-            vals_plus = u.eval_element(e_plus, space.to_reference(e_plus, pts))
+            vals_plus = u.eval(space.ref_points(pts, [e_plus])[0], 0, [e_plus])[0]
             assert np.abs(vals_minus - vals_plus).max() <= 1e-10
         else:
             # homogeneous Dirichlet: boundary trace vanishes

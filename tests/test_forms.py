@@ -120,13 +120,13 @@ def test_lifting_adjoint_identity(spaces, rng):
             e_minus, e_plus = mesh.face_elems[f]
             g_minus = np.einsum(
                 "ql,l->q",
-                space.eval_shape(e_minus, space.to_reference(e_minus, xq), 1)[:, :, i],
+                space.shapes(space.ref_points(xq, [e_minus])[0], 1, [e_minus])[0][:, :, i],
                 u[space.dofmap[e_minus]],
             )
             if e_plus >= 0:
                 g_plus = np.einsum(
                     "ql,l->q",
-                    space.eval_shape(e_plus, space.to_reference(e_plus, xq), 1)[:, :, i],
+                    space.shapes(space.ref_points(xq, [e_plus])[0], 1, [e_plus])[0][:, :, i],
                     u[space.dofmap[e_plus]],
                 )
                 jump_i = g_minus - g_plus
@@ -136,7 +136,7 @@ def test_lifting_adjoint_identity(spaces, rng):
                 # boundary: lift only the tangential component of the trace
                 grad = np.einsum(
                     "qlk,l->qk",
-                    space.eval_shape(e_minus, space.to_reference(e_minus, xq), 1),
+                    space.shapes(space.ref_points(xq, [e_minus])[0], 1, [e_minus])[0],
                     u[space.dofmap[e_minus]],
                 )
                 tang = grad - np.outer(grad @ n, n)
@@ -144,7 +144,7 @@ def test_lifting_adjoint_identity(spaces, rng):
                 cF = 1.0
                 sides = (e_minus,)
             for e in sides:
-                psi_f = ops.modal.eval(space.to_reference(e, xq), 0)
+                psi_f = ops.modal.eval(space.ref_points(xq, [e])[0], 0)
                 rhs[e] += cF * n[j] * np.einsum("q,q,qa->a", wq, jump_i, psi_f)
         scale = 1.0 + np.abs(rhs).max()
         assert np.abs(lhs - rhs).max() <= 1e-11 * scale, (i, j)
@@ -171,7 +171,7 @@ def test_jump_penalty_piecewise_indicator():
     space = build_space(mesh, SpaceConfig(p=2, s=0))
     coeffs = np.zeros(space.dim)
     # constant 1 on element 0: scale the constant modal function to value one
-    phi0 = space.eval_shape(0, np.array([[0.25, 0.25]]), 0)[0, 0]
+    phi0 = space.shapes(np.array([[0.25, 0.25]]), 0, [0])[0][0, 0]
     coeffs[space.dofmap[0][0]] = 1.0 / phi0
     params = FormParams(theta=0.5, sigma=7.0, rho=1.0)
     val = jump_penalty_form(space, coeffs, coeffs, params)

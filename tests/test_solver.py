@@ -7,17 +7,20 @@ import scipy.sparse as sp
 from cordesfem import (
     FormParams,
     SolveOptions,
+    SolveStats,
     SpaceConfig,
     build_space,
     get_problem,
     linear_solve,
     norm_k,
+    refine_conforming,
     solve_discrete,
     uniform_refine,
     unit_square_mesh,
 )
-from cordesfem.fespace import mass_matrix
-from cordesfem.solver import SolverError
+from cordesfem.fespace import DiscreteFunction, mass_matrix
+from cordesfem.forms import frozen_jacobian, get_operators
+from cordesfem.solver import SolverError, dissection_keys, dof_order
 
 
 # ---------------------------------------------------------------- linear solve
@@ -43,6 +46,103 @@ def test_singular_matrix_rejected():
         linear_solve(A, np.array([1.0, 0.0]))
 
 
+def test_near_zero_pivot_retried_in_colamd_order(rng):
+    # the leading 1e-20 is a pivot in the given order; SuperLU row-pivots
+    # past an exactly zero pivot even at threshold 0, but takes this one,
+    # and its growth of 1e20 defeats iterative refinement, so the solve is
+    # repeated once in COLAMD order with partial pivoting
+    block = np.array([[1e-20, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+    A = sp.block_diag([block, 2.0 * sp.eye(3)], format="csr")
+    b = rng.standard_normal(6)
+    stats = SolveStats()
+    x = linear_solve(A, b, np.arange(6), stats)
+    assert np.linalg.norm(A @ x - b) <= 1e-11 * np.linalg.norm(b)
+    assert stats.colamd_retries == 1
+    assert len(stats.lu_fill) == 1 and stats.lu_fill[0] >= 1.0
+    # in COLAMD order alone nothing is retried
+    stats = SolveStats()
+    assert np.allclose(linear_solve(A, b, stats=stats), x, rtol=1e-12)
+    assert stats.colamd_retries == 0 and len(stats.lu_fill) == 1
+
+
+def test_singular_matrix_rejected_after_retry():
+    A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    stats = SolveStats()
+    with pytest.raises(SolverError):
+        linear_solve(A, np.array([1.0, 0.0]), np.arange(2), stats)
+    assert stats.colamd_retries == 1 and stats.lu_fill == []
+
+
+# ----------------------------------------------------------- nested dissection
+
+ND_MESH = refine_conforming(unit_square_mesh(4), [0, 3, 7])
+ND_CASES = [(p, s) for s in (0, 1) for p in (2, 3, 4)]
+
+
+def _pattern(A):
+    A = sp.csr_matrix(A, copy=True)
+    A.data[:] = 1.0
+    return A
+
+
+@pytest.mark.parametrize("p, s", ND_CASES)
+def test_dof_order_is_a_cached_permutation(p, s):
+    space = build_space(ND_MESH, SpaceConfig(p=p, s=s))
+    order = dof_order(space)
+    assert np.array_equal(np.sort(order), np.arange(space.dim))
+    assert dof_order(space) is order
+
+
+@pytest.mark.parametrize("p, s", ND_CASES)
+def test_halves_do_not_couple(p, s):
+    # a dof takes the key of the last element holding it; base-3 digit l of
+    # a key is 0 or 1 for the half at level l, 2 for a separator or leaf
+    space = build_space(ND_MESH, SpaceConfig(p=p, s=s))
+    keys, depth = dissection_keys(space)
+    valid = space.dofmap >= 0
+    dof_key = np.zeros(space.dim, dtype=np.int64)
+    np.maximum.at(dof_key, space.dofmap[valid],
+                  np.broadcast_to(keys[:, None], valid.shape)[valid])
+    gram = get_operators(space).norm_gram
+    # the top-level split: no entry between the halves, which come first
+    top = dof_key // 3 ** (depth - 1)
+    first, second = np.flatnonzero(top == 0), np.flatnonzero(top == 1)
+    assert len(first) > 0 and len(second) > 0
+    assert gram[first][:, second].nnz == 0
+    position = np.empty(space.dim, dtype=np.int64)
+    position[dof_order(space)] = np.arange(space.dim)
+    assert position[first].max() < position[second].min()
+    assert position[second].max() < position[top == 2].min()
+    # and every split below it, over all entries at once
+    coo = gram.tocoo()
+    for level in range(depth):
+        part = dof_key // 3 ** (depth - level)
+        digit = dof_key // 3 ** (depth - 1 - level) % 3
+        across = (part[coo.row] == part[coo.col]) & (digit[coo.row] + digit[coo.col] == 1)
+        assert not across.any(), level
+
+
+@pytest.mark.parametrize("p, s", ND_CASES)
+def test_frozen_jacobians_solve_alike_in_both_orders(p, s, rng):
+    # every Jacobian entry lies in the norm Gram pattern, which the one
+    # order per space relies on, and the no-pivot ordered solve agrees
+    # with the COLAMD one
+    space = build_space(ND_MESH, SpaceConfig(p=p, s=s))
+    gram = _pattern(get_operators(space).norm_gram)
+    params = FormParams.defaults(p, s)
+    for name in ("two_control_switch", "rotated_anisotropic"):
+        u = DiscreteFunction(space, rng.standard_normal(space.dim))
+        J = frozen_jacobian(space, get_problem(name), u, params)
+        outside = _pattern(J) - _pattern(J).multiply(gram)
+        assert outside.count_nonzero() == 0
+        b = rng.standard_normal(space.dim)
+        stats = SolveStats()
+        x_nd = linear_solve(J, b, dof_order(space), stats)
+        x_colamd = linear_solve(J, b)
+        assert stats.colamd_retries == 0
+        assert np.linalg.norm(x_nd - x_colamd) <= 1e-10 * np.linalg.norm(x_colamd)
+
+
 # --------------------------------------------------------------------- solving
 
 
@@ -52,6 +152,7 @@ def test_linear_problem_one_newton_iteration():
     u, stats = solve_discrete(space, prob, FormParams.defaults(2, 0))
     assert stats.newton_iters == 1
     assert stats.fallback_iters == 0
+    assert len(stats.lu_fill) == 1 and stats.colamd_retries == 0
 
 
 def test_switching_problem_newton_iteration_budget():
