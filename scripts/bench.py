@@ -14,7 +14,10 @@ and `estimate`. Inside the Newton solve it also records the factor time
 and fill, nnz(L + U - I) / nnz(A), of every `scipy.sparse.linalg.splu`
 call: the first factors the norm Gram matrix and the second the first
 frozen Jacobian, in any version of the solver. Times are raw wall seconds;
-the file keeps every repetition and their median.
+the file keeps every repetition and their median. One more, untimed pass
+per case records the tracemalloc peak, in MB, of the `Operators` build and
+of the Newton solve (tracemalloc slows what it traces, so no timed
+repetition runs under it).
 
 Workloads: every workload that BENCHMARK.json lists runs once through
 `perfbench/run.py` in a subprocess, with its run length and seed 1; the
@@ -35,6 +38,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +89,16 @@ def lu_spans(fn, *args):
         spla.splu = splu
 
 
+def peak_mb(fn, *args):
+    """The tracemalloc peak, in MB, of what fn(*args) allocates."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def layer_times(mesh, s, repeat):
     """Wall times of one level's layers, `repeat` times on fresh spaces."""
     problem = get_problem("poisson_singleton")
@@ -111,6 +125,9 @@ def layer_times(mesh, s, repeat):
     for key in runs[0]:
         if key.endswith(("_s", "_fill")):
             out[key] = statistics.median(run[key] for run in runs)
+    space = build_space(mesh, SpaceConfig(p=3, s=s))
+    out["operators_peak_mb"] = peak_mb(get_operators, space)
+    out["solve_peak_mb"] = peak_mb(solve_discrete, space, problem, params)
     return out
 
 
@@ -154,7 +171,7 @@ def main():
     path.write_text(json.dumps(result, indent=1) + "\n")
     for name, layer in result["layers"].items():
         times = ", ".join(f"{k} {v:.3f}" for k, v in layer.items()
-                          if k.endswith(("_s", "_fill")))
+                          if k.endswith(("_s", "_fill", "_mb")))
         print(f"{name} ({layer['ndofs']} dofs): {times}")
     for name, run in result["perfbench"].items():
         metrics = ", ".join(f"{k} {m['value']:.4g}"

@@ -102,6 +102,7 @@ class AdaptiveStep:
     newton_iters: int
     fallback_iters: int
     marked: int
+    floor_accepted: bool  # trace.json only: solve stopped at the roundoff floor
 
 
 @dataclass
@@ -238,6 +239,7 @@ def adaptive_solve(
             newton_iters=stats.newton_iters,
             fallback_iters=stats.fallback_iters,
             marked=len(marked),
+            floor_accepted=stats.floor_accepted,
         )
         trace.steps.append(step)
         if callback is not None:

@@ -4,10 +4,13 @@ Two families are provided: an L2-orthonormal modal basis (Gram-Schmidt via
 Cholesky of the monomial mass matrix) used for DG spaces and liftings, and a
 Lagrange basis on the principal lattice used for C0 spaces. Both are stored
 as coefficient matrices over the monomials, so values and derivatives up to
-second order are exact.
+second order are exact. Each basis is built once per degree and process and
+shared, so its arrays are read-only.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 import numpy as np
 
@@ -25,29 +28,31 @@ def monomial_exponents(p: int) -> np.ndarray:
 
 
 def _eval_monomials(pts: np.ndarray, exps: np.ndarray, order: int) -> np.ndarray:
-    x = pts[:, 0][:, None]
-    y = pts[:, 1][:, None]
-    i = exps[:, 0][None, :].astype(float)
-    j = exps[:, 1][None, :].astype(float)
+    # tables of x^k and y^k, k = -2..p, read at columns exponent + 2; 0^0 = 1,
+    # and a negative exponent (a vanished derivative) gives 0
+    k = np.arange(-2, int(exps.max(initial=0)) + 1)
+    nonneg = k[k >= 0].astype(float)
 
-    def pw(base, e):
-        # 0^0 = 1, 0^negative = 0 by convention
-        out = np.zeros(np.broadcast_shapes(base.shape, e.shape))
-        pos = np.broadcast_to(e > -0.5, out.shape)
-        be, ee = np.broadcast_to(base, out.shape), np.broadcast_to(e, out.shape)
-        out[pos] = be[pos] ** ee[pos]
+    def powers(base):
+        out = np.zeros((len(base), len(k)))
+        flat = np.repeat(base, len(nonneg)) ** np.tile(nonneg, len(base))
+        out[:, 2:] = flat.reshape(len(base), len(nonneg))
         return out
 
-    if order == 0:
-        return pw(x, i) * pw(y, j)
+    X, Y = powers(pts[:, 0]), powers(pts[:, 1])
+    i, j = exps[:, 0] + 2, exps[:, 1] + 2  # columns of the power tables
+    fi, fj = exps[:, 0][None, :].astype(float), exps[:, 1][None, :].astype(float)
+
+    if order == 0:  # C order like orders 1, 2: a matmul rounds by memory layout
+        return np.ascontiguousarray(X[:, i] * Y[:, j])
     if order == 1:
-        gx = i * pw(x, i - 1) * pw(y, j)
-        gy = j * pw(x, i) * pw(y, j - 1)
+        gx = fi * X[:, i - 1] * Y[:, j]
+        gy = fj * X[:, i] * Y[:, j - 1]
         return np.stack([gx, gy], axis=-1)
     if order == 2:
-        hxx = i * (i - 1) * pw(x, i - 2) * pw(y, j)
-        hxy = i * j * pw(x, i - 1) * pw(y, j - 1)
-        hyy = j * (j - 1) * pw(x, i) * pw(y, j - 2)
+        hxx = fi * (fi - 1) * X[:, i - 2] * Y[:, j]
+        hxy = fi * fj * X[:, i - 1] * Y[:, j - 1]
+        hyy = fj * (fj - 1) * X[:, i] * Y[:, j - 2]
         h = np.empty(hxx.shape + (2, 2))
         h[..., 0, 0] = hxx
         h[..., 0, 1] = hxy
@@ -65,6 +70,9 @@ class RefBasis:
         self.exps = monomial_exponents(p)
         self.coeffs = coeffs
         self.n = coeffs.shape[0]
+        # the memoized bases are shared by every caller: writing must fail
+        self.exps.flags.writeable = False
+        self.coeffs.flags.writeable = False
 
     def eval(self, pts: np.ndarray, order: int = 0) -> np.ndarray:
         """Tabulate at reference points.
@@ -78,6 +86,7 @@ class RefBasis:
         return out.reshape((len(pts), self.n) + mono.shape[2:])
 
 
+@cache
 def ortho_basis(p: int) -> RefBasis:
     """L2(T_ref)-orthonormal basis, lowest mode first."""
     exps = monomial_exponents(p)
@@ -105,6 +114,7 @@ def lagrange_ref_points(p: int) -> np.ndarray:
     return np.column_stack([bary[:, 1], bary[:, 2]])
 
 
+@cache
 def lagrange_basis(p: int) -> RefBasis:
     pts = lagrange_ref_points(p)
     exps = monomial_exponents(p)

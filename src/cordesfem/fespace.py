@@ -10,7 +10,8 @@ and `FESpace.shapes` the shape tables, at shared or per-element reference
 points. `_chain_rule` alone applies the inverse Jacobians, as one batched
 matmul with invJ (gradients) or invJ (x) invJ (flattened Hessians).
 `DiscreteFunction.eval` is coefficient-first: coefficients meet the
-reference tabulation in one matmul, and only the result is transformed.
+reference tabulation in one matmul, and only the result is transformed;
+`eval_table` does the same with a tabulation the caller keeps.
 """
 
 from __future__ import annotations
@@ -205,13 +206,19 @@ class DiscreteFunction:
         """Values (n, nq), gradients (n, nq, 2) or Hessians (n, nq, 2, 2) on
         elements `elems` at shared (nq, 2) or per-element (n, nq, 2)
         reference points."""
-        space = self.space
         ref_pts = np.asarray(ref_pts, dtype=float)
+        tab = self.space.basis.eval(ref_pts.reshape(-1, 2), order)
+        shape = ref_pts.shape[:-1] + (self.space.nloc, 2**order)
+        return self.eval_table(tab.reshape(shape), order, elems)
+
+    def eval_table(self, tab: np.ndarray, order: int, elems=ALL) -> np.ndarray:
+        """`eval` at points whose reference tabulation is given, flattened
+        to (nq, nloc, 2^order) for shared or (n, nq, nloc, 2^order) for
+        per-element points, so that a kept table is not tabulated again."""
+        space = self.space
         loc = gather(self.coeffs, space.dofmap[elems])
-        n, nq, nloc = len(loc), ref_pts.shape[-2], space.nloc
-        tab = space.basis.eval(ref_pts.reshape(-1, 2), order)
-        tab = tab.reshape(ref_pts.shape[:-2] + (nq, nloc, 2**order))
-        if ref_pts.ndim == 2:  # one (n, nloc) @ (nloc, nq 2^order) product
+        n, nq, nloc = len(loc), tab.shape[-3], space.nloc
+        if tab.ndim == 3:  # one (n, nloc) @ (nloc, nq 2^order) product
             ref = loc @ tab.transpose(1, 0, 2).reshape(nloc, -1)
         else:
             ref = (loc[:, None, None, :] @ tab)[:, :, 0]
@@ -219,16 +226,17 @@ class DiscreteFunction:
         return out.reshape((n, nq) + (2,) * order)
 
 
-def mass_matrix(space: FESpace) -> sp.csr_matrix:
+def mass_blocks(space: FESpace) -> np.ndarray:
+    """Element mass blocks (ne, nloc, nloc): detJ times the reference mass."""
     rule = space.elem_rule
     vals = space.basis.eval(rule.points, 0)  # (nq, nloc) shared across elements
     local = (vals.T * rule.weights) @ vals
-    return assemble_csr(
-        space.dofmap[:, :, None],
-        space.dofmap[:, None, :],
-        local[None, :, :] * space.detJ[:, None, None],
-        (space.dim, space.dim),
-    )
+    return local[None, :, :] * space.detJ[:, None, None]
+
+
+def mass_matrix(space: FESpace) -> sp.csr_matrix:
+    return assemble_csr(space.dofmap[:, :, None], space.dofmap[:, None, :],
+                        mass_blocks(space), (space.dim, space.dim))
 
 
 def project_l2(space: FESpace, f) -> DiscreteFunction:

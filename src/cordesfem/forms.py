@@ -7,22 +7,29 @@ consistency check of face terms, liftings and normal conventions.
 
 Lifted quantities are represented by modal coefficients in the orthonormal
 degree-q basis per element, so liftings reduce to face integrals against
-modal traces and all lifted bilinear forms are products of sparse
-coefficient maps.
+modal traces.
 
 All face terms (penalties, facewise stabilization, liftings, and the jump
 seminorm and estimator jumps as sums of squares) read one `FaceTables`,
 built per space in a single batched pass. A boundary face is a two-sided
 face whose plus side has weight 0 and dofs -1; jump and average weights
 are per-face arrays, so face integrals have no interior/boundary branch.
-Element and face Grams are one weighted-Gram matmul each (`_gram`) and the
-modal maps plain matmuls, so every matrix agrees to roundoff, not bitwise,
-with the one a per-element or per-face loop would build.
+Element and face Grams are one weighted-Gram matmul each (`_gram`), so
+every matrix agrees to roundoff, not bitwise, with the one a per-element or
+per-face loop would build.
+
+Every square matrix lives on one `Pattern` per space, the dof pairs that
+share a face, which holds every element pair: its int32 slot maps send the
+element and face blocks into it, so a matrix is one `np.bincount` of local
+blocks and sums of matrices are sums of aligned data arrays. Delta_k stays
+local, as element and face-side blocks of Delta_k^T: the residual applies
+them as batched products and the frozen Jacobian scatters Delta_k^T G
+block by block into the data of the linear part. The lifting maps D2, R,
+TrR, the matrix Delta_k and S_lifted are built on first read only.
 
 Newton's u-independent work is done once per space: `Operators` caches the
 coefficient table of the last problem and the linear part of the last
-`FormParams`, which residuals, Jacobians and the estimator all read. The
-frozen Jacobian is one scatter of batched element blocks, times Delta_k^T.
+`FormParams`, which residuals, Jacobians and the estimator all read.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ import scipy.sparse as sp
 from . import cordes
 from .basis import ortho_basis
 from .fespace import DiscreteFunction, FESpace, SpaceError, assemble_csr, gather
-from .fespace import mass_matrix
+from .fespace import mass_blocks
 from .mesh import INTERIOR
 from .quadrature import segment_rule
 
@@ -145,10 +152,72 @@ def _gram(w, A, B=None):
     return (At * w) @ Bt.transpose(0, 2, 1)
 
 
+@dataclass(frozen=True)
+class Pattern:
+    """CSR pattern of the dof pairs that share a face, with int32 slot maps
+    of the element blocks (ne, nloc, nloc) and the face blocks (nf, 2 nloc,
+    2 nloc) into it. It holds every element pair, so every Gram, penalty,
+    stabilization and frozen-Jacobian entry. A pair with a missing dof (-1)
+    has the extra slot nnz, which `scatter` drops."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    elem: np.ndarray
+    face: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        return len(self.indices)
+
+    def scatter(self, slots: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+        """Data on the pattern: the sum of the local blocks at their slots."""
+        out = np.bincount(slots.ravel(), blocks.ravel(), minlength=self.nnz + 1)
+        return out[:-1]
+
+    def csr(self, data: np.ndarray, keep: np.ndarray | None = None) -> sp.csr_matrix:
+        """The matrix of `data` with index arrays of its own, storing the
+        slots in `keep`; by default the nonzero ones, as a sparse sum drops
+        exact zeros, and then `data` is compacted in place."""
+        n = len(self.indptr) - 1
+        if keep is None:
+            A = sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), (n, n))
+            A.eliminate_zeros()
+            return A
+        indptr = np.concatenate(([0], np.cumsum(keep)))[self.indptr]
+        return sp.csr_matrix((data[keep], self.indices[keep], indptr), shape=(n, n))
+
+
+def face_pattern(ft: FaceTables, ne: int, dim: int) -> Pattern:
+    """The Pattern of a space from the face dofs of its FaceTables."""
+    nf, m = ft.dofs.shape
+    rows, cols = ft.dofs[:, :, None], ft.dofs[:, None, :]
+    # missing pairs get the key dim^2, past every pair, so their slot is nnz
+    keys = np.where((rows >= 0) & (cols >= 0), rows * dim + cols, dim * dim)
+    pairs, slots = np.unique(keys, return_inverse=True)
+    pairs = pairs[pairs < dim * dim]
+    indptr = np.searchsorted(pairs, np.arange(dim + 1) * dim)
+    face = slots.astype(np.int32).reshape(nf, m, m)
+    # an element's block is the block of its side of any of its faces
+    sides = np.flatnonzero(ft.elems.ravel() >= 0)
+    pick = np.empty(ne, dtype=np.int64)
+    pick[ft.elems.ravel()[sides]] = sides
+    f, s = np.divmod(pick, 2)
+    elem = face.reshape(nf, 2, m // 2, 2, m // 2)[f, s, :, s, :]
+    return Pattern(indptr, (pairs % dim).astype(np.int32), elem, face)
+
+
+def _scatter_vec(dofs: np.ndarray, vals: np.ndarray, dim: int) -> np.ndarray:
+    """Sum of local values at their dofs, dropping negative ones."""
+    valid = dofs >= 0
+    return np.bincount(dofs[valid], vals[valid], minlength=dim)
+
+
 class Operators:
-    """All assembled matrices and coefficient maps for one FESpace, and lazy
-    caches of its u-independent Newton data. It keeps no reference to the
-    space, which holds it, so it is freed with the space without the GC."""
+    """The matrices of one FESpace on its face Pattern, Delta_k as local
+    blocks, and lazy caches of its u-independent Newton data; the lifting
+    maps D2, R, TrR, Delta_k and S_lifted are built on first read. It keeps
+    no reference to the space, which holds it, so it is freed with the
+    space without the GC."""
 
     def __init__(self, space: FESpace):
         cfg = space.config
@@ -159,50 +228,52 @@ class Operators:
         self.wq = rule.weights
         self.ref_pts = rule.points
         self.Bm = self.modal.eval(rule.points, 0)  # (nq, nmod)
+        # reference Hessian table (nq, nloc, 4), which hessian_at_qp reuses
+        self.ref_hess = space.basis.eval(rule.points, 2).reshape(rule.n, -1, 4)
         # physical Hessians of the shape functions at element quad points
         self.PH = space.shapes(rule.points, 2)
         self.X = space.points(rule.points)  # physical quad points, (ne, nq, 2)
+        self.dofmap, self.detJ = space.dofmap, space.detJ
 
         self.faces, ahess = face_tables(space, self.modal)
-        # the volume Gram matrices and Sface are only summed into S_facewise
-        # and norm_gram, so they are not kept
-        volume = self._assemble_volume(space)
-        Sface = self._assemble_faces(space, ahess)
-        self._assemble_modal_maps(space)
-        self._combine(*volume, Sface)
+        P = self.pattern = face_pattern(self.faces, space.mesh.n_elements, space.dim)
+        # Delta_k^T as local blocks: element (ne, nloc, nmod) and face side
+        # (nf, 2, 2 nloc, nmod); the data of the jump penalties and of
+        # S_facewise on the pattern, which the linear part sums
+        gram, stab, self.delta_elem = self._volume(space)
+        sface, self.delta_face = self._faces(ahess)
+        self._stab = P.scatter(P.elem, stab) + P.scatter(P.face, sface)
+        self.norm_gram = P.csr(P.scatter(P.elem, gram) + self._jgrad + self._jval)
         self._table = None  # (problem, cordes.CoefficientTable)
-        self._linear = None  # (FormParams, linear part)
+        self._linear = None  # (FormParams, linear part, its data)
 
     # ------------------------------------------------------------------ volume
-    def _assemble_volume(self, sp_: FESpace):
-        """M0, M1, M2, ML: the L2, H1, Hessian and Laplacian Gram matrices."""
+    def _volume(self, sp_: FESpace):
+        """Element blocks of M2 + M1 + M0 (norm Gram) and M2 - ML (facewise
+        stabilization) from the L2, H1, Hessian and Laplacian Grams, and the
+        modal coefficients of the shape functions' Laplacians, transposed."""
         w, PH = sp_.detJ[:, None] * self.wq, self.PH
         PG = sp_.shapes(sp_.elem_rule.points, 1)
         lapl = PH[..., 0, 0] + PH[..., 1, 1]
-        M1, M2, ML = _gram(w, PG), _gram(w, PH), _gram(w, lapl)
-        rows, cols = sp_.dofmap[:, :, None], sp_.dofmap[:, None, :]
-        shape = (sp_.dim, sp_.dim)
-        M1, M2, ML = (assemble_csr(rows, cols, M, shape) for M in (M1, M2, ML))
-        return mass_matrix(sp_), M1, M2, ML
+        M2 = _gram(w, PH)
+        lap = lapl.transpose(0, 2, 1) @ (self.wq[:, None] * self.Bm)
+        return M2 + _gram(w, PG) + mass_blocks(sp_), M2 - _gram(w, lapl), lap
 
     # ------------------------------------------------------------------- faces
-    def _assemble_faces(self, space: FESpace, ahess):
-        """Sets the jump penalty matrices Jgrad and Jval; returns Sface, the
-        face terms of the facewise stabilization."""
-        ft = self.faces
+    def _faces(self, ahess):
+        """Sets the data of the jump penalties Jgrad and Jval; returns the
+        face blocks of the facewise stabilization and minus the lifted trace
+        R00 + R11 per face side, transposed."""
+        ft, P = self.faces, self.pattern
         n, wq, jval, jgrad = ft.normal, ft.wq, ft.jval, ft.jgrad
         t = np.stack([-n[:, 1], n[:, 0]], axis=1)
-        rows, cols = ft.dofs[:, :, None], ft.dofs[:, None, :]
-        shape = (space.dim, space.dim)
 
         # jump penalty ingredients (raw, unweighted by sigma/rho); gradient
         # jumps are penalized on interior faces only
         I = ft.interior
         h = ft.length[:, None, None]
-        loc = (1.0 / h[I]) * _gram(wq[I], jgrad[I])
-        self.Jgrad = assemble_csr(rows[I], cols[I], loc, shape)
-        loc = (1.0 / h**3) * _gram(wq, jval)
-        self.Jval = assemble_csr(rows, cols, loc, shape)
+        self._jgrad = P.scatter(P.face[I], (1.0 / h[I]) * _gram(wq[I], jgrad[I]))
+        self._jval = P.scatter(P.face, (1.0 / h**3) * _gram(wq, jval))
 
         # facewise stabilization terms; the tangential-tangential part lives
         # on interior faces only
@@ -214,55 +285,64 @@ class Operators:
         jn = np.einsum("fqai,fi->fqa", jgrad, n)
         loc = -_gram(wq, hess(t, n), tj)
         l2 = _gram(wq * I[:, None], hess(t, t), jn)
-        loc = loc + loc.transpose(0, 2, 1) + l2 + l2.transpose(0, 2, 1)
-        return assemble_csr(rows, cols, loc, shape)
+        sface = loc + loc.transpose(0, 2, 1) + l2 + l2.transpose(0, 2, 1)
 
-    # -------------------------------------------------------- modal coefficient maps
-    def _assemble_modal_maps(self, sp_: FESpace):
-        ne, nmod = sp_.mesh.n_elements, self.nmod
-        shape = (ne * nmod, sp_.dim)
-        mods = np.arange(nmod)
+        # R00 + R11 lifts n . [grad v]; a boundary face lifts the tangential
+        # part of the trace, whose normal part is zero
+        scale = ft.avg / self.detJ[ft.elems]  # the plus side of a boundary face is 0
+        src = (wq[:, :, None] * I[:, None, None] * jn).transpose(0, 2, 1)
+        return sface, -scale[:, :, None, None] * (src[:, None] @ ft.psi)
 
-        # broken Hessian maps: modal coefficients of each shape function's
-        # physical Hessian components (exact since p - 2 <= q)
-        PH = self.PH
+    # ------------------------------------------------------------ lifting maps
+    @cached_property
+    def D2(self) -> dict:
+        """Broken Hessian maps D2[(i, j)], i <= j: modal coefficients of each
+        shape function's physical Hessian component (exact since p - 2 <= q);
+        built on first read."""
+        PH, ne, nmod = self.PH, len(self.PH), self.nmod
         coeff = (self.wq[:, None] * self.Bm).T @ PH.reshape(ne, len(self.wq), -1)
         coeff = coeff.reshape(ne, nmod, *PH.shape[2:])
-        rows = (np.arange(ne)[:, None] * nmod + mods)[:, :, None]
-        cols = sp_.dofmap[:, None, :]
-        self.D2 = {
-            (i, j): assemble_csr(rows, cols, coeff[..., i, j], shape)
+        rows = (np.arange(ne)[:, None] * nmod + np.arange(nmod))[:, :, None]
+        cols = self.dofmap[:, None, :]
+        return {
+            (i, j): assemble_csr(rows, cols, coeff[..., i, j], self._modal_shape)
             for (i, j) in ((0, 0), (0, 1), (1, 1))
         }
 
-        # lifting maps R[(i, j)] of the gradient jumps; boundary faces lift
-        # only the tangential part of the trace
-        ft = self.faces
+    @cached_property
+    def R(self) -> dict:
+        """Lifting maps R[(i, j)] of the gradient jumps, built on first read;
+        boundary faces lift only the tangential part of the trace."""
+        ft, nmod = self.faces, self.nmod
         n, g = ft.normal, ft.jgrad
         tangential = g - np.einsum("fqai,fi->fqa", g, n)[..., None] * n[:, None, None]
         src = np.where(ft.interior[:, None, None, None], g, tangential)
-        scale = ft.avg / sp_.detJ[ft.elems]  # the plus side of a boundary face is 0
+        scale = ft.avg / self.detJ[ft.elems]  # the plus side of a boundary face is 0
         elems = ft.elems[:, :, None]
-        rows = np.where(elems >= 0, elems * nmod + mods, -1)[..., None]
+        rows = np.where(elems >= 0, elems * nmod + np.arange(nmod), -1)[..., None]
         cols = ft.dofs[:, None, None, :]
         psi = ft.psi.transpose(0, 1, 3, 2)  # (nf, 2, nmod, nqf)
-        self.R = {}
+        R = {}
         for i in (0, 1):
             loc = psi @ (ft.wq[:, :, None] * src[..., i])[:, None]
             for j in (0, 1):
                 data = (scale * n[:, j, None])[:, :, None, None] * loc
-                self.R[(i, j)] = assemble_csr(rows, cols, data, shape)
+                R[(i, j)] = assemble_csr(rows, cols, data, self._modal_shape)
+        return R
 
-        # diagonal of the modal L2 inner product: int_K psi_a psi_b = detJ_e δ_ab
-        self.Wmod = np.repeat(sp_.detJ, nmod)
+    @property
+    def _modal_shape(self) -> tuple[int, int]:
+        return (len(self.detJ) * self.nmod, len(self.pattern.indptr) - 1)
 
-    def _combine(self, M0, M1, M2, ML, Sface):
-        D2, R = self.D2, self.R
-        self.TrR = (R[(0, 0)] + R[(1, 1)]).tocsr()
-        # CSC, so that Delta_k^T, which residuals and Jacobians apply, is CSR
-        self.Delta_k = (D2[(0, 0)] + D2[(1, 1)] - self.TrR).tocsc()
-        self.S_facewise = (M2 - ML + Sface).tocsr()
-        self.norm_gram = (M2 + M1 + M0 + self.Jgrad + self.Jval).tocsr()
+    @cached_property
+    def TrR(self) -> sp.csr_matrix:
+        return (self.R[(0, 0)] + self.R[(1, 1)]).tocsr()
+
+    @cached_property
+    def Delta_k(self) -> sp.csc_matrix:
+        """The lifted Laplacian as a CSC matrix, built on first read;
+        residuals and Jacobians apply its local blocks instead."""
+        return (self.D2[(0, 0)] + self.D2[(1, 1)] - self.TrR).tocsc()
 
     @cached_property
     def S_lifted(self) -> sp.csr_matrix:
@@ -271,7 +351,8 @@ class Operators:
         D2, R = self.D2, self.R
         # D2 stores the symmetric broken Hessian's upper triangle only
         H = {(i, j): D2[(min(i, j), max(i, j))] - R[(i, j)] for (i, j) in R}
-        W = sp.diags(self.Wmod)
+        # diagonal of the modal L2 inner product: int_K psi_a psi_b = detJ_e δ_ab
+        W = sp.diags(np.repeat(self.detJ, self.nmod))
 
         def gram(A, B):
             return (A.T @ W @ B).tocsr()
@@ -282,13 +363,31 @@ class Operators:
         S = S - sum(gram(R[k], R[k]) for k in R)
         return S.tocsr()
 
+    # ------------------------------------------------- matrices on the pattern
+    @cached_property
+    def Jgrad(self) -> sp.csr_matrix:
+        """Gradient-jump penalty (without sigma) on the interior-face slots."""
+        P = self.pattern
+        interior = np.bincount(P.face[self.faces.interior].ravel(),
+                               minlength=P.nnz + 1)[:-1] > 0
+        return P.csr(self._jgrad, interior)
+
+    @cached_property
+    def Jval(self) -> sp.csr_matrix:
+        """Value-jump penalty (without rho) on the whole pattern."""
+        return self.pattern.csr(self._jval, np.ones(self.pattern.nnz, dtype=bool))
+
+    @cached_property
+    def S_facewise(self) -> sp.csr_matrix:
+        return self.pattern.csr(self._stab.copy())
+
     # ------------------------------------------------------------- state fields
     def hessian_at_qp(self, u: DiscreteFunction) -> np.ndarray:
         """Broken Hessian of u at the element quadrature points, (ne, nq, 2, 2)."""
-        return u.eval(self.ref_pts, 2)
+        return u.eval_table(self.ref_hess, 2)
 
     def penalty_matrix(self, params: FormParams) -> sp.csr_matrix:
-        return (params.sigma * self.Jgrad + params.rho * self.Jval).tocsr()
+        return self.pattern.csr(params.sigma * self._jgrad + params.rho * self._jval)
 
     # ----------------------------------------------------- u-independent caches
     def coefficients(self, problem: cordes.ControlProblem) -> cordes.CoefficientTable:
@@ -298,13 +397,14 @@ class Operators:
             self._table = (problem, cordes.tabulate(problem, self.X.reshape(-1, 2)))
         return self._table[1]
 
-    def linear_part(self, params: FormParams) -> sp.csr_matrix:
-        """theta S_facewise + sigma Jgrad + rho Jval, kept until other
-        FormParams ask for it."""
+    def linear_part(self, params: FormParams) -> tuple[sp.csr_matrix, np.ndarray]:
+        """theta S_facewise + sigma Jgrad + rho Jval and its data on the
+        pattern, kept until other FormParams ask for them."""
         if self._linear is None or self._linear[0] != params:
-            lin = params.theta * self.S_facewise + self.penalty_matrix(params)
-            self._linear = (params, lin.tocsr())
-        return self._linear[1]
+            data = (params.theta * self._stab + params.sigma * self._jgrad
+                    + params.rho * self._jval)
+            self._linear = (params, self.pattern.csr(data.copy()), data)
+        return self._linear[1:]
 
 
 def get_operators(space: FESpace) -> Operators:
@@ -372,7 +472,14 @@ def nonlinear_residual(
     ne, nq = space.mesh.n_elements, len(ops.wq)
     g, _, _ = cordes.inf_sup(ops.coefficients(problem), ops.hessian_at_qp(u))
     mvec = ((space.detJ[:, None] * ops.wq) * g.reshape(ne, nq)) @ ops.Bm
-    return ops.Delta_k.T @ mvec.ravel() + ops.linear_part(params) @ u.coeffs
+    # Delta_k^T mvec from the local blocks; a missing plus side reads any
+    # element, whose lifted trace there is zero
+    elem = (ops.delta_elem @ mvec[:, :, None])[..., 0]
+    face = (ops.delta_face @ mvec[ops.faces.elems][..., None])[..., 0]
+    lin, _ = ops.linear_part(params)
+    return (_scatter_vec(space.dofmap, elem, space.dim)
+            + _scatter_vec(ops.faces.dofs, face[:, 0] + face[:, 1], space.dim)
+            + lin @ u.coeffs)
 
 
 def frozen_jacobian(
@@ -386,17 +493,22 @@ def frozen_jacobian(
 
     G maps dofs to the modal coefficients of the frozen gamma a : D^2 v; its
     element blocks are detJ Bm^T diag(wq c_ij) PH_ij summed over i, j. This
-    is exact without a modal projection of PH, whose degree p - 2 <= q."""
+    is exact without a modal projection of PH, whose degree p - 2 <= q. The
+    blocks of Delta_k^T G are scattered into the data of the linear part."""
     _validate_params(params, space.config.s)
     ops = get_operators(space)
-    ne, nmod = space.mesh.n_elements, ops.nmod
+    P, nf, nloc = ops.pattern, space.mesh.n_faces, space.nloc
     table = ops.coefficients(problem)
     _, ia, ib = cordes.inf_sup(table, ops.hessian_at_qp(u))
-    c = table.frozen(ia, ib).reshape(ne, -1, 4, 1)
+    c = table.frozen(ia, ib).reshape(len(space.detJ), -1, 4, 1)
     c = c * (space.detJ[:, None] * ops.wq)[:, :, None, None]
     PH = ops.PH.reshape(c.shape[:2] + (-1, 4))
-    blocks = ops.Bm.T @ (PH @ c)[..., 0]
-    rows = (np.arange(ne)[:, None] * nmod + np.arange(nmod))[:, :, None]
-    G = assemble_csr(rows, space.dofmap[:, None, :], blocks, (ne * nmod, space.dim))
-    return ops.Delta_k.T @ G + ops.linear_part(params)
-
+    G = ops.Bm.T @ (PH @ c)[..., 0]  # (ne, nmod, nloc)
+    data = P.scatter(P.elem, ops.delta_elem @ G)
+    # one face side at a time, whose block's columns are that side's half of
+    # the face; a missing plus side reads any element (its lifted trace is 0)
+    sides, elems = P.face.reshape(nf, 2 * nloc, 2, nloc), ops.faces.elems
+    for s in (0, 1):
+        data += P.scatter(sides[:, :, s], ops.delta_face[:, s] @ G[elems[:, s]])
+    data += ops.linear_part(params)[1]
+    return P.csr(data)

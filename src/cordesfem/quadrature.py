@@ -2,12 +2,14 @@
 
 Triangle rules are built from tensor Gauss-Legendre points through the
 collapsed-coordinate (Duffy) map, which keeps all weights positive and gives
-exactness for any requested polynomial degree.
+exactness for any requested polynomial degree. Each rule is built once per
+process and shared, so its arrays are read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -37,6 +39,14 @@ def _check_exactness(exactness: int) -> None:
         )
 
 
+def _shared(rule: QuadratureRule) -> QuadratureRule:
+    # a memoized rule is shared by every caller: writing into it must fail
+    rule.points.flags.writeable = False
+    rule.weights.flags.writeable = False
+    return rule
+
+
+@cache
 def segment_rule(exactness: int) -> QuadratureRule:
     """Gauss-Legendre rule on [0, 1] exact for polynomials of the given degree."""
     _check_exactness(exactness)
@@ -44,9 +54,10 @@ def segment_rule(exactness: int) -> QuadratureRule:
     x, w = np.polynomial.legendre.leggauss(n)
     pts = 0.5 * (x + 1.0)
     wts = 0.5 * w
-    return QuadratureRule(pts.reshape(-1, 1), wts, exactness)
+    return _shared(QuadratureRule(pts.reshape(-1, 1), wts, exactness))
 
 
+@cache
 def triangle_rule(exactness: int) -> QuadratureRule:
     """Rule on the reference triangle (0,0)-(1,0)-(0,1), positive weights.
 
@@ -68,7 +79,7 @@ def triangle_rule(exactness: int) -> QuadratureRule:
     x = U.ravel()
     y = (V * (1.0 - U)).ravel()
     w = (WU * WV * (1.0 - U)).ravel()
-    return QuadratureRule(np.column_stack([x, y]), w, exactness)
+    return _shared(QuadratureRule(np.column_stack([x, y]), w, exactness))
 
 
 def quadrature_rule(domain: str, exactness: int) -> QuadratureRule:

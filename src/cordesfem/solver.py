@@ -63,6 +63,8 @@ class SolveStats:
     contraction_factors: list = field(default_factory=list)
     lu_fill: list = field(default_factory=list)  # per linear solve, nnz(L+U)/nnz(A)
     colamd_retries: int = 0  # solves refactored in COLAMD order
+    # returned above tol, inside the roundoff band of at most 1e3 tol
+    floor_accepted: bool = False
 
 
 def dissection_keys(space: FESpace) -> tuple[np.ndarray, int]:
@@ -244,10 +246,14 @@ def solve_discrete(
     # converged to working precision
     floor_tol = 1e3 * opts.tol
 
+    def accept():
+        stats.final_residual = rn
+        stats.floor_accepted = rn > opts.tol
+        return uf, stats
+
     for _ in range(opts.max_newton):
         if rn <= opts.tol:
-            stats.final_residual = rn
-            return uf, stats
+            return accept()
         J = frozen_jacobian(space, problem, uf, params)
         stats.final_residual = rn  # as a SolverError of linear_solve finds it
         delta = linear_solve(J, -r, order, stats)
@@ -268,12 +274,10 @@ def solve_discrete(
             break
         stats.residual_history.append(rn)
         if rn > 0.5 * rn_prev and rn <= floor_tol:
-            stats.final_residual = rn
-            return uf, stats
+            return accept()
 
     if rn <= floor_tol:
-        stats.final_residual = rn
-        return uf, stats
+        return accept()
 
     # fixed-point fallback u <- u - tau * M^{-1} R(u), tau halved from 1.0
     # until the residual falls
@@ -310,4 +314,4 @@ def solve_discrete(
             f"(residual {rn:.3e}, tol {opts.tol:.1e})",
             stats,
         )
-    return uf, stats
+    return accept()

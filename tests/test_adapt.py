@@ -1,5 +1,6 @@
 """Estimators, marking strategies, and the solve-estimate-mark-refine loop."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from cordesfem import (
     DiscreteFunction,
     EstimatorReport,
     FormParams,
+    SolveOptions,
     SpaceConfig,
     adaptive_solve,
     build_space,
@@ -26,7 +28,7 @@ from cordesfem import (
     unit_square_mesh,
 )
 from cordesfem import mesh as mesh_mod
-from cordesfem.adapt import AdaptError, error_norm_k, transfer_solution
+from cordesfem.adapt import AdaptError, AdaptiveTrace, error_norm_k, transfer_solution
 from cordesfem.forms import get_operators
 from cordesfem.mesh import uniform_refine
 from cordesfem.quadrature import quadrature_rule, triangle_rule
@@ -295,6 +297,23 @@ def test_trace_csv_columns(tmp_path):
                 "eta_gradjump", "eta_valjump", "err_norm_k", "newton_iters",
                 "marked"):
         assert col in header
+
+
+def test_floor_acceptance_in_trace_json_only(tmp_path):
+    # an unreachable tol (see tests/test_solver.py) makes the solve stop at
+    # the roundoff floor; trace.json says so, trace.csv keeps its columns
+    cfg = AdaptiveConfig(space=SpaceConfig(p=2, s=0),
+                         params=FormParams.defaults(2, 0), max_iters=1,
+                         solve_opts=SolveOptions(tol=1e-15))
+    trace = adaptive_solve(get_problem("poisson_singleton"),
+                           unit_square_mesh(4), cfg)
+    trace.write_json(tmp_path / "trace.json")
+    trace.write_csv(tmp_path / "trace.csv")
+    steps = json.loads((tmp_path / "trace.json").read_text())
+    assert [s["floor_accepted"] for s in steps] == [True]
+    header = (tmp_path / "trace.csv").read_text().splitlines()[0]
+    assert header.split(",") == AdaptiveTrace.COLUMNS
+    assert "floor_accepted" not in header
 
 
 def test_uniform_step_builds_each_face_table_once(monkeypatch):

@@ -11,7 +11,8 @@ from cordesfem import (
     project_l2,
     unit_square_mesh,
 )
-from cordesfem.basis import _eval_monomials
+from cordesfem.basis import _eval_monomials, lagrange_basis, monomial_exponents
+from cordesfem.basis import ortho_basis
 from cordesfem.fespace import SpaceError, gather, mass_matrix
 from cordesfem.forms import get_operators
 
@@ -248,3 +249,65 @@ def test_c0_traces_continuous(spaces, rng):
         else:
             # homogeneous Dirichlet: boundary trace vanishes
             assert np.abs(vals_minus).max() <= 1e-10
+
+
+def _masked_monomials(pts, exps, order):
+    # the masked-power formula the power tables replaced, as the oracle
+    x, y = pts[:, :1], pts[:, 1:]
+    i, j = exps[:, 0][None, :].astype(float), exps[:, 1][None, :].astype(float)
+
+    def pw(base, e):
+        out = np.zeros(np.broadcast_shapes(base.shape, e.shape))
+        pos = np.broadcast_to(e > -0.5, out.shape)
+        be, ee = np.broadcast_to(base, out.shape), np.broadcast_to(e, out.shape)
+        out[pos] = be[pos] ** ee[pos]
+        return out
+
+    if order == 0:
+        return pw(x, i) * pw(y, j)
+    if order == 1:
+        return np.stack([i * pw(x, i - 1) * pw(y, j),
+                         j * pw(x, i) * pw(y, j - 1)], axis=-1)
+    hxy = i * j * pw(x, i - 1) * pw(y, j - 1)
+    return np.stack([
+        np.stack([i * (i - 1) * pw(x, i - 2) * pw(y, j), hxy], axis=-1),
+        np.stack([hxy, j * (j - 1) * pw(x, i) * pw(y, j - 2)], axis=-1),
+    ], axis=-2)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_monomial_power_tables_match_masked_powers(order, rng):
+    # bitwise, at random points and on the vertices and edges (0^0 = 1)
+    pts = np.vstack([rng.random((50, 2)), [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                     [[0.0, 0.5], [0.5, 0.0]]])
+    for p in range(6):
+        exps = monomial_exponents(p)
+        assert np.array_equal(_eval_monomials(pts, exps, order),
+                              _masked_monomials(pts, exps, order))
+    # and the tabulations built on them, whose matmuls round by memory layout
+    for basis in (ortho_basis(4), lagrange_basis(4)):
+        mono = _masked_monomials(pts, basis.exps, order)
+        want = basis.coeffs @ mono.reshape(len(pts), len(basis.exps), 2**order)
+        assert np.array_equal(basis.eval(pts, order), want.reshape(
+            (len(pts), basis.n) + mono.shape[2:]))
+
+
+@pytest.mark.parametrize("make", [ortho_basis, lagrange_basis])
+def test_bases_are_built_once_and_read_only(make):
+    basis = make(3)
+    assert make(3) is basis and make(2) is not basis
+    with pytest.raises(ValueError):
+        basis.coeffs[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("s", [0, 1])
+def test_kept_hessian_table_evaluates_bitwise(s, spaces, rng, monkeypatch):
+    # hessian_at_qp reads the Operators' reference table, not a new one
+    from cordesfem.basis import RefBasis
+
+    space = spaces(2, 3, s)
+    ops = get_operators(space)
+    u = DiscreteFunction(space, rng.standard_normal(space.dim))
+    want = u.eval(ops.ref_pts, 2)
+    monkeypatch.setattr(RefBasis, "eval", None)  # any tabulation now raises
+    assert np.array_equal(ops.hessian_at_qp(u), want)

@@ -19,14 +19,16 @@ from cordesfem import (
     nonlinear_residual,
     norm_k,
     project_l2,
+    refine_conforming,
     solve_discrete,
     stab_form,
     uniform_refine,
     unit_square_mesh,
 )
+from cordesfem import cordes
 from cordesfem.cordes import frozen_coefficients
 from cordesfem.fespace import assemble_csr, mass_matrix
-from cordesfem.forms import face_tables, get_operators
+from cordesfem.forms import Operators, face_tables, get_operators
 from cordesfem.mesh import INTERIOR, convex_polygon_mesh
 from cordesfem.quadrature import quadrature_rule
 
@@ -427,6 +429,110 @@ def test_operators_freed_with_their_space():
         frozen_jacobian(space, prob, u, params)
         ops = weakref.ref(get_operators(space))
         del space, u
+        assert ops() is None
+    finally:
+        gc.enable()
+
+
+# ------------------------------------------------- one pattern, local Delta_k
+
+PATTERN_MESHES = {
+    "nvb": lambda: refine_conforming(unit_square_mesh(4), [0, 3, 7]),
+    "triangle": lambda: convex_polygon_mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+}
+PATTERN_CASES = [(m, p, s) for m in PATTERN_MESHES for p in (2, 3, 4) for s in (0, 1)]
+
+
+@pytest.mark.parametrize("mesh,p,s", PATTERN_CASES)
+def test_matrices_lie_in_the_face_pattern(mesh, p, s, rng):
+    # the pattern is the set of dof pairs that share a face, from a loop
+    # over the faces; its slot maps address the pairs of the element and
+    # face blocks, and every matrix stores entries inside it
+    space = build_space(PATTERN_MESHES[mesh](), SpaceConfig(p=p, s=s))
+    ops = get_operators(space)
+    P, ft, dim = ops.pattern, ops.faces, space.dim
+    pairs = set()
+    for dofs in ft.dofs:
+        dofs = dofs[dofs >= 0]
+        pairs.update((int(a), int(b)) for a in dofs for b in dofs)
+    row = np.repeat(np.arange(dim), np.diff(P.indptr))
+    assert sorted(pairs) == list(zip(row.tolist(), P.indices.tolist()))
+    for slots, dofs in ((P.elem, space.dofmap), (P.face, ft.dofs)):
+        a, b = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])
+        valid = (a >= 0) & (b >= 0)
+        assert np.all(slots[~valid] == P.nnz)
+        assert np.array_equal(row[slots[valid]], a[valid])
+        assert np.array_equal(P.indices[slots[valid]], b[valid])
+    params = FormParams.defaults(p, s)
+    u = DiscreteFunction(space, rng.standard_normal(dim))
+    keys = set(row * dim + P.indices.astype(np.int64))
+    for A in (ops.norm_gram, ops.S_facewise, ops.Jgrad, ops.Jval,
+              ops.linear_part(params)[0], ops.penalty_matrix(params),
+              frozen_jacobian(space, get_problem("rotated_anisotropic"), u, params)):
+        A = A.tocoo()
+        assert keys.issuperset(A.row.astype(np.int64) * dim + A.col)
+
+
+@pytest.mark.parametrize("mesh,p,s", PATTERN_CASES)
+def test_local_blocks_match_delta_k_formulas(mesh, p, s, rng):
+    # residual and frozen Jacobian from the local blocks against the
+    # Delta_k^T formulas on the lazily built matrix, each within 1e-13 of
+    # the largest entry of the terms it sums
+    space = build_space(PATTERN_MESHES[mesh](), SpaceConfig(p=p, s=s))
+    ops = get_operators(space)
+    ne, nmod = space.mesh.n_elements, ops.nmod
+    params = FormParams.defaults(p, s)
+    lin, _ = ops.linear_part(params)
+    for name in ("rotated_anisotropic", "two_control_switch"):
+        prob = get_problem(name)
+        u = DiscreteFunction(space, rng.standard_normal(space.dim))
+        table = ops.coefficients(prob)
+        g, ia, ib = cordes.inf_sup(table, ops.hessian_at_qp(u))
+        w = space.detJ[:, None] * ops.wq
+        terms = (ops.Delta_k.T @ ((w * g.reshape(ne, -1)) @ ops.Bm).ravel(),
+                 lin @ u.coeffs)
+        scale = max(np.abs(t).max(initial=0.0) for t in terms)
+        got = nonlinear_residual(space, prob, u, params)
+        assert np.abs(got - sum(terms)).max(initial=0.0) <= 1e-13 * scale
+        c = table.frozen(ia, ib).reshape(ne, -1, 2, 2) * w[:, :, None, None]
+        blocks = np.einsum("qa,eqij,eqlij->eal", ops.Bm, c, ops.PH)
+        rows = (np.arange(ne)[:, None] * nmod + np.arange(nmod))[:, :, None]
+        G = assemble_csr(rows, space.dofmap[:, None, :], blocks,
+                         (ne * nmod, space.dim))
+        terms = (ops.Delta_k.T @ G, lin)
+        scale = max(abs(t).max() if t.nnz else 0.0 for t in terms)
+        diff = frozen_jacobian(space, prob, u, params) - (terms[0] + terms[1])
+        assert (abs(diff).max() if diff.nnz else 0.0) <= 1e-13 * scale
+
+
+LIFTING_MAPS = ("D2", "R", "TrR", "Delta_k", "S_lifted")
+
+
+def test_lifting_maps_built_on_first_read_only():
+    space = build_space(PATTERN_MESHES["nvb"](), SpaceConfig(p=3, s=0))
+    ops = Operators(space)
+    assert not set(LIFTING_MAPS) & set(vars(ops))
+    u = DiscreteFunction(space, np.ones(space.dim))
+    prob, params = get_problem("two_control_switch"), FormParams.defaults(3, 0)
+    nonlinear_residual(space, prob, u, params)
+    frozen_jacobian(space, prob, u, params)
+    assert not set(LIFTING_MAPS) & set(vars(get_operators(space)))
+    for name in LIFTING_MAPS:
+        assert getattr(ops, name) is getattr(ops, name)
+    assert set(LIFTING_MAPS) <= set(vars(ops))
+
+
+def test_operators_freed_with_their_space_after_lifting_maps():
+    # building the lifting maps on demand adds no reference to the space
+    gc.collect()
+    gc.disable()
+    try:
+        space = build_space(unit_square_mesh(2), SpaceConfig(p=2, s=0))
+        ops = get_operators(space)
+        for name in LIFTING_MAPS + ("Jgrad", "Jval", "S_facewise"):
+            getattr(ops, name)
+        ops = weakref.ref(ops)
+        del space
         assert ops() is None
     finally:
         gc.enable()

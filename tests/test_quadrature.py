@@ -70,3 +70,14 @@ def test_requested_exactness_at_least_2p_plus_4(p_like):
     ex = min(2 * p_like + 4, MAX_EXACTNESS)
     rule = quadrature_rule("triangle", ex)
     assert rule.points.shape[0] == rule.weights.shape[0]
+
+
+@pytest.mark.parametrize("domain", ["triangle", "segment"])
+def test_rules_are_built_once_and_read_only(domain):
+    # every caller shares one rule per exactness, so writing into it fails
+    rule = quadrature_rule(domain, 8)
+    assert quadrature_rule(domain, 8) is rule
+    assert quadrature_rule(domain, 9) is not rule
+    for arr in (rule.points, rule.weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0

@@ -1,5 +1,6 @@
 """Smoke test of the scripts: each runs to completion on tiny arguments."""
 
+import json
 import os
 import subprocess
 import sys
@@ -26,3 +27,7 @@ def test_script_runs(script, args, tmp_path):
                           cwd=tmp_path, env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
+    if script == "bench.py":
+        layers = json.loads((tmp_path / "BENCH_tiny.json").read_text())["layers"]
+        for layer in layers.values():
+            assert layer["operators_peak_mb"] > 0 and layer["solve_peak_mb"] > 0

@@ -155,6 +155,27 @@ def test_linear_problem_one_newton_iteration():
     assert len(stats.lu_fill) == 1 and stats.colamd_retries == 0
 
 
+def test_unreachable_tol_is_flagged_as_floor_accepted():
+    # a relative tol of 1e-15 lies below the roundoff of this linear
+    # problem's residual (about 3e-13 against a scaled tol of 1.9e-14), so
+    # the solve can only stop inside the 1e3 tol band
+    prob = get_problem("poisson_singleton")
+    space = build_space(unit_square_mesh(4), SpaceConfig(p=2, s=0))
+    opts = SolveOptions(tol=1e-15)
+    u, stats = solve_discrete(space, prob, FormParams.defaults(2, 0), opts)
+    tol = opts.tol * (1.0 + stats.residual_history[0])
+    assert tol < stats.final_residual <= 1e3 * tol
+    assert stats.floor_accepted
+
+
+def test_solve_reaching_tol_is_not_floor_accepted():
+    prob = get_problem("poisson_singleton")
+    space = build_space(unit_square_mesh(4), SpaceConfig(p=2, s=0))
+    u, stats = solve_discrete(space, prob, FormParams.defaults(2, 0))
+    assert stats.final_residual <= 1e-10 * (1.0 + stats.residual_history[0])
+    assert not stats.floor_accepted
+
+
 def test_switching_problem_newton_iteration_budget():
     prob = get_problem("two_control_switch")
     mesh = unit_square_mesh(2)
