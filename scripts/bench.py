@@ -13,7 +13,12 @@ repetitions builds a fresh space and times, in one process, the
 and `estimate`. Inside the Newton solve it also records the factor time
 and fill, nnz(L + U - I) / nnz(A), of every `scipy.sparse.linalg.splu`
 call: the first factors the norm Gram matrix and the second the first
-frozen Jacobian, in any version of the solver. Times are raw wall seconds;
+frozen Jacobian, in any version of the solver (`gram_lu_s`,
+`jacobian_lu_s`). At the converged state it then times one
+`frozen_jacobian` (`jacobian_s`) and the whole `solver.factorize` of that
+Jacobian, with the last order or plan argument the solve passed to it
+(`factorize_s`: everything from the matrix to its LU, not `splu` alone).
+Times are raw wall seconds;
 the file keeps every repetition and their median. One more, untimed pass
 per case records the tracemalloc peak, in MB, of the `Operators` build and
 of the Newton solve (tracemalloc slows what it traces, so no timed
@@ -55,8 +60,9 @@ from cordesfem import (
     uniform_refine,
     unit_square_mesh,
 )
+from cordesfem import solver
 from cordesfem.adapt import error_norm_k
-from cordesfem.forms import get_operators
+from cordesfem.forms import frozen_jacobian, get_operators
 
 ROOT = Path(__file__).resolve().parent.parent
 # (name, continuity flag s) of the layer cases, all at p = 3
@@ -89,6 +95,22 @@ def lu_spans(fn, *args):
         spla.splu = splu
 
 
+def factor_args(fn, *args):
+    """fn(*args) and the arguments after the matrix of the last
+    `solver.factorize` call it makes."""
+    seen, factorize = [], solver.factorize
+
+    def recorded(matrix, *rest):
+        seen[:] = rest
+        return factorize(matrix, *rest)
+
+    solver.factorize = recorded
+    try:
+        return fn(*args), seen
+    finally:
+        solver.factorize = factorize
+
+
 def peak_mb(fn, *args):
     """The tracemalloc peak, in MB, of what fn(*args) allocates."""
     tracemalloc.start()
@@ -107,20 +129,23 @@ def layer_times(mesh, s, repeat):
     for _ in range(repeat):
         t_space, space = timed(build_space, mesh, SpaceConfig(p=3, s=s))
         t_ops, _ = timed(get_operators, space)
-        t_solve, ((u, stats), lus) = timed(
-            lu_spans, solve_discrete, space, problem, params)
+        t_solve, (((u, stats), lus), rest) = timed(
+            factor_args, lu_spans, solve_discrete, space, problem, params)
         (t_gram, gram_fill), (t_jac, jac_fill) = lus[:2]
+        t_jacobian, J = timed(frozen_jacobian, space, problem, u, params)
+        t_factorize, _ = timed(solver.factorize, J, *rest)
         t_err, err = timed(error_norm_k, space, u, problem.exact)
         t_est, report = timed(estimate, space, problem, u, params)
         runs.append({
             "ndofs": space.dim, "space_s": t_space, "operators_s": t_ops,
             "solve_s": t_solve, "gram_lu_s": t_gram, "jacobian_lu_s": t_jac,
             "gram_fill": gram_fill, "jacobian_fill": jac_fill,
+            "jacobian_s": t_jacobian, "factorize_s": t_factorize,
             "error_norm_k_s": t_err, "estimate_s": t_est,
             "newton_iters": stats.newton_iters, "error_norm_k": err,
             "eta_total": report.total,
         })
-        del space, u, report
+        del space, u, report, J
     out = {"elements": mesh.n_elements, "ndofs": runs[0]["ndofs"], "runs": runs}
     for key in runs[0]:
         if key.endswith(("_s", "_fill")):

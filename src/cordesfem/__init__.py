@@ -22,7 +22,6 @@ from .fespace import (
     FESpace,
     SpaceConfig,
     build_space,
-    project_l2,
 )
 from .forms import (
     FormParams,

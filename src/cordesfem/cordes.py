@@ -160,13 +160,21 @@ def inf_sup(
     any shape holding n of them: (values, opt_alpha, opt_beta). The
     optimizers realize the exact inf over alpha of the sup over beta of
     gamma * (a : M - f), first index winning ties."""
-    n = table.f.shape[2]
+    na, nb, n = table.f.shape
     M = np.asarray(M, dtype=float).reshape(n, DIM, DIM)
     values = table.gamma * (np.einsum("abnij,nij->abn", table.a, M) - table.f)
-    ib_opt = np.argmax(values, axis=1)  # (na, n), first max wins
-    sup = np.take_along_axis(values, ib_opt[:, None, :], axis=1)[:, 0, :]
-    ia_opt = np.argmin(sup, axis=0)  # (n,), first min wins
-    inf = np.take_along_axis(sup, ia_opt[None, :], axis=0)[0]
+    # strict running comparisons over the small control axes: a later
+    # control replaces the best so far only if strictly better
+    sup, ib_opt = values[:, 0], np.zeros((na, n), dtype=np.intp)
+    for ib in range(1, nb):
+        better = values[:, ib] > sup
+        sup = np.where(better, values[:, ib], sup)
+        np.putmask(ib_opt, better, ib)
+    inf, ia_opt = sup[0], np.zeros(n, dtype=np.intp)
+    for ia in range(1, na):
+        better = sup[ia] < inf
+        inf = np.where(better, sup[ia], inf)
+        np.putmask(ia_opt, better, ia)
     return inf, ia_opt, ib_opt[ia_opt, np.arange(n)]
 
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import basis as bas
 from .mesh import BOUNDARY, MeshLevel
@@ -88,7 +87,7 @@ class FESpace:
 
         self.elem_rule = triangle_rule(config.quad_exactness)
         self._ops = None  # cache slot for the forms.Operators of this space
-        self._order = None  # cache slot for the solver.dof_order of this space
+        self._plan = None  # cache slot for the solver.factor_plan of this space
 
     # ---------------------------------------------------------------- geometry
     def points(self, ref_pts: np.ndarray, elems=ALL) -> np.ndarray:
@@ -237,23 +236,3 @@ def mass_blocks(space: FESpace) -> np.ndarray:
 def mass_matrix(space: FESpace) -> sp.csr_matrix:
     return assemble_csr(space.dofmap[:, :, None], space.dofmap[:, None, :],
                         mass_blocks(space), (space.dim, space.dim))
-
-
-def project_l2(space: FESpace, f) -> DiscreteFunction:
-    """L2-orthogonal projection of a callable f(x) with x of shape (n, 2).
-
-    f is called once, on the quadrature points of all elements together.
-    """
-    rule = space.elem_rule
-    vals = space.basis.eval(rule.points, 0)
-    x = space.points(rule.points)
-    fx = np.asarray(f(x.reshape(-1, 2)), dtype=float).reshape(x.shape[:2])
-    loc = space.detJ[:, None] * (fx @ (rule.weights[:, None] * vals))
-    valid = space.dofmap >= 0
-    rhs = np.bincount(space.dofmap[valid], loc[valid], minlength=space.dim)
-    M = mass_matrix(space)
-    try:
-        coeffs = spla.spsolve(M.tocsc(), rhs)
-    except RuntimeError as err:  # pragma: no cover
-        raise SpaceError(f"singular mass matrix in projection: {err}")
-    return DiscreteFunction(space, coeffs)

@@ -21,7 +21,10 @@ per-face loop would build.
 Every square matrix lives on one `Pattern` per space, the dof pairs that
 share a face, which holds every element pair: its int32 slot maps send the
 element and face blocks into it, so a matrix is one `np.bincount` of local
-blocks and sums of matrices are sums of aligned data arrays. Delta_k stays
+blocks and sums of matrices are sums of aligned data arrays. The norm Gram
+matrix, the linear part and every frozen Jacobian store the whole pattern,
+explicit zeros included, and share its read-only index arrays, so the
+solver factors their data through one plan per space. Delta_k stays
 local, as element and face-side blocks of Delta_k^T: the residual applies
 them as batched products and the frozen Jacobian scatters Delta_k^T G
 block by block into the data of the linear part. The lifting maps D2, R,
@@ -29,7 +32,10 @@ TrR, the matrix Delta_k and S_lifted are built on first read only.
 
 Newton's u-independent work is done once per space: `Operators` caches the
 coefficient table of the last problem and the linear part of the last
-`FormParams`, which residuals, Jacobians and the estimator all read.
+`FormParams`, which residuals, Jacobians and the estimator all read. Each
+iterate's inf-sup is evaluated once: the residual keeps the optimal
+controls with a copy of the coefficients it saw, and the frozen Jacobian
+at equal coefficients and the same problem reuses them.
 """
 
 from __future__ import annotations
@@ -175,14 +181,13 @@ class Pattern:
         return out[:-1]
 
     def csr(self, data: np.ndarray, keep: np.ndarray | None = None) -> sp.csr_matrix:
-        """The matrix of `data` with index arrays of its own, storing the
-        slots in `keep`; by default the nonzero ones, as a sparse sum drops
-        exact zeros, and then `data` is compacted in place."""
+        """The matrix of `data` on the whole pattern, explicit zeros
+        included, sharing the pattern's read-only index arrays (copy it to
+        change its structure in place); or, storing only the slots in
+        `keep`, with index arrays of its own."""
         n = len(self.indptr) - 1
         if keep is None:
-            A = sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), (n, n))
-            A.eliminate_zeros()
-            return A
+            return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
         indptr = np.concatenate(([0], np.cumsum(keep)))[self.indptr]
         return sp.csr_matrix((data[keep], self.indices[keep], indptr), shape=(n, n))
 
@@ -195,7 +200,10 @@ def face_pattern(ft: FaceTables, ne: int, dim: int) -> Pattern:
     keys = np.where((rows >= 0) & (cols >= 0), rows * dim + cols, dim * dim)
     pairs, slots = np.unique(keys, return_inverse=True)
     pairs = pairs[pairs < dim * dim]
-    indptr = np.searchsorted(pairs, np.arange(dim + 1) * dim)
+    indptr = np.searchsorted(pairs, np.arange(dim + 1) * dim).astype(np.int32)
+    indices = (pairs % dim).astype(np.int32)
+    # matrices on the whole pattern share these
+    indptr.flags.writeable = indices.flags.writeable = False
     face = slots.astype(np.int32).reshape(nf, m, m)
     # an element's block is the block of its side of any of its faces
     sides = np.flatnonzero(ft.elems.ravel() >= 0)
@@ -203,7 +211,7 @@ def face_pattern(ft: FaceTables, ne: int, dim: int) -> Pattern:
     pick[ft.elems.ravel()[sides]] = sides
     f, s = np.divmod(pick, 2)
     elem = face.reshape(nf, 2, m // 2, 2, m // 2)[f, s, :, s, :]
-    return Pattern(indptr, (pairs % dim).astype(np.int32), elem, face)
+    return Pattern(indptr, indices, elem, face)
 
 
 def _scatter_vec(dofs: np.ndarray, vals: np.ndarray, dim: int) -> np.ndarray:
@@ -245,6 +253,8 @@ class Operators:
         self._stab = P.scatter(P.elem, stab) + P.scatter(P.face, sface)
         self.norm_gram = P.csr(P.scatter(P.elem, gram) + self._jgrad + self._jval)
         self._table = None  # (problem, cordes.CoefficientTable)
+        # (problem, coefficients, opt_alpha, opt_beta) of the last inf_sup
+        self._controls = None
         self._linear = None  # (FormParams, linear part, its data)
 
     # ------------------------------------------------------------------ volume
@@ -379,7 +389,7 @@ class Operators:
 
     @cached_property
     def S_facewise(self) -> sp.csr_matrix:
-        return self.pattern.csr(self._stab.copy())
+        return self.pattern.csr(self._stab, self._stab != 0.0)
 
     # ------------------------------------------------------------- state fields
     def hessian_at_qp(self, u: DiscreteFunction) -> np.ndarray:
@@ -403,8 +413,24 @@ class Operators:
         if self._linear is None or self._linear[0] != params:
             data = (params.theta * self._stab + params.sigma * self._jgrad
                     + params.rho * self._jval)
-            self._linear = (params, self.pattern.csr(data.copy()), data)
+            self._linear = (params, self.pattern.csr(data), data)
         return self._linear[1:]
+
+    def inf_sup(self, problem: cordes.ControlProblem, u: DiscreteFunction):
+        """`cordes.inf_sup` of `problem` at the Hessians of u; keeps the
+        optimal controls with a copy of u's coefficients for `controls`."""
+        g, ia, ib = cordes.inf_sup(self.coefficients(problem), self.hessian_at_qp(u))
+        self._controls = (problem, u.coeffs.copy(), ia, ib)
+        return g, ia, ib
+
+    def controls(self, problem: cordes.ControlProblem, u: DiscreteFunction):
+        """The optimal controls (opt_alpha, opt_beta) at u: those of the
+        last `inf_sup` if it saw this problem and equal coefficients, which
+        fix the Hessians, else found anew."""
+        kept = self._controls
+        if kept is None or kept[0] is not problem or not np.array_equal(kept[1], u.coeffs):
+            return self.inf_sup(problem, u)[1:]
+        return kept[2:]
 
 
 def get_operators(space: FESpace) -> Operators:
@@ -470,7 +496,7 @@ def nonlinear_residual(
     _validate_params(params, space.config.s)
     ops = get_operators(space)
     ne, nq = space.mesh.n_elements, len(ops.wq)
-    g, _, _ = cordes.inf_sup(ops.coefficients(problem), ops.hessian_at_qp(u))
+    g, _, _ = ops.inf_sup(problem, u)
     mvec = ((space.detJ[:, None] * ops.wq) * g.reshape(ne, nq)) @ ops.Bm
     # Delta_k^T mvec from the local blocks; a missing plus side reads any
     # element, whose lifted trace there is zero
@@ -494,13 +520,14 @@ def frozen_jacobian(
     G maps dofs to the modal coefficients of the frozen gamma a : D^2 v; its
     element blocks are detJ Bm^T diag(wq c_ij) PH_ij summed over i, j. This
     is exact without a modal projection of PH, whose degree p - 2 <= q. The
-    blocks of Delta_k^T G are scattered into the data of the linear part."""
+    blocks of Delta_k^T G are scattered into the data of the linear part,
+    and the result lies on the whole pattern. The controls are those the
+    last residual found if it was evaluated at u (`Operators.controls`)."""
     _validate_params(params, space.config.s)
     ops = get_operators(space)
     P, nf, nloc = ops.pattern, space.mesh.n_faces, space.nloc
-    table = ops.coefficients(problem)
-    _, ia, ib = cordes.inf_sup(table, ops.hessian_at_qp(u))
-    c = table.frozen(ia, ib).reshape(len(space.detJ), -1, 4, 1)
+    c = ops.coefficients(problem).frozen(*ops.controls(problem, u))
+    c = c.reshape(len(space.detJ), -1, 4, 1)
     c = c * (space.detJ[:, None] * ops.wq)[:, :, None, None]
     PH = ops.PH.reshape(c.shape[:2] + (-1, 4))
     G = ops.Bm.T @ (PH @ c)[..., 0]  # (ne, nmod, nloc)

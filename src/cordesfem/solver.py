@@ -15,6 +15,14 @@ every leading block of any symmetric permutation of either is nonsingular.
 A factorization that raises or a solve that fails the acceptance gate is
 redone once in COLAMD order with partial pivoting. Spaces of fewer than
 ND_MIN_DOFS dofs, where the ordering costs more than it saves, use COLAMD.
+
+Every factorization takes one path: a `FactorPlan` holds the symbolic work
+of a CSR pattern and a dof order (the CSC arrays of the symmetrically
+permuted matrix, the pattern slot of each CSC entry and the diagonal
+slots), so `factorize` is a gather, the equilibration and `splu`. Each
+space caches the plan of its face pattern (`factor_plan`), on which the
+Gram matrix and every frozen Jacobian live, so a Newton step converts no
+matrix; `linear_solve` builds a one-off plan for any other matrix.
 """
 
 from __future__ import annotations
@@ -111,54 +119,109 @@ def dissection_keys(space: FESpace) -> tuple[np.ndarray, int]:
 
 
 def dof_order(space: FESpace) -> np.ndarray:
-    """Dof order (new position -> dof) by the last element holding a dof,
-    cached on the space. Gram and Jacobian entries couple dofs of one
-    element or of face neighbours, and a dof held in both halves of a part
-    sits on an interior vertex or edge, whose ring of elements crosses the
-    cut at a face of a separator element; so the halves never couple."""
-    if space._order is None:
-        keys, _ = dissection_keys(space)
-        rank = np.argsort(np.argsort(keys, kind="stable"))
-        valid = space.dofmap >= 0
-        dof_rank = np.zeros(space.dim, dtype=np.int64)
-        np.maximum.at(dof_rank, space.dofmap[valid], rank[np.nonzero(valid)[0]])
-        space._order = np.argsort(dof_rank, kind="stable")
-    return space._order
+    """Dof order (new position -> dof) by the last element holding a dof.
+    Gram and Jacobian entries couple dofs of one element or of face
+    neighbours, and a dof held in both halves of a part sits on an interior
+    vertex or edge, whose ring of elements crosses the cut at a face of a
+    separator element; so the halves never couple."""
+    keys, _ = dissection_keys(space)
+    rank = np.argsort(np.argsort(keys, kind="stable"))
+    valid = space.dofmap >= 0
+    dof_rank = np.zeros(space.dim, dtype=np.int64)
+    np.maximum.at(dof_rank, space.dofmap[valid], rank[np.nonzero(valid)[0]])
+    return np.argsort(dof_rank, kind="stable")
 
 
-def factorize(matrix: sp.spmatrix, order: np.ndarray | None = None):
-    """(solve, fill) of the LU of the equilibrated matrix, symmetrically
-    permuted to `order` (new position -> dof) and taking every nonzero
-    diagonal pivot, or in COLAMD order with partial pivoting; solve(b) is
-    A^{-1} b and fill nnz(L + U - I) / nnz(A)."""
-    A = sp.csr_matrix(matrix)
-    n = A.shape[0]
+@dataclass(frozen=True)
+class FactorPlan:
+    """The symbolic part of `factorize` for one canonical CSR pattern and
+    dof order: int32 CSC arrays of the symmetrically permuted pattern, the
+    pattern slot of each CSC entry, and the slot of each diagonal entry (-1
+    where none is stored). `order` (new position -> dof) None means COLAMD
+    with partial pivoting on the unpermuted matrix."""
+
+    pattern: tuple  # (indptr, indices) of the CSR pattern, not copied
+    order: np.ndarray | None
+    indptr: np.ndarray
+    indices: np.ndarray
+    slots: np.ndarray
+    diag: np.ndarray
+
+    def fits(self, matrix: sp.csr_matrix) -> bool:
+        """Whether a CSR matrix stores exactly the plan's pattern."""
+        indptr, indices = self.pattern
+        return (matrix.shape == (len(indptr) - 1,) * 2
+                and np.array_equal(matrix.indptr, indptr)
+                and np.array_equal(matrix.indices, indices))
+
+
+def build_plan(indptr: np.ndarray, indices: np.ndarray,
+               order: np.ndarray | None = None) -> FactorPlan:
+    """The FactorPlan of a canonical CSR pattern (sorted, no duplicates) in
+    `order`, or in COLAMD order for None."""
+    n = len(indptr) - 1
+    perm = np.arange(n) if order is None else order
+    inv = np.empty(n, dtype=np.int32)
+    inv[perm] = np.arange(n)
+    # the slots in the rows of the permuted matrix, whose CSC conversion
+    # (a counting sort) carries each slot to its CSC position
+    counts = np.diff(indptr)[perm]
+    ptr = np.concatenate(([0], np.cumsum(counts)))
+    take = np.arange(ptr[-1]) + np.repeat(indptr[perm] - ptr[:-1], counts)
+    csc = sp.csr_matrix((take.astype(np.int32), inv[indices[take]], ptr),
+                        shape=(n, n)).tocsc()
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    on = np.flatnonzero(indices == rows)
+    diag = np.full(n, -1, dtype=np.int32)
+    diag[rows[on]] = on
+    return FactorPlan((indptr, indices), order,
+                      csc.indptr.astype(np.int32, copy=False),
+                      csc.indices.astype(np.int32, copy=False), csc.data, diag)
+
+
+def factor_plan(space: FESpace) -> FactorPlan:
+    """The FactorPlan of the space's face pattern, cached on the space: in
+    `dof_order` from ND_MIN_DOFS dofs up, in COLAMD order below."""
+    if space._plan is None:
+        P = get_operators(space).pattern
+        order = dof_order(space) if space.dim >= ND_MIN_DOFS else None
+        space._plan = build_plan(P.indptr, P.indices, order)
+    return space._plan
+
+
+def factorize(matrix: sp.csr_matrix, plan: FactorPlan):
+    """(solve, fill) of the LU of the equilibrated matrix, whose CSR pattern
+    is the plan's: symmetrically permuted to `plan.order` and taking every
+    nonzero diagonal pivot, or in COLAMD order with partial pivoting;
+    solve(b) is A^{-1} b and fill nnz(L + U - I) / nnz(A)."""
+    data = matrix.data
+    n = len(plan.diag)
     # equilibration tames the scale spread of high-order dofs: a_ij s_i s_j
-    d = np.abs(A.diagonal())
+    d = np.abs(np.where(plan.diag >= 0, data[plan.diag], 0.0))
     d[d == 0.0] = 1.0
     scale = 1.0 / np.sqrt(d)
-    perm = np.arange(n) if order is None else order
-    counts = np.diff(A.indptr)[perm]
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    take = np.arange(indptr[-1]) + np.repeat(A.indptr[perm] - indptr[:-1], counts)
-    cols = A.indices[take]
-    data = A.data[take] * np.repeat(scale[perm], counts) * scale[cols]
-    scaled = sp.csr_matrix((data, np.argsort(perm)[cols], indptr), shape=A.shape)
-    nd = {} if order is None else dict(permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                                       options=dict(SymmetricMode=True))
-    lu = spla.splu(scaled.tocsc(), **nd)
+    perm = np.arange(n) if plan.order is None else plan.order
+    s = scale[perm]
+    vals = data[plan.slots]
+    vals *= s[plan.indices]
+    vals *= np.repeat(s, np.diff(plan.indptr))
+    nd = {} if plan.order is None else dict(
+        permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+    lu = spla.splu(sp.csc_matrix((vals, plan.indices, plan.indptr), shape=(n, n)), **nd)
 
     def solve(b):
         x = np.empty_like(b)
         x[perm] = scale[perm] * lu.solve((scale * b)[perm])
         return x
 
-    return solve, (lu.nnz - n) / max(A.nnz, 1)
+    return solve, (lu.nnz - n) / max(len(data), 1)
 
 
 def linear_solve(matrix: sp.spmatrix, rhs: np.ndarray, order=None,
                  stats: SolveStats | None = None) -> np.ndarray:
-    """`factorize` in `order` (or COLAMD) with iterative refinement.
+    """`factorize` with iterative refinement, in `order`: the FactorPlan of
+    the matrix's pattern, a dof order (new position -> dof) for a one-off
+    plan, or None for COLAMD.
 
     Accepts x when |Ax - b| <= max(1e-11 |b|, 1e-13) or when the normwise
     backward error |Ax - b| / (|A| |x| + |b|) is at most 1e-13: the residual
@@ -168,14 +231,24 @@ def linear_solve(matrix: sp.spmatrix, rhs: np.ndarray, order=None,
     order; `stats` gets the fill and the retries. Raises SolverError with
     both diagnostics otherwise."""
     matrix = matrix.tocsr()
+    if not matrix.has_canonical_format:
+        matrix = matrix.copy()
+        matrix.sum_duplicates()
+    if isinstance(order, FactorPlan):
+        if not order.fits(matrix):
+            raise ValueError("the matrix does not store the plan's pattern")
+        plan = order
+    else:
+        plan = build_plan(matrix.indptr, matrix.indices, order)
     stats = SolveStats() if stats is None else stats
     bnorm = np.linalg.norm(rhs)
     target = max(1e-11 * bnorm, 1e-13)
-    for perm in (None,) if order is None else (order, None):
-        if perm is not order:
+    for attempt in (plan,) if plan.order is None else (plan, None):
+        if attempt is None:
             stats.colamd_retries += 1
+            attempt = build_plan(matrix.indptr, matrix.indices)
         try:
-            solve, fill = factorize(matrix, perm)
+            solve, fill = factorize(matrix, attempt)
         except RuntimeError as err:
             failure = f"sparse factorization failed: {err}"
             continue
@@ -214,12 +287,12 @@ def solve_discrete(
 ) -> tuple[DiscreteFunction, SolveStats]:
     """Solve A_k(u; v) = 0 over the space by Newton with frozen controls."""
     opts = opts or SolveOptions()
-    order = dof_order(space) if space.dim >= ND_MIN_DOFS else None
+    plan = factor_plan(space)
     gram = get_operators(space).norm_gram
     try:
-        gram_solve, _ = factorize(gram, order)
+        gram_solve, _ = factorize(gram, plan)
     except RuntimeError:  # raises again in COLAMD order if gram is singular
-        gram_solve, _ = factorize(gram)
+        gram_solve, _ = factorize(gram, build_plan(gram.indptr, gram.indices))
 
     def res_norm(r):
         return float(np.sqrt(max(r @ gram_solve(r), 0.0)))
@@ -229,16 +302,17 @@ def solve_discrete(
         u = np.array(opts.initial_guess, dtype=float)
     stats = SolveStats()
 
+    rn0 = None
+    if np.any(u):
+        zero = DiscreteFunction(space, np.zeros(space.dim))
+        rn0 = res_norm(nonlinear_residual(space, problem, zero, params))
+    # the residual of each iterate comes last, so that its Jacobian reuses
+    # the optimal controls the residual found
     uf = DiscreteFunction(space, u)
     r = nonlinear_residual(space, problem, uf, params)
     rn = res_norm(r)
     stats.residual_history.append(rn)
-
-    if opts.initial_guess is None or not np.any(u):
-        rn0 = rn
-    else:
-        zero = DiscreteFunction(space, np.zeros(space.dim))
-        rn0 = res_norm(nonlinear_residual(space, problem, zero, params))
+    rn0 = rn if rn0 is None else rn0
     opts = replace(opts, tol=opts.tol * (1.0 + rn0))
 
     # residual evaluations carry roundoff proportional to the operator
@@ -256,7 +330,7 @@ def solve_discrete(
             return accept()
         J = frozen_jacobian(space, problem, uf, params)
         stats.final_residual = rn  # as a SolverError of linear_solve finds it
-        delta = linear_solve(J, -r, order, stats)
+        delta = linear_solve(J, -r, plan, stats)
         step = 1.0
         accepted = False
         rn_prev = rn

@@ -1,15 +1,32 @@
-"""Shared fixtures: a small nonuniform mesh hierarchy and cached spaces."""
+"""Shared fixtures: a small nonuniform mesh hierarchy and cached spaces;
+and the L2 projection that tests use to build space members."""
 
 import numpy as np
 import pytest
 
 from cordesfem import (
+    DiscreteFunction,
     SpaceConfig,
     build_space,
+    linear_solve,
     refine_conforming,
     uniform_refine,
     unit_square_mesh,
 )
+from cordesfem.fespace import mass_matrix
+
+
+def project_l2(space, f) -> DiscreteFunction:
+    """L2-orthogonal projection of a callable f(x) with x of shape (n, 2),
+    called once on the quadrature points of all elements together."""
+    rule = space.elem_rule
+    vals = space.basis.eval(rule.points, 0)
+    x = space.points(rule.points)
+    fx = np.asarray(f(x.reshape(-1, 2)), dtype=float).reshape(x.shape[:2])
+    loc = space.detJ[:, None] * (fx @ (rule.weights[:, None] * vals))
+    valid = space.dofmap >= 0
+    rhs = np.bincount(space.dofmap[valid], loc[valid], minlength=space.dim)
+    return DiscreteFunction(space, linear_solve(mass_matrix(space), rhs))
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,8 @@ PASS record with the measured quantities when it succeeds.
 import numpy as np
 import pytest
 
+from conftest import project_l2
+
 from cordesfem import (
     AdaptiveConfig,
     DiscreteFunction,
@@ -119,8 +121,6 @@ def test_criterion_2_lifting_adjoint_and_zero_trace():
             assert err <= 1e-11, (p, i, j)
 
         # zero trace: continuous member -> only boundary liftings, Tr == 0
-        from cordesfem import project_l2
-
         v = project_l2(space, lambda x: x[:, 0] ** 2 - 0.3 * x[:, 0] * x[:, 1])
         tr = np.abs(ops.TrR @ v.coeffs).max()
         assert tr <= 1e-12

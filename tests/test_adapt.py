@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import project_l2
+
 from cordesfem import (
     AdaptiveConfig,
     CoefficientField,
@@ -24,7 +26,6 @@ from cordesfem import (
     get_problem,
     jump_seminorm,
     mark,
-    project_l2,
     unit_square_mesh,
 )
 from cordesfem import mesh as mesh_mod

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cordesfem import (
     CoefficientField,
+    DiscreteFunction,
     ControlProblem,
     ControlSet,
     FormParams,
@@ -14,11 +15,13 @@ from cordesfem import (
     build_space,
     estimate,
     get_problem,
+    nonlinear_residual,
     registry,
     solve_discrete,
     unit_square_mesh,
     verify_ellipticity_cordes,
 )
+from cordesfem import cordes
 from cordesfem.cordes import (
     CordesError,
     f_gamma_field,
@@ -217,6 +220,63 @@ def test_tabulated_inf_sup_matches_control_pair_loop(name, rng):
     assert np.array_equal(opt_alpha, ia) and np.array_equal(opt_beta, ib)
     frozen = frozen_coefficients(prob, pts, M)
     assert np.array_equal(frozen, gamma_a[ia, ib, np.arange(n)])
+
+
+def _argmax_inf_sup(table, M):
+    """inf_sup by argmax over beta and argmin over alpha, first index
+    winning ties: the oracle of the running comparisons."""
+    n = table.f.shape[2]
+    values = table.gamma * (np.einsum("abnij,nij->abn", table.a, M) - table.f)
+    ib_opt = np.argmax(values, axis=1)
+    sup = np.take_along_axis(values, ib_opt[:, None, :], axis=1)[:, 0, :]
+    ia_opt = np.argmin(sup, axis=0)
+    inf = np.take_along_axis(sup, ia_opt[None, :], axis=0)[0]
+    return inf, ia_opt, ib_opt[ia_opt, np.arange(n)]
+
+
+@pytest.mark.parametrize("na, nb", [(1, 1), (1, 4), (5, 2), (3, 3), (4, 1)])
+def test_running_inf_sup_matches_argmax_with_ties(na, nb, rng):
+    # random tables whose control pairs repeat exactly at a third of the
+    # points, within a row (ties over beta) and across rows (ties over
+    # alpha, then also of the sups), so every tie rule is exercised
+    n = 300
+    a = rng.standard_normal((na, nb, n, 2, 2))
+    a = a + np.transpose(a, (0, 1, 2, 4, 3))
+    f = rng.standard_normal((na, nb, n))
+    gamma = rng.uniform(0.1, 1.0, (na, nb, n))
+    for arr in (a, f, gamma):
+        tie = rng.random(n) < 0.33
+        if nb > 1:
+            arr[:, -1, tie] = arr[:, 0, tie]
+        tie = rng.random(n) < 0.33
+        if na > 1:
+            arr[-1, :, tie] = arr[0, :, tie]
+    table = cordes.CoefficientTable(a, f, gamma)
+    M = rng.standard_normal((n, 2, 2))
+    got, want = inf_sup(table, M), _argmax_inf_sup(table, M)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    # ties did occur: a later control with the same value as the chosen one
+    values = table.gamma * (np.einsum("abnij,nij->abn", table.a, M) - table.f)
+    if nb > 1:
+        assert np.any(values[:, 0] == values[:, -1])
+
+
+def test_non_finite_hessians_give_non_finite_residuals():
+    prob = get_problem("rotated_anisotropic")
+    table = tabulate(prob, SAMPLES)
+    M = np.zeros((3, 2, 2))
+    M[0, 0, 0], M[1, 0, 1], M[2, 1, 1] = np.nan, np.inf, -np.inf
+    values, _, _ = inf_sup(table, M)
+    assert not np.any(np.isfinite(values))
+    space = build_space(unit_square_mesh(2), SpaceConfig(p=2, s=0))
+    params = FormParams.defaults(2, 0)
+    for bad in (np.nan, np.inf):
+        coeffs = np.zeros(space.dim)
+        coeffs[space.dofmap[0, -1]] = bad
+        with np.errstate(invalid="ignore"):
+            r = nonlinear_residual(space, prob, DiscreteFunction(space, coeffs), params)
+        assert not np.all(np.isfinite(r))
 
 
 def test_coefficient_callables_run_once_per_control_pair():

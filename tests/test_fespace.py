@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from conftest import project_l2
+
 from cordesfem import (
     DiscreteFunction,
     SpaceConfig,
     build_space,
-    project_l2,
     unit_square_mesh,
 )
 from cordesfem.basis import _eval_monomials, lagrange_basis, monomial_exponents

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import project_l2
+
 from cordesfem import (
     DiscreteFunction,
     FormParams,
@@ -18,7 +20,6 @@ from cordesfem import (
     jump_seminorm,
     nonlinear_residual,
     norm_k,
-    project_l2,
     refine_conforming,
     solve_discrete,
     stab_form,
@@ -296,7 +297,8 @@ def test_jacobian_matches_modal_triple_product(p, s, spaces, rng):
         P = sp.block_diag(list(blocks), format="csr")
         ref = ref + mult * (ops.Delta_k.T @ (P @ ops.D2[(i, j)]))
     ref = ref.tocsr()
-    J = frozen_jacobian(space, prob, u, params)
+    # a copy: the Jacobian shares the pattern's read-only index arrays
+    J = frozen_jacobian(space, prob, u, params).copy()
     assert abs(J - ref).max() <= 1e-13 * abs(ref).max()
     for A in (J, ref):
         A.eliminate_zeros()
@@ -414,6 +416,49 @@ def test_cached_newton_data_follows_problem_and_params(s, mesh_hierarchy, rng):
         J = frozen_jacobian(space, prob, u, par)
         Jf = frozen_jacobian(fresh, prob, uf, par)
         assert (J != Jf).nnz == 0
+
+
+@pytest.mark.parametrize("s", [0, 1])
+def test_jacobian_reuses_the_controls_of_its_residual(s, rng, monkeypatch):
+    # after a residual at u, the Jacobian at u finds no controls and equals
+    # the one of a fresh space bitwise; an in-place change of u's
+    # coefficients, or another problem, makes it find them anew
+    calls = []
+    inf_sup = cordes.inf_sup
+
+    def counting(*args):
+        calls.append(1)
+        return inf_sup(*args)
+
+    monkeypatch.setattr(cordes, "inf_sup", counting)
+    mesh, p = refine_conforming(unit_square_mesh(4), [0, 3, 7]), 3
+    params = FormParams.defaults(p, s)
+    probs = [get_problem("rotated_anisotropic"), get_problem("two_control_switch")]
+    space = build_space(mesh, SpaceConfig(p=p, s=s))
+    u = DiscreteFunction(space, rng.standard_normal(space.dim))
+
+    def fresh(prob):
+        other = build_space(mesh, SpaceConfig(p=p, s=s))
+        return frozen_jacobian(other, prob, DiscreteFunction(other, u.coeffs.copy()),
+                               params)
+
+    def same(A, B):
+        return (np.array_equal(A.indptr, B.indptr)
+                and np.array_equal(A.indices, B.indices)
+                and np.array_equal(A.data, B.data))
+
+    nonlinear_residual(space, probs[0], u, params)
+    calls.clear()
+    J = frozen_jacobian(space, probs[0], u, params)
+    assert calls == [] and same(J, fresh(probs[0]))
+    u.coeffs[::2] *= 1.5
+    calls.clear()
+    J = frozen_jacobian(space, probs[0], u, params)
+    assert calls == [1] and same(J, fresh(probs[0]))
+    nonlinear_residual(space, probs[0], u, params)
+    calls.clear()
+    J = frozen_jacobian(space, probs[1], u, params)
+    assert calls == [1] and same(J, fresh(probs[1]))
 
 
 def test_operators_freed_with_their_space():

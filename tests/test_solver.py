@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from cordesfem import (
     FormParams,
@@ -18,9 +19,18 @@ from cordesfem import (
     uniform_refine,
     unit_square_mesh,
 )
+from cordesfem import cordes, solver
 from cordesfem.fespace import DiscreteFunction, mass_matrix
 from cordesfem.forms import frozen_jacobian, get_operators
-from cordesfem.solver import SolverError, dissection_keys, dof_order
+from cordesfem.solver import (
+    ND_MIN_DOFS,
+    SolverError,
+    build_plan,
+    dissection_keys,
+    dof_order,
+    factor_plan,
+    factorize,
+)
 
 
 # ---------------------------------------------------------------- linear solve
@@ -86,11 +96,18 @@ def _pattern(A):
 
 
 @pytest.mark.parametrize("p, s", ND_CASES)
-def test_dof_order_is_a_cached_permutation(p, s):
+def test_dof_order_is_a_permutation_cached_in_the_plan(p, s):
+    # the space caches its FactorPlan, which holds the order it factors in:
+    # dof_order from ND_MIN_DOFS dofs up, COLAMD (None) below
     space = build_space(ND_MESH, SpaceConfig(p=p, s=s))
     order = dof_order(space)
     assert np.array_equal(np.sort(order), np.arange(space.dim))
-    assert dof_order(space) is order
+    plan = factor_plan(space)
+    assert factor_plan(space) is plan
+    if space.dim >= ND_MIN_DOFS:
+        assert np.array_equal(plan.order, order)
+    else:
+        assert plan.order is None
 
 
 @pytest.mark.parametrize("p, s", ND_CASES)
@@ -141,6 +158,144 @@ def test_frozen_jacobians_solve_alike_in_both_orders(p, s, rng):
         x_colamd = linear_solve(J, b)
         assert stats.colamd_retries == 0
         assert np.linalg.norm(x_nd - x_colamd) <= 1e-10 * np.linalg.norm(x_colamd)
+
+
+# ---------------------------------------------------------------- factor plans
+
+# ND_MESH spaces lie below ND_MIN_DOFS except DG p=4 (570 dofs); those of a
+# 512-element square all lie above it
+PLAN_MESHES = {"nd": ND_MESH, "square16": unit_square_mesh(16)}
+PLAN_CASES = [(m, p, s) for m in PLAN_MESHES for s in (0, 1) for p in (2, 3, 4)]
+
+
+def _scaled_csc(matrix, order):
+    """The equilibrated, permuted CSC matrix, scale and permutation of the
+    factorization that converted a zero-free CSR copy of the matrix."""
+    A = sp.csr_matrix(matrix, copy=True)
+    A.eliminate_zeros()
+    n = A.shape[0]
+    d = np.abs(A.diagonal())
+    d[d == 0.0] = 1.0
+    scale = 1.0 / np.sqrt(d)
+    perm = np.arange(n) if order is None else order
+    counts = np.diff(A.indptr)[perm]
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    take = np.arange(indptr[-1]) + np.repeat(A.indptr[perm] - indptr[:-1], counts)
+    cols = A.indices[take]
+    data = A.data[take] * np.repeat(scale[perm], counts) * scale[cols]
+    scaled = sp.csr_matrix((data, np.argsort(perm)[cols], indptr), shape=A.shape)
+    return scaled.tocsc(), scale, perm
+
+
+def _pattern_matrices(space, p, s, rng):
+    ops = get_operators(space)
+    params = FormParams.defaults(p, s)
+    yield ops.norm_gram
+    for name in ("two_control_switch", "rotated_anisotropic"):
+        u = DiscreteFunction(space, rng.standard_normal(space.dim))
+        yield frozen_jacobian(space, get_problem(name), u, params)
+
+
+@pytest.mark.parametrize("mesh, p, s", PLAN_CASES)
+def test_plan_factors_the_converted_matrix(mesh, p, s, rng, monkeypatch):
+    # the CSC matrix a plan hands to splu is the converted one up to the
+    # pattern's explicit zeros, bitwise, and so are its solves wherever the
+    # ordering cannot see those zeros
+    space = build_space(PLAN_MESHES[mesh], SpaceConfig(p=p, s=s))
+    plan = factor_plan(space)
+    assert (plan.order is not None) == (space.dim >= ND_MIN_DOFS)
+    P = get_operators(space).pattern
+    for arr in (plan.indptr, plan.indices, plan.slots, plan.diag):
+        assert arr.dtype == np.int32
+    assert plan.pattern[0] is P.indptr and plan.pattern[1] is P.indices
+    factored = []
+    splu = spla.splu
+
+    def recorded(A, **options):
+        factored.append(A)
+        return splu(A, **options)
+
+    monkeypatch.setattr(spla, "splu", recorded)
+    for A in _pattern_matrices(space, p, s, rng):
+        assert A.nnz == P.nnz and plan.fits(A)
+        solve, _ = factorize(A, plan)
+        got = factored[-1].copy()
+        got.eliminate_zeros()
+        want, scale, perm = _scaled_csc(A, plan.order)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        nd = {} if plan.order is None else dict(
+            permc_spec="NATURAL", diag_pivot_thresh=0.0,
+            options=dict(SymmetricMode=True))
+        lu = splu(want, **nd)
+        b = rng.standard_normal(space.dim)
+        x_old = np.empty_like(b)
+        x_old[perm] = scale[perm] * lu.solve((scale * b)[perm])
+        x = solve(b)
+        if plan.order is not None or np.all(A.data != 0.0):
+            assert np.array_equal(x, x_old)
+        else:
+            # COLAMD's column order sees the explicit zeros (a DG p=3
+            # Jacobian has 18 here), so only roundoff agrees: the
+            # equilibrated matrices have condition numbers up to 4e4
+            assert np.linalg.norm(x - x_old) <= 1e-12 * np.linalg.norm(x_old)
+
+
+def test_plan_serves_only_its_pattern(rng):
+    space = build_space(ND_MESH, SpaceConfig(p=3, s=0))
+    plan = factor_plan(space)
+    M = mass_matrix(space)  # element blocks only, a smaller pattern
+    with pytest.raises(ValueError):
+        linear_solve(M, rng.standard_normal(space.dim), plan)
+    gram = get_operators(space).norm_gram
+    b = rng.standard_normal(space.dim)
+    x = linear_solve(gram, b, plan)
+    assert np.linalg.norm(gram @ x - b) <= 1e-11 * np.linalg.norm(b)
+
+
+def test_one_off_plans_of_generic_matrices(rng):
+    # a zero diagonal, duplicate entries and a CSC input: the one-off plan
+    # of the summed CSR matrix solves as a dense solve does
+    rows = np.array([0, 0, 1, 1, 2, 2, 2, 3])
+    cols = np.array([1, 1, 0, 2, 1, 3, 3, 2])
+    vals = np.array([1.0, 2.0, 3.0, 1.0, 1.0, 0.5, 0.5, 4.0])
+    A = sp.coo_matrix((vals, (rows, cols)), shape=(4, 4)).tocsc()
+    b = rng.standard_normal(4)
+    x = linear_solve(A, b)
+    assert np.allclose(x, np.linalg.solve(A.toarray(), b), rtol=1e-13, atol=0)
+    C = A.tocsr()
+    plan = build_plan(C.indptr, C.indices)
+    assert plan.order is None and np.array_equal(plan.diag, [-1, -1, -1, -1])
+
+
+def test_solve_finds_the_controls_once_per_residual(monkeypatch):
+    # each Newton Jacobian reuses the optimal controls of the residual
+    # evaluated at its iterate, also after an initial guess
+    calls = {"inf_sup": 0, "residual": 0, "jacobian": 0}
+
+    def counting(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cordes, "inf_sup", counting(cordes.inf_sup, "inf_sup"))
+    monkeypatch.setattr(solver, "nonlinear_residual",
+                        counting(solver.nonlinear_residual, "residual"))
+    monkeypatch.setattr(solver, "frozen_jacobian",
+                        counting(solver.frozen_jacobian, "jacobian"))
+    prob = get_problem("rotated_anisotropic")
+    space = build_space(unit_square_mesh(4), SpaceConfig(p=3, s=0))
+    params = FormParams.defaults(3, 0)
+    u, stats = solve_discrete(space, prob, params)
+    assert stats.newton_iters >= 2 and calls["jacobian"] == stats.newton_iters
+    assert calls["inf_sup"] == calls["residual"]
+    for key in calls:
+        calls[key] = 0
+    guess = SolveOptions(initial_guess=0.5 * u.coeffs)
+    _, stats = solve_discrete(space, prob, params, guess)
+    assert calls["jacobian"] == stats.newton_iters >= 1
+    assert calls["inf_sup"] == calls["residual"]
 
 
 # --------------------------------------------------------------------- solving
