@@ -15,10 +15,10 @@ and fill, nnz(L + U - I) / nnz(A), of every `scipy.sparse.linalg.splu`
 call: the first factors the norm Gram matrix and the second the first
 frozen Jacobian, in any version of the solver (`gram_lu_s`,
 `jacobian_lu_s`). At the converged state it then times one
-`frozen_jacobian` (`jacobian_s`) and the whole `solver.factorize` of that
-Jacobian, with the last order or plan argument the solve passed to it
-(`factorize_s`: everything from the matrix to its LU, not `splu` alone).
-Times are raw wall seconds;
+`nonlinear_residual` (`residual_s`), one `frozen_jacobian` (`jacobian_s`)
+and the whole `solver.factorize` of that Jacobian, with the last order or
+plan argument the solve passed to it (`factorize_s`: everything from the
+matrix to its LU, not `splu` alone). Times are raw wall seconds;
 the file keeps every repetition and their median. One more, untimed pass
 per case records the tracemalloc peak, in MB, of the `Operators` build and
 of the Newton solve (tracemalloc slows what it traces, so no timed
@@ -62,7 +62,7 @@ from cordesfem import (
 )
 from cordesfem import solver
 from cordesfem.adapt import error_norm_k
-from cordesfem.forms import frozen_jacobian, get_operators
+from cordesfem.forms import frozen_jacobian, get_operators, nonlinear_residual
 
 ROOT = Path(__file__).resolve().parent.parent
 # (name, continuity flag s) of the layer cases, all at p = 3
@@ -132,6 +132,7 @@ def layer_times(mesh, s, repeat):
         t_solve, (((u, stats), lus), rest) = timed(
             factor_args, lu_spans, solve_discrete, space, problem, params)
         (t_gram, gram_fill), (t_jac, jac_fill) = lus[:2]
+        t_residual, _ = timed(nonlinear_residual, space, problem, u, params)
         t_jacobian, J = timed(frozen_jacobian, space, problem, u, params)
         t_factorize, _ = timed(solver.factorize, J, *rest)
         t_err, err = timed(error_norm_k, space, u, problem.exact)
@@ -140,7 +141,8 @@ def layer_times(mesh, s, repeat):
             "ndofs": space.dim, "space_s": t_space, "operators_s": t_ops,
             "solve_s": t_solve, "gram_lu_s": t_gram, "jacobian_lu_s": t_jac,
             "gram_fill": gram_fill, "jacobian_fill": jac_fill,
-            "jacobian_s": t_jacobian, "factorize_s": t_factorize,
+            "residual_s": t_residual, "jacobian_s": t_jacobian,
+            "factorize_s": t_factorize,
             "error_norm_k_s": t_err, "estimate_s": t_est,
             "newton_iters": stats.newton_iters, "error_norm_k": err,
             "eta_total": report.total,

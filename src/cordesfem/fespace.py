@@ -231,8 +231,3 @@ def mass_blocks(space: FESpace) -> np.ndarray:
     vals = space.basis.eval(rule.points, 0)  # (nq, nloc) shared across elements
     local = (vals.T * rule.weights) @ vals
     return local[None, :, :] * space.detJ[:, None, None]
-
-
-def mass_matrix(space: FESpace) -> sp.csr_matrix:
-    return assemble_csr(space.dofmap[:, :, None], space.dofmap[:, None, :],
-                        mass_blocks(space), (space.dim, space.dim))

@@ -10,25 +10,24 @@ degree-q basis per element, so liftings reduce to face integrals against
 modal traces.
 
 All face terms (penalties, facewise stabilization, liftings, and the jump
-seminorm and estimator jumps as sums of squares) read one `FaceTables`,
-built per space in a single batched pass. A boundary face is a two-sided
-face whose plus side has weight 0 and dofs -1; jump and average weights
-are per-face arrays, so face integrals have no interior/boundary branch.
-Element and face Grams are one weighted-Gram matmul each (`_gram`), so
-every matrix agrees to roundoff, not bitwise, with the one a per-element or
-per-face loop would build.
+seminorm and estimator jumps as sums of squares) read one `FaceTables` per
+space. A face side lies on one of six directed reference edges, whose
+tables (`edge_tables`) are built once per process, so its traces are a
+gather and one chain rule. A boundary face is a two-sided face whose plus
+side has weight 0 and dofs -1, so face integrals have no interior/boundary
+branch. Element and face Grams are one weighted-Gram matmul each (`_gram`).
 
 Every square matrix lives on one `Pattern` per space, the dof pairs that
-share a face, which holds every element pair: its int32 slot maps send the
-element and face blocks into it, so a matrix is one `np.bincount` of local
-blocks and sums of matrices are sums of aligned data arrays. The norm Gram
-matrix, the linear part and every frozen Jacobian store the whole pattern,
-explicit zeros included, and share its read-only index arrays, so the
-solver factors their data through one plan per space. Delta_k stays
-local, as element and face-side blocks of Delta_k^T: the residual applies
-them as batched products and the frozen Jacobian scatters Delta_k^T G
-block by block into the data of the linear part. The lifting maps D2, R,
-TrR, the matrix Delta_k and S_lifted are built on first read only.
+share a face: its int32 slot maps send face blocks and element patches
+into it, so a matrix is one `np.bincount` of local blocks and sums of
+matrices are sums of aligned data arrays. The norm Gram matrix, the linear
+part and every frozen Jacobian store the whole pattern and share its
+read-only index arrays, so the solver factors their data through one plan
+per space. Delta_k^T is one patch per element, in the rows of its own and
+its neighbours' dofs: a residual applies the patches as one batched
+product, and a frozen Jacobian scatters Delta_k^T G, whose element blocks
+are one product with a reference tensor, in one `np.bincount`. The lifting
+maps D2, R, TrR, the matrix Delta_k and S_lifted are built on first read.
 
 Newton's u-independent work is done once per space: `Operators` caches the
 coefficient table of the last problem and the linear part of the last
@@ -41,7 +40,7 @@ at equal coefficients and the same problem reuses them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,7 +48,7 @@ import scipy.sparse as sp
 from . import cordes
 from .basis import ortho_basis
 from .fespace import DiscreteFunction, FESpace, SpaceError, assemble_csr, gather
-from .fespace import mass_blocks
+from .fespace import _chain_rule, mass_blocks
 from .mesh import INTERIOR
 from .quadrature import segment_rule
 
@@ -102,30 +101,43 @@ class FaceTables:
     psi: np.ndarray  # (nf, 2, nqf, nmod) modal traces per side
 
 
+@cache
+def edge_tables(basis, modal, exactness: int) -> tuple:
+    """`basis` values, gradients and Hessians and `modal` values (6, nqf, n,
+    ...) at R[a] + t (R[b] - R[a]), t on the segment rule, on the directed
+    reference edges (a, b), a != b, at index 2a + b - (b > a); read-only."""
+    t = segment_rule(exactness).points
+    R = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    pts = np.concatenate([R[a] + t * (R[b] - R[a])
+                          for a in range(3) for b in range(3) if a != b])
+    tabs = [basis.eval(pts, k) for k in (0, 1, 2)] + [modal.eval(pts, 0)]
+    for tab in tabs:
+        tab.flags.writeable = False
+    return tuple(tab.reshape(6, len(t), *tab.shape[1:]) for tab in tabs)
+
+
 def face_tables(space: FESpace, modal) -> tuple[FaceTables, np.ndarray]:
     """FaceTables of a space, plus the averaged Hessian traces
-    (nf, nqf, 2 nloc, 2, 2) that only assembly reads, from one basis
-    tabulation per derivative order on all face points."""
+    (nf, nqf, 2 nloc, 2, 2) that only assembly reads. Each face side lies
+    on a directed reference edge of its element, so its traces are a gather
+    from `edge_tables` and one chain rule with the element's invJ."""
     mesh = space.mesh
-    nf, nloc = mesh.n_faces, space.nloc
+    nf, nloc, fv = mesh.n_faces, space.nloc, mesh.face_verts
     frule = segment_rule(space.config.quad_exactness)
-    nqf = frule.n
-    p0 = mesh.vertices[mesh.face_verts[:, 0]]
-    d = mesh.vertices[mesh.face_verts[:, 1]] - p0
+    d = mesh.vertices[fv[:, 1]] - mesh.vertices[fv[:, 0]]
     length = np.hypot(d[:, 0], d[:, 1])
-    xq = p0[:, None, :] + frule.points[None, :, :1] * d[:, None, :]  # (nf, nqf, 2)
     interior = mesh.face_kind == INTERIOR
     elems = mesh.face_elems
     # the missing plus side borrows the minus element; its zero weights and
     # -1 dofs keep it out of every sum
     side = np.where(elems >= 0, elems, elems[:, :1])
-    e = side.ravel()
-    ref = space.ref_points(np.repeat(xq, 2, axis=0), e)  # (2 nf, nqf, 2)
-    tab = (nf, 2, nqf, nloc)
-    val = space.shapes(ref, 0, e).reshape(tab)
-    grad = space.shapes(ref, 1, e).reshape(*tab, 2)
-    hess = space.shapes(ref, 2, e).reshape(*tab, 2, 2)
-    psi = modal.eval(ref.reshape(-1, 2), 0).reshape(nf, 2, nqf, -1)
+    # local vertices a, b of each side at the face's vertices, (nf, 2) each
+    a, b = (np.argmax(mesh.tri[side] == fv[:, i, None, None], axis=2) for i in (0, 1))
+    tabs = edge_tables(space.basis, modal, frule.exactness)
+    val, grad, hess, psi = (t[2 * a + b - (b > a)] for t in tabs)
+    invJ, tab = space.invJ[side.ravel()], (nf, 2, frule.n, nloc)
+    grad = _chain_rule(grad.reshape(2 * nf, -1, 2), invJ, 1).reshape(*tab, 2)
+    hess = _chain_rule(hess.reshape(2 * nf, -1, 4), invJ, 2).reshape(*tab, 2, 2)
 
     jump = np.where(interior[:, None], [1.0, -1.0], [1.0, 0.0])
     avg = np.where(interior[:, None], [0.5, 0.5], [1.0, 0.0])
@@ -134,7 +146,7 @@ def face_tables(space: FESpace, modal) -> tuple[FaceTables, np.ndarray]:
         # weight each side and merge the sides: (nf, 2, nqf, nloc, ...)
         # -> (nf, nqf, 2 nloc, ...)
         t = w.reshape(w.shape + (1,) * (t.ndim - 2)) * t
-        return np.moveaxis(t, 1, 2).reshape(nf, nqf, 2 * nloc, *t.shape[4:])
+        return np.moveaxis(t, 1, 2).reshape(nf, frule.n, 2 * nloc, *t.shape[4:])
 
     dofs = np.where(elems[:, :, None] >= 0, space.dofmap[side], -1)
     tables = FaceTables(
@@ -160,16 +172,18 @@ def _gram(w, A, B=None):
 
 @dataclass(frozen=True)
 class Pattern:
-    """CSR pattern of the dof pairs that share a face, with int32 slot maps
-    of the element blocks (ne, nloc, nloc) and the face blocks (nf, 2 nloc,
-    2 nloc) into it. It holds every element pair, so every Gram, penalty,
-    stabilization and frozen-Jacobian entry. A pair with a missing dof (-1)
-    has the extra slot nnz, which `scatter` drops."""
+    """CSR pattern of the dof pairs that share a face, which holds every
+    element pair, with int32 slot maps of the face blocks (nf, 2 nloc,
+    2 nloc) and element patches (ne, 4 nloc, nloc) into it. A patch pairs
+    its `rows`, the element's dofs and then its neighbour's across each
+    local face, with the element's dofs. A pair with a missing dof (-1, dim
+    in `rows`) has the extra slot nnz, which `scatter` drops."""
 
     indptr: np.ndarray
     indices: np.ndarray
-    elem: np.ndarray
     face: np.ndarray
+    patch: np.ndarray
+    rows: np.ndarray
 
     @property
     def nnz(self) -> int:
@@ -192,8 +206,8 @@ class Pattern:
         return sp.csr_matrix((data[keep], self.indices[keep], indptr), shape=(n, n))
 
 
-def face_pattern(ft: FaceTables, ne: int, dim: int) -> Pattern:
-    """The Pattern of a space from the face dofs of its FaceTables."""
+def face_pattern(ft: FaceTables, ef: np.ndarray, sd: np.ndarray, dim: int) -> Pattern:
+    """The Pattern of a space from its FaceTables and element faces and sides."""
     nf, m = ft.dofs.shape
     rows, cols = ft.dofs[:, :, None], ft.dofs[:, None, :]
     # missing pairs get the key dim^2, past every pair, so their slot is nnz
@@ -205,24 +219,18 @@ def face_pattern(ft: FaceTables, ne: int, dim: int) -> Pattern:
     # matrices on the whole pattern share these
     indptr.flags.writeable = indices.flags.writeable = False
     face = slots.astype(np.int32).reshape(nf, m, m)
-    # an element's block is the block of its side of any of its faces
-    sides = np.flatnonzero(ft.elems.ravel() >= 0)
-    pick = np.empty(ne, dtype=np.int64)
-    pick[ft.elems.ravel()[sides]] = sides
-    f, s = np.divmod(pick, 2)
-    elem = face.reshape(nf, 2, m // 2, 2, m // 2)[f, s, :, s, :]
-    return Pattern(indptr, indices, elem, face)
-
-
-def _scatter_vec(dofs: np.ndarray, vals: np.ndarray, dim: int) -> np.ndarray:
-    """Sum of local values at their dofs, dropping negative ones."""
-    valid = dofs >= 0
-    return np.bincount(dofs[valid], vals[valid], minlength=dim)
+    # a patch: the rows of either side of its faces in its own columns
+    blocks, dofs = face.reshape(nf, 2, m // 2, 2, m // 2), ft.dofs.reshape(nf, 2, -1)
+    e0, s0, nb = ef[:, 0], sd[:, 0], 1 - sd
+    patch = np.concatenate([blocks[e0, s0, :, s0][:, None], blocks[ef, nb, :, sd]], 1)
+    rows = np.concatenate([dofs[e0, s0][:, None], dofs[ef, nb]], 1)
+    rows = np.where(rows >= 0, rows, dim).reshape(len(ef), -1)
+    return Pattern(indptr, indices, face, patch.reshape(len(ef), 2 * m, -1), rows)
 
 
 class Operators:
-    """The matrices of one FESpace on its face Pattern, Delta_k as local
-    blocks, and lazy caches of its u-independent Newton data; the lifting
+    """The matrices of one FESpace on its face Pattern, Delta_k^T as element
+    patches, and lazy caches of its u-independent Newton data; the lifting
     maps D2, R, TrR, Delta_k and S_lifted are built on first read. It keeps
     no reference to the space, which holds it, so it is freed with the
     space without the GC."""
@@ -238,24 +246,33 @@ class Operators:
         self.Bm = self.modal.eval(rule.points, 0)  # (nq, nmod)
         # reference Hessian table (nq, nloc, 4), which hessian_at_qp reuses
         self.ref_hess = space.basis.eval(rule.points, 2).reshape(rule.n, -1, 4)
-        # physical Hessians of the shape functions at element quad points
-        self.PH = space.shapes(rule.points, 2)
+        # K[(q, k), (m, a)] = Bm[q, m] ref_hess[q, a, k] for frozen Jacobians
+        self.hess_tensor = np.einsum("qm,qak->qkma", self.Bm, self.ref_hess)
+        self.hess_tensor = self.hess_tensor.reshape(4 * rule.n, -1)
         self.X = space.points(rule.points)  # physical quad points, (ne, nq, 2)
-        self.dofmap, self.detJ = space.dofmap, space.detJ
+        self.dofmap, self.detJ, self.invJ = space.dofmap, space.detJ, space.invJ
 
         self.faces, ahess = face_tables(space, self.modal)
-        P = self.pattern = face_pattern(self.faces, space.mesh.n_elements, space.dim)
-        # Delta_k^T as local blocks: element (ne, nloc, nmod) and face side
-        # (nf, 2, 2 nloc, nmod); the data of the jump penalties and of
-        # S_facewise on the pattern, which the linear part sums
-        gram, stab, self.delta_elem = self._volume(space)
-        sface, self.delta_face = self._faces(ahess)
-        self._stab = P.scatter(P.elem, stab) + P.scatter(P.face, sface)
-        self.norm_gram = P.csr(P.scatter(P.elem, gram) + self._jgrad + self._jval)
+        ef = space.mesh.elem_faces  # each element's faces and its side of each
+        sd = (self.faces.elems[ef, 1] == np.arange(len(ef))[:, None]).astype(int)
+        P = self.pattern = face_pattern(self.faces, ef, sd, space.dim)
+        # Delta_k^T as element patches (ne, 4 nloc, nmod); the jump penalty
+        # and S_facewise data on the pattern, which the linear part sums
+        gram, stab, lap = self._volume(space)
+        sface, self.patch = self._faces(ahess, lap, ef, sd)
+        elem = P.patch[:, : space.nloc]  # the element blocks' slots
+        self._stab = P.scatter(elem, stab) + P.scatter(P.face, sface)
+        self.norm_gram = P.csr(P.scatter(elem, gram) + self._jgrad + self._jval)
         self._table = None  # (problem, cordes.CoefficientTable)
         # (problem, coefficients, opt_alpha, opt_beta) of the last inf_sup
         self._controls = None
         self._linear = None  # (FormParams, linear part, its data)
+
+    @property
+    def PH(self) -> np.ndarray:
+        """Shape function Hessians (ne, nq, nloc, 2, 2), computed on read."""
+        PH = _chain_rule(self.ref_hess.reshape(-1, 4), self.invJ, 2)
+        return PH.reshape(len(PH), *self.ref_hess.shape[:2], 2, 2)
 
     # ------------------------------------------------------------------ volume
     def _volume(self, sp_: FESpace):
@@ -270,10 +287,10 @@ class Operators:
         return M2 + _gram(w, PG) + mass_blocks(sp_), M2 - _gram(w, lapl), lap
 
     # ------------------------------------------------------------------- faces
-    def _faces(self, ahess):
+    def _faces(self, ahess, lap, ef, sd):
         """Sets the data of the jump penalties Jgrad and Jval; returns the
-        face blocks of the facewise stabilization and minus the lifted trace
-        R00 + R11 per face side, transposed."""
+        facewise stabilization's face blocks and the Delta_k^T patches, the
+        Laplacian blocks `lap` minus the sides' lifted traces R00 + R11."""
         ft, P = self.faces, self.pattern
         n, wq, jval, jgrad = ft.normal, ft.wq, ft.jval, ft.jgrad
         t = np.stack([-n[:, 1], n[:, 0]], axis=1)
@@ -298,10 +315,16 @@ class Operators:
         sface = loc + loc.transpose(0, 2, 1) + l2 + l2.transpose(0, 2, 1)
 
         # R00 + R11 lifts n . [grad v]; a boundary face lifts the tangential
-        # part of the trace, whose normal part is zero
-        scale = ft.avg / self.detJ[ft.elems]  # the plus side of a boundary face is 0
+        # part of the trace, whose normal part is zero. A patch sums its
+        # sides' lifts in its own rows, one product over (face, point)
+        ne, nloc, nmod = lap.shape
         src = (wq[:, :, None] * I[:, None, None] * jn).transpose(0, 2, 1)
-        return sface, -scale[:, :, None, None] * (src[:, None] @ ft.psi)
+        src = np.ascontiguousarray(src).reshape(len(n), 2, nloc, -1)
+        psi = ft.psi[ef, sd] * -(ft.avg[ef, sd] / self.detJ[:, None])[..., None, None]
+        own = src[ef, sd].transpose(0, 2, 1, 3).reshape(ne, nloc, -1)
+        own = lap + own @ psi.reshape(ne, -1, nmod)
+        patch = np.concatenate([own[:, None], src[ef, 1 - sd] @ psi], axis=1)
+        return sface, patch.reshape(ne, 4 * nloc, nmod)
 
     # ------------------------------------------------------------ lifting maps
     @cached_property
@@ -309,7 +332,7 @@ class Operators:
         """Broken Hessian maps D2[(i, j)], i <= j: modal coefficients of each
         shape function's physical Hessian component (exact since p - 2 <= q);
         built on first read."""
-        PH, ne, nmod = self.PH, len(self.PH), self.nmod
+        PH, ne, nmod = self.PH, len(self.detJ), self.nmod
         coeff = (self.wq[:, None] * self.Bm).T @ PH.reshape(ne, len(self.wq), -1)
         coeff = coeff.reshape(ne, nmod, *PH.shape[2:])
         rows = (np.arange(ne)[:, None] * nmod + np.arange(nmod))[:, :, None]
@@ -428,7 +451,8 @@ class Operators:
         last `inf_sup` if it saw this problem and equal coefficients, which
         fix the Hessians, else found anew."""
         kept = self._controls
-        if kept is None or kept[0] is not problem or not np.array_equal(kept[1], u.coeffs):
+        if (kept is None or kept[0] is not problem
+                or not np.array_equal(kept[1], u.coeffs)):
             return self.inf_sup(problem, u)[1:]
         return kept[2:]
 
@@ -495,17 +519,13 @@ def nonlinear_residual(
     """Vector of A_k(u; phi_i) over the global basis."""
     _validate_params(params, space.config.s)
     ops = get_operators(space)
-    ne, nq = space.mesh.n_elements, len(ops.wq)
     g, _, _ = ops.inf_sup(problem, u)
-    mvec = ((space.detJ[:, None] * ops.wq) * g.reshape(ne, nq)) @ ops.Bm
-    # Delta_k^T mvec from the local blocks; a missing plus side reads any
-    # element, whose lifted trace there is zero
-    elem = (ops.delta_elem @ mvec[:, :, None])[..., 0]
-    face = (ops.delta_face @ mvec[ops.faces.elems][..., None])[..., 0]
+    mvec = ((space.detJ[:, None] * ops.wq) * g.reshape(len(space.detJ), -1)) @ ops.Bm
+    # Delta_k^T mvec from the element patches, one batched product
+    vals = (ops.patch @ mvec[:, :, None]).ravel()
+    delta = np.bincount(ops.pattern.rows.ravel(), vals, minlength=space.dim + 1)
     lin, _ = ops.linear_part(params)
-    return (_scatter_vec(space.dofmap, elem, space.dim)
-            + _scatter_vec(ops.faces.dofs, face[:, 0] + face[:, 1], space.dim)
-            + lin @ u.coeffs)
+    return delta[:-1] + lin @ u.coeffs
 
 
 def frozen_jacobian(
@@ -518,24 +538,20 @@ def frozen_jacobian(
     optimizers of F_gamma at the state u: Delta_k^T G plus the linear part.
 
     G maps dofs to the modal coefficients of the frozen gamma a : D^2 v; its
-    element blocks are detJ Bm^T diag(wq c_ij) PH_ij summed over i, j. This
-    is exact without a modal projection of PH, whose degree p - 2 <= q. The
-    blocks of Delta_k^T G are scattered into the data of the linear part,
-    and the result lies on the whole pattern. The controls are those the
-    last residual found if it was evaluated at u (`Operators.controls`)."""
+    element blocks are detJ Bm^T diag(wq c_ij) PH_ij summed over i, j, exact
+    without a modal projection of PH (degree p - 2 <= q). As PH = ref_hess
+    T, T the element's Hessian chain rule, a block is c T^T (nq, 4) times
+    the reference tensor K. The patches of Delta_k^T G are scattered into
+    the data of the linear part, on the whole pattern. The controls are
+    those the last residual found if it was evaluated at u (`controls`)."""
     _validate_params(params, space.config.s)
     ops = get_operators(space)
-    P, nf, nloc = ops.pattern, space.mesh.n_faces, space.nloc
+    P, ne = ops.pattern, len(space.detJ)
     c = ops.coefficients(problem).frozen(*ops.controls(problem, u))
-    c = c.reshape(len(space.detJ), -1, 4, 1)
-    c = c * (space.detJ[:, None] * ops.wq)[:, :, None, None]
-    PH = ops.PH.reshape(c.shape[:2] + (-1, 4))
-    G = ops.Bm.T @ (PH @ c)[..., 0]  # (ne, nmod, nloc)
-    data = P.scatter(P.elem, ops.delta_elem @ G)
-    # one face side at a time, whose block's columns are that side's half of
-    # the face; a missing plus side reads any element (its lifted trace is 0)
-    sides, elems = P.face.reshape(nf, 2 * nloc, 2, nloc), ops.faces.elems
-    for s in (0, 1):
-        data += P.scatter(sides[:, :, s], ops.delta_face[:, s] @ G[elems[:, s]])
+    c = c.reshape(ne, -1, 4) * (space.detJ[:, None] * ops.wq)[:, :, None]
+    # c T^T is the chain rule of c with the transposed inverse Jacobians
+    c = _chain_rule(c, space.invJ.transpose(0, 2, 1), 2)
+    G = (c.reshape(ne, -1) @ ops.hess_tensor).reshape(ne, ops.nmod, -1)
+    data = P.scatter(P.patch, ops.patch @ G)
     data += ops.linear_part(params)[1]
     return P.csr(data)

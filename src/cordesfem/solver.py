@@ -73,6 +73,9 @@ class SolveStats:
     colamd_retries: int = 0  # solves refactored in COLAMD order
     # returned above tol, inside the roundoff band of at most 1e3 tol
     floor_accepted: bool = False
+    backtracks: list = field(default_factory=list)  # step halvings, per Newton step
+    # per Newton step, the quadrature points whose optimal controls changed
+    controls_changed: list = field(default_factory=list)
 
 
 def dissection_keys(space: FESpace) -> tuple[np.ndarray, int]:
@@ -287,8 +290,8 @@ def solve_discrete(
 ) -> tuple[DiscreteFunction, SolveStats]:
     """Solve A_k(u; v) = 0 over the space by Newton with frozen controls."""
     opts = opts or SolveOptions()
-    plan = factor_plan(space)
-    gram = get_operators(space).norm_gram
+    plan, ops = factor_plan(space), get_operators(space)
+    gram = ops.norm_gram
     try:
         gram_solve, _ = factorize(gram, plan)
     except RuntimeError:  # raises again in COLAMD order if gram is singular
@@ -329,12 +332,13 @@ def solve_discrete(
         if rn <= opts.tol:
             return accept()
         J = frozen_jacobian(space, problem, uf, params)
+        frozen = ops.controls(problem, uf)  # kept by the last residual, at uf
         stats.final_residual = rn  # as a SolverError of linear_solve finds it
         delta = linear_solve(J, -r, plan, stats)
         step = 1.0
         accepted = False
         rn_prev = rn
-        for _ in range(MAX_BACKTRACKS):
+        for halvings in range(MAX_BACKTRACKS):
             trial = DiscreteFunction(space, u + step * delta)
             rt = nonlinear_residual(space, problem, trial, params)
             rtn = res_norm(rt)
@@ -344,8 +348,12 @@ def solve_discrete(
                 break
             step *= DAMPING
         stats.newton_iters += 1
+        stats.backtracks.append(halvings if accepted else MAX_BACKTRACKS)
         if not accepted:
+            stats.controls_changed.append(0)
             break
+        changed = np.not_equal(frozen, ops.controls(problem, uf)).any(axis=0)
+        stats.controls_changed.append(int(np.count_nonzero(changed)))
         stats.residual_history.append(rn)
         if rn > 0.5 * rn_prev and rn <= floor_tol:
             return accept()

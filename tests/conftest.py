@@ -1,5 +1,6 @@
 """Shared fixtures: a small nonuniform mesh hierarchy and cached spaces;
-and the L2 projection that tests use to build space members."""
+the mass matrix, and the L2 projection that tests use to build space
+members."""
 
 import numpy as np
 import pytest
@@ -13,7 +14,13 @@ from cordesfem import (
     uniform_refine,
     unit_square_mesh,
 )
-from cordesfem.fespace import mass_matrix
+from cordesfem.fespace import assemble_csr, mass_blocks
+
+
+def mass_matrix(space):
+    """The mass matrix of a space, from its element mass blocks."""
+    return assemble_csr(space.dofmap[:, :, None], space.dofmap[:, None, :],
+                        mass_blocks(space), (space.dim, space.dim))
 
 
 def project_l2(space, f) -> DiscreteFunction:

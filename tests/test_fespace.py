@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from conftest import project_l2
+from conftest import mass_matrix, project_l2
 
 from cordesfem import (
     DiscreteFunction,
@@ -14,7 +14,7 @@ from cordesfem import (
 )
 from cordesfem.basis import _eval_monomials, lagrange_basis, monomial_exponents
 from cordesfem.basis import ortho_basis
-from cordesfem.fespace import SpaceError, gather, mass_matrix
+from cordesfem.fespace import SpaceError, gather
 from cordesfem.forms import get_operators
 
 

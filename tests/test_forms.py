@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import project_l2
+from conftest import mass_matrix, project_l2
 
 from cordesfem import (
     DiscreteFunction,
@@ -27,8 +27,9 @@ from cordesfem import (
     unit_square_mesh,
 )
 from cordesfem import cordes
+from cordesfem.basis import RefBasis
 from cordesfem.cordes import frozen_coefficients
-from cordesfem.fespace import assemble_csr, mass_matrix
+from cordesfem.fespace import assemble_csr
 from cordesfem.forms import Operators, face_tables, get_operators
 from cordesfem.mesh import INTERIOR, convex_polygon_mesh
 from cordesfem.quadrature import quadrature_rule
@@ -502,7 +503,8 @@ def test_matrices_lie_in_the_face_pattern(mesh, p, s, rng):
         pairs.update((int(a), int(b)) for a in dofs for b in dofs)
     row = np.repeat(np.arange(dim), np.diff(P.indptr))
     assert sorted(pairs) == list(zip(row.tolist(), P.indices.tolist()))
-    for slots, dofs in ((P.elem, space.dofmap), (P.face, ft.dofs)):
+    elem = P.patch[:, : space.nloc]  # the element blocks' slots
+    for slots, dofs in ((elem, space.dofmap), (P.face, ft.dofs)):
         a, b = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])
         valid = (a >= 0) & (b >= 0)
         assert np.all(slots[~valid] == P.nnz)
@@ -548,6 +550,93 @@ def test_local_blocks_match_delta_k_formulas(mesh, p, s, rng):
         scale = max(abs(t).max() if t.nnz else 0.0 for t in terms)
         diff = frozen_jacobian(space, prob, u, params) - (terms[0] + terms[1])
         assert (abs(diff).max() if diff.nnz else 0.0) <= 1e-13 * scale
+
+
+def _ref_point_traces(space, modal):
+    # per-side values, gradients, Hessians and modal values with every face
+    # point mapped back into its side's element and tabulated there
+    mesh, nloc, nf = space.mesh, space.nloc, space.mesh.n_faces
+    frule = quadrature_rule("segment", space.config.quad_exactness)
+    p0 = mesh.vertices[mesh.face_verts[:, 0]]
+    d = mesh.vertices[mesh.face_verts[:, 1]] - p0
+    xq = p0[:, None, :] + frule.points[None, :, :1] * d[:, None, :]
+    elems = mesh.face_elems
+    side = np.where(elems >= 0, elems, elems[:, :1]).ravel()
+    ref = space.ref_points(np.repeat(xq, 2, axis=0), side)
+    tab = (nf, 2, frule.n, nloc)
+    return (space.shapes(ref, 0, side).reshape(tab),
+            space.shapes(ref, 1, side).reshape(*tab, 2),
+            space.shapes(ref, 2, side).reshape(*tab, 2, 2),
+            modal.eval(ref.reshape(-1, 2), 0).reshape(nf, 2, frule.n, -1))
+
+
+@pytest.mark.parametrize("mesh,p,s", PATTERN_CASES)
+def test_edge_tables_match_ref_point_traces(mesh, p, s):
+    # the traces gathered from the six reference edge tables equal those
+    # tabulated at the face points mapped into each element
+    space = build_space(PATTERN_MESHES[mesh](), SpaceConfig(p=p, s=s))
+    ops = get_operators(space)
+    ft, ahess = face_tables(space, ops.modal)
+    val, grad, hess, psi = _ref_point_traces(space, ops.modal)
+    nf, nqf = ft.wq.shape
+    jump = np.where(ft.interior[:, None], [1.0, -1.0], [1.0, 0.0])
+
+    def merged(w, t):  # (nf, 2, nqf, nloc, ...) -> (nf, nqf, 2 nloc, ...)
+        t = w.reshape(w.shape + (1,) * (t.ndim - 2)) * t
+        return np.moveaxis(t, 1, 2).reshape(nf, nqf, -1, *t.shape[4:])
+
+    want = {"jval": merged(jump, val), "jgrad": merged(jump, grad), "psi": psi,
+            "ahess": merged(ft.avg, hess)}
+    got = {"jval": ft.jval, "jgrad": ft.jgrad, "psi": ft.psi, "ahess": ahess}
+    for name, ref in want.items():
+        assert got[name].shape == ref.shape, name
+        assert np.abs(got[name] - ref).max() <= 1e-13 * np.abs(ref).max(), name
+
+
+@pytest.mark.parametrize("p,s", [(p, s) for p in (2, 3, 4) for s in (0, 1)])
+def test_second_operators_build_tabulates_no_face_points(p, s, monkeypatch):
+    # the edge tables are built once per process: after a first build, an
+    # Operators build on another mesh tabulates at the element rule only
+    first, second = (build_space(make(), SpaceConfig(p=p, s=s))
+                     for make in PATTERN_MESHES.values())
+    Operators(first)
+    calls, tabulate = [], RefBasis.eval
+
+    def recording(self, pts, order=0):
+        calls.append(np.asarray(pts))
+        return tabulate(self, pts, order)
+
+    monkeypatch.setattr(RefBasis, "eval", recording)
+    Operators(second)
+    assert calls
+    for pts in calls:
+        assert np.array_equal(pts, second.elem_rule.points)
+
+
+@pytest.mark.parametrize("mesh,p,s", PATTERN_CASES)
+def test_element_patches_follow_the_faces(mesh, p, s):
+    # a patch's rows are the element's dofs, then those of its neighbour
+    # across each local face (dim where a dof is missing); its slots address
+    # those rows against the element's dofs, and on a DG space they hit
+    # every slot of the pattern exactly once
+    space = build_space(PATTERN_MESHES[mesh](), SpaceConfig(p=p, s=s))
+    P, m, dim = get_operators(space).pattern, space.mesh, space.dim
+    fe = m.face_elems[m.elem_faces]  # (ne, 3, 2)
+    own = fe[..., 0] == np.arange(m.n_elements)[:, None]
+    nbr = np.where(own, fe[..., 1], fe[..., 0])
+    nbr_dofs = np.where(nbr[..., None] >= 0, space.dofmap[nbr], -1)
+    rows = np.concatenate([space.dofmap[:, None], nbr_dofs], 1).reshape(len(nbr), -1)
+    assert np.array_equal(P.rows, np.where(rows >= 0, rows, dim))
+    row = np.repeat(np.arange(dim), np.diff(P.indptr))
+    a, b = np.broadcast_arrays(rows[:, :, None], space.dofmap[:, None, :])
+    valid = (a >= 0) & (b >= 0)
+    assert P.patch.dtype == np.int32 and P.patch.flags.c_contiguous
+    assert np.all(P.patch[~valid] == P.nnz)
+    assert np.array_equal(row[P.patch[valid]], a[valid])
+    assert np.array_equal(P.indices[P.patch[valid]], b[valid])
+    if s == 0:
+        hits = np.bincount(P.patch.ravel(), minlength=P.nnz + 1)[:-1]
+        assert np.all(hits == 1)
 
 
 LIFTING_MAPS = ("D2", "R", "TrR", "Delta_k", "S_lifted")

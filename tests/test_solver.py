@@ -5,6 +5,8 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from conftest import mass_matrix
+
 from cordesfem import (
     FormParams,
     SolveOptions,
@@ -20,7 +22,7 @@ from cordesfem import (
     unit_square_mesh,
 )
 from cordesfem import cordes, solver
-from cordesfem.fespace import DiscreteFunction, mass_matrix
+from cordesfem.fespace import DiscreteFunction
 from cordesfem.forms import frozen_jacobian, get_operators
 from cordesfem.solver import (
     ND_MIN_DOFS,
@@ -296,6 +298,39 @@ def test_solve_finds_the_controls_once_per_residual(monkeypatch):
     _, stats = solve_discrete(space, prob, params, guess)
     assert calls["jacobian"] == stats.newton_iters >= 1
     assert calls["inf_sup"] == calls["residual"]
+
+
+@pytest.mark.parametrize("s", [0, 1])
+def test_newton_records_control_changes_per_step(s):
+    # per Newton step, the quadrature points whose optimal control pair
+    # differs from the previous iterate's: from zero, the active set of
+    # rotated_anisotropic settles as Newton converges; a singleton control
+    # set never changes
+    space = build_space(unit_square_mesh(8), SpaceConfig(p=2, s=s))
+    params = FormParams.defaults(2, s)
+    _, stats = solve_discrete(space, get_problem("rotated_anisotropic"), params)
+    changed = stats.controls_changed
+    assert len(changed) == len(stats.backtracks) == stats.newton_iters >= 3
+    assert changed[0] > 0 and all(a >= b for a, b in zip(changed, changed[1:]))
+    assert changed[-1] <= 0.01 * changed[0]
+    assert all(0 <= b <= solver.MAX_BACKTRACKS for b in stats.backtracks)
+    _, stats = solve_discrete(space, get_problem("poisson_singleton"), params)
+    assert stats.controls_changed == [0] * stats.newton_iters
+    assert stats.backtracks == [0] * stats.newton_iters
+
+
+def test_newton_records_step_halvings(monkeypatch):
+    # a linear problem whose first Newton step is stretched 3x: the
+    # residual of u + 3 delta is -2 r, larger, and that of u + 1.5 delta is
+    # -r / 2, so one halving; the second, exact step needs none
+    linear_solve, stretch = solver.linear_solve, iter([3.0])
+    monkeypatch.setattr(solver, "linear_solve",
+                        lambda *args: next(stretch, 1.0) * linear_solve(*args))
+    space = build_space(unit_square_mesh(4), SpaceConfig(p=2, s=0))
+    _, stats = solve_discrete(space, get_problem("poisson_singleton"),
+                              FormParams.defaults(2, 0))
+    assert stats.newton_iters == 2
+    assert stats.backtracks == [1, 0] and stats.controls_changed == [0, 0]
 
 
 # --------------------------------------------------------------------- solving
