@@ -26,7 +26,6 @@ from .fespace import (
 from .forms import (
     FormParams,
     frozen_jacobian,
-    jump_penalty_form,
     jump_seminorm,
     nonlinear_residual,
     norm_k,

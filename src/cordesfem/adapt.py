@@ -52,7 +52,7 @@ def estimate(
     ops = get_operators(space)
     ne = space.mesh.n_elements
 
-    g, _, _ = cordes.inf_sup(ops.coefficients(problem), ops.hessian_at_qp(u))
+    g, _, _ = ops.inf_sup(problem, u)  # kept by the last residual at u
     g2 = (g**2).reshape(ne, -1)
     res = space.detJ * np.einsum("q,eq->e", ops.wq, g2)
 

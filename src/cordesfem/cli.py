@@ -11,12 +11,12 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .adapt import AdaptiveConfig, AdaptiveTrace, adaptive_solve
+from .adapt import AdaptiveConfig, adaptive_solve
 from .cordes import verify_ellipticity_cordes
 from .fespace import FESpace, SpaceConfig
 from .forms import FormParams
@@ -119,10 +119,7 @@ def run_study(config: StudyConfig) -> dict:
             f"(nu_est={report.nu_est:.6g}, declared nu={problem.nu:.6g})"
         )
 
-    meshes = []
-
     def callback(step, mesh, space, u, rep):
-        meshes.append(mesh)
         if config.write_meshes:
             write_mesh_txt(mesh, out / f"mesh_{step.k}.txt")
         if config.write_vtk:

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import basis as bas
 from .mesh import BOUNDARY, MeshLevel
@@ -94,9 +93,7 @@ class FESpace:
         """Physical images (n, nq, 2) of reference points, shared (nq, 2) or
         per element (n, nq, 2), on elements `elems` (index array or ALL)."""
         ref_pts = np.asarray(ref_pts, dtype=float)
-        sub = "qj" if ref_pts.ndim == 2 else "eqj"
-        shift = np.einsum(f"eij,{sub}->eqi", self.J[elems], ref_pts)
-        return self.v0[elems][:, None, :] + shift
+        return ref_pts @ self.J[elems].transpose(0, 2, 1) + self.v0[elems][:, None, :]
 
     def ref_points(self, phys_pts: np.ndarray, elems=ALL) -> np.ndarray:
         """Reference coordinates (n, nq, 2) of physical points, shared (nq, 2)
@@ -138,15 +135,6 @@ def gather(coeffs: np.ndarray, dofs: np.ndarray) -> np.ndarray:
     valid = dofs >= 0
     out[valid] = coeffs[dofs[valid]]
     return out
-
-
-def assemble_csr(rows, cols, data, shape) -> sp.csr_matrix:
-    """Sum COO triplets into a CSR matrix. The three arrays broadcast
-    together; entries with a negative row or column index (Dirichlet dofs,
-    the missing side of a boundary face) are dropped."""
-    rows, cols, data = (a.ravel() for a in np.broadcast_arrays(rows, cols, data))
-    keep = (rows >= 0) & (cols >= 0)
-    return sp.csr_matrix((data[keep], (rows[keep], cols[keep])), shape=shape)
 
 
 def _c0_dofmap(mesh: MeshLevel, p: int):

@@ -1,9 +1,10 @@
-"""Bilinear forms, lifting operators and nonlinear residual assembly.
+"""Bilinear forms, the lifted Laplacian and nonlinear residual assembly.
 
-The stabilization form is assembled twice, once from its facewise definition
-(volume Hessian terms plus tangential face terms) and once through the
-lifted Hessians; their agreement to roundoff is the sharpest internal
-consistency check of face terms, liftings and normal conventions.
+The stabilization form is assembled from its facewise definition (volume
+Hessian terms plus tangential face terms). The test suite assembles it
+again through the lifted Hessians (`tests/lifted_oracle.py`); their
+agreement to roundoff is the sharpest internal consistency check of face
+terms, liftings and normal conventions.
 
 Lifted quantities are represented by modal coefficients in the orthonormal
 degree-q basis per element, so liftings reduce to face integrals against
@@ -20,21 +21,20 @@ branch. Element and face Grams are one weighted-Gram matmul each (`_gram`).
 Every square matrix lives on one `Pattern` per space, the dof pairs that
 share a face: its int32 slot maps send face blocks and element patches
 into it, so a matrix is one `np.bincount` of local blocks and sums of
-matrices are sums of aligned data arrays. The norm Gram matrix, the linear
-part and every frozen Jacobian store the whole pattern and share its
-read-only index arrays, so the solver factors their data through one plan
-per space. Delta_k^T is one patch per element, in the rows of its own and
-its neighbours' dofs: a residual applies the patches as one batched
-product, and a frozen Jacobian scatters Delta_k^T G, whose element blocks
-are one product with a reference tensor, in one `np.bincount`. The lifting
-maps D2, R, TrR, the matrix Delta_k and S_lifted are built on first read.
+matrices are sums of aligned data arrays. Every matrix stores the whole
+pattern, explicit zeros included, and shares its read-only index arrays,
+so the solver factors their data through one plan per space. Delta_k^T is
+one patch per element, in the rows of its own and its neighbours' dofs: a
+residual applies the patches as one batched product, and a frozen Jacobian
+scatters Delta_k^T G, whose element blocks are one product with a
+reference tensor, in one `np.bincount`.
 
 Newton's u-independent work is done once per space: `Operators` caches the
 coefficient table of the last problem and the linear part of the last
-`FormParams`, which residuals, Jacobians and the estimator all read. Each
-iterate's inf-sup is evaluated once: the residual keeps the optimal
-controls with a copy of the coefficients it saw, and the frozen Jacobian
-at equal coefficients and the same problem reuses them.
+`FormParams`. `Operators.inf_sup` is the one inf-sup of an iterate: it
+keeps F_gamma and the optimal controls with a copy of the coefficients it
+saw, so the residual, the frozen Jacobian and the estimator at equal
+coefficients and the same problem share one evaluation.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import scipy.sparse as sp
 
 from . import cordes
 from .basis import ortho_basis
-from .fespace import DiscreteFunction, FESpace, SpaceError, assemble_csr, gather
+from .fespace import DiscreteFunction, FESpace, SpaceError, gather
 from .fespace import _chain_rule, mass_blocks
 from .mesh import INTERIOR
 from .quadrature import segment_rule
@@ -194,16 +194,12 @@ class Pattern:
         out = np.bincount(slots.ravel(), blocks.ravel(), minlength=self.nnz + 1)
         return out[:-1]
 
-    def csr(self, data: np.ndarray, keep: np.ndarray | None = None) -> sp.csr_matrix:
+    def csr(self, data: np.ndarray) -> sp.csr_matrix:
         """The matrix of `data` on the whole pattern, explicit zeros
         included, sharing the pattern's read-only index arrays (copy it to
-        change its structure in place); or, storing only the slots in
-        `keep`, with index arrays of its own."""
+        change its structure in place)."""
         n = len(self.indptr) - 1
-        if keep is None:
-            return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
-        indptr = np.concatenate(([0], np.cumsum(keep)))[self.indptr]
-        return sp.csr_matrix((data[keep], self.indices[keep], indptr), shape=(n, n))
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
 
 
 def face_pattern(ft: FaceTables, ef: np.ndarray, sd: np.ndarray, dim: int) -> Pattern:
@@ -230,10 +226,8 @@ def face_pattern(ft: FaceTables, ef: np.ndarray, sd: np.ndarray, dim: int) -> Pa
 
 class Operators:
     """The matrices of one FESpace on its face Pattern, Delta_k^T as element
-    patches, and lazy caches of its u-independent Newton data; the lifting
-    maps D2, R, TrR, Delta_k and S_lifted are built on first read. It keeps
-    no reference to the space, which holds it, so it is freed with the
-    space without the GC."""
+    patches, and caches of its Newton data. It keeps no reference to the
+    space, which holds it, so it is freed with the space without the GC."""
 
     def __init__(self, space: FESpace):
         cfg = space.config
@@ -242,7 +236,6 @@ class Operators:
 
         rule = space.elem_rule
         self.wq = rule.weights
-        self.ref_pts = rule.points
         self.Bm = self.modal.eval(rule.points, 0)  # (nq, nmod)
         # reference Hessian table (nq, nloc, 4), which hessian_at_qp reuses
         self.ref_hess = space.basis.eval(rule.points, 2).reshape(rule.n, -1, 4)
@@ -250,7 +243,7 @@ class Operators:
         self.hess_tensor = np.einsum("qm,qak->qkma", self.Bm, self.ref_hess)
         self.hess_tensor = self.hess_tensor.reshape(4 * rule.n, -1)
         self.X = space.points(rule.points)  # physical quad points, (ne, nq, 2)
-        self.dofmap, self.detJ, self.invJ = space.dofmap, space.detJ, space.invJ
+        self.detJ, self.invJ = space.detJ, space.invJ
 
         self.faces, ahess = face_tables(space, self.modal)
         ef = space.mesh.elem_faces  # each element's faces and its side of each
@@ -264,8 +257,9 @@ class Operators:
         self._stab = P.scatter(elem, stab) + P.scatter(P.face, sface)
         self.norm_gram = P.csr(P.scatter(elem, gram) + self._jgrad + self._jval)
         self._table = None  # (problem, cordes.CoefficientTable)
-        # (problem, coefficients, opt_alpha, opt_beta) of the last inf_sup
-        self._controls = None
+        # (problem, coefficients, F_gamma, opt_alpha, opt_beta) of the last
+        # inf_sup
+        self._inf_sup = None
         self._linear = None  # (FormParams, linear part, its data)
 
     @property
@@ -288,7 +282,7 @@ class Operators:
 
     # ------------------------------------------------------------------- faces
     def _faces(self, ahess, lap, ef, sd):
-        """Sets the data of the jump penalties Jgrad and Jval; returns the
+        """Sets the data of the jump penalties _jgrad and _jval; returns the
         facewise stabilization's face blocks and the Delta_k^T patches, the
         Laplacian blocks `lap` minus the sides' lifted traces R00 + R11."""
         ft, P = self.faces, self.pattern
@@ -326,101 +320,14 @@ class Operators:
         patch = np.concatenate([own[:, None], src[ef, 1 - sd] @ psi], axis=1)
         return sface, patch.reshape(ne, 4 * nloc, nmod)
 
-    # ------------------------------------------------------------ lifting maps
-    @cached_property
-    def D2(self) -> dict:
-        """Broken Hessian maps D2[(i, j)], i <= j: modal coefficients of each
-        shape function's physical Hessian component (exact since p - 2 <= q);
-        built on first read."""
-        PH, ne, nmod = self.PH, len(self.detJ), self.nmod
-        coeff = (self.wq[:, None] * self.Bm).T @ PH.reshape(ne, len(self.wq), -1)
-        coeff = coeff.reshape(ne, nmod, *PH.shape[2:])
-        rows = (np.arange(ne)[:, None] * nmod + np.arange(nmod))[:, :, None]
-        cols = self.dofmap[:, None, :]
-        return {
-            (i, j): assemble_csr(rows, cols, coeff[..., i, j], self._modal_shape)
-            for (i, j) in ((0, 0), (0, 1), (1, 1))
-        }
-
-    @cached_property
-    def R(self) -> dict:
-        """Lifting maps R[(i, j)] of the gradient jumps, built on first read;
-        boundary faces lift only the tangential part of the trace."""
-        ft, nmod = self.faces, self.nmod
-        n, g = ft.normal, ft.jgrad
-        tangential = g - np.einsum("fqai,fi->fqa", g, n)[..., None] * n[:, None, None]
-        src = np.where(ft.interior[:, None, None, None], g, tangential)
-        scale = ft.avg / self.detJ[ft.elems]  # the plus side of a boundary face is 0
-        elems = ft.elems[:, :, None]
-        rows = np.where(elems >= 0, elems * nmod + np.arange(nmod), -1)[..., None]
-        cols = ft.dofs[:, None, None, :]
-        psi = ft.psi.transpose(0, 1, 3, 2)  # (nf, 2, nmod, nqf)
-        R = {}
-        for i in (0, 1):
-            loc = psi @ (ft.wq[:, :, None] * src[..., i])[:, None]
-            for j in (0, 1):
-                data = (scale * n[:, j, None])[:, :, None, None] * loc
-                R[(i, j)] = assemble_csr(rows, cols, data, self._modal_shape)
-        return R
-
-    @property
-    def _modal_shape(self) -> tuple[int, int]:
-        return (len(self.detJ) * self.nmod, len(self.pattern.indptr) - 1)
-
-    @cached_property
-    def TrR(self) -> sp.csr_matrix:
-        return (self.R[(0, 0)] + self.R[(1, 1)]).tocsr()
-
-    @cached_property
-    def Delta_k(self) -> sp.csc_matrix:
-        """The lifted Laplacian as a CSC matrix, built on first read;
-        residuals and Jacobians apply its local blocks instead."""
-        return (self.D2[(0, 0)] + self.D2[(1, 1)] - self.TrR).tocsc()
-
-    @cached_property
-    def S_lifted(self) -> sp.csr_matrix:
-        """Stabilization matrix from the lifted Hessians, built on first use:
-        only the lifted mode of `stab_form` reads it."""
-        D2, R = self.D2, self.R
-        # D2 stores the symmetric broken Hessian's upper triangle only
-        H = {(i, j): D2[(min(i, j), max(i, j))] - R[(i, j)] for (i, j) in R}
-        # diagonal of the modal L2 inner product: int_K psi_a psi_b = detJ_e δ_ab
-        W = sp.diags(np.repeat(self.detJ, self.nmod))
-
-        def gram(A, B):
-            return (A.T @ W @ B).tocsr()
-
-        S = sum(gram(H[k], H[k]) for k in H)
-        S = S - gram(self.Delta_k, self.Delta_k)
-        S = S + gram(self.TrR, self.TrR)
-        S = S - sum(gram(R[k], R[k]) for k in R)
-        return S.tocsr()
-
-    # ------------------------------------------------- matrices on the pattern
-    @cached_property
-    def Jgrad(self) -> sp.csr_matrix:
-        """Gradient-jump penalty (without sigma) on the interior-face slots."""
-        P = self.pattern
-        interior = np.bincount(P.face[self.faces.interior].ravel(),
-                               minlength=P.nnz + 1)[:-1] > 0
-        return P.csr(self._jgrad, interior)
-
-    @cached_property
-    def Jval(self) -> sp.csr_matrix:
-        """Value-jump penalty (without rho) on the whole pattern."""
-        return self.pattern.csr(self._jval, np.ones(self.pattern.nnz, dtype=bool))
-
     @cached_property
     def S_facewise(self) -> sp.csr_matrix:
-        return self.pattern.csr(self._stab, self._stab != 0.0)
+        return self.pattern.csr(self._stab)
 
     # ------------------------------------------------------------- state fields
     def hessian_at_qp(self, u: DiscreteFunction) -> np.ndarray:
         """Broken Hessian of u at the element quadrature points, (ne, nq, 2, 2)."""
         return u.eval_table(self.ref_hess, 2)
-
-    def penalty_matrix(self, params: FormParams) -> sp.csr_matrix:
-        return self.pattern.csr(params.sigma * self._jgrad + params.rho * self._jval)
 
     # ----------------------------------------------------- u-independent caches
     def coefficients(self, problem: cordes.ControlProblem) -> cordes.CoefficientTable:
@@ -431,8 +338,9 @@ class Operators:
         return self._table[1]
 
     def linear_part(self, params: FormParams) -> tuple[sp.csr_matrix, np.ndarray]:
-        """theta S_facewise + sigma Jgrad + rho Jval and its data on the
-        pattern, kept until other FormParams ask for them."""
+        """theta S_facewise plus the gradient- and value-jump penalties
+        times sigma and rho, and its data on the pattern, kept until other
+        FormParams ask for them."""
         if self._linear is None or self._linear[0] != params:
             data = (params.theta * self._stab + params.sigma * self._jgrad
                     + params.rho * self._jval)
@@ -440,20 +348,17 @@ class Operators:
         return self._linear[1:]
 
     def inf_sup(self, problem: cordes.ControlProblem, u: DiscreteFunction):
-        """`cordes.inf_sup` of `problem` at the Hessians of u; keeps the
-        optimal controls with a copy of u's coefficients for `controls`."""
-        g, ia, ib = cordes.inf_sup(self.coefficients(problem), self.hessian_at_qp(u))
-        self._controls = (problem, u.coeffs.copy(), ia, ib)
-        return g, ia, ib
-
-    def controls(self, problem: cordes.ControlProblem, u: DiscreteFunction):
-        """The optimal controls (opt_alpha, opt_beta) at u: those of the
-        last `inf_sup` if it saw this problem and equal coefficients, which
-        fix the Hessians, else found anew."""
-        kept = self._controls
+        """`cordes.inf_sup` of `problem` at the Hessians of u, (F_gamma,
+        opt_alpha, opt_beta), read-only: kept with a copy of u's
+        coefficients and returned again while the problem (by identity) and
+        the coefficients, which fix the Hessians, stay equal."""
+        kept = self._inf_sup
         if (kept is None or kept[0] is not problem
                 or not np.array_equal(kept[1], u.coeffs)):
-            return self.inf_sup(problem, u)[1:]
+            found = cordes.inf_sup(self.coefficients(problem), self.hessian_at_qp(u))
+            for a in found:
+                a.flags.writeable = False
+            kept = self._inf_sup = (problem, u.coeffs.copy(), *found)
         return kept[2:]
 
 
@@ -466,22 +371,9 @@ def get_operators(space: FESpace) -> Operators:
 # ---------------------------------------------------------------------- public API
 
 
-def stab_form(space: FESpace, w, v, mode: str = "facewise") -> float:
-    """Stabilization bilinear form; mode selects the facewise or the lifted
-    formula (they agree to roundoff)."""
-    ops = get_operators(space)
-    if mode == "facewise":
-        A = ops.S_facewise
-    elif mode == "lifted":
-        A = ops.S_lifted
-    else:
-        raise SpaceError(f"unknown stabilization mode {mode!r}")
-    return float(_vec(w) @ (A @ _vec(v)))
-
-
-def jump_penalty_form(space: FESpace, w, v, params: FormParams) -> float:
-    ops = get_operators(space)
-    return float(_vec(w) @ (ops.penalty_matrix(params) @ _vec(v)))
+def stab_form(space: FESpace, w, v) -> float:
+    """Stabilization bilinear form, from its facewise definition."""
+    return float(_vec(w) @ (get_operators(space).S_facewise @ _vec(v)))
 
 
 def norm_k(space: FESpace, v) -> float:
@@ -492,8 +384,9 @@ def norm_k(space: FESpace, v) -> float:
 
 def face_jumps(space: FESpace, v) -> tuple[np.ndarray, np.ndarray]:
     """Per-face (1/h) int |[grad v]|^2 (interior faces) and h^-3 int [v]^2:
-    sums of squares of jump traces, accurate where x . (Jgrad + Jval) x
-    cancels (C0 value jumps, small gradient jumps on fine meshes)."""
+    sums of squares of jump traces, accurate where the jump penalties'
+    quadratic form cancels (C0 value jumps, small gradient jumps on fine
+    meshes)."""
     ft = get_operators(space).faces
     x = gather(_vec(v), ft.dofs)
     jv = np.einsum("fqa,fa->fq", ft.jval, x)
@@ -543,11 +436,11 @@ def frozen_jacobian(
     T, T the element's Hessian chain rule, a block is c T^T (nq, 4) times
     the reference tensor K. The patches of Delta_k^T G are scattered into
     the data of the linear part, on the whole pattern. The controls are
-    those the last residual found if it was evaluated at u (`controls`)."""
+    those of `Operators.inf_sup`, kept by the last residual at u."""
     _validate_params(params, space.config.s)
     ops = get_operators(space)
     P, ne = ops.pattern, len(space.detJ)
-    c = ops.coefficients(problem).frozen(*ops.controls(problem, u))
+    c = ops.coefficients(problem).frozen(*ops.inf_sup(problem, u)[1:])
     c = c.reshape(ne, -1, 4) * (space.detJ[:, None] * ops.wq)[:, :, None]
     # c T^T is the chain rule of c with the transposed inverse Jacobians
     c = _chain_rule(c, space.invJ.transpose(0, 2, 1), 2)

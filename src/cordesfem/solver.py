@@ -332,7 +332,7 @@ def solve_discrete(
         if rn <= opts.tol:
             return accept()
         J = frozen_jacobian(space, problem, uf, params)
-        frozen = ops.controls(problem, uf)  # kept by the last residual, at uf
+        frozen = ops.inf_sup(problem, uf)[1:]  # kept by the last residual
         stats.final_residual = rn  # as a SolverError of linear_solve finds it
         delta = linear_solve(J, -r, plan, stats)
         step = 1.0
@@ -352,7 +352,7 @@ def solve_discrete(
         if not accepted:
             stats.controls_changed.append(0)
             break
-        changed = np.not_equal(frozen, ops.controls(problem, uf)).any(axis=0)
+        changed = np.not_equal(frozen, ops.inf_sup(problem, uf)[1:]).any(axis=0)
         stats.controls_changed.append(int(np.count_nonzero(changed)))
         stats.residual_history.append(rn)
         if rn > 0.5 * rn_prev and rn <= floor_tol:

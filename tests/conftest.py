@@ -14,7 +14,8 @@ from cordesfem import (
     uniform_refine,
     unit_square_mesh,
 )
-from cordesfem.fespace import assemble_csr, mass_blocks
+from cordesfem.fespace import mass_blocks
+from lifted_oracle import assemble_csr
 
 
 def mass_matrix(space):

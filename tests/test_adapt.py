@@ -26,8 +26,10 @@ from cordesfem import (
     get_problem,
     jump_seminorm,
     mark,
+    solve_discrete,
     unit_square_mesh,
 )
+from cordesfem import cordes
 from cordesfem import mesh as mesh_mod
 from cordesfem.adapt import AdaptError, AdaptiveTrace, error_norm_k, transfer_solution
 from cordesfem.forms import get_operators
@@ -125,6 +127,35 @@ def test_estimator_face_terms_match_face_loop(p, s, spaces, rng):
 
 
 # ------------------------------------------------- error norm and transfer
+
+
+@pytest.mark.parametrize("name", ["two_control_switch", "rotated_anisotropic"])
+def test_estimate_reuses_the_inf_sup_of_the_solve(name, monkeypatch):
+    # the solve's last residual is at the u it returns, so the estimate
+    # there finds no controls and equals that of a fresh space bitwise; an
+    # in-place change of u's coefficients makes it find them anew
+    calls, inf_sup = [], cordes.inf_sup
+
+    def counting(*args):
+        calls.append(1)
+        return inf_sup(*args)
+
+    monkeypatch.setattr(cordes, "inf_sup", counting)
+    prob, mesh, config = get_problem(name), unit_square_mesh(4), SpaceConfig(p=3)
+    params = FormParams.defaults(3, 0)
+    space = build_space(mesh, config)
+    u, _ = solve_discrete(space, prob, params)
+    calls.clear()
+    got = estimate(space, prob, u, params)
+    assert calls == []
+    fresh = build_space(mesh, config)
+    want = estimate(fresh, prob, DiscreteFunction(fresh, u.coeffs.copy()), params)
+    for part in ("eta_sq_residual", "eta_sq_gradjump", "eta_sq_valjump"):
+        assert np.array_equal(getattr(got, part), getattr(want, part)), part
+    u.coeffs[::2] *= 1.5
+    calls.clear()
+    estimate(space, prob, u, params)
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("p,s", [(2, 0), (3, 0), (2, 1), (3, 1)])

@@ -159,8 +159,9 @@ def _assert_close(got, want):
 @pytest.mark.parametrize("s", [0, 1])
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_matmul_kernels_match_einsum(p, s, spaces, rng):
-    # shapes, coefficient-first eval and hessian_at_qp on a nonuniform mesh,
-    # at the shared quadrature points and at per-element points
+    # points, shapes, coefficient-first eval and hessian_at_qp on a
+    # nonuniform mesh, at the shared quadrature points and at per-element
+    # points
     space = spaces(3, p, s)
     ne = space.mesh.n_elements
     u = DiscreteFunction(space, rng.standard_normal(space.dim))
@@ -168,6 +169,9 @@ def test_matmul_kernels_match_einsum(p, s, spaces, rng):
     per_elem = rng.dirichlet(np.ones(3), size=(9, 4))[:, :, 1:]
     rule = space.elem_rule.points
     for pts, es in ((rule, np.arange(ne)), (per_elem, elems)):
+        q = "q" if pts.ndim == 2 else "eq"
+        _assert_close(space.points(pts, es), space.v0[es][:, None, :]
+                      + np.einsum(f"eij,{q}j->eqi", space.J[es], pts))
         loc = gather(u.coeffs, space.dofmap[es])
         for order in (0, 1, 2):
             want = _einsum_shapes(space, pts, order, es)
@@ -309,6 +313,6 @@ def test_kept_hessian_table_evaluates_bitwise(s, spaces, rng, monkeypatch):
     space = spaces(2, 3, s)
     ops = get_operators(space)
     u = DiscreteFunction(space, rng.standard_normal(space.dim))
-    want = u.eval(ops.ref_pts, 2)
+    want = u.eval(space.elem_rule.points, 2)
     monkeypatch.setattr(RefBasis, "eval", None)  # any tabulation now raises
     assert np.array_equal(ops.hessian_at_qp(u), want)

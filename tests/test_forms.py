@@ -2,12 +2,14 @@
 
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from conftest import mass_matrix, project_l2
+from lifted_oracle import D2, Delta_k, R, S_lifted, TrR, assemble_csr
 
 from cordesfem import (
     DiscreteFunction,
@@ -16,7 +18,6 @@ from cordesfem import (
     build_space,
     frozen_jacobian,
     get_problem,
-    jump_penalty_form,
     jump_seminorm,
     nonlinear_residual,
     norm_k,
@@ -29,7 +30,6 @@ from cordesfem import (
 from cordesfem import cordes
 from cordesfem.basis import RefBasis
 from cordesfem.cordes import frozen_coefficients
-from cordesfem.fespace import assemble_csr
 from cordesfem.forms import Operators, face_tables, get_operators
 from cordesfem.mesh import INTERIOR, convex_polygon_mesh
 from cordesfem.quadrature import quadrature_rule
@@ -41,11 +41,12 @@ from cordesfem.quadrature import quadrature_rule
 @pytest.mark.parametrize("p,s", [(2, 0), (2, 1), (3, 0), (3, 1)])
 def test_facewise_equals_lifted(p, s, spaces, rng):
     space = spaces(3, p, s)
+    S = S_lifted(space)
     for _ in range(10):
         w = rng.standard_normal(space.dim)
         v = rng.standard_normal(space.dim)
-        a = stab_form(space, w, v, mode="facewise")
-        b = stab_form(space, w, v, mode="lifted")
+        a = stab_form(space, w, v)
+        b = float(w @ (S @ v))
         assert abs(a - b) <= 1e-10 * (1 + abs(a))
 
 
@@ -78,8 +79,8 @@ def test_stab_form_bounded_by_jump_seminorms(mesh_hierarchy, rng):
 def test_zero_function_lifts_to_zero(spaces):
     space = spaces(1, 2, 0)
     # the broken Hessian and lifting maps send zero to zero
-    ops, x = get_operators(space), np.zeros(space.dim)
-    for A in (*ops.D2.values(), *ops.R.values()):
+    x = np.zeros(space.dim)
+    for A in (*D2(space).values(), *R(space).values()):
         assert np.abs(A @ x).max() == 0.0
 
 
@@ -102,14 +103,14 @@ def test_lifting_adjoint_identity(spaces, rng):
     # for the full modal test basis, both integrals by independent quadrature
     space = spaces(2, 2, 0)
     mesh = space.mesh
-    ops = get_operators(space)
+    ops, lifts = get_operators(space), R(space)
     u = rng.standard_normal(space.dim)
     seg = quadrature_rule("segment", 2 * space.config.q + 4)
 
     for (i, j) in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        lifted = (ops.R[(i, j)] @ u).reshape(mesh.n_elements, ops.nmod)
+        lifted = (lifts[(i, j)] @ u).reshape(mesh.n_elements, ops.nmod)
         # LHS per (element, modal test index) via triangle quadrature
-        psi = ops.modal.eval(ops.ref_pts, 0)  # (nq, nmod)
+        psi = ops.modal.eval(space.elem_rule.points, 0)  # (nq, nmod)
         rvals = lifted @ psi.T  # (ne, nq)
         lhs = np.einsum("q,eq,qa,e->ea", ops.wq, rvals, psi, space.detJ)
 
@@ -158,13 +159,17 @@ def test_boundary_lifting_has_zero_trace(spaces, rng):
     # a globally continuous DG member has no interior gradient jumps, so the
     # trace of its lifting comes from boundary faces alone and must vanish
     space = spaces(2, 2, 0)
-    ops = get_operators(space)
     v = project_l2(space, lambda x: x[:, 0] ** 2 + 0.5 * x[:, 0] * x[:, 1])
-    tr = ops.TrR @ v.coeffs
+    tr = TrR(space) @ v.coeffs
     assert np.abs(tr).max() <= 1e-12
 
 
 # ---------------------------------------------------------------- jump penalty
+
+
+def _jump_penalty(space, params):
+    """sigma Jgrad + rho Jval on the pattern: the linear part at theta 0."""
+    return get_operators(space).linear_part(replace(params, theta=0.0))[0]
 
 
 def test_jump_penalty_piecewise_indicator():
@@ -178,18 +183,18 @@ def test_jump_penalty_piecewise_indicator():
     phi0 = space.shapes(np.array([[0.25, 0.25]]), 0, [0])[0][0, 0]
     coeffs[space.dofmap[0][0]] = 1.0 / phi0
     params = FormParams(theta=0.5, sigma=7.0, rho=1.0)
-    val = jump_penalty_form(space, coeffs, coeffs, params)
+    val = coeffs @ (_jump_penalty(space, params) @ coeffs)
     assert val == pytest.approx(2.5, rel=1e-12)
 
 
 def test_jump_penalty_zero_and_positive(spaces, rng):
     space = spaces(2, 2, 0)
     params = FormParams.defaults(2, 0)
-    zero = np.zeros(space.dim)
-    assert jump_penalty_form(space, zero, zero, params) == 0.0
+    zero, J = np.zeros(space.dim), _jump_penalty(space, params)
+    assert zero @ (J @ zero) == 0.0
     for _ in range(5):
         v = rng.standard_normal(space.dim)
-        assert jump_penalty_form(space, v, v, params) >= 0.0
+        assert v @ (J @ v) >= 0.0
 
 
 # -------------------------------------------------------------------- residual
@@ -291,12 +296,16 @@ def test_jacobian_matches_modal_triple_product(p, s, spaces, rng):
     ne = space.mesh.n_elements
     c = frozen_coefficients(prob, ops.X.reshape(-1, 2), ops.hessian_at_qp(u))
     c = c.reshape(ne, -1, 2, 2)
-    ref = params.theta * ops.S_facewise + ops.penalty_matrix(params)
+    # the linear part from the einsum oracle, weighted by theta, sigma, rho
+    want = _einsum_matrices(space, ops)
+    ref = sum(w * want[name][0] for w, name in (
+        (params.theta, "S_facewise"), (params.sigma, "Jgrad"), (params.rho, "Jval")))
+    lap, hess = Delta_k(space), D2(space)
     for (i, j), mult in (((0, 0), 1.0), ((0, 1), 2.0), ((1, 1), 1.0)):
         blocks = np.einsum("e,q,eq,qa,qb->eab", space.detJ, ops.wq, c[:, :, i, j],
                            ops.Bm, ops.Bm)
         P = sp.block_diag(list(blocks), format="csr")
-        ref = ref + mult * (ops.Delta_k.T @ (P @ ops.D2[(i, j)]))
+        ref = ref + mult * (lap.T @ (P @ hess[(i, j)]))
     ref = ref.tocsr()
     # a copy: the Jacobian shares the pattern's read-only index arrays
     J = frozen_jacobian(space, prob, u, params).copy()
@@ -314,7 +323,7 @@ def _einsum_matrices(space, ops):
     # entry summed into it, the scale of its roundoff (the value jumps of a
     # C0 space cancel, so its Jval is roundoff only)
     w, dJ = ops.wq, space.detJ
-    PG, PH = space.shapes(ops.ref_pts, 1), ops.PH
+    PG, PH = space.shapes(space.elem_rule.points, 1), ops.PH
     lapl = np.einsum("eqlii->eql", PH)
     shape = (space.dim, space.dim)
 
@@ -378,10 +387,11 @@ def _einsum_matrices(space, ops):
 def test_matmul_assembly_matches_einsum(p, s, spaces):
     space = spaces(3, p, s)
     ops = get_operators(space)
+    # the jump penalties' data on the pattern, which the linear part sums
     got = {"norm_gram": ops.norm_gram, "S_facewise": ops.S_facewise,
-           "Jgrad": ops.Jgrad, "Jval": ops.Jval}
-    got.update({f"D2{i}{j}": A for (i, j), A in ops.D2.items()})
-    got.update({f"R{i}{j}": A for (i, j), A in ops.R.items()})
+           "Jgrad": ops.pattern.csr(ops._jgrad), "Jval": ops.pattern.csr(ops._jval)}
+    got.update({f"D2{i}{j}": A for (i, j), A in D2(space).items()})
+    got.update({f"R{i}{j}": A for (i, j), A in R(space).items()})
     want = _einsum_matrices(space, ops)
     assert got.keys() == want.keys()
     for name, (ref, scale) in want.items():
@@ -513,8 +523,7 @@ def test_matrices_lie_in_the_face_pattern(mesh, p, s, rng):
     params = FormParams.defaults(p, s)
     u = DiscreteFunction(space, rng.standard_normal(dim))
     keys = set(row * dim + P.indices.astype(np.int64))
-    for A in (ops.norm_gram, ops.S_facewise, ops.Jgrad, ops.Jval,
-              ops.linear_part(params)[0], ops.penalty_matrix(params),
+    for A in (ops.norm_gram, ops.S_facewise, ops.linear_part(params)[0],
               frozen_jacobian(space, get_problem("rotated_anisotropic"), u, params)):
         A = A.tocoo()
         assert keys.issuperset(A.row.astype(np.int64) * dim + A.col)
@@ -523,10 +532,10 @@ def test_matrices_lie_in_the_face_pattern(mesh, p, s, rng):
 @pytest.mark.parametrize("mesh,p,s", PATTERN_CASES)
 def test_local_blocks_match_delta_k_formulas(mesh, p, s, rng):
     # residual and frozen Jacobian from the local blocks against the
-    # Delta_k^T formulas on the lazily built matrix, each within 1e-13 of
-    # the largest entry of the terms it sums
+    # Delta_k^T formulas on the lifted oracle's matrix, each within 1e-13
+    # of the largest entry of the terms it sums
     space = build_space(PATTERN_MESHES[mesh](), SpaceConfig(p=p, s=s))
-    ops = get_operators(space)
+    ops, lap = get_operators(space), Delta_k(space)
     ne, nmod = space.mesh.n_elements, ops.nmod
     params = FormParams.defaults(p, s)
     lin, _ = ops.linear_part(params)
@@ -536,7 +545,7 @@ def test_local_blocks_match_delta_k_formulas(mesh, p, s, rng):
         table = ops.coefficients(prob)
         g, ia, ib = cordes.inf_sup(table, ops.hessian_at_qp(u))
         w = space.detJ[:, None] * ops.wq
-        terms = (ops.Delta_k.T @ ((w * g.reshape(ne, -1)) @ ops.Bm).ravel(),
+        terms = (lap.T @ ((w * g.reshape(ne, -1)) @ ops.Bm).ravel(),
                  lin @ u.coeffs)
         scale = max(np.abs(t).max(initial=0.0) for t in terms)
         got = nonlinear_residual(space, prob, u, params)
@@ -546,7 +555,7 @@ def test_local_blocks_match_delta_k_formulas(mesh, p, s, rng):
         rows = (np.arange(ne)[:, None] * nmod + np.arange(nmod))[:, :, None]
         G = assemble_csr(rows, space.dofmap[:, None, :], blocks,
                          (ne * nmod, space.dim))
-        terms = (ops.Delta_k.T @ G, lin)
+        terms = (lap.T @ G, lin)
         scale = max(abs(t).max() if t.nnz else 0.0 for t in terms)
         diff = frozen_jacobian(space, prob, u, params) - (terms[0] + terms[1])
         assert (abs(diff).max() if diff.nnz else 0.0) <= 1e-13 * scale
@@ -639,34 +648,21 @@ def test_element_patches_follow_the_faces(mesh, p, s):
         assert np.all(hits == 1)
 
 
-LIFTING_MAPS = ("D2", "R", "TrR", "Delta_k", "S_lifted")
-
-
-def test_lifting_maps_built_on_first_read_only():
-    space = build_space(PATTERN_MESHES["nvb"](), SpaceConfig(p=3, s=0))
-    ops = Operators(space)
-    assert not set(LIFTING_MAPS) & set(vars(ops))
-    u = DiscreteFunction(space, np.ones(space.dim))
-    prob, params = get_problem("two_control_switch"), FormParams.defaults(3, 0)
-    nonlinear_residual(space, prob, u, params)
-    frozen_jacobian(space, prob, u, params)
-    assert not set(LIFTING_MAPS) & set(vars(get_operators(space)))
-    for name in LIFTING_MAPS:
-        assert getattr(ops, name) is getattr(ops, name)
-    assert set(LIFTING_MAPS) <= set(vars(ops))
-
-
 def test_operators_freed_with_their_space_after_lifting_maps():
-    # building the lifting maps on demand adds no reference to the space
+    # the lifted oracle's maps and every cache of the operators add no
+    # reference to the space
     gc.collect()
     gc.disable()
     try:
         space = build_space(unit_square_mesh(2), SpaceConfig(p=2, s=0))
         ops = get_operators(space)
-        for name in LIFTING_MAPS + ("Jgrad", "Jval", "S_facewise"):
-            getattr(ops, name)
+        S_lifted(space)
+        u = DiscreteFunction(space, np.ones(space.dim))
+        ops.S_facewise
+        ops.linear_part(FormParams.defaults(2, 0))
+        ops.inf_sup(get_problem("two_control_switch"), u)
         ops = weakref.ref(ops)
-        del space
+        del space, u
         assert ops() is None
     finally:
         gc.enable()
@@ -690,13 +686,12 @@ def test_jump_seminorm_free_of_cancellation(s):
     # quadratic form of the sum loses ~1e-5 of it on a C0 space (8x8 mesh),
     # the per-face sums of squares do not
     space = build_space(unit_square_mesh(8), SpaceConfig(p=4, s=s))
-    ops = get_operators(space)
     bubble = project_l2(space, lambda x: np.prod(x * (1 - x), axis=1))
     dofs = space.dofmap[space.mesh.n_elements // 2]
     dofs = dofs[dofs >= 0]
     bump = np.zeros(space.dim)
     bump[dofs] = 1e-6 * np.linspace(1.0, 2.0, len(dofs))
-    want = bump @ ((ops.Jgrad + ops.Jval) @ bump)
+    want = bump @ (_jump_penalty(space, FormParams(sigma=1.0, rho=1.0)) @ bump)
     got = jump_seminorm(space, bubble.coeffs + bump) ** 2
     assert got == pytest.approx(want, rel=1e-8)
 
@@ -707,14 +702,14 @@ def test_operators_on_a_mesh_without_interior_faces():
     assert mesh.n_elements == 1 and not np.any(mesh.face_kind == INTERIOR)
     space = build_space(mesh, SpaceConfig(p=3, s=0))
     ops = get_operators(space)
-    assert ops.Jgrad.nnz == 0 and ops.Jval.nnz > 0
+    assert not np.any(ops._jgrad) and np.any(ops._jval)
     v = project_l2(space, lambda x: x[:, 0] * x[:, 1])
     assert jump_seminorm(space, v) > 0.0
     assert norm_k(space, v) == pytest.approx(
         np.sqrt(v.coeffs @ (ops.norm_gram @ v.coeffs)), rel=1e-12)
     # and batches of no elements, at shared and per-element points
     none = np.zeros(0, dtype=np.int64)
-    for pts in (ops.ref_pts, np.zeros((0, len(ops.wq), 2))):
+    for pts in (space.elem_rule.points, np.zeros((0, len(ops.wq), 2))):
         assert v.eval(pts, 2, none).shape == (0, len(ops.wq), 2, 2)
         assert space.shapes(pts, 1, none).shape == (0, len(ops.wq), space.nloc, 2)
 
