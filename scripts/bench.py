@@ -10,19 +10,20 @@ Layers: on `unit_square_mesh(2)` bisected uniformly 9 times (4,096
 elements: 40,960 DG p=3 dofs and 18,241 C0 p=3 dofs), each of 3
 repetitions builds a fresh space and times, in one process, the
 `Operators` build, one Newton solve of `poisson_singleton`, `error_norm_k`
-and `estimate`. Inside the Newton solve it also records the factor time
-and fill, nnz(L + U - I) / nnz(A), of every `scipy.sparse.linalg.splu`
-call: the first factors the norm Gram matrix and the second the first
-frozen Jacobian, in any version of the solver (`gram_lu_s`,
-`jacobian_lu_s`). At the converged state it then times one
-`nonlinear_residual` (`residual_s`), one `frozen_jacobian` (`jacobian_s`)
-and the whole `solver.factorize` of that Jacobian, with the last order or
-plan argument the solve passed to it (`factorize_s`: everything from the
-matrix to its LU, not `splu` alone). Times are raw wall seconds;
-the file keeps every repetition and their median. One more, untimed pass
-per case records the tracemalloc peak, in MB, of the `Operators` build and
-of the Newton solve (tracemalloc slows what it traces, so no timed
-repetition runs under it).
+and `estimate`. Inside the Newton solve it records the factor time and
+fill, nnz(L + U - I) / nnz(A), of the first `scipy.sparse.linalg.splu`
+call, which factors the first frozen Jacobian (`jacobian_lu_s`), and the
+number of `splu` calls (`lu_factors`). The `splu` time and fill of the
+norm Gram matrix, which the Newton solve does not factor, come from one
+`solver.factorize` of it with the space's plan (`gram_lu_s`). At the
+converged state it then times one `nonlinear_residual` (`residual_s`), one
+`frozen_jacobian` (`jacobian_s`) and the whole `solver.factorize` of that
+Jacobian, with the last order or plan argument the solve passed to it
+(`factorize_s`: everything from the matrix to its LU, not `splu` alone).
+Times are raw wall seconds; the file keeps every repetition and their
+median. One more, untimed pass per case records the tracemalloc peak, in
+MB, of the `Operators` build and of the Newton solve (tracemalloc slows
+what it traces, so no timed repetition runs under it).
 
 Workloads: every workload that BENCHMARK.json lists runs once through
 `perfbench/run.py` in a subprocess, with its run length and seed 1; the
@@ -131,7 +132,9 @@ def layer_times(mesh, s, repeat):
         t_ops, _ = timed(get_operators, space)
         t_solve, (((u, stats), lus), rest) = timed(
             factor_args, lu_spans, solve_discrete, space, problem, params)
-        (t_gram, gram_fill), (t_jac, jac_fill) = lus[:2]
+        t_jac, jac_fill = lus[0]
+        _, [(t_gram, gram_fill)] = lu_spans(
+            solver.factorize, get_operators(space).norm_gram, solver.factor_plan(space))
         t_residual, _ = timed(nonlinear_residual, space, problem, u, params)
         t_jacobian, J = timed(frozen_jacobian, space, problem, u, params)
         t_factorize, _ = timed(solver.factorize, J, *rest)
@@ -144,7 +147,8 @@ def layer_times(mesh, s, repeat):
             "residual_s": t_residual, "jacobian_s": t_jacobian,
             "factorize_s": t_factorize,
             "error_norm_k_s": t_err, "estimate_s": t_est,
-            "newton_iters": stats.newton_iters, "error_norm_k": err,
+            "newton_iters": stats.newton_iters, "lu_factors": len(lus),
+            "error_norm_k": err,
             "eta_total": report.total,
         })
         del space, u, report, J

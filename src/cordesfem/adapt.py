@@ -102,7 +102,12 @@ class AdaptiveStep:
     newton_iters: int
     fallback_iters: int
     marked: int
-    floor_accepted: bool  # trace.json only: solve stopped at the roundoff floor
+    # trace.json only: the SolveStats fields of the same names
+    floor_accepted: bool
+    backtracks: list
+    controls_changed: list
+    lu_fill: list
+    colamd_retries: int
 
 
 @dataclass
@@ -240,6 +245,10 @@ def adaptive_solve(
             fallback_iters=stats.fallback_iters,
             marked=len(marked),
             floor_accepted=stats.floor_accepted,
+            backtracks=stats.backtracks,
+            controls_changed=stats.controls_changed,
+            lu_fill=stats.lu_fill,
+            colamd_retries=stats.colamd_retries,
         )
         trace.steps.append(step)
         if callback is not None:

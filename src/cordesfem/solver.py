@@ -1,10 +1,16 @@
 """Semismooth Newton solver for the discrete monotone problem.
 
-The stopping criterion uses the preconditioned dual norm induced by the
-Gram matrix of the mesh-dependent norm, which keeps tolerances comparable
-across refinement levels. If Newton stalls, a damped fixed-point iteration
-preconditioned by the same Gram matrix takes over; strong monotonicity makes
-it a contraction for small enough steps.
+Newton steps are tested affine-covariantly (Deuflhard, Newton Methods for
+Nonlinear Problems, Springer 2004): a step t d, d = -J^{-1} R(u), is taken
+when the simplified correction -J^{-1} R(u + t d) is smaller than d in the
+norm of the Gram matrix G of the mesh-dependent norm, and the solve stops
+once it is below tol (1 + |J^{-1} R(0)|_G). J is strongly monotone and
+bounded with h-independent constants (see below), so |J^{-1} r|_G stands in
+for the dual norm |r|_{G^{-1}} and tolerances stay comparable across levels.
+J depends on u only through the controls: its LU is kept while they stay,
+and the simplified correction is then the next one. Only a stalled Newton
+factors G, for a damped fixed-point iteration preconditioned by G, which
+strong monotonicity makes a contraction for small enough steps.
 
 The Gram matrix and the frozen Jacobians of a space are factored in one
 nested-dissection dof order (`dof_order`; George, SIAM J. Numer. Anal. 10
@@ -22,12 +28,14 @@ permuted matrix, the pattern slot of each CSC entry and the diagonal
 slots), so `factorize` is a gather, the equilibration and `splu`. Each
 space caches the plan of its face pattern (`factor_plan`), on which the
 Gram matrix and every frozen Jacobian live, so a Newton step converts no
-matrix; `linear_solve` builds a one-off plan for any other matrix.
+matrix. `linear_solver` keeps one factorization and solves through the
+acceptance gate; `linear_solve` is its one-rhs call, with a one-off plan
+for any other matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -56,7 +64,7 @@ ND_LEAF = 8
 
 @dataclass
 class SolveOptions:
-    tol: float = 1e-10  # scaled to tol * (1 + |R(0)|_{M^-1}), mesh-robust
+    tol: float = 1e-10  # scaled to tol * (1 + |J^-1 R(0)|_G), mesh-robust
     max_newton: int = 50
     max_fallback: int = 2000
     initial_guess: np.ndarray | None = None
@@ -66,11 +74,13 @@ class SolveOptions:
 class SolveStats:
     newton_iters: int = 0
     fallback_iters: int = 0
+    # correction norms |J^{-1} R(u)|_G (|G^{-1} R(u)|_G in the fallback): of
+    # the first iterate, then of each accepted one, and of the one returned
     final_residual: float = np.inf
     residual_history: list = field(default_factory=list)
     contraction_factors: list = field(default_factory=list)
-    lu_fill: list = field(default_factory=list)  # per linear solve, nnz(L+U)/nnz(A)
-    colamd_retries: int = 0  # solves refactored in COLAMD order
+    lu_fill: list = field(default_factory=list)  # per factorization, nnz(L+U)/nnz(A)
+    colamd_retries: int = 0  # factorizations redone in COLAMD order
     # returned above tol, inside the roundoff band of at most 1e3 tol
     floor_accepted: bool = False
     backtracks: list = field(default_factory=list)  # step halvings, per Newton step
@@ -220,19 +230,20 @@ def factorize(matrix: sp.csr_matrix, plan: FactorPlan):
     return solve, (lu.nnz - n) / max(len(data), 1)
 
 
-def linear_solve(matrix: sp.spmatrix, rhs: np.ndarray, order=None,
-                 stats: SolveStats | None = None) -> np.ndarray:
-    """`factorize` with iterative refinement, in `order`: the FactorPlan of
-    the matrix's pattern, a dof order (new position -> dof) for a one-off
-    plan, or None for COLAMD.
+def linear_solver(matrix: sp.spmatrix, order=None, stats: SolveStats | None = None):
+    """solve(b) = A^{-1} b from one kept factorization of the matrix, made
+    at the first call, with iterative refinement, in `order`: the
+    FactorPlan of the matrix's pattern, a dof order (new position -> dof)
+    for a one-off plan, or None for COLAMD.
 
     Accepts x when |Ax - b| <= max(1e-11 |b|, 1e-13) or when the normwise
     backward error |Ax - b| / (|A| |x| + |b|) is at most 1e-13: the residual
     gate alone is unreachable for fine-mesh Jacobians whose norm dwarfs |b|,
     where a roundoff-level backward error is the honest achievable accuracy.
-    An ordered solve that raises or fails the gate is redone in COLAMD
-    order; `stats` gets the fill and the retries. Raises SolverError with
-    both diagnostics otherwise."""
+    An ordered factorization that raises or fails the gate is redone in
+    COLAMD order and kept; `stats` gets the retries and the fill of each
+    factorization once it passes the gate. Raises SolverError with both
+    diagnostics otherwise."""
     matrix = matrix.tocsr()
     if not matrix.has_canonical_format:
         matrix = matrix.copy()
@@ -244,42 +255,60 @@ def linear_solve(matrix: sp.spmatrix, rhs: np.ndarray, order=None,
     else:
         plan = build_plan(matrix.indptr, matrix.indices, order)
     stats = SolveStats() if stats is None else stats
-    bnorm = np.linalg.norm(rhs)
-    target = max(1e-11 * bnorm, 1e-13)
-    for attempt in (plan,) if plan.order is None else (plan, None):
-        if attempt is None:
-            stats.colamd_retries += 1
-            attempt = build_plan(matrix.indptr, matrix.indices)
-        try:
-            solve, fill = factorize(matrix, attempt)
-        except RuntimeError as err:
-            failure = f"sparse factorization failed: {err}"
-            continue
-        x = solve(rhs)
-        rnorm = np.inf
-        for _ in range(8):
-            if not np.all(np.isfinite(x)):
-                x = np.full_like(rhs, np.nan)
-                break
-            resid = rhs - matrix @ x
-            rnorm = np.linalg.norm(resid)
-            if rnorm <= target:
-                break
-            x = x + solve(resid)
-        finite = np.all(np.isfinite(x))
-        backward = 0.0
-        if not finite or rnorm > target:
-            # the backward error, and the matrix norm it needs, only when the
-            # residual gate fails
-            denom = spla.norm(matrix, np.inf) * np.linalg.norm(x, np.inf) + bnorm
-            backward = rnorm / denom if denom > 0 and np.isfinite(rnorm) else np.inf
-        if finite and backward <= 1e-13:
-            stats.lu_fill.append(fill)
-            return x
-        failure = (f"linear solve inaccurate (residual {rnorm:.3e}, |b| "
-                   f"{bnorm:.3e}, backward error {backward:.3e}); matrix may "
-                   "be singular or severely ill-conditioned")
-    raise SolverError(failure, stats)
+    attempts = [plan] if plan.order is None else [plan, None]
+    lu = []  # the kept [solve, fill], the fill dropped once recorded
+    failure = ""
+
+    def solve(rhs):
+        nonlocal failure
+        while lu or attempts:
+            if not lu:
+                attempt = attempts.pop(0)
+                if attempt is None:
+                    stats.colamd_retries += 1
+                    attempt = build_plan(matrix.indptr, matrix.indices)
+                try:
+                    lu[:] = factorize(matrix, attempt)
+                except RuntimeError as err:
+                    failure = f"sparse factorization failed: {err}"
+                    continue
+            bnorm = np.linalg.norm(rhs)
+            target = max(1e-11 * bnorm, 1e-13)
+            x = lu[0](rhs)
+            rnorm = np.inf
+            for _ in range(8):
+                if not np.all(np.isfinite(x)):
+                    x = np.full_like(rhs, np.nan)
+                    break
+                resid = rhs - matrix @ x
+                rnorm = np.linalg.norm(resid)
+                if rnorm <= target:
+                    break
+                x = x + lu[0](resid)
+            finite = np.all(np.isfinite(x))
+            backward = 0.0
+            if not finite or rnorm > target:
+                # the backward error, and the matrix norm it needs, only when
+                # the residual gate fails
+                denom = spla.norm(matrix, np.inf) * np.linalg.norm(x, np.inf) + bnorm
+                backward = rnorm / denom if denom > 0 and np.isfinite(rnorm) else np.inf
+            if finite and backward <= 1e-13:
+                stats.lu_fill.extend(lu[1:])
+                del lu[1:]
+                return x
+            failure = (f"linear solve inaccurate (residual {rnorm:.3e}, |b| "
+                       f"{bnorm:.3e}, backward error {backward:.3e}); matrix may "
+                       "be singular or severely ill-conditioned")
+            lu.clear()
+        raise SolverError(failure, stats)
+
+    return solve
+
+
+def linear_solve(matrix: sp.spmatrix, rhs: np.ndarray, order=None,
+                 stats: SolveStats | None = None) -> np.ndarray:
+    """A^{-1} rhs by `linear_solver(matrix, order, stats)`."""
+    return linear_solver(matrix, order, stats)(rhs)
 
 
 def solve_discrete(
@@ -291,109 +320,111 @@ def solve_discrete(
     """Solve A_k(u; v) = 0 over the space by Newton with frozen controls."""
     opts = opts or SolveOptions()
     plan, ops = factor_plan(space), get_operators(space)
-    gram = ops.norm_gram
-    try:
-        gram_solve, _ = factorize(gram, plan)
-    except RuntimeError:  # raises again in COLAMD order if gram is singular
-        gram_solve, _ = factorize(gram, build_plan(gram.indptr, gram.indices))
-
-    def res_norm(r):
-        return float(np.sqrt(max(r @ gram_solve(r), 0.0)))
-
     u = np.zeros(space.dim)
     if opts.initial_guess is not None:
         u = np.array(opts.initial_guess, dtype=float)
     stats = SolveStats()
 
-    rn0 = None
+    r0 = None
     if np.any(u):
         zero = DiscreteFunction(space, np.zeros(space.dim))
-        rn0 = res_norm(nonlinear_residual(space, problem, zero, params))
+        r0 = nonlinear_residual(space, problem, zero, params)
     # the residual of each iterate comes last, so that its Jacobian reuses
     # the optimal controls the residual found
     uf = DiscreteFunction(space, u)
     r = nonlinear_residual(space, problem, uf, params)
-    rn = res_norm(r)
-    stats.residual_history.append(rn)
-    rn0 = rn if rn0 is None else rn0
-    opts = replace(opts, tol=opts.tol * (1.0 + rn0))
+    tol, dn = None, np.inf
 
-    # residual evaluations carry roundoff proportional to the operator
-    # norms; once accepted steps stall inside this band the iteration has
-    # converged to working precision
-    floor_tol = 1e3 * opts.tol
+    def g_norm(d):
+        return float(np.sqrt(max(d @ (ops.norm_gram @ d), 0.0)))
+
+    def correction(solve, b):  # -K^{-1} b and its G norm, for solve = K^{-1}
+        nonlocal tol  # set by the first call to opts.tol (1 + |K^{-1} R(0)|_G)
+        d = -solve(b)
+        dn = g_norm(d)
+        if tol is None:
+            tol = opts.tol * (1.0 + (dn if r0 is None else g_norm(solve(r0))))
+            stats.residual_history.append(dn)
+        return d, dn
 
     def accept():
-        stats.final_residual = rn
-        stats.floor_accepted = rn > opts.tol
+        stats.final_residual = dn
+        stats.floor_accepted = dn > tol
         return uf, stats
 
+    d = None  # the correction at u, from the kept solve of J
     for _ in range(opts.max_newton):
-        if rn <= opts.tol:
+        if d is None:
+            frozen = ops.inf_sup(problem, uf)[1:]  # kept by the last residual
+            J = frozen_jacobian(space, problem, uf, params)
+            stats.final_residual = dn  # as a SolverError of the solve finds it
+            solve = linear_solver(J, plan, stats)
+            d, dn = correction(solve, r)
+        if dn <= tol:
             return accept()
-        J = frozen_jacobian(space, problem, uf, params)
-        frozen = ops.inf_sup(problem, uf)[1:]  # kept by the last residual
-        stats.final_residual = rn  # as a SolverError of linear_solve finds it
-        delta = linear_solve(J, -r, plan, stats)
         step = 1.0
-        accepted = False
-        rn_prev = rn
         for halvings in range(MAX_BACKTRACKS):
-            trial = DiscreteFunction(space, u + step * delta)
+            trial = DiscreteFunction(space, u + step * d)
             rt = nonlinear_residual(space, problem, trial, params)
-            rtn = res_norm(rt)
-            if rtn < rn:
-                u, uf, r, rn = trial.coeffs, trial, rt, rtn
-                accepted = True
+            dt, dtn = correction(solve, rt)
+            if dtn < dn:
                 break
             step *= DAMPING
         stats.newton_iters += 1
-        stats.backtracks.append(halvings if accepted else MAX_BACKTRACKS)
-        if not accepted:
+        if dtn >= dn:
+            stats.backtracks.append(MAX_BACKTRACKS)
             stats.controls_changed.append(0)
             break
-        changed = np.not_equal(frozen, ops.inf_sup(problem, uf)[1:]).any(axis=0)
+        stats.backtracks.append(halvings)
+        changed = np.not_equal(frozen, ops.inf_sup(problem, trial)[1:]).any(axis=0)
         stats.controls_changed.append(int(np.count_nonzero(changed)))
-        stats.residual_history.append(rn)
-        if rn > 0.5 * rn_prev and rn <= floor_tol:
+        stats.residual_history.append(dtn)
+        # residual evaluations carry roundoff proportional to the operator
+        # norms; once accepted steps stall inside the band of 1e3 tol the
+        # iteration has converged to working precision
+        stalled = dtn > 0.5 * dn and dtn <= 1e3 * tol
+        u, uf, r, dn = trial.coeffs, trial, rt, dtn
+        d = None if changed.any() else dt  # J, and so its solve, stays
+        if dn <= tol or stalled:
             return accept()
 
-    if rn <= floor_tol:
+    if tol is not None and dn <= 1e3 * tol:
         return accept()
 
-    # fixed-point fallback u <- u - tau * M^{-1} R(u), tau halved from 1.0
-    # until the residual falls
+    # fixed-point fallback u <- u + tau d with d = -G^{-1} R(u), tau halved
+    # from 1.0 until |d|_G falls; G is factored here only
+    gram_solve = linear_solver(ops.norm_gram, plan, stats)
+    d, dn = correction(gram_solve, r)
     tau = 1.0
     for _ in range(opts.max_fallback):
-        if rn <= opts.tol:
+        if dn <= tol:
             break
-        d = gram_solve(r)
         while True:
-            trial = DiscreteFunction(space, u - tau * d)
+            trial = DiscreteFunction(space, u + tau * d)
             rt = nonlinear_residual(space, problem, trial, params)
-            rtn = res_norm(rt)
-            if rtn < rn or tau < 1e-8:
+            dt, dtn = correction(gram_solve, rt)
+            if dtn < dn or tau < 1e-8:
                 break
             tau *= 0.5
-        if rtn >= rn:
-            if rn <= floor_tol:
+        if dtn >= dn:
+            if dn <= 1e3 * tol:
                 break
             raise SolverError(
                 "fixed-point fallback failed to reduce the residual; "
                 "penalties sigma/rho may be too small for monotonicity",
                 stats,
             )
-        stats.contraction_factors.append(rtn / rn)
-        u, uf, r, rn = trial.coeffs, trial, rt, rtn
+        stats.contraction_factors.append(dtn / dn)
+        u, uf, d, dn = trial.coeffs, trial, dt, dtn
         stats.fallback_iters += 1
-        stats.residual_history.append(rn)
+        stats.residual_history.append(dn)
 
-    stats.final_residual = rn
-    if rn > floor_tol:
+    stats.final_residual = dn
+    if dn > 1e3 * tol:
         raise SolverError(
             f"no convergence after {stats.newton_iters} Newton and "
             f"{stats.fallback_iters} fallback iterations "
-            f"(residual {rn:.3e}, tol {opts.tol:.1e})",
+            f"(residual {dn:.3e}, tol {tol:.1e})",
             stats,
         )
     return accept()

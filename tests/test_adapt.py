@@ -348,6 +348,25 @@ def test_floor_acceptance_in_trace_json_only(tmp_path):
     assert "floor_accepted" not in header
 
 
+def test_solver_lists_in_trace_json_only(tmp_path):
+    # two_control_switch has a = I, so no Newton step changes a control and
+    # each level factors one Jacobian; trace.json lists that per level
+    cfg = AdaptiveConfig(space=SpaceConfig(p=2, s=0),
+                         params=FormParams.defaults(2, 0), max_iters=2)
+    trace = adaptive_solve(get_problem("two_control_switch"),
+                           unit_square_mesh(2), cfg)
+    trace.write_json(tmp_path / "trace.json")
+    trace.write_csv(tmp_path / "trace.csv")
+    steps = json.loads((tmp_path / "trace.json").read_text())
+    assert len(steps) == 2
+    for step in steps:
+        assert len(step["lu_fill"]) == 1 and step["colamd_retries"] == 0
+        assert step["controls_changed"] == [0] * step["newton_iters"]
+        assert len(step["backtracks"]) == step["newton_iters"]
+    header = (tmp_path / "trace.csv").read_text().splitlines()[0]
+    assert header.split(",") == AdaptiveTrace.COLUMNS
+
+
 def test_uniform_step_builds_each_face_table_once(monkeypatch):
     # a uniform step is two bisection sweeps; each builds one face table, and
     # the level handed on equals the second sweep with the composed ancestors

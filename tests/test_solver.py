@@ -23,7 +23,7 @@ from cordesfem import (
 )
 from cordesfem import cordes, solver
 from cordesfem.fespace import DiscreteFunction
-from cordesfem.forms import frozen_jacobian, get_operators
+from cordesfem.forms import frozen_jacobian, get_operators, nonlinear_residual
 from cordesfem.solver import (
     ND_MIN_DOFS,
     SolverError,
@@ -320,17 +320,107 @@ def test_newton_records_control_changes_per_step(s):
 
 
 def test_newton_records_step_halvings(monkeypatch):
-    # a linear problem whose first Newton step is stretched 3x: the
-    # residual of u + 3 delta is -2 r, larger, and that of u + 1.5 delta is
-    # -r / 2, so one halving; the second, exact step needs none
-    linear_solve, stretch = solver.linear_solve, iter([3.0])
-    monkeypatch.setattr(solver, "linear_solve",
-                        lambda *args: next(stretch, 1.0) * linear_solve(*args))
+    # a linear problem whose first correction is -3 delta for the Newton
+    # correction delta: the simplified correction at u - 3 delta is 4 delta,
+    # not smaller, and at u - 1.5 delta it is 2.5 delta, so one halving; the
+    # controls stay, so that one is the second, exact correction, and needs
+    # none
+    linear_solver, stretch = solver.linear_solver, iter([-3.0])
+
+    def stretched(*args):
+        solve = linear_solver(*args)
+        return lambda rhs: next(stretch, 1.0) * solve(rhs)
+
+    monkeypatch.setattr(solver, "linear_solver", stretched)
     space = build_space(unit_square_mesh(4), SpaceConfig(p=2, s=0))
     _, stats = solve_discrete(space, get_problem("poisson_singleton"),
                               FormParams.defaults(2, 0))
     assert stats.newton_iters == 2
     assert stats.backtracks == [1, 0] and stats.controls_changed == [0, 0]
+
+
+# ------------------------------------------------------ factorizations per solve
+
+
+def _count_splu(monkeypatch):
+    """A list that records the matrix of every splu call from now on."""
+    factored, splu = [], spla.splu
+
+    def recorded(A, **options):
+        factored.append(A)
+        return splu(A, **options)
+
+    monkeypatch.setattr(spla, "splu", recorded)
+    return factored
+
+
+def test_linear_problem_factors_once(monkeypatch, rng):
+    # one Jacobian LU serves the scale |J^-1 R(0)|_G of a nonzero guess and
+    # every Newton step, and the norm Gram is never factored
+    space = build_space(unit_square_mesh(5), SpaceConfig(p=3, s=0))
+    assert space.dim >= ND_MIN_DOFS
+    factored = _count_splu(monkeypatch)
+    opts = SolveOptions(tol=1e-12, initial_guess=rng.standard_normal(space.dim))
+    _, stats = solve_discrete(space, get_problem("poisson_singleton"),
+                              FormParams.defaults(3, 0), opts)
+    assert stats.newton_iters == 2 and stats.controls_changed == [0, 0]
+    assert len(factored) == 1 and len(stats.lu_fill) == 1
+
+
+def test_factorizations_follow_control_changes(monkeypatch):
+    # a new Jacobian LU at every iterate whose controls changed in the step
+    # to it, except the last, where the simplified correction stops the solve
+    space = build_space(unit_square_mesh(4), SpaceConfig(p=3, s=0))
+    factored = _count_splu(monkeypatch)
+    _, stats = solve_discrete(space, get_problem("rotated_anisotropic"),
+                              FormParams.defaults(3, 0))
+    steps = stats.controls_changed
+    assert stats.newton_iters == len(steps) >= 3
+    assert all(b < solver.MAX_BACKTRACKS for b in stats.backtracks)
+    assert len(factored) == len(stats.lu_fill) == 1 + sum(c > 0 for c in steps[:-1])
+
+
+def test_reused_correction_equals_a_fresh_one(monkeypatch, rng):
+    # the correction at an iterate whose controls stayed comes from the kept
+    # LU, bitwise as from a Jacobian built and factored there
+    space = build_space(unit_square_mesh(5), SpaceConfig(p=3, s=0))
+    problem, params = get_problem("poisson_singleton"), FormParams.defaults(3, 0)
+    calls, linear_solver = [], solver.linear_solver
+
+    def recorded(*args):
+        solve = linear_solver(*args)
+
+        def recording(rhs):
+            calls.append((rhs, solve(rhs)))
+            return calls[-1][1]
+        return recording
+
+    monkeypatch.setattr(solver, "linear_solver", recorded)
+    opts = SolveOptions(tol=1e-12, initial_guess=rng.standard_normal(space.dim))
+    u, stats = solve_discrete(space, problem, params, opts)
+    assert stats.newton_iters == 2 and len(stats.lu_fill) == 1
+    rhs, kept = calls[-1]  # the simplified correction at the returned iterate
+    assert np.array_equal(rhs, nonlinear_residual(space, problem, u, params))
+    fresh = linear_solver(frozen_jacobian(space, problem, u, params),
+                          factor_plan(space))(rhs)
+    assert np.array_equal(kept, fresh)
+
+
+def test_norm_gram_is_factored_only_by_the_fallback(monkeypatch):
+    space = build_space(unit_square_mesh(3), SpaceConfig(p=2, s=0))
+    problem, params = get_problem("two_control_switch"), FormParams.defaults(2, 0)
+    gram, factored = get_operators(space).norm_gram, []
+    factorize = solver.factorize
+    monkeypatch.setattr(solver, "factorize",
+                        lambda A, plan: factored.append(A) or factorize(A, plan))
+    _, stats = solve_discrete(space, problem, params)
+    assert stats.fallback_iters == 0 and len(factored) == len(stats.lu_fill) >= 1
+    assert all(A is not gram for A in factored)
+    factored.clear()
+    _, stats = solve_discrete(space, problem, params,
+                              SolveOptions(max_newton=0, max_fallback=4000))
+    assert stats.fallback_iters > 0
+    assert len(factored) == 1 and factored[0] is gram
 
 
 # --------------------------------------------------------------------- solving
