@@ -15,11 +15,12 @@ fill, nnz(L + U - I) / nnz(A), of the first `scipy.sparse.linalg.splu`
 call, which factors the first frozen Jacobian (`jacobian_lu_s`), and the
 number of `splu` calls (`lu_factors`). The `splu` time and fill of the
 norm Gram matrix, which the Newton solve does not factor, come from one
-`solver.factorize` of it with the space's plan (`gram_lu_s`). At the
-converged state it then times one `nonlinear_residual` (`residual_s`), one
+`solver.factorize` of it as stored (`gram_lu_s`). At the converged state
+it then times one `nonlinear_residual` (`residual_s`), one
 `frozen_jacobian` (`jacobian_s`) and the whole `solver.factorize` of that
-Jacobian, with the last order or plan argument the solve passed to it
-(`factorize_s`: everything from the matrix to its LU, not `splu` alone).
+Jacobian as stored (`factorize_s`: everything from the matrix to its LU,
+not `splu` alone). At the full size both spaces lie above
+`ND_MIN_DOFS`, so both LUs take the space's nested-dissection numbering.
 Times are raw wall seconds; the file keeps every repetition and their
 median. One more, untimed pass per case records the tracemalloc peak, in
 MB, of the `Operators` build and of the Newton solve (tracemalloc slows
@@ -63,6 +64,7 @@ from cordesfem import (
 )
 from cordesfem import solver
 from cordesfem.adapt import error_norm_k
+from cordesfem.fespace import ND_MIN_DOFS
 from cordesfem.forms import frozen_jacobian, get_operators, nonlinear_residual
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -96,22 +98,6 @@ def lu_spans(fn, *args):
         spla.splu = splu
 
 
-def factor_args(fn, *args):
-    """fn(*args) and the arguments after the matrix of the last
-    `solver.factorize` call it makes."""
-    seen, factorize = [], solver.factorize
-
-    def recorded(matrix, *rest):
-        seen[:] = rest
-        return factorize(matrix, *rest)
-
-    solver.factorize = recorded
-    try:
-        return fn(*args), seen
-    finally:
-        solver.factorize = factorize
-
-
 def peak_mb(fn, *args):
     """The tracemalloc peak, in MB, of what fn(*args) allocates."""
     tracemalloc.start()
@@ -130,14 +116,15 @@ def layer_times(mesh, s, repeat):
     for _ in range(repeat):
         t_space, space = timed(build_space, mesh, SpaceConfig(p=3, s=s))
         t_ops, _ = timed(get_operators, space)
-        t_solve, (((u, stats), lus), rest) = timed(
-            factor_args, lu_spans, solve_discrete, space, problem, params)
+        t_solve, ((u, stats), lus) = timed(
+            lu_spans, solve_discrete, space, problem, params)
         t_jac, jac_fill = lus[0]
+        natural = space.dim >= ND_MIN_DOFS
         _, [(t_gram, gram_fill)] = lu_spans(
-            solver.factorize, get_operators(space).norm_gram, solver.factor_plan(space))
+            solver.factorize, get_operators(space).norm_gram, natural)
         t_residual, _ = timed(nonlinear_residual, space, problem, u, params)
         t_jacobian, J = timed(frozen_jacobian, space, problem, u, params)
-        t_factorize, _ = timed(solver.factorize, J, *rest)
+        t_factorize, _ = timed(solver.factorize, J, natural)
         t_err, err = timed(error_norm_k, space, u, problem.exact)
         t_est, report = timed(estimate, space, problem, u, params)
         runs.append({

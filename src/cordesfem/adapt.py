@@ -120,20 +120,11 @@ class AdaptiveTrace:
     ).split()
 
     def rows(self):
+        """One row per step: the step's field of each column (`iter` reads
+        `k`); csv writes a float as its repr."""
+        fields = ["k" if c == "iter" else c for c in self.COLUMNS]
         for s in self.steps:
-            yield [
-                s.k,
-                s.ndofs,
-                repr(s.h_min),
-                repr(s.h_max),
-                repr(s.eta_total),
-                repr(s.eta_residual),
-                repr(s.eta_gradjump),
-                repr(s.eta_valjump),
-                repr(s.err_norm_k),
-                s.newton_iters,
-                s.marked,
-            ]
+            yield [getattr(s, f) for f in fields]
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

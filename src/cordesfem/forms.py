@@ -23,11 +23,12 @@ share a face: its int32 slot maps send face blocks and element patches
 into it, so a matrix is one `np.bincount` of local blocks and sums of
 matrices are sums of aligned data arrays. Every matrix stores the whole
 pattern, explicit zeros included, and shares its read-only index arrays,
-so the solver factors their data through one plan per space. Delta_k^T is
-one patch per element, in the rows of its own and its neighbours' dofs: a
-residual applies the patches as one batched product, and a frozen Jacobian
-scatters Delta_k^T G, whose element blocks are one product with a
-reference tensor, in one `np.bincount`.
+which the space's dof numbering puts in factor order, so the solver
+factors each matrix as it is stored. Delta_k^T is one patch per element,
+in the rows of its own and its neighbours' dofs: a residual applies the
+patches as one batched product, and a frozen Jacobian scatters
+Delta_k^T G, whose element blocks are one product with a reference
+tensor, in one `np.bincount`.
 
 Newton's u-independent work is done once per space: `Operators` caches the
 coefficient table of the last problem and the linear part of the last
@@ -72,11 +73,6 @@ class FormParams:
         """sigma = 10 p^2 always; rho = 10 p^4 for DG, 0 for C0-IP."""
         rho = 10.0 * p**4 if s == 0 else 0.0
         return cls(theta=theta, sigma=10.0 * p**2, rho=rho)
-
-
-def _validate_params(params: FormParams, s: int) -> None:
-    if s == 0 and params.rho <= 0.0:
-        raise SpaceError("rho must be positive for the DG space (s=0)")
 
 
 @dataclass(frozen=True)
@@ -231,6 +227,7 @@ class Operators:
 
     def __init__(self, space: FESpace):
         cfg = space.config
+        self.dg = cfg.s == 0
         self.nmod = (cfg.q + 1) * (cfg.q + 2) // 2
         self.modal = ortho_basis(cfg.q)
 
@@ -340,8 +337,11 @@ class Operators:
     def linear_part(self, params: FormParams) -> tuple[sp.csr_matrix, np.ndarray]:
         """theta S_facewise plus the gradient- and value-jump penalties
         times sigma and rho, and its data on the pattern, kept until other
-        FormParams ask for them."""
+        FormParams ask for them. The residual and the Jacobian read it, so
+        it alone checks that a DG space has rho > 0."""
         if self._linear is None or self._linear[0] != params:
+            if self.dg and params.rho <= 0.0:
+                raise SpaceError("rho must be positive for the DG space (s=0)")
             data = (params.theta * self._stab + params.sigma * self._jgrad
                     + params.rho * self._jval)
             self._linear = (params, self.pattern.csr(data), data)
@@ -410,14 +410,13 @@ def nonlinear_residual(
     params: FormParams,
 ) -> np.ndarray:
     """Vector of A_k(u; phi_i) over the global basis."""
-    _validate_params(params, space.config.s)
     ops = get_operators(space)
+    lin, _ = ops.linear_part(params)
     g, _, _ = ops.inf_sup(problem, u)
     mvec = ((space.detJ[:, None] * ops.wq) * g.reshape(len(space.detJ), -1)) @ ops.Bm
     # Delta_k^T mvec from the element patches, one batched product
     vals = (ops.patch @ mvec[:, :, None]).ravel()
     delta = np.bincount(ops.pattern.rows.ravel(), vals, minlength=space.dim + 1)
-    lin, _ = ops.linear_part(params)
     return delta[:-1] + lin @ u.coeffs
 
 
@@ -437,8 +436,8 @@ def frozen_jacobian(
     the reference tensor K. The patches of Delta_k^T G are scattered into
     the data of the linear part, on the whole pattern. The controls are
     those of `Operators.inf_sup`, kept by the last residual at u."""
-    _validate_params(params, space.config.s)
     ops = get_operators(space)
+    linear = ops.linear_part(params)[1]
     P, ne = ops.pattern, len(space.detJ)
     c = ops.coefficients(problem).frozen(*ops.inf_sup(problem, u)[1:])
     c = c.reshape(ne, -1, 4) * (space.detJ[:, None] * ops.wq)[:, :, None]
@@ -446,5 +445,5 @@ def frozen_jacobian(
     c = _chain_rule(c, space.invJ.transpose(0, 2, 1), 2)
     G = (c.reshape(ne, -1) @ ops.hess_tensor).reshape(ne, ops.nmod, -1)
     data = P.scatter(P.patch, ops.patch @ G)
-    data += ops.linear_part(params)[1]
+    data += linear
     return P.csr(data)

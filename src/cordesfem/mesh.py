@@ -13,6 +13,8 @@ vertex pair of each face and `elem_faces[e, l]` the face opposite local
 vertex l, so column 0 is the refinement edge. Newest-vertex bisection works
 on it with arrays: a boolean closure over faces, midpoints numbered by
 first occurrence, and up to four children per element from fixed slots.
+`dissection_keys` orders the elements by nested dissection, which the
+spaces number their dofs in.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ import numpy as np
 
 INTERIOR = 0
 BOUNDARY = 1
+# nested dissection does not bisect parts of at most ND_LEAF elements
+ND_LEAF = 8
 
 
 class MeshError(ValueError):
@@ -280,6 +284,48 @@ def halve(mesh: MeshLevel) -> MeshLevel:
     finer = uniform_refine(fine)
     object.__setattr__(finer, "ancestor", fine.ancestor[finer.ancestor])
     return finer
+
+
+def dissection_keys(mesh: MeshLevel) -> tuple[np.ndarray, int]:
+    """Nested-dissection keys of the elements, and the tree depth. Each
+    level splits every part at once, at the median of its centroids along
+    its longer side; elements of the first half with a face on the second
+    separate them. A key has one base-3 digit per level: 0 or 1 for the
+    half, 2 from the level where the element became a separator or its part
+    a leaf of at most ND_LEAF elements, so halves sort before separators."""
+    ne = mesh.n_elements
+    eu, ev = mesh.face_elems[mesh.face_elems[:, 1] >= 0].T
+    centroids = mesh.vertices[mesh.tri].mean(axis=1)
+    depth = 1 + max(0, int(np.ceil(np.log2(ne / ND_LEAF))))
+    keys = np.zeros(ne, dtype=np.int64)
+    part = np.zeros(ne, dtype=np.int64)  # heap index of each element's part
+    live = np.arange(ne)  # elements still to be split
+    for level in range(depth):
+        live = live[np.argsort(part[live], kind="stable")]
+        c = centroids[live]
+        starts = np.flatnonzero(np.diff(part[live], prepend=-1))
+        counts = np.diff(starts, append=len(live))
+        grp = np.repeat(np.arange(len(starts)), counts)
+        extent = np.maximum.reduceat(c, starts) - np.minimum.reduceat(c, starts)
+        live = live[np.lexsort((c[np.arange(len(c)), extent.argmax(1)[grp]], grp))]
+        side = np.full(ne, -1)
+        side[live] = np.arange(len(live)) - starts[grp] >= counts[grp] // 2
+        done = np.zeros(ne, dtype=bool)
+        done[live] = (counts <= ND_LEAF)[grp] | (level == depth - 1)
+        side[done] = -1
+        # no face joins live elements of two parts: the split cut it
+        cut = side[eu] + side[ev] == 1
+        done[np.where(side[eu[cut]] == 0, eu[cut], ev[cut])] = True
+        w = 3 ** (depth - 1 - level)
+        keys[done] += 3 * w - 1  # digit 2 here and at every level below
+        live = live[~done[live]]
+        if len(live) == 0:
+            break
+        keys[live] += side[live] * w
+        part[live] = 2 * part[live] + 1 + side[live]
+        inner = ~done[eu] & ~done[ev]
+        eu, ev = eu[inner], ev[inner]
+    return keys, depth
 
 
 def min_angle(mesh: MeshLevel) -> float:

@@ -1,5 +1,7 @@
 """Estimators, marking strategies, and the solve-estimate-mark-refine loop."""
 
+import csv
+import io
 import json
 from dataclasses import replace
 
@@ -329,6 +331,27 @@ def test_trace_csv_columns(tmp_path):
                 "eta_gradjump", "eta_valjump", "err_norm_k", "newton_iters",
                 "marked"):
         assert col in header
+
+
+def test_trace_csv_rows_read_the_columns(tmp_path):
+    # each row is the step's fields in COLUMNS order (iter reads k), byte for
+    # byte as a writer listing every field wrote it: ints as they are,
+    # floats by repr
+    cfg = AdaptiveConfig(space=SpaceConfig(p=2, s=0),
+                         params=FormParams.defaults(2, 0), max_iters=2)
+    trace = adaptive_solve(get_problem("two_control_switch"),
+                           unit_square_mesh(2), cfg)
+    path = tmp_path / "trace.csv"
+    trace.write_csv(path)
+    want = io.StringIO()
+    writer = csv.writer(want)
+    writer.writerow(AdaptiveTrace.COLUMNS)
+    for s in trace.steps:
+        writer.writerow([s.k, s.ndofs, repr(s.h_min), repr(s.h_max),
+                         repr(s.eta_total), repr(s.eta_residual),
+                         repr(s.eta_gradjump), repr(s.eta_valjump),
+                         repr(s.err_norm_k), s.newton_iters, s.marked])
+    assert path.read_bytes() == want.getvalue().encode()
 
 
 def test_floor_acceptance_in_trace_json_only(tmp_path):

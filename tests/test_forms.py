@@ -30,6 +30,7 @@ from cordesfem import (
 from cordesfem import cordes
 from cordesfem.basis import RefBasis
 from cordesfem.cordes import frozen_coefficients
+from cordesfem.fespace import SpaceError
 from cordesfem.forms import Operators, face_tables, get_operators
 from cordesfem.mesh import INTERIOR, convex_polygon_mesh
 from cordesfem.quadrature import quadrature_rule
@@ -216,6 +217,18 @@ def test_residual_zero_for_trivial_problem(spaces):
     u = DiscreteFunction(space, np.zeros(space.dim))
     r = nonlinear_residual(space, prob, u, FormParams.defaults(2, 0))
     assert np.abs(r).max() == 0.0
+
+
+def test_dg_residual_and_jacobian_need_positive_rho(spaces):
+    # the value-jump penalty keeps the DG form coercive; the linear part,
+    # which both read, checks the FormParams once
+    space = spaces(0, 2, 0)
+    u = DiscreteFunction(space, np.zeros(space.dim))
+    prob, params = get_problem("poisson_singleton"), FormParams(sigma=40.0, rho=0.0)
+    with pytest.raises(SpaceError):
+        nonlinear_residual(space, prob, u, params)
+    with pytest.raises(SpaceError):
+        frozen_jacobian(space, prob, u, params)
 
 
 def test_residual_affine_for_singleton_controls(spaces, rng):

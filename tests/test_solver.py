@@ -22,17 +22,10 @@ from cordesfem import (
     unit_square_mesh,
 )
 from cordesfem import cordes, solver
-from cordesfem.fespace import DiscreteFunction
+from cordesfem.fespace import ND_MIN_DOFS, DiscreteFunction, _c0_dofmap, dof_order
 from cordesfem.forms import frozen_jacobian, get_operators, nonlinear_residual
-from cordesfem.solver import (
-    ND_MIN_DOFS,
-    SolverError,
-    build_plan,
-    dissection_keys,
-    dof_order,
-    factor_plan,
-    factorize,
-)
+from cordesfem.mesh import dissection_keys
+from cordesfem.solver import SolverError, factorize
 
 
 # ---------------------------------------------------------------- linear solve
@@ -59,29 +52,35 @@ def test_singular_matrix_rejected():
 
 
 def test_near_zero_pivot_retried_in_colamd_order(rng):
-    # the leading 1e-20 is a pivot in the given order; SuperLU row-pivots
+    # from ND_MIN_DOFS rows up a matrix is factored as stored on its
+    # diagonal pivots, so the leading 1e-20 is a pivot; SuperLU row-pivots
     # past an exactly zero pivot even at threshold 0, but takes this one,
     # and its growth of 1e20 defeats iterative refinement, so the solve is
     # repeated once in COLAMD order with partial pivoting
     block = np.array([[1e-20, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
-    A = sp.block_diag([block, 2.0 * sp.eye(3)], format="csr")
-    b = rng.standard_normal(6)
+    A = sp.block_diag([block, 2.0 * sp.eye(ND_MIN_DOFS)], format="csr")
+    b = rng.standard_normal(A.shape[0])
     stats = SolveStats()
-    x = linear_solve(A, b, np.arange(6), stats)
+    x = linear_solve(A, b, stats)
     assert np.linalg.norm(A @ x - b) <= 1e-11 * np.linalg.norm(b)
     assert stats.colamd_retries == 1
     assert len(stats.lu_fill) == 1 and stats.lu_fill[0] >= 1.0
-    # in COLAMD order alone nothing is retried
+    # below ND_MIN_DOFS rows COLAMD comes first, and nothing is retried
+    A = sp.block_diag([block, 2.0 * sp.eye(3)], format="csr")
     stats = SolveStats()
-    assert np.allclose(linear_solve(A, b, stats=stats), x, rtol=1e-12)
+    x = linear_solve(A, b[:6], stats)
+    assert np.linalg.norm(A @ x - b[:6]) <= 1e-11 * np.linalg.norm(b[:6])
     assert stats.colamd_retries == 0 and len(stats.lu_fill) == 1
 
 
 def test_singular_matrix_rejected_after_retry():
-    A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    A = sp.block_diag([np.array([[1.0, 2.0], [2.0, 4.0]]), sp.eye(ND_MIN_DOFS)],
+                      format="csr")
+    b = np.zeros(A.shape[0])
+    b[0] = 1.0
     stats = SolveStats()
     with pytest.raises(SolverError):
-        linear_solve(A, np.array([1.0, 0.0]), np.arange(2), stats)
+        linear_solve(A, b, stats)
     assert stats.colamd_retries == 1 and stats.lu_fill == []
 
 
@@ -89,6 +88,10 @@ def test_singular_matrix_rejected_after_retry():
 
 ND_MESH = refine_conforming(unit_square_mesh(4), [0, 3, 7])
 ND_CASES = [(p, s) for s in (0, 1) for p in (2, 3, 4)]
+# ND_MESH spaces lie below ND_MIN_DOFS except DG p=4 (570 dofs); those of a
+# 512-element square all lie above it
+ND_MESHES = {"nd": ND_MESH, "square16": unit_square_mesh(16)}
+PLAN_CASES = [(m, p, s) for m in ND_MESHES for s in (0, 1) for p in (2, 3, 4)]
 
 
 def _pattern(A):
@@ -99,17 +102,22 @@ def _pattern(A):
 
 @pytest.mark.parametrize("p, s", ND_CASES)
 def test_dof_order_is_a_permutation_cached_in_the_plan(p, s):
-    # the space caches its FactorPlan, which holds the order it factors in:
-    # dof_order from ND_MIN_DOFS dofs up, COLAMD (None) below
-    space = build_space(ND_MESH, SpaceConfig(p=p, s=s))
-    order = dof_order(space)
-    assert np.array_equal(np.sort(order), np.arange(space.dim))
-    plan = factor_plan(space)
-    assert factor_plan(space) is plan
-    if space.dim >= ND_MIN_DOFS:
-        assert np.array_equal(plan.order, order)
-    else:
-        assert plan.order is None
+    # a space numbers its dofs in dof_order, a permutation of the plain
+    # numbering, from ND_MIN_DOFS dofs up, and keeps the plain one below
+    for mesh in ND_MESHES.values():
+        space = build_space(mesh, SpaceConfig(p=p, s=s))
+        if s == 0:
+            plain = np.arange(space.dim).reshape(space.dofmap.shape)
+        else:
+            plain, dim = _c0_dofmap(mesh, p)
+            assert dim == space.dim
+        rank = dof_order(mesh, plain, space.dim)
+        assert np.array_equal(np.sort(rank), np.arange(space.dim))
+        if space.dim >= ND_MIN_DOFS:
+            want = np.where(plain >= 0, rank[plain], -1)
+        else:
+            want = plain
+        assert np.array_equal(space.dofmap, want)
 
 
 @pytest.mark.parametrize("p, s", ND_CASES)
@@ -117,7 +125,7 @@ def test_halves_do_not_couple(p, s):
     # a dof takes the key of the last element holding it; base-3 digit l of
     # a key is 0 or 1 for the half at level l, 2 for a separator or leaf
     space = build_space(ND_MESH, SpaceConfig(p=p, s=s))
-    keys, depth = dissection_keys(space)
+    keys, depth = dissection_keys(space.mesh)
     valid = space.dofmap >= 0
     dof_key = np.zeros(space.dim, dtype=np.int64)
     np.maximum.at(dof_key, space.dofmap[valid],
@@ -128,10 +136,12 @@ def test_halves_do_not_couple(p, s):
     first, second = np.flatnonzero(top == 0), np.flatnonzero(top == 1)
     assert len(first) > 0 and len(second) > 0
     assert gram[first][:, second].nnz == 0
-    position = np.empty(space.dim, dtype=np.int64)
-    position[dof_order(space)] = np.arange(space.dim)
+    position = dof_order(space.mesh, space.dofmap, space.dim)
     assert position[first].max() < position[second].min()
     assert position[second].max() < position[top == 2].min()
+    # a space numbered in dof_order is already in it
+    if space.dim >= ND_MIN_DOFS:
+        assert np.array_equal(position, np.arange(space.dim))
     # and every split below it, over all entries at once
     coo = gram.tocoo()
     for level in range(depth):
@@ -143,9 +153,10 @@ def test_halves_do_not_couple(p, s):
 
 @pytest.mark.parametrize("p, s", ND_CASES)
 def test_frozen_jacobians_solve_alike_in_both_orders(p, s, rng):
-    # every Jacobian entry lies in the norm Gram pattern, which the one
-    # order per space relies on, and the no-pivot ordered solve agrees
-    # with the COLAMD one
+    # every Jacobian entry lies in the norm Gram pattern, so the space's one
+    # numbering orders both, and the solve as stored (on the diagonal
+    # pivots from ND_MIN_DOFS dofs up: here DG p=4) agrees with spsolve's
+    # COLAMD one
     space = build_space(ND_MESH, SpaceConfig(p=p, s=s))
     gram = _pattern(get_operators(space).norm_gram)
     params = FormParams.defaults(p, s)
@@ -156,37 +167,15 @@ def test_frozen_jacobians_solve_alike_in_both_orders(p, s, rng):
         assert outside.count_nonzero() == 0
         b = rng.standard_normal(space.dim)
         stats = SolveStats()
-        x_nd = linear_solve(J, b, dof_order(space), stats)
-        x_colamd = linear_solve(J, b)
+        x = linear_solve(J, b, stats)
+        # spsolve with one step of iterative refinement, as linear_solve
+        want = spla.spsolve(J.tocsc(), b)
+        want += spla.spsolve(J.tocsc(), b - J @ want)
         assert stats.colamd_retries == 0
-        assert np.linalg.norm(x_nd - x_colamd) <= 1e-10 * np.linalg.norm(x_colamd)
+        assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
 
 
-# ---------------------------------------------------------------- factor plans
-
-# ND_MESH spaces lie below ND_MIN_DOFS except DG p=4 (570 dofs); those of a
-# 512-element square all lie above it
-PLAN_MESHES = {"nd": ND_MESH, "square16": unit_square_mesh(16)}
-PLAN_CASES = [(m, p, s) for m in PLAN_MESHES for s in (0, 1) for p in (2, 3, 4)]
-
-
-def _scaled_csc(matrix, order):
-    """The equilibrated, permuted CSC matrix, scale and permutation of the
-    factorization that converted a zero-free CSR copy of the matrix."""
-    A = sp.csr_matrix(matrix, copy=True)
-    A.eliminate_zeros()
-    n = A.shape[0]
-    d = np.abs(A.diagonal())
-    d[d == 0.0] = 1.0
-    scale = 1.0 / np.sqrt(d)
-    perm = np.arange(n) if order is None else order
-    counts = np.diff(A.indptr)[perm]
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    take = np.arange(indptr[-1]) + np.repeat(A.indptr[perm] - indptr[:-1], counts)
-    cols = A.indices[take]
-    data = A.data[take] * np.repeat(scale[perm], counts) * scale[cols]
-    scaled = sp.csr_matrix((data, np.argsort(perm)[cols], indptr), shape=A.shape)
-    return scaled.tocsc(), scale, perm
+# ------------------------------------------------------------- factorization
 
 
 def _pattern_matrices(space, p, s, rng):
@@ -200,64 +189,47 @@ def _pattern_matrices(space, p, s, rng):
 
 @pytest.mark.parametrize("mesh, p, s", PLAN_CASES)
 def test_plan_factors_the_converted_matrix(mesh, p, s, rng, monkeypatch):
-    # the CSC matrix a plan hands to splu is the converted one up to the
-    # pattern's explicit zeros, bitwise, and so are its solves wherever the
-    # ordering cannot see those zeros
-    space = build_space(PLAN_MESHES[mesh], SpaceConfig(p=p, s=s))
-    plan = factor_plan(space)
-    assert (plan.order is not None) == (space.dim >= ND_MIN_DOFS)
+    # splu gets the equilibrated A^T bitwise: the stored matrix's own index
+    # arrays, which read as CSC hold A^T, with the data of D A D, D =
+    # diag(|a_ii|^-1/2); from ND_MIN_DOFS rows up in the stored order
+    space = build_space(ND_MESHES[mesh], SpaceConfig(p=p, s=s))
+    natural = space.dim >= ND_MIN_DOFS
     P = get_operators(space).pattern
-    for arr in (plan.indptr, plan.indices, plan.slots, plan.diag):
-        assert arr.dtype == np.int32
-    assert plan.pattern[0] is P.indptr and plan.pattern[1] is P.indices
-    factored = []
-    splu = spla.splu
+    factored, splu = [], spla.splu
 
     def recorded(A, **options):
-        factored.append(A)
+        factored.append((A, options))
         return splu(A, **options)
 
     monkeypatch.setattr(spla, "splu", recorded)
     for A in _pattern_matrices(space, p, s, rng):
-        assert A.nnz == P.nnz and plan.fits(A)
-        solve, _ = factorize(A, plan)
-        got = factored[-1].copy()
-        got.eliminate_zeros()
-        want, scale, perm = _scaled_csc(A, plan.order)
+        assert np.shares_memory(A.indices, P.indices)
+        assert np.shares_memory(A.indptr, P.indptr)
+        solve, _ = factorize(A, natural)
+        At, options = factored[-1]
+        assert At.format == "csc"
+        assert np.shares_memory(At.indices, A.indices)
+        assert np.shares_memory(At.indptr, A.indptr)
+        assert options.get("permc_spec") == ("NATURAL" if natural else None)
+        D = sp.diags(1.0 / np.sqrt(np.abs(A.diagonal())))
+        want = (D @ A @ D).tocsr()
+        want.sort_indices()
+        got = sp.csr_matrix((At.data, At.indices, At.indptr), shape=A.shape,
+                            copy=True)
+        got.eliminate_zeros()  # explicit zeros, which D A D drops
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
-        nd = {} if plan.order is None else dict(
-            permc_spec="NATURAL", diag_pivot_thresh=0.0,
-            options=dict(SymmetricMode=True))
-        lu = splu(want, **nd)
+        # a normwise backward error at roundoff: the residual alone is not,
+        # where |A| dwarfs |b|
         b = rng.standard_normal(space.dim)
-        x_old = np.empty_like(b)
-        x_old[perm] = scale[perm] * lu.solve((scale * b)[perm])
         x = solve(b)
-        if plan.order is not None or np.all(A.data != 0.0):
-            assert np.array_equal(x, x_old)
-        else:
-            # COLAMD's column order sees the explicit zeros (a DG p=3
-            # Jacobian has 18 here), so only roundoff agrees: the
-            # equilibrated matrices have condition numbers up to 4e4
-            assert np.linalg.norm(x - x_old) <= 1e-12 * np.linalg.norm(x_old)
+        scale = spla.norm(A, np.inf) * np.abs(x).max() + np.abs(b).max()
+        assert np.abs(A @ x - b).max() <= 1e-14 * scale
 
 
-def test_plan_serves_only_its_pattern(rng):
-    space = build_space(ND_MESH, SpaceConfig(p=3, s=0))
-    plan = factor_plan(space)
-    M = mass_matrix(space)  # element blocks only, a smaller pattern
-    with pytest.raises(ValueError):
-        linear_solve(M, rng.standard_normal(space.dim), plan)
-    gram = get_operators(space).norm_gram
-    b = rng.standard_normal(space.dim)
-    x = linear_solve(gram, b, plan)
-    assert np.linalg.norm(gram @ x - b) <= 1e-11 * np.linalg.norm(b)
-
-
-def test_one_off_plans_of_generic_matrices(rng):
-    # a zero diagonal, duplicate entries and a CSC input: the one-off plan
-    # of the summed CSR matrix solves as a dense solve does
+def test_generic_matrices_solve_as_dense(rng):
+    # a zero diagonal, duplicate entries and a CSC input: the summed CSR
+    # matrix solves as a dense solve does
     rows = np.array([0, 0, 1, 1, 2, 2, 2, 3])
     cols = np.array([1, 1, 0, 2, 1, 3, 3, 2])
     vals = np.array([1.0, 2.0, 3.0, 1.0, 1.0, 0.5, 0.5, 4.0])
@@ -265,9 +237,6 @@ def test_one_off_plans_of_generic_matrices(rng):
     b = rng.standard_normal(4)
     x = linear_solve(A, b)
     assert np.allclose(x, np.linalg.solve(A.toarray(), b), rtol=1e-13, atol=0)
-    C = A.tocsr()
-    plan = build_plan(C.indptr, C.indices)
-    assert plan.order is None and np.array_equal(plan.diag, [-1, -1, -1, -1])
 
 
 def test_solve_finds_the_controls_once_per_residual(monkeypatch):
@@ -339,6 +308,36 @@ def test_newton_records_step_halvings(monkeypatch):
     assert stats.backtracks == [1, 0] and stats.controls_changed == [0, 0]
 
 
+def test_failed_newton_step_hands_off_to_the_fallback(monkeypatch):
+    # a linear problem whose first correction is f delta for the Newton
+    # correction delta, f = 1/4: the simplified correction at u + t f delta
+    # is (1 - t f) delta, never smaller than f delta, so every one of the
+    # MAX_BACKTRACKS trials fails and the fixed-point fallback takes over,
+    # factoring G once. (A tiny f such as 1e-12 would not: the first
+    # correction would fall below tol, which it also scales, and the solve
+    # would stop before any step.)
+    linear_solver, stretch = solver.linear_solver, iter([0.25])
+
+    def stretched(*args):
+        solve = linear_solver(*args)
+        return lambda rhs: next(stretch, 1.0) * solve(rhs)
+
+    monkeypatch.setattr(solver, "linear_solver", stretched)
+    space = build_space(unit_square_mesh(2), SpaceConfig(p=2, s=0))
+    gram, factored = get_operators(space).norm_gram, []
+    factorize = solver.factorize
+    monkeypatch.setattr(solver, "factorize",
+                        lambda A, natural: factored.append(A) or factorize(A, natural))
+    _, stats = solve_discrete(space, get_problem("poisson_singleton"),
+                              FormParams.defaults(2, 0))
+    assert stats.newton_iters == 1 and stats.backtracks == [solver.MAX_BACKTRACKS]
+    assert stats.fallback_iters > 0
+    assert sum(A is gram for A in factored) == 1
+    # the first entry is the Newton correction; the fallback's follow it
+    after = np.array(stats.residual_history[1:])
+    assert len(after) == stats.fallback_iters and np.all(np.diff(after) < 0)
+
+
 # ------------------------------------------------------ factorizations per solve
 
 
@@ -401,8 +400,7 @@ def test_reused_correction_equals_a_fresh_one(monkeypatch, rng):
     assert stats.newton_iters == 2 and len(stats.lu_fill) == 1
     rhs, kept = calls[-1]  # the simplified correction at the returned iterate
     assert np.array_equal(rhs, nonlinear_residual(space, problem, u, params))
-    fresh = linear_solver(frozen_jacobian(space, problem, u, params),
-                          factor_plan(space))(rhs)
+    fresh = linear_solver(frozen_jacobian(space, problem, u, params))(rhs)
     assert np.array_equal(kept, fresh)
 
 
@@ -412,7 +410,7 @@ def test_norm_gram_is_factored_only_by_the_fallback(monkeypatch):
     gram, factored = get_operators(space).norm_gram, []
     factorize = solver.factorize
     monkeypatch.setattr(solver, "factorize",
-                        lambda A, plan: factored.append(A) or factorize(A, plan))
+                        lambda A, natural: factored.append(A) or factorize(A, natural))
     _, stats = solve_discrete(space, problem, params)
     assert stats.fallback_iters == 0 and len(factored) == len(stats.lu_fill) >= 1
     assert all(A is not gram for A in factored)
