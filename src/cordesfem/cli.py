@@ -59,11 +59,14 @@ class StudyConfig:
         return SpaceConfig(p=self.p, s=self.s, q=self.q)
 
 
+MARKERS = ("max", "doerfler")
+
+
 def _parse_mark(text: str) -> tuple[str, float]:
     try:
         name, param = text.split(":")
         name = name.strip()
-        if name not in ("max", "doerfler"):
+        if name not in MARKERS:
             raise ValueError
         return name, float(param)
     except ValueError:
@@ -233,6 +236,9 @@ def build_config(argv=None) -> StudyConfig:
                 values["s"] = 0 if raw == "dg" else 1
             elif key == "mark":
                 values["strategy"], values["strategy_param"] = _parse_mark(raw)
+            elif key == "strategy" and raw not in MARKERS:
+                raise SystemExit(
+                    f"invalid strategy value {raw!r}; expected max or doerfler")
             elif key in _FIELD_TYPES:
                 values[key] = _FIELD_TYPES[key](raw)
             else:

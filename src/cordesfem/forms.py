@@ -347,6 +347,13 @@ class Operators:
             self._linear = (params, self.pattern.csr(data), data)
         return self._linear[1:]
 
+    def penalty_gram(self, params: FormParams) -> sp.csr_matrix:
+        """The norm Gram with its gradient- and value-jump penalties times
+        sigma and rho, as the linear part weights them; built on each call."""
+        data = (self.norm_gram.data + (params.sigma - 1.0) * self._jgrad
+                + (params.rho - 1.0) * self._jval)
+        return self.pattern.csr(data)
+
     def inf_sup(self, problem: cordes.ControlProblem, u: DiscreteFunction):
         """`cordes.inf_sup` of `problem` at the Hessians of u, (F_gamma,
         opt_alpha, opt_beta), read-only: kept with a copy of u's

@@ -1,23 +1,25 @@
-"""Semismooth Newton solver for the discrete monotone problem.
+"""Damped correction loop for the discrete monotone problem.
 
-Newton steps are tested affine-covariantly (Deuflhard, Newton Methods for
-Nonlinear Problems, Springer 2004): a step t d, d = -J^{-1} R(u), is taken
-when the simplified correction -J^{-1} R(u + t d) is smaller than d in the
-norm of the Gram matrix G of the mesh-dependent norm, and the solve stops
-once it is below tol (1 + |J^{-1} R(0)|_G). J is strongly monotone and
-bounded with h-independent constants (see below), so |J^{-1} r|_G stands in
-for the dual norm |r|_{G^{-1}} and tolerances stay comparable across levels.
-J depends on u only through the controls: its LU is kept while they stay,
-and the simplified correction is then the next one. Only a stalled Newton
-factors G, for a damped fixed-point iteration preconditioned by G, which
-strong monotonicity makes a contraction for small enough steps.
+Each step takes d = -K^{-1} R(u) from a kept LU of K and tests it
+affine-covariantly (Deuflhard, Newton Methods for Nonlinear Problems,
+Springer 2004): the step t d, t halved from 1, is taken when the simplified
+correction -K^{-1} R(u + t d) is smaller than d in the norm of the Gram
+matrix G of the mesh-dependent norm, and the solve stops once it is below
+tol (1 + |K^{-1} R(0)|_G). Newton comes first, with K the frozen Jacobian J,
+which depends on u only through the controls: its LU is kept while they
+stay, and the simplified correction is then the next one. If Newton stops
+short, a fixed-point phase goes on from its iterate with K the penalty Gram
+P (`Operators.penalty_gram`), the norm Gram with its jumps weighted by sigma
+and rho as the operator weights them. Under the Cordes condition the
+operator is strongly monotone and Lipschitz with h-independent constants
+(Smears & Sueli, SIAM J. Numer. Anal. 52 (2014)), so |K^{-1} r|_G stands in
+for the dual norm |r|_{G^{-1}}, tolerances stay comparable across levels,
+and the fixed point contracts at a rate that the Cordes condition sets.
 
-The Gram matrix and the frozen Jacobians of a space are factored in the
-space's own dof numbering, which is nested-dissection order from
-ND_MIN_DOFS dofs up (`fespace.dof_order`), taking each nonzero diagonal
-pivot. That is safe: Gram is SPD and the frozen Jacobian J is strongly
-monotone under the Cordes condition, x^T J x >= c |x|^2 (Smears & Sueli,
-SIAM J. Numer. Anal. 52 (2014)), so every leading block of either is
+P and the frozen Jacobians are factored in the space's own dof numbering,
+nested-dissection order from ND_MIN_DOFS dofs up (`fespace.dof_order`),
+taking each nonzero diagonal pivot. That is safe: P is SPD and J strongly
+monotone, x^T J x >= c |x|^2, so every leading block of either is
 nonsingular. `factorize` equilibrates the stored CSR data and hands splu
 the matrix's own index arrays, which read as CSC hold A^T; it factors A^T,
 as safe as A since x^T A^T x = x^T A x, and solves with its transpose.
@@ -49,14 +51,14 @@ class SolverError(RuntimeError):
         self.stats = stats
 
 
-# Newton backtracking: halve the step up to MAX_BACKTRACKS times
+# step search: halve the step up to MAX_BACKTRACKS times
 DAMPING = 0.5
 MAX_BACKTRACKS = 10
 
 
 @dataclass
 class SolveOptions:
-    tol: float = 1e-10  # scaled to tol * (1 + |J^-1 R(0)|_G), mesh-robust
+    tol: float = 1e-10  # scaled to tol * (1 + |K^-1 R(0)|_G), mesh-robust
     max_newton: int = 50
     max_fallback: int = 2000
     initial_guess: np.ndarray | None = None
@@ -66,11 +68,11 @@ class SolveOptions:
 class SolveStats:
     newton_iters: int = 0
     fallback_iters: int = 0
-    # correction norms |J^{-1} R(u)|_G (|G^{-1} R(u)|_G in the fallback): of
-    # the first iterate, then of each accepted one, and of the one returned
+    # correction norms |K^{-1} R(u)|_G, K the frozen Jacobian J or, in the
+    # fallback, the penalty Gram: of the first iterate, then of each
+    # accepted one, and of the one returned
     final_residual: float = np.inf
     residual_history: list = field(default_factory=list)
-    contraction_factors: list = field(default_factory=list)
     lu_fill: list = field(default_factory=list)  # per factorization, nnz(L+U)/nnz(A)
     colamd_retries: int = 0  # factorizations redone in COLAMD order
     # returned above tol, inside the roundoff band of at most 1e3 tol
@@ -184,29 +186,27 @@ def solve_discrete(
     params: FormParams,
     opts: SolveOptions | None = None,
 ) -> tuple[DiscreteFunction, SolveStats]:
-    """Solve A_k(u; v) = 0 over the space by Newton with frozen controls."""
+    """Solve A_k(u; v) = 0 over the space by Newton with frozen controls, and
+    on from where it stops short by the fixed point preconditioned by P."""
     opts = opts or SolveOptions()
     ops = get_operators(space)
-    u = np.zeros(space.dim)
-    if opts.initial_guess is not None:
-        u = np.array(opts.initial_guess, dtype=float)
+    guess = opts.initial_guess
+    u = np.zeros(space.dim) if guess is None else np.array(guess, dtype=float)
     stats = SolveStats()
 
-    r0 = None
-    if np.any(u):
-        zero = DiscreteFunction(space, np.zeros(space.dim))
-        r0 = nonlinear_residual(space, problem, zero, params)
+    zero = DiscreteFunction(space, np.zeros(space.dim))
+    r0 = nonlinear_residual(space, problem, zero, params) if np.any(u) else None
     # the residual of each iterate comes last, so that its Jacobian reuses
     # the optimal controls the residual found
     uf = DiscreteFunction(space, u)
     r = nonlinear_residual(space, problem, uf, params)
-    tol, dn = None, np.inf
+    tol, dn = np.nan, np.inf  # tol is set by the first correction
 
     def correction(solve, b):  # -K^{-1} b and its G norm, for solve = K^{-1}
-        nonlocal tol  # set by the first call to opts.tol (1 + |K^{-1} R(0)|_G)
+        nonlocal tol  # opts.tol (1 + |K^{-1} R(0)|_G)
         d = -solve(b)
         dn = norm_k(space, d)
-        if tol is None:
+        if np.isnan(tol):
             tol = opts.tol * (1.0 + (dn if r0 is None else norm_k(space, solve(r0))))
             stats.residual_history.append(dn)
         return d, dn
@@ -216,79 +216,51 @@ def solve_discrete(
         stats.floor_accepted = dn > tol
         return uf, stats
 
-    d = None  # the correction at u, from the kept solve of J
-    for _ in range(opts.max_newton):
-        if d is None:
-            frozen = ops.inf_sup(problem, uf)[1:]  # kept by the last residual
-            J = frozen_jacobian(space, problem, uf, params)
-            stats.final_residual = dn  # as a SolverError of the solve finds it
-            solve = linear_solver(J, stats)
-            d, dn = correction(solve, r)
-        if dn <= tol:
+    for newton, budget in ((True, opts.max_newton), (False, opts.max_fallback)):
+        d = None  # the correction at u, from the kept solve of K
+        for _ in range(budget):
+            if d is None:
+                if newton:
+                    frozen = ops.inf_sup(problem, uf)[1:]  # kept by the last residual
+                    K = frozen_jacobian(space, problem, uf, params)
+                else:
+                    K = ops.penalty_gram(params)
+                stats.final_residual = dn  # as a SolverError of the solve finds it
+                solve = linear_solver(K, stats)
+                d, dn = correction(solve, r)
+            if dn <= tol:
+                return accept()
+            step = 1.0
+            for halvings in range(MAX_BACKTRACKS):
+                trial = DiscreteFunction(space, u + step * d)
+                rt = nonlinear_residual(space, problem, trial, params)
+                dt, dtn = correction(solve, rt)
+                if dtn < dn:
+                    break
+                step *= DAMPING
+            if newton:
+                stats.newton_iters += 1
+                stats.backtracks.append(halvings if dtn < dn else MAX_BACKTRACKS)
+                changed = dtn < dn and np.not_equal(
+                    frozen, ops.inf_sup(problem, trial)[1:]).any(axis=0)
+                stats.controls_changed.append(int(np.count_nonzero(changed)))
+            if dtn >= dn:
+                break
+            stats.fallback_iters += not newton
+            stats.residual_history.append(dtn)
+            # residual evaluations carry roundoff proportional to the operator
+            # norms: Newton steps that stall inside the band of 1e3 tol have
+            # converged to working precision (a fixed point is too slow to tell)
+            stalled = newton and dtn > 0.5 * dn and dtn <= 1e3 * tol
+            u, uf, r, dn = trial.coeffs, trial, rt, dtn
+            # J, and so its solve, stays while the controls do; P always
+            d = None if newton and np.any(changed) else dt
+            if dn <= tol or stalled:
+                return accept()
+        if dn <= 1e3 * tol:
             return accept()
-        step = 1.0
-        for halvings in range(MAX_BACKTRACKS):
-            trial = DiscreteFunction(space, u + step * d)
-            rt = nonlinear_residual(space, problem, trial, params)
-            dt, dtn = correction(solve, rt)
-            if dtn < dn:
-                break
-            step *= DAMPING
-        stats.newton_iters += 1
-        if dtn >= dn:
-            stats.backtracks.append(MAX_BACKTRACKS)
-            stats.controls_changed.append(0)
-            break
-        stats.backtracks.append(halvings)
-        changed = np.not_equal(frozen, ops.inf_sup(problem, trial)[1:]).any(axis=0)
-        stats.controls_changed.append(int(np.count_nonzero(changed)))
-        stats.residual_history.append(dtn)
-        # residual evaluations carry roundoff proportional to the operator
-        # norms; once accepted steps stall inside the band of 1e3 tol the
-        # iteration has converged to working precision
-        stalled = dtn > 0.5 * dn and dtn <= 1e3 * tol
-        u, uf, r, dn = trial.coeffs, trial, rt, dtn
-        d = None if changed.any() else dt  # J, and so its solve, stays
-        if dn <= tol or stalled:
-            return accept()
-
-    if tol is not None and dn <= 1e3 * tol:
-        return accept()
-
-    # fixed-point fallback u <- u + tau d with d = -G^{-1} R(u), tau halved
-    # from 1.0 until |d|_G falls; G is factored here only
-    gram_solve = linear_solver(ops.norm_gram, stats)
-    d, dn = correction(gram_solve, r)
-    tau = 1.0
-    for _ in range(opts.max_fallback):
-        if dn <= tol:
-            break
-        while True:
-            trial = DiscreteFunction(space, u + tau * d)
-            rt = nonlinear_residual(space, problem, trial, params)
-            dt, dtn = correction(gram_solve, rt)
-            if dtn < dn or tau < 1e-8:
-                break
-            tau *= 0.5
-        if dtn >= dn:
-            if dn <= 1e3 * tol:
-                break
-            raise SolverError(
-                "fixed-point fallback failed to reduce the residual; "
-                "penalties sigma/rho may be too small for monotonicity",
-                stats,
-            )
-        stats.contraction_factors.append(dtn / dn)
-        u, uf, d, dn = trial.coeffs, trial, dt, dtn
-        stats.fallback_iters += 1
-        stats.residual_history.append(dn)
 
     stats.final_residual = dn
-    if dn > 1e3 * tol:
-        raise SolverError(
-            f"no convergence after {stats.newton_iters} Newton and "
-            f"{stats.fallback_iters} fallback iterations "
-            f"(residual {dn:.3e}, tol {tol:.1e})",
-            stats,
-        )
-    return accept()
+    raise SolverError(f"no convergence after {stats.newton_iters} Newton and "
+                      f"{stats.fallback_iters} fallback iterations (residual "
+                      f"{dn:.3e}, tol {tol:.1e})", stats)

@@ -50,7 +50,8 @@ def mesh_hierarchy():
     m = refine_conforming(levels[0], {0, 3})
     levels.append(m)
     levels.append(uniform_refine(m))
-    levels.append(refine_conforming(levels[-1], set(range(0, levels[-1].n_elements, 3))))
+    every_third = set(range(0, levels[-1].n_elements, 3))
+    levels.append(refine_conforming(levels[-1], every_third))
     return levels
 
 

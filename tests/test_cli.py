@@ -36,6 +36,21 @@ def test_invalid_mark_value_rejected():
                       "--mark", "median:0.5"])
 
 
+@pytest.mark.parametrize("uniform", ["false", "true"])
+def test_invalid_config_strategy_rejected(tmp_path, uniform):
+    # checked when the file is read, as --mark is, also where a uniform
+    # study would never mark
+    cfgfile = tmp_path / "study.ini"
+    cfgfile.write_text(
+        "[study]\nproblem = poisson_singleton\nstrategy = bogus\n"
+        f"uniform = {uniform}\nout = {tmp_path / 'out'}\n"
+    )
+    with pytest.raises(SystemExit, match="invalid strategy value 'bogus'"):
+        build_config(["--config", str(cfgfile)])
+    cfgfile.write_text("[study]\nstrategy = max\n")
+    assert build_config(["--config", str(cfgfile)]).strategy == "max"
+
+
 def test_config_file_with_cli_override(tmp_path):
     cfgfile = tmp_path / "study.ini"
     cfgfile.write_text(

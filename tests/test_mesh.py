@@ -153,7 +153,7 @@ def test_boundary_normals_outward():
     m = unit_square_mesh(2)
     for f in range(m.n_faces):
         if m.face_kind[f] == BOUNDARY:
-            mid = 0.5 * (m.vertices[m.face_verts[f, 0]] + m.vertices[m.face_verts[f, 1]])
+            mid = m.vertices[m.face_verts[f]].mean(axis=0)
             n = m.face_normals[f]
             # stepping outward leaves the unit square
             out = mid + 1e-3 * n

@@ -39,7 +39,8 @@ def test_exact_gradient_hessian_consistency(rng):
         for d in range(2):
             shift = np.zeros(2)
             shift[d] = eps
-            fd = (prob.exact.value(pts + shift) - prob.exact.value(pts - shift)) / (2 * eps)
+            fd = prob.exact.value(pts + shift) - prob.exact.value(pts - shift)
+            fd /= 2 * eps
             assert np.abs(fd - grad[:, d]).max() <= 1e-8, prob.name
 
 

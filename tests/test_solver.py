@@ -147,7 +147,8 @@ def test_halves_do_not_couple(p, s):
     for level in range(depth):
         part = dof_key // 3 ** (depth - level)
         digit = dof_key // 3 ** (depth - 1 - level) % 3
-        across = (part[coo.row] == part[coo.col]) & (digit[coo.row] + digit[coo.col] == 1)
+        across = ((part[coo.row] == part[coo.col])
+                  & (digit[coo.row] + digit[coo.col] == 1))
         assert not across.any(), level
 
 
@@ -308,14 +309,26 @@ def test_newton_records_step_halvings(monkeypatch):
     assert stats.backtracks == [1, 0] and stats.controls_changed == [0, 0]
 
 
+def _record_factorize(monkeypatch):
+    """A list that records the matrix of every `solver.factorize` call."""
+    factored, factorize = [], solver.factorize
+
+    def recorded(A, natural):
+        factored.append(A)
+        return factorize(A, natural)
+
+    monkeypatch.setattr(solver, "factorize", recorded)
+    return factored
+
+
 def test_failed_newton_step_hands_off_to_the_fallback(monkeypatch):
     # a linear problem whose first correction is f delta for the Newton
     # correction delta, f = 1/4: the simplified correction at u + t f delta
     # is (1 - t f) delta, never smaller than f delta, so every one of the
-    # MAX_BACKTRACKS trials fails and the fixed-point fallback takes over,
-    # factoring G once. (A tiny f such as 1e-12 would not: the first
-    # correction would fall below tol, which it also scales, and the solve
-    # would stop before any step.)
+    # MAX_BACKTRACKS trials fails and the fixed-point phase takes over,
+    # factoring the penalty Gram once and reaching tol. (A tiny f such as
+    # 1e-12 would not: the first correction would fall below tol, which it
+    # also scales, and the solve would stop before any step.)
     linear_solver, stretch = solver.linear_solver, iter([0.25])
 
     def stretched(*args):
@@ -324,15 +337,13 @@ def test_failed_newton_step_hands_off_to_the_fallback(monkeypatch):
 
     monkeypatch.setattr(solver, "linear_solver", stretched)
     space = build_space(unit_square_mesh(2), SpaceConfig(p=2, s=0))
-    gram, factored = get_operators(space).norm_gram, []
-    factorize = solver.factorize
-    monkeypatch.setattr(solver, "factorize",
-                        lambda A, natural: factored.append(A) or factorize(A, natural))
-    _, stats = solve_discrete(space, get_problem("poisson_singleton"),
-                              FormParams.defaults(2, 0))
+    params = FormParams.defaults(2, 0)
+    penalty = get_operators(space).penalty_gram(params)  # a fresh matrix
+    factored = _record_factorize(monkeypatch)
+    _, stats = solve_discrete(space, get_problem("poisson_singleton"), params)
     assert stats.newton_iters == 1 and stats.backtracks == [solver.MAX_BACKTRACKS]
-    assert stats.fallback_iters > 0
-    assert sum(A is gram for A in factored) == 1
+    assert 0 < stats.fallback_iters <= 30 and not stats.floor_accepted
+    assert sum(np.array_equal(A.data, penalty.data) for A in factored) == 1
     # the first entry is the Newton correction; the fallback's follow it
     after = np.array(stats.residual_history[1:])
     assert len(after) == stats.fallback_iters and np.all(np.diff(after) < 0)
@@ -404,21 +415,22 @@ def test_reused_correction_equals_a_fresh_one(monkeypatch, rng):
     assert np.array_equal(kept, fresh)
 
 
-def test_norm_gram_is_factored_only_by_the_fallback(monkeypatch):
+def test_penalty_gram_is_factored_only_by_the_fallback(monkeypatch):
+    # Newton factors frozen Jacobians only, a solve with no Newton budget
+    # factors the penalty Gram once, and the norm Gram is only multiplied
     space = build_space(unit_square_mesh(3), SpaceConfig(p=2, s=0))
     problem, params = get_problem("two_control_switch"), FormParams.defaults(2, 0)
-    gram, factored = get_operators(space).norm_gram, []
-    factorize = solver.factorize
-    monkeypatch.setattr(solver, "factorize",
-                        lambda A, natural: factored.append(A) or factorize(A, natural))
+    ops = get_operators(space)
+    penalty = ops.penalty_gram(params)
+    factored = _record_factorize(monkeypatch)
     _, stats = solve_discrete(space, problem, params)
     assert stats.fallback_iters == 0 and len(factored) == len(stats.lu_fill) >= 1
-    assert all(A is not gram for A in factored)
+    assert not any(np.array_equal(A.data, penalty.data) for A in factored)
+    assert all(A is not ops.norm_gram for A in factored)
     factored.clear()
-    _, stats = solve_discrete(space, problem, params,
-                              SolveOptions(max_newton=0, max_fallback=4000))
+    _, stats = solve_discrete(space, problem, params, SolveOptions(max_newton=0))
     assert stats.fallback_iters > 0
-    assert len(factored) == 1 and factored[0] is gram
+    assert len(factored) == 1 and np.array_equal(factored[0].data, penalty.data)
 
 
 # --------------------------------------------------------------------- solving
@@ -506,10 +518,14 @@ def test_nonconvergence_raises_with_stats():
     assert len(exc.value.stats.residual_history) >= 1
 
 
-def test_fallback_contracts():
+@pytest.mark.parametrize("n", [2, 8])
+def test_fallback_contracts(n):
+    # preconditioned by the penalty Gram, weighted as the operator is, the
+    # fixed point contracts at a mesh-independent rate well below 1
     prob = get_problem("two_control_switch")
-    space = build_space(unit_square_mesh(2), SpaceConfig(p=2, s=0))
-    opts = SolveOptions(max_newton=0, max_fallback=4000)
+    space = build_space(unit_square_mesh(n), SpaceConfig(p=2, s=0))
+    opts = SolveOptions(max_newton=0)
     u, stats = solve_discrete(space, prob, FormParams.defaults(2, 0), opts)
-    assert stats.fallback_iters > 0
-    assert max(stats.contraction_factors) < 1.0
+    assert 0 < stats.fallback_iters <= 30 and not stats.floor_accepted
+    hist = np.array(stats.residual_history)
+    assert np.all(hist[1:] < 0.5 * hist[:-1])
