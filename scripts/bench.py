@@ -9,7 +9,10 @@ Run from the repository root:
 Layers: on `unit_square_mesh(2)` bisected uniformly 9 times (4,096
 elements: 40,960 DG p=3 dofs and 18,241 C0 p=3 dofs), each of 3
 repetitions builds a fresh space and times, in one process, the
-`Operators` build, one Newton solve of `poisson_singleton`, `error_norm_k`
+`Operators` build and three parts of it (`pattern_s`: `forms.face_pattern`;
+`volume_s`: `Operators._volume`; `faces_s`: `forms.face_tables` and
+`Operators._faces`, each timed by wrapping it within this script), one
+Newton solve of `poisson_singleton`, `error_norm_k`
 and `estimate`. Inside the Newton solve it records the factor time and
 fill, nnz(L + U - I) / nnz(A), of the first `scipy.sparse.linalg.splu`
 call, which factors the first frozen Jacobian (`jacobian_lu_s`), and the
@@ -62,7 +65,7 @@ from cordesfem import (
     uniform_refine,
     unit_square_mesh,
 )
-from cordesfem import solver
+from cordesfem import forms, solver
 from cordesfem.adapt import error_norm_k
 from cordesfem.fespace import ND_MIN_DOFS
 from cordesfem.forms import frozen_jacobian, get_operators, nonlinear_residual
@@ -98,6 +101,34 @@ def lu_spans(fn, *args):
         spla.splu = splu
 
 
+# (part, owner, function name) of the timed parts of an Operators build
+PARTS = (("pattern_s", forms, "face_pattern"),
+         ("volume_s", forms.Operators, "_volume"),
+         ("faces_s", forms, "face_tables"),
+         ("faces_s", forms.Operators, "_faces"))
+
+
+def part_times(fn, *args):
+    """fn(*args) and the seconds it spends in each part of PARTS."""
+    seconds = dict.fromkeys((part for part, _, _ in PARTS), 0.0)
+    saved = [(owner, name, getattr(owner, name)) for _, owner, name in PARTS]
+
+    def wrapped(part, f):
+        def timed_part(*a):
+            span, result = timed(f, *a)
+            seconds[part] += span
+            return result
+        return timed_part
+
+    for (part, _, _), (owner, name, f) in zip(PARTS, saved):
+        setattr(owner, name, wrapped(part, f))
+    try:
+        return fn(*args), seconds
+    finally:
+        for owner, name, f in saved:
+            setattr(owner, name, f)
+
+
 def peak_mb(fn, *args):
     """The tracemalloc peak, in MB, of what fn(*args) allocates."""
     tracemalloc.start()
@@ -115,7 +146,7 @@ def layer_times(mesh, s, repeat):
     runs = []
     for _ in range(repeat):
         t_space, space = timed(build_space, mesh, SpaceConfig(p=3, s=s))
-        t_ops, _ = timed(get_operators, space)
+        t_ops, (_, parts) = timed(part_times, get_operators, space)
         t_solve, ((u, stats), lus) = timed(
             lu_spans, solve_discrete, space, problem, params)
         t_jac, jac_fill = lus[0]
@@ -128,7 +159,7 @@ def layer_times(mesh, s, repeat):
         t_err, err = timed(error_norm_k, space, u, problem.exact)
         t_est, report = timed(estimate, space, problem, u, params)
         runs.append({
-            "ndofs": space.dim, "space_s": t_space, "operators_s": t_ops,
+            "ndofs": space.dim, "space_s": t_space, "operators_s": t_ops, **parts,
             "solve_s": t_solve, "gram_lu_s": t_gram, "jacobian_lu_s": t_jac,
             "gram_fill": gram_fill, "jacobian_fill": jac_fill,
             "residual_s": t_residual, "jacobian_s": t_jacobian,

@@ -242,10 +242,3 @@ class DiscreteFunction:
         out = _chain_rule(ref.reshape(n, nq, 2**order), space.invJ[elems], order)
         return out.reshape((n, nq) + (2,) * order)
 
-
-def mass_blocks(space: FESpace) -> np.ndarray:
-    """Element mass blocks (ne, nloc, nloc): detJ times the reference mass."""
-    rule = space.elem_rule
-    vals = space.basis.eval(rule.points, 0)  # (nq, nloc) shared across elements
-    local = (vals.T * rule.weights) @ vals
-    return local[None, :, :] * space.detJ[:, None, None]

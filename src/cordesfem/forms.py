@@ -16,7 +16,10 @@ space. A face side lies on one of six directed reference edges, whose
 tables (`edge_tables`) are built once per process, so its traces are a
 gather and one chain rule. A boundary face is a two-sided face whose plus
 side has weight 0 and dofs -1, so face integrals have no interior/boundary
-branch. Element and face Grams are one weighted-Gram matmul each (`_gram`).
+branch. Face Grams are one weighted-Gram matmul each (`_gram`). Element
+maps are affine, so each kind of element block is one matmul of
+coefficients of invJ and detJ with a reference tensor (`elem_tensors`,
+built once per process; Kirby and Logg, ACM TOMS 32 (2006)).
 
 Every square matrix lives on one `Pattern` per space, the dof pairs that
 share a face: its int32 slot maps send face blocks and element patches
@@ -49,9 +52,9 @@ import scipy.sparse as sp
 from . import cordes
 from .basis import ortho_basis
 from .fespace import DiscreteFunction, FESpace, SpaceError, gather
-from .fespace import _chain_rule, mass_blocks
+from .fespace import _chain_rule
 from .mesh import INTERIOR
-from .quadrature import segment_rule
+from .quadrature import segment_rule, triangle_rule
 
 
 @dataclass(frozen=True)
@@ -154,6 +157,34 @@ def face_tables(space: FESpace, modal) -> tuple[FaceTables, np.ndarray]:
     return tables, by_face(avg, hess)
 
 
+@cache
+def elem_tensors(basis, modal, exactness: int) -> tuple:
+    """On the triangle rule of `exactness`, read-only: `modal` values Bm
+    (nq, nmod), flattened `basis` Hessians ref_hess (nq, nloc, 4), the
+    frozen Jacobians' hess_tensor (4 nq, nmod nloc), the Hessian Gram K2
+    (16, nloc^2) = sum_q w_q ref_hess[q, a, i] ref_hess[q, b, j] at
+    (i j, a b), Kg (21, nloc^2), K2 over the gradient and value Grams, and
+    KL (4, nloc nmod) = sum_q w_q ref_hess[q, a, i] Bm[q, m] at (i, a m)."""
+    rule = triangle_rule(exactness)
+    w = rule.weights
+    val, grad, hess = (basis.eval(rule.points, k).reshape(rule.n, basis.n, -1)
+                       for k in (0, 1, 2))
+    Bm = modal.eval(rule.points, 0)
+    # K[(q, k), (m, a)] = Bm[q, m] ref_hess[q, a, k]
+    hess_tensor = np.einsum("qm,qak->qkma", Bm, hess).reshape(4 * rule.n, -1)
+
+    def gram(A):  # (c^2, nloc^2) over the components c of a (nq, nloc, c) table
+        return np.einsum("q,qak,qbl->klab", w, A, A).reshape(A.shape[2] ** 2, -1)
+
+    K2 = gram(hess)
+    Kg = np.concatenate([K2, gram(grad), gram(val)])
+    KL = np.einsum("q,qak,qj->kaj", w, hess, Bm).reshape(4, -1)
+    tabs = (Bm, hess, hess_tensor, K2, Kg, KL)
+    for tab in tabs:
+        tab.flags.writeable = False
+    return tabs
+
+
 def _gram(w, A, B=None):
     """Weighted Gram blocks sum_q w_q A[q, a, ...] . B[q, b, ...], (n, na, nb),
     of (n, nq, na, ...) tables (B defaults to A) and weights (nq,) or (n, nq),
@@ -169,11 +200,12 @@ def _gram(w, A, B=None):
 @dataclass(frozen=True)
 class Pattern:
     """CSR pattern of the dof pairs that share a face, which holds every
-    element pair, with int32 slot maps of the face blocks (nf, 2 nloc,
-    2 nloc) and element patches (ne, 4 nloc, nloc) into it. A patch pairs
-    its `rows`, the element's dofs and then its neighbour's across each
-    local face, with the element's dofs. A pair with a missing dof (-1, dim
-    in `rows`) has the extra slot nnz, which `scatter` drops."""
+    element pair, with int32 slot maps of the element patches (ne, 4 nloc,
+    nloc), which hold every pair, and face blocks (nf, 2 nloc, 2 nloc) into
+    it. A patch pairs its `rows`, the element's dofs and then its
+    neighbour's across each local face, with the element's dofs. A pair
+    with a missing dof (-1, dim in `rows`) has the extra slot nnz, which
+    `scatter` drops."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -199,25 +231,37 @@ class Pattern:
 
 
 def face_pattern(ft: FaceTables, ef: np.ndarray, sd: np.ndarray, dim: int) -> Pattern:
-    """The Pattern of a space from its FaceTables and element faces and sides."""
+    """The Pattern of a space from its FaceTables and element faces and
+    sides: one `np.unique` of the patch keys, a third fewer than the face
+    blocks', and the face slots gathered from the patch slots."""
     nf, m = ft.dofs.shape
-    rows, cols = ft.dofs[:, :, None], ft.dofs[:, None, :]
+    nloc, ne = m // 2, len(ef)
+    dofs = ft.dofs.reshape(nf, 2, nloc)
+    e0, s0, nb = ef[:, 0], sd[:, 0], 1 - sd
+    # a patch: its element's rows, then its neighbour's across each face
+    rows = np.concatenate([dofs[e0, s0][:, None], dofs[ef, nb]], 1).reshape(ne, -1)
+    cols = dofs[e0, s0][:, None, :]
     # missing pairs get the key dim^2, past every pair, so their slot is nnz
-    keys = np.where((rows >= 0) & (cols >= 0), rows * dim + cols, dim * dim)
+    keys = np.where((rows[:, :, None] >= 0) & (cols >= 0),
+                    rows[:, :, None] * dim + cols, dim * dim)
     pairs, slots = np.unique(keys, return_inverse=True)
     pairs = pairs[pairs < dim * dim]
     indptr = np.searchsorted(pairs, np.arange(dim + 1) * dim).astype(np.int32)
     indices = (pairs % dim).astype(np.int32)
     # matrices on the whole pattern share these
     indptr.flags.writeable = indices.flags.writeable = False
-    face = slots.astype(np.int32).reshape(nf, m, m)
-    # a patch: the rows of either side of its faces in its own columns
-    blocks, dofs = face.reshape(nf, 2, m // 2, 2, m // 2), ft.dofs.reshape(nf, 2, -1)
-    e0, s0, nb = ef[:, 0], sd[:, 0], 1 - sd
-    patch = np.concatenate([blocks[e0, s0, :, s0][:, None], blocks[ef, nb, :, sd]], 1)
-    rows = np.concatenate([dofs[e0, s0][:, None], dofs[ef, nb]], 1)
-    rows = np.where(rows >= 0, rows, dim).reshape(len(ef), -1)
-    return Pattern(indptr, indices, face, patch.reshape(len(ef), 2 * m, -1), rows)
+    patch = slots.astype(np.int32).reshape(ne, 4, nloc, nloc)
+    # face block (r, c) pairs side r's rows with side c's dofs: side c's
+    # element's patch block 0 (r = c) or 1 + its local face (r != c); a
+    # missing side c has only missing pairs
+    local = np.zeros((nf, 2), dtype=int)
+    local[ef, sd] = np.arange(3)
+    blk = np.where(np.eye(2, dtype=bool), 0, 1 + local[:, None, :])
+    e = ft.elems[:, None, :]
+    face = np.where(e[..., None, None] >= 0, patch[e, blk], len(pairs))
+    face = face.transpose(0, 1, 3, 2, 4).reshape(nf, m, m)
+    rows = np.where(rows >= 0, rows, dim)
+    return Pattern(indptr, indices, face, patch.reshape(ne, 4 * nloc, nloc), rows)
 
 
 class Operators:
@@ -233,12 +277,10 @@ class Operators:
 
         rule = space.elem_rule
         self.wq = rule.weights
-        self.Bm = self.modal.eval(rule.points, 0)  # (nq, nmod)
-        # reference Hessian table (nq, nloc, 4), which hessian_at_qp reuses
-        self.ref_hess = space.basis.eval(rule.points, 2).reshape(rule.n, -1, 4)
-        # K[(q, k), (m, a)] = Bm[q, m] ref_hess[q, a, k] for frozen Jacobians
-        self.hess_tensor = np.einsum("qm,qak->qkma", self.Bm, self.ref_hess)
-        self.hess_tensor = self.hess_tensor.reshape(4 * rule.n, -1)
+        # the reference tensors; hessian_at_qp reuses ref_hess, the frozen
+        # Jacobian hess_tensor
+        tensors = elem_tensors(space.basis, self.modal, cfg.quad_exactness)
+        self.Bm, self.ref_hess, self.hess_tensor = tensors[:3]
         self.X = space.points(rule.points)  # physical quad points, (ne, nq, 2)
         self.detJ, self.invJ = space.detJ, space.invJ
 
@@ -248,7 +290,7 @@ class Operators:
         P = self.pattern = face_pattern(self.faces, ef, sd, space.dim)
         # Delta_k^T as element patches (ne, 4 nloc, nmod); the jump penalty
         # and S_facewise data on the pattern, which the linear part sums
-        gram, stab, lap = self._volume(space)
+        gram, stab, lap = self._volume(*tensors[3:])
         sface, self.patch = self._faces(ahess, lap, ef, sd)
         elem = P.patch[:, : space.nloc]  # the element blocks' slots
         self._stab = P.scatter(elem, stab) + P.scatter(P.face, sface)
@@ -259,23 +301,23 @@ class Operators:
         self._inf_sup = None
         self._linear = None  # (FormParams, linear part, its data)
 
-    @property
-    def PH(self) -> np.ndarray:
-        """Shape function Hessians (ne, nq, nloc, 2, 2), computed on read."""
-        PH = _chain_rule(self.ref_hess.reshape(-1, 4), self.invJ, 2)
-        return PH.reshape(len(PH), *self.ref_hess.shape[:2], 2, 2)
-
     # ------------------------------------------------------------------ volume
-    def _volume(self, sp_: FESpace):
+    def _volume(self, K2, Kg, KL):
         """Element blocks of M2 + M1 + M0 (norm Gram) and M2 - ML (facewise
-        stabilization) from the L2, H1, Hessian and Laplacian Grams, and the
-        modal coefficients of the shape functions' Laplacians, transposed."""
-        w, PH = sp_.detJ[:, None] * self.wq, self.PH
-        PG = sp_.shapes(sp_.elem_rule.points, 1)
-        lapl = PH[..., 0, 0] + PH[..., 1, 1]
-        M2 = _gram(w, PH)
-        lap = lapl.transpose(0, 2, 1) @ (self.wq[:, None] * self.Bm)
-        return M2 + _gram(w, PG) + mass_blocks(sp_), M2 - _gram(w, lapl), lap
+        stabilization), and the modal coefficients of the shape functions'
+        Laplacians, transposed, from the `elem_tensors`. The Hessian chain
+        rule T = invJ (x) invJ has T T^T = A (x) A, A = invJ invJ^T, and
+        takes a Hessian to its Laplacian by t = vec A."""
+        ne, nloc, detJ = len(self.detJ), self.ref_hess.shape[1], self.detJ[:, None]
+        A = self.invJ @ self.invJ.transpose(0, 2, 1)
+        t = A.reshape(ne, 4)
+        TT = (A[:, :, None, :, None] * A[:, None, :, None, :]).reshape(ne, 16)
+        tt = (t[:, :, None] * t[:, None, :]).reshape(ne, 16)
+        gram = (detJ * np.concatenate([TT, t, np.ones((ne, 1))], 1)) @ Kg
+        stab = (detJ * (TT - tt)) @ K2
+        lap = t @ KL
+        return (gram.reshape(ne, nloc, nloc), stab.reshape(ne, nloc, nloc),
+                lap.reshape(ne, nloc, -1))
 
     # ------------------------------------------------------------------- faces
     def _faces(self, ahess, lap, ef, sd):

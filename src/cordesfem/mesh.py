@@ -355,31 +355,27 @@ def shape_regularity(mesh: MeshLevel) -> float:
 
 def write_mesh_txt(mesh: MeshLevel, path) -> None:
     """Plain-text export: header, `v x y` lines, `e i j k` lines."""
+    lines = [f"mesh d=2 nv={mesh.n_vertices} ne={mesh.n_elements}"]
+    lines += [f"v {x!r} {y!r}" for x, y in mesh.vertices.tolist()]
+    lines += [f"e {a} {b} {c}" for a, b, c in mesh.tri.tolist()]
     with open(path, "w") as fh:
-        fh.write(f"mesh d=2 nv={mesh.n_vertices} ne={mesh.n_elements}\n")
-        for x, y in mesh.vertices:
-            fh.write(f"v {float(x)!r} {float(y)!r}\n")
-        for a, b, c in mesh.tri:
-            fh.write(f"e {a} {b} {c}\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_vtk(mesh: MeshLevel, path, cell_data: dict | None = None) -> None:
     """Legacy-VTK unstructured grid export for visualization."""
+    ne = mesh.n_elements
+    lines = ["# vtk DataFile Version 3.0", "mesh", "ASCII",
+             "DATASET UNSTRUCTURED_GRID", f"POINTS {mesh.n_vertices} double"]
+    lines += [f"{x} {y} 0.0" for x, y in mesh.vertices.tolist()]
+    lines.append(f"CELLS {ne} {4 * ne}")
+    lines += [f"3 {a} {b} {c}" for a, b, c in mesh.tri.tolist()]
+    lines.append(f"CELL_TYPES {ne}")
+    lines += ["5"] * ne
+    if cell_data:
+        lines.append(f"CELL_DATA {ne}")
+        for name, values in cell_data.items():
+            lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
+            lines += [f"{val}" for val in np.asarray(values).tolist()]
     with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 3.0\nmesh\nASCII\n")
-        fh.write("DATASET UNSTRUCTURED_GRID\n")
-        fh.write(f"POINTS {mesh.n_vertices} double\n")
-        for x, y in mesh.vertices:
-            fh.write(f"{x} {y} 0.0\n")
-        ne = mesh.n_elements
-        fh.write(f"CELLS {ne} {4 * ne}\n")
-        for a, b, c in mesh.tri:
-            fh.write(f"3 {a} {b} {c}\n")
-        fh.write(f"CELL_TYPES {ne}\n")
-        fh.write("5\n" * ne)
-        if cell_data:
-            fh.write(f"CELL_DATA {ne}\n")
-            for name, values in cell_data.items():
-                fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-                for val in values:
-                    fh.write(f"{val}\n")
+        fh.write("\n".join(lines) + "\n")

@@ -14,8 +14,7 @@ from cordesfem import (
     uniform_refine,
     unit_square_mesh,
 )
-from cordesfem.fespace import mass_blocks
-from lifted_oracle import assemble_csr
+from lifted_oracle import assemble_csr, mass_blocks
 
 
 def mass_matrix(space):

@@ -7,7 +7,9 @@ jumps, their trace TrR, the lifted Laplacian Delta_k and from them
 S_lifted, each a sparse matrix from COO triplets (`assemble_csr`) on the
 space's `Operators` data. Criteria 1-2 and `test_forms.py` compare them
 with the facewise matrices, the local Delta_k^T patches and the defining
-integrals of the liftings.
+integrals of the liftings. The element mass blocks and the physical shape
+Hessians, which the library builds from reference tensors instead, are
+tabulated here per element.
 """
 
 import numpy as np
@@ -25,6 +27,20 @@ def assemble_csr(rows, cols, data, shape) -> sp.csr_matrix:
     return sp.csr_matrix((data[keep], (rows[keep], cols[keep])), shape=shape)
 
 
+def mass_blocks(space) -> np.ndarray:
+    """Element mass blocks (ne, nloc, nloc): detJ times the reference mass."""
+    rule = space.elem_rule
+    vals = space.basis.eval(rule.points, 0)  # (nq, nloc) shared across elements
+    local = (vals.T * rule.weights) @ vals
+    return local[None, :, :] * space.detJ[:, None, None]
+
+
+def shape_hessians(space) -> np.ndarray:
+    """Physical Hessians (ne, nq, nloc, 2, 2) of the shape functions at
+    the element quadrature points."""
+    return space.shapes(space.elem_rule.points, 2)
+
+
 def _modal_shape(space) -> tuple[int, int]:
     """Shape of a map from the dofs to the modal coefficients per element."""
     return (space.mesh.n_elements * get_operators(space).nmod, space.dim)
@@ -34,7 +50,7 @@ def D2(space) -> dict:
     """Broken Hessian maps D2[(i, j)], i <= j: modal coefficients of each
     shape function's physical Hessian component (exact since p - 2 <= q)."""
     ops = get_operators(space)
-    PH, ne, nmod = ops.PH, space.mesh.n_elements, ops.nmod
+    PH, ne, nmod = shape_hessians(space), space.mesh.n_elements, ops.nmod
     coeff = (ops.wq[:, None] * ops.Bm).T @ PH.reshape(ne, len(ops.wq), -1)
     coeff = coeff.reshape(ne, nmod, *PH.shape[2:])
     rows = (np.arange(ne)[:, None] * nmod + np.arange(nmod))[:, :, None]

@@ -9,7 +9,8 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import mass_matrix, project_l2
-from lifted_oracle import D2, Delta_k, R, S_lifted, TrR, assemble_csr
+from lifted_oracle import (D2, Delta_k, R, S_lifted, TrR, assemble_csr,
+                           shape_hessians)
 
 from cordesfem import (
     DiscreteFunction,
@@ -31,7 +32,7 @@ from cordesfem import cordes
 from cordesfem.basis import RefBasis
 from cordesfem.cordes import frozen_coefficients
 from cordesfem.fespace import SpaceError
-from cordesfem.forms import Operators, face_tables, get_operators
+from cordesfem.forms import Operators, elem_tensors, face_tables, get_operators
 from cordesfem.mesh import INTERIOR, convex_polygon_mesh
 from cordesfem.quadrature import quadrature_rule
 
@@ -338,7 +339,7 @@ def _einsum_matrices(space, ops):
     # entry summed into it, the scale of its roundoff (the value jumps of a
     # C0 space cancel, so its Jval is roundoff only)
     w, dJ = ops.wq, space.detJ
-    PG, PH = space.shapes(space.elem_rule.points, 1), ops.PH
+    PG, PH = space.shapes(space.elem_rule.points, 1), shape_hessians(space)
     lapl = np.einsum("eqlii->eql", PH)
     shape = (space.dim, space.dim)
 
@@ -566,7 +567,7 @@ def test_local_blocks_match_delta_k_formulas(mesh, p, s, rng):
         got = nonlinear_residual(space, prob, u, params)
         assert np.abs(got - sum(terms)).max(initial=0.0) <= 1e-13 * scale
         c = table.frozen(ia, ib).reshape(ne, -1, 2, 2) * w[:, :, None, None]
-        blocks = np.einsum("qa,eqij,eqlij->eal", ops.Bm, c, ops.PH)
+        blocks = np.einsum("qa,eqij,eqlij->eal", ops.Bm, c, shape_hessians(space))
         rows = (np.arange(ne)[:, None] * nmod + np.arange(nmod))[:, :, None]
         G = assemble_csr(rows, space.dofmap[:, None, :], blocks,
                          (ne * nmod, space.dim))
@@ -619,8 +620,9 @@ def test_edge_tables_match_ref_point_traces(mesh, p, s):
 
 @pytest.mark.parametrize("p,s", [(p, s) for p in (2, 3, 4) for s in (0, 1)])
 def test_second_operators_build_tabulates_no_face_points(p, s, monkeypatch):
-    # the edge tables are built once per process: after a first build, an
-    # Operators build on another mesh tabulates at the element rule only
+    # the edge tables and the element tensors are built once per process:
+    # after a first build, an Operators build on another mesh tabulates
+    # nothing
     first, second = (build_space(make(), SpaceConfig(p=p, s=s))
                      for make in PATTERN_MESHES.values())
     Operators(first)
@@ -632,9 +634,46 @@ def test_second_operators_build_tabulates_no_face_points(p, s, monkeypatch):
 
     monkeypatch.setattr(RefBasis, "eval", recording)
     Operators(second)
-    assert calls
-    for pts in calls:
-        assert np.array_equal(pts, second.elem_rule.points)
+    assert not calls
+
+
+def _moved_mesh():
+    # unit_square_mesh(3) with its interior vertices moved by fixed offsets:
+    # of its 18 elements only the two with no interior vertex are similar
+    mesh = unit_square_mesh(3)
+    v = mesh.vertices.copy()
+    inner = ~mesh.boundary_vertex_mask()
+    offsets = np.array([[0.05, -0.03], [-0.04, 0.06], [0.07, 0.02], [-0.02, -0.05]])
+    v[inner] += offsets[np.arange(inner.sum()) % len(offsets)]
+    return replace(mesh, vertices=v)
+
+
+@pytest.mark.parametrize("p,s", [(p, s) for p in (2, 3, 4) for s in (0, 1)])
+def test_volume_blocks_match_quadrature(p, s):
+    # the element blocks from the reference tensors equal the quadrature
+    # sums of the physical shape tables on elements that are not similar,
+    # each within 1e-13 of its largest entry; the tensors are read-only
+    space = build_space(_moved_mesh(), SpaceConfig(p=p, s=s))
+    ops = get_operators(space)
+    tensors = elem_tensors(space.basis, ops.modal, space.config.quad_exactness)
+    for tab in tensors:
+        with pytest.raises(ValueError):
+            tab[(0,) * tab.ndim] = 0.0
+    got = ops._volume(*tensors[3:])
+    shapes = [space.shapes(space.elem_rule.points, k) for k in (0, 1)]
+    PH, w, dJ = shape_hessians(space), ops.wq, space.detJ
+    lapl = np.einsum("eqlii->eql", PH)
+    M2 = np.einsum("e,q,eqaij,eqbij->eab", dJ, w, PH, PH)
+    want = (
+        M2 + np.einsum("e,q,eqai,eqbi->eab", dJ, w, shapes[1], shapes[1])
+        + np.einsum("e,q,eqa,eqb->eab", dJ, w, shapes[0], shapes[0]),
+        M2 - np.einsum("e,q,eqa,eqb->eab", dJ, w, lapl, lapl),
+        np.einsum("q,eqa,qj->eaj", w, lapl, ops.Bm),
+    )
+    scales = (np.abs(want[0]).max(), np.abs(M2).max(), np.abs(want[2]).max())
+    for a, b, scale in zip(got, want, scales):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("mesh,p,s", PATTERN_CASES)
