@@ -15,10 +15,12 @@ repetitions builds a fresh space and times, in one process, the
 Newton solve of `poisson_singleton`, `error_norm_k`
 and `estimate`. Inside the Newton solve it records the factor time and
 fill, nnz(L + U - I) / nnz(A), of the first `scipy.sparse.linalg.splu`
-call, which factors the first frozen Jacobian (`jacobian_lu_s`), and the
-number of `splu` calls (`lu_factors`). The `splu` time and fill of the
-norm Gram matrix, which the Newton solve does not factor, come from one
-`solver.factorize` of it as stored (`gram_lu_s`). At the converged state
+call, which factors the first frozen Jacobian (`jacobian_lu_s`), the
+number of `splu` calls (`lu_factors`) and the triangular solves of the
+kept factorizations, refinements included (`SolveStats.lu_solves`). The
+`splu` time and fill of the norm Gram matrix, which the Newton solve does
+not factor, come from one `solver.factorize` of it as stored
+(`gram_lu_s`). At the converged state
 it then times one `nonlinear_residual` (`residual_s`), one
 `frozen_jacobian` (`jacobian_s`) and the whole `solver.factorize` of that
 Jacobian as stored (`factorize_s`: everything from the matrix to its LU,
@@ -166,6 +168,7 @@ def layer_times(mesh, s, repeat):
             "factorize_s": t_factorize,
             "error_norm_k_s": t_err, "estimate_s": t_est,
             "newton_iters": stats.newton_iters, "lu_factors": len(lus),
+            "lu_solves": stats.lu_solves,
             "error_norm_k": err,
             "eta_total": report.total,
         })

@@ -40,7 +40,7 @@ from .mesh import (
 )
 from .problems import get_problem, registry
 from .quadrature import QuadratureRule, quadrature_rule
-from .solver import SolveOptions, SolveStats, linear_solve, solve_discrete
+from .solver import SolveOptions, SolveStats, solve_discrete
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

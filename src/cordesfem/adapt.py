@@ -108,6 +108,7 @@ class AdaptiveStep:
     controls_changed: list
     lu_fill: list
     colamd_retries: int
+    lu_solves: int
 
 
 @dataclass
@@ -240,6 +241,7 @@ def adaptive_solve(
             controls_changed=stats.controls_changed,
             lu_fill=stats.lu_fill,
             colamd_retries=stats.colamd_retries,
+            lu_solves=stats.lu_solves,
         )
         trace.steps.append(step)
         if callback is not None:

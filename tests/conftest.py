@@ -9,12 +9,17 @@ from cordesfem import (
     DiscreteFunction,
     SpaceConfig,
     build_space,
-    linear_solve,
     refine_conforming,
     uniform_refine,
     unit_square_mesh,
 )
+from cordesfem.solver import linear_solver
 from lifted_oracle import assemble_csr, mass_blocks
+
+
+def linear_solve(matrix, rhs, stats=None):
+    """A^{-1} rhs by `solver.linear_solver(matrix, stats)`."""
+    return linear_solver(matrix, stats)(rhs)
 
 
 def mass_matrix(space):

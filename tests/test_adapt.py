@@ -384,6 +384,7 @@ def test_solver_lists_in_trace_json_only(tmp_path):
     assert len(steps) == 2
     for step in steps:
         assert len(step["lu_fill"]) == 1 and step["colamd_retries"] == 0
+        assert step["lu_solves"] >= 1
         assert step["controls_changed"] == [0] * step["newton_iters"]
         assert len(step["backtracks"]) == step["newton_iters"]
     header = (tmp_path / "trace.csv").read_text().splitlines()[0]

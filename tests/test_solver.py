@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conftest import mass_matrix
+from conftest import linear_solve, mass_matrix
 
 from cordesfem import (
     FormParams,
@@ -14,7 +14,6 @@ from cordesfem import (
     SpaceConfig,
     build_space,
     get_problem,
-    linear_solve,
     norm_k,
     refine_conforming,
     solve_discrete,
@@ -82,6 +81,49 @@ def test_singular_matrix_rejected_after_retry():
     with pytest.raises(SolverError):
         linear_solve(A, b, stats)
     assert stats.colamd_retries == 1 and stats.lu_fill == []
+
+
+def test_backward_stable_solve_is_not_refined():
+    # the first solve of a frozen C0 p=3 Jacobian misses the residual branch
+    # of the gate (2.2e-10 |b|) but meets the backward-error branch (6e-16),
+    # so it is returned after one triangular solve
+    space = build_space(unit_square_mesh(8), SpaceConfig(p=3, s=1))
+    assert space.dim == 529
+    problem, params = get_problem("poisson_singleton"), FormParams.defaults(3, 1)
+    zero = DiscreteFunction(space, np.zeros(space.dim))
+    J = frozen_jacobian(space, problem, zero, params)
+    b = nonlinear_residual(space, problem, zero, params)
+    stats = SolveStats()
+    x = linear_solve(J, b, stats)
+    assert stats.lu_solves == 1 and stats.colamd_retries == 0
+    rnorm, bnorm = np.linalg.norm(J @ x - b), np.linalg.norm(b)
+    assert rnorm > 1e-11 * bnorm
+    assert rnorm <= 1e-13 * (spla.norm(J, np.inf) * np.abs(x).max() + bnorm)
+
+
+def test_failed_gate_reports_the_last_checked_solve(monkeypatch):
+    # a solve returning A^{-1} b / 2 halves the error per pass, so 8 passes
+    # leave x = (1 - 2^-8) A^{-1} b; the error names that x's residual and
+    # backward error, the last ones checked
+    A = sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(40, 40), format="csr")
+    b = np.linspace(1.0, 2.0, 40)
+    factored = factorize
+
+    def halved(matrix, natural):
+        solve, fill = factored(matrix, natural)
+        return (lambda rhs: 0.5 * solve(rhs)), fill
+
+    monkeypatch.setattr(solver, "factorize", halved)
+    stats = SolveStats()
+    with pytest.raises(SolverError) as err:
+        linear_solve(A, b, stats)
+    assert stats.lu_solves == 8 and stats.lu_fill == []
+    x = (1.0 - 2.0 ** -8) * spla.spsolve(A.tocsc(), b)
+    rnorm, bnorm = np.linalg.norm(A @ x - b), np.linalg.norm(b)
+    backward = rnorm / (spla.norm(A, np.inf) * np.abs(x).max() + bnorm)
+    assert rnorm == pytest.approx(2.0 ** -8 * bnorm, rel=1e-12)
+    assert (f"residual {rnorm:.3e}, |b| {bnorm:.3e}, backward error "
+            f"{backward:.3e}") in str(err.value)
 
 
 # ----------------------------------------------------------- nested dissection
