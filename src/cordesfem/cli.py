@@ -11,7 +11,7 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -60,19 +60,7 @@ class StudyConfig:
 
 
 MARKERS = ("max", "doerfler")
-
-
-def _parse_mark(text: str) -> tuple[str, float]:
-    try:
-        name, param = text.split(":")
-        name = name.strip()
-        if name not in MARKERS:
-            raise ValueError
-        return name, float(param)
-    except ValueError:
-        raise SystemExit(
-            f"invalid --mark value {text!r}; expected max:<mu> or doerfler:<theta>"
-        )
+CONTINUITIES = ("dg", "c0ip")  # s = 0, 1
 
 
 def _fit_slope(x: np.ndarray, y: np.ndarray, window: int = 3):
@@ -191,75 +179,68 @@ def _load_config_file(path: str) -> dict:
     return merged
 
 
-_FIELD_TYPES = {
-    "problem": str, "p": int, "s": int, "q": int, "theta": float,
-    "sigma": float, "rho": float, "strategy": str, "strategy_param": float,
-    "uniform": lambda v: str(v).lower() in ("1", "true", "yes"),
-    "levels": int, "n0": int, "max_dofs": int, "eta_tol": float,
-    "seed": int, "threads": int, "out": str, "tol": float,
-    "write_meshes": lambda v: str(v).lower() in ("1", "true", "yes"),
-    "write_vtk": lambda v: str(v).lower() in ("1", "true", "yes"),
+def _truthy(raw) -> bool:
+    return str(raw).lower() in ("1", "true", "yes")
+
+
+# each field's parser from its annotation: "int | None" parses as int
+_PARSERS = {
+    f.name: {"str": str, "int": int, "float": float, "bool": _truthy}[
+        f.type.split(" |")[0]]
+    for f in fields(StudyConfig)
 }
+# the flags that set a field of the same name, as the config file does
+_PLAIN_FLAGS = [name for name in _PARSERS if name not in (
+    "s", "strategy", "strategy_param", "uniform", "write_meshes", "write_vtk")]
+
+
+def _setting(values: dict, key: str, raw) -> None:
+    """Apply one config-file pair or command-line flag to `values`."""
+    if key == "cont":
+        if raw not in CONTINUITIES:
+            raise SystemExit(f"invalid cont value {raw!r}; expected dg or c0ip")
+        values["s"] = CONTINUITIES.index(raw)
+    elif key == "mark":  # <strategy>:<strategy_param>
+        strategy, _, param = raw.partition(":")
+        _setting(values, "strategy", strategy.strip())
+        _setting(values, "strategy_param", param)
+    elif key == "strategy" and raw not in MARKERS:
+        raise SystemExit(
+            f"invalid strategy value {raw!r}; expected max or doerfler")
+    elif key in _PARSERS:
+        try:
+            values[key] = _PARSERS[key](raw)
+        except ValueError:
+            raise SystemExit(f"invalid {key} value {raw!r}")
+    else:
+        raise SystemExit(f"unknown config key {key!r}")
 
 
 def build_config(argv=None) -> StudyConfig:
+    """StudyConfig from the config file's pairs, then the flags, which win."""
     ap = argparse.ArgumentParser(
         prog="cordesfem",
         description="Adaptive DG / C0-IP studies for HJB and Isaacs equations "
         "with Cordes coefficients.",
     )
     ap.add_argument("--config", help="INI-style key = value configuration file")
-    ap.add_argument("--problem")
-    ap.add_argument("--p", type=int)
-    ap.add_argument("--cont", choices=["dg", "c0ip"])
-    ap.add_argument("--q", type=int)
-    ap.add_argument("--theta", type=float)
-    ap.add_argument("--sigma", type=float)
-    ap.add_argument("--rho", type=float)
+    for name in _PLAIN_FLAGS:
+        ap.add_argument("--" + name.replace("_", "-"), dest=name,
+                        type=_PARSERS[name])
+    ap.add_argument("--cont", help="dg or c0ip")
     ap.add_argument("--mark", help="max:<mu> or doerfler:<theta>")
-    ap.add_argument("--max-dofs", type=int, dest="max_dofs")
-    ap.add_argument("--eta-tol", type=float, dest="eta_tol")
     ap.add_argument("--uniform", action="store_true", default=None)
-    ap.add_argument("--levels", type=int)
-    ap.add_argument("--n0", type=int)
-    ap.add_argument("--out")
-    ap.add_argument("--seed", type=int)
-    ap.add_argument("--threads", type=int)
-    ap.add_argument("--tol", type=float)
-    ap.add_argument("--vtk", action="store_true", default=None)
-    args = ap.parse_args(argv)
+    ap.add_argument("--vtk", action="store_true", default=None,
+                    dest="write_vtk")
+    args = vars(ap.parse_args(argv))
 
     values: dict = {}
-    if args.config:
-        for key, raw in _load_config_file(args.config).items():
-            if key == "cont":
-                values["s"] = 0 if raw == "dg" else 1
-            elif key == "mark":
-                values["strategy"], values["strategy_param"] = _parse_mark(raw)
-            elif key == "strategy" and raw not in MARKERS:
-                raise SystemExit(
-                    f"invalid strategy value {raw!r}; expected max or doerfler")
-            elif key in _FIELD_TYPES:
-                values[key] = _FIELD_TYPES[key](raw)
-            else:
-                raise SystemExit(f"unknown config key {key!r}")
-    for key in ("problem", "p", "q", "theta", "sigma", "rho", "max_dofs",
-                "eta_tol", "levels", "n0", "out", "seed", "threads", "tol"):
-        val = getattr(args, key, None)
-        if val is not None:
-            values[key] = val
-    if args.cont is not None:
-        values["s"] = 0 if args.cont == "dg" else 1
-    if args.mark is not None:
-        values["strategy"], values["strategy_param"] = _parse_mark(args.mark)
-    if args.uniform is not None:
-        values["uniform"] = True
-    if args.vtk is not None:
-        values["write_vtk"] = True
-    try:
-        return StudyConfig(**values)
-    except (TypeError, ValueError) as err:
-        raise SystemExit(f"invalid configuration: {err}")
+    path = args.pop("config")
+    pairs = list(_load_config_file(path).items()) if path else []
+    for key, raw in pairs + list(args.items()):
+        if raw is not None:
+            _setting(values, key, raw)
+    return StudyConfig(**values)
 
 
 def main(argv=None) -> int:

@@ -43,55 +43,49 @@ def _sine_exact() -> ExactSolution:
     return ExactSolution(value, gradient, hessian)
 
 
-def _laplacian_exact(x):
-    return -2.0 * np.pi**2 * np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
-
-
 def _switch_field(x):
     return np.cos(np.pi * x[:, 0]) * np.cos(np.pi * x[:, 1])
 
 
-def _identity_a(x, alpha, beta):
-    out = np.zeros((len(x), 2, 2))
-    out[:, 0, 0] = 1.0
-    out[:, 1, 1] = 1.0
-    return out
+def _sine_problem(name, alphas, betas, a_of, c_of, nu, notes) -> ControlProblem:
+    """The problem on the unit square with exact solution u = sin(pi x)
+    sin(pi y), the constant a = a_of(alpha) and f = a_of(alpha):D^2 u -
+    (c_of(alpha) - beta) g, with g the sign-changing `_switch_field`: the
+    inf-sup of (c - beta) g vanishes identically at u as long as the
+    controls reach c = beta at every point."""
+    exact = _sine_exact()
+
+    def a(x, alpha, beta):
+        return np.broadcast_to(a_of(alpha), (len(x), 2, 2)).copy()
+
+    def f(x, alpha, beta):
+        aM = np.einsum("ij,nij->n", a_of(alpha), exact.hessian(x))
+        return aM - (c_of(alpha) - beta) * _switch_field(x)
+
+    return ControlProblem(
+        domain=UNIT_SQUARE,
+        controls=ControlSet(alphas=alphas, betas=betas),
+        coeffs=CoefficientField(a, f),
+        nu=nu,
+        exact=exact,
+        name=name,
+        notes=notes,
+    )
 
 
 def poisson_singleton() -> ControlProblem:
     """Singleton controls, a = I: the scheme reduces to a linear problem."""
-
-    def f(x, alpha, beta):
-        return _laplacian_exact(x)
-
-    return ControlProblem(
-        domain=UNIT_SQUARE,
-        controls=ControlSet(alphas=[0], betas=[0]),
-        coeffs=CoefficientField(_identity_a, f),
-        nu=1.0,
-        exact=_sine_exact(),
-        name="poisson_singleton",
-        notes="linear reduction; u = sin(pi x) sin(pi y)",
-    )
+    return _sine_problem("poisson_singleton", [0], [0], lambda alpha: np.eye(2),
+                         lambda alpha: alpha, 1.0,
+                         "linear reduction; u = sin(pi x) sin(pi y)")
 
 
 def two_control_switch() -> ControlProblem:
     """Isaacs problem with A = B = {0, 1}, a = I and genuinely switching
-    optimal controls: f^(ab) = Lap(u) - (a - b) g with sign-changing g, so
-    inf-sup of (a - b) g vanishes identically at the exact solution."""
-
-    def f(x, alpha, beta):
-        return _laplacian_exact(x) - (alpha - beta) * _switch_field(x)
-
-    return ControlProblem(
-        domain=UNIT_SQUARE,
-        controls=ControlSet(alphas=[0, 1], betas=[0, 1]),
-        coeffs=CoefficientField(_identity_a, f),
-        nu=1.0,
-        exact=_sine_exact(),
-        name="two_control_switch",
-        notes="switching Isaacs benchmark; u = sin(pi x) sin(pi y)",
-    )
+    optimal controls: f^(ab) = Lap(u) - (a - b) g."""
+    return _sine_problem("two_control_switch", [0, 1], [0, 1],
+                         lambda alpha: np.eye(2), lambda alpha: alpha, 1.0,
+                         "switching Isaacs benchmark; u = sin(pi x) sin(pi y)")
 
 
 def rotated_anisotropic(eps: float = 0.1, n_angles: int = 5) -> ControlProblem:
@@ -100,7 +94,6 @@ def rotated_anisotropic(eps: float = 0.1, n_angles: int = 5) -> ControlProblem:
 
     The declared Cordes parameter is nu = 2 eps / (1 + eps^2).
     """
-    exact = _sine_exact()
     angles = np.linspace(0.0, np.pi / 2.0, n_angles)
     weights = np.linspace(0.0, 1.0, n_angles)  # includes the 0 and 1 endpoints
     alphas = [(float(t), float(c)) for t, c in zip(angles, weights)]
@@ -110,24 +103,9 @@ def rotated_anisotropic(eps: float = 0.1, n_angles: int = 5) -> ControlProblem:
         R = np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
         return R.T @ np.diag([1.0, eps]) @ R
 
-    def a(x, alpha, beta):
-        return np.broadcast_to(a_of(alpha), (len(x), 2, 2)).copy()
-
-    def f(x, alpha, beta):
-        _, c = alpha
-        aM = np.einsum("ij,nij->n", a_of(alpha), exact.hessian(x))
-        return aM - (c - beta) * _switch_field(x)
-
-    nu = 2.0 * eps / (1.0 + eps**2)
-    return ControlProblem(
-        domain=UNIT_SQUARE,
-        controls=ControlSet(alphas=alphas, betas=[0, 1]),
-        coeffs=CoefficientField(a, f),
-        nu=nu,
-        exact=exact,
-        name="rotated_anisotropic",
-        notes=f"anisotropy eps={eps}, {n_angles} rotation angles",
-    )
+    return _sine_problem("rotated_anisotropic", alphas, [0, 1], a_of,
+                         lambda alpha: alpha[1], 2.0 * eps / (1.0 + eps**2),
+                         f"anisotropy eps={eps}, {n_angles} rotation angles")
 
 
 _REGISTRY = {

@@ -1,7 +1,7 @@
 """Study driver: argument parsing, config files, outputs, reproducibility."""
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -49,6 +49,56 @@ def test_invalid_config_strategy_rejected(tmp_path, uniform):
         build_config(["--config", str(cfgfile)])
     cfgfile.write_text("[study]\nstrategy = max\n")
     assert build_config(["--config", str(cfgfile)]).strategy == "max"
+
+
+def test_config_file_round_trips_every_field(tmp_path):
+    # every StudyConfig field is an INI key of the same name, parsed by its
+    # annotation; each value differs from the default
+    want = cli.StudyConfig(
+        problem="two_control_switch", p=3, s=1, q=7, theta=0.25, sigma=12.5,
+        rho=3.0, strategy="max", strategy_param=0.3, uniform=True, levels=4,
+        n0=3, max_dofs=900, eta_tol=0.01, seed=5, threads=2,
+        out=str(tmp_path / "out"), write_meshes=False, write_vtk=True,
+        tol=1e-9)
+    assert all(getattr(want, f.name) != f.default for f in fields(want))
+    cfgfile = tmp_path / "study.ini"
+    cfgfile.write_text("[study]\n" + "".join(
+        f"{f.name} = {getattr(want, f.name)}\n" for f in fields(want)))
+    assert build_config(["--config", str(cfgfile)]) == want
+
+
+@pytest.mark.parametrize("flag,value,field,expected", [
+    ("--problem", "two_control_switch", "problem", "two_control_switch"),
+    ("--p", "3", "p", 3), ("--q", "7", "q", 7), ("--theta", "0.25", "theta", 0.25),
+    ("--sigma", "12.5", "sigma", 12.5), ("--rho", "3", "rho", 3.0),
+    ("--levels", "4", "levels", 4), ("--n0", "3", "n0", 3),
+    ("--max-dofs", "900", "max_dofs", 900), ("--eta-tol", "0.01", "eta_tol", 0.01),
+    ("--seed", "5", "seed", 5), ("--threads", "2", "threads", 2),
+    ("--out", "elsewhere", "out", "elsewhere"), ("--tol", "1e-9", "tol", 1e-9),
+    ("--cont", "c0ip", "s", 1), ("--mark", "max:0.3", "strategy_param", 0.3),
+    ("--uniform", None, "uniform", True), ("--vtk", None, "write_vtk", True),
+])
+def test_each_flag_sets_its_field(flag, value, field, expected):
+    argv = [flag] if value is None else [flag, value]
+    assert getattr(build_config(argv), field) == expected
+
+
+def test_flag_values_parsed_by_argparse(capsys):
+    with pytest.raises(SystemExit):
+        build_config(["--p", "x"])
+    assert "invalid int value: 'x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cont", ["DG", "foo"])
+def test_invalid_cont_rejected_in_file_and_flag(tmp_path, cont):
+    # a config file checks cont as --cont does
+    cfgfile = tmp_path / "study.ini"
+    cfgfile.write_text(f"[study]\ncont = {cont}\n")
+    for argv in (["--config", str(cfgfile)], ["--cont", cont]):
+        with pytest.raises(SystemExit, match=f"invalid cont value '{cont}'"):
+            build_config(argv)
+    cfgfile.write_text("[study]\ncont = dg\n")
+    assert build_config(["--config", str(cfgfile), "--cont", "c0ip"]).s == 1
 
 
 def test_config_file_with_cli_override(tmp_path):
