@@ -1,39 +1,18 @@
 #!/usr/bin/env python3
 """Adaptive refinement study: estimator decay and marking statistics.
 
-Thin wrapper around the study driver; equivalent to
+The study driver with these defaults, which any flag given here overrides:
 
     cordesfem --problem two_control_switch --p 3 --cont dg \
               --mark doerfler:0.5 --max-dofs 50000 --out out/adaptive
 """
 
-import argparse
-import json
-from pathlib import Path
+import sys
 
-from cordesfem.cli import build_config, run_study
+from cordesfem.cli import main
 
-
-def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--problem", default="two_control_switch")
-    ap.add_argument("--p", type=int, default=3)
-    ap.add_argument("--cont", choices=["dg", "c0ip"], default="dg")
-    ap.add_argument("--mark", default="doerfler:0.5")
-    ap.add_argument("--max-dofs", type=int, default=50_000)
-    ap.add_argument("--out", default="out/adaptive")
-    ap.add_argument("--vtk", action="store_true")
-    args = ap.parse_args()
-
-    argv = ["--problem", args.problem, "--p", str(args.p), "--cont", args.cont,
-            "--mark", args.mark, "--max-dofs", str(args.max_dofs),
-            "--out", args.out]
-    if args.vtk:
-        argv.append("--vtk")
-    summary = run_study(build_config(argv))
-    print(json.dumps(summary, indent=2))
-    print(f"artifacts in {Path(args.out).resolve()}")
-
+DEFAULTS = ["--problem", "two_control_switch", "--p", "3", "--cont", "dg",
+            "--mark", "doerfler:0.5", "--max-dofs", "50000", "--out", "out/adaptive"]
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(DEFAULTS + sys.argv[1:]))

@@ -39,7 +39,7 @@ from .mesh import (
     unit_square_mesh,
 )
 from .problems import get_problem, registry
-from .quadrature import QuadratureRule, quadrature_rule
+from .quadrature import QuadratureRule
 from .solver import SolveOptions, SolveStats, solve_discrete
 
 __all__ = [name for name in dir() if not name.startswith("_")]

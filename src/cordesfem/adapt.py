@@ -17,6 +17,10 @@ from .quadrature import triangle_rule
 from .solver import SolveOptions, solve_discrete
 
 
+# Doerfler marking also marks the estimators within this relative band of its cut
+TIE_RTOL = 1e-9
+
+
 class AdaptError(ValueError):
     pass
 
@@ -69,7 +73,13 @@ def estimate(
 
 def mark(report: EstimatorReport, strategy: str = "doerfler", param: float = 0.5):
     """Marked element set; always contains an element attaining the maximum
-    estimator (ties broken by element id)."""
+    estimator (ties broken by element id).
+
+    Doerfler marks the fewest largest estimators whose sum reaches `param`
+    of the total, and with them every element within TIE_RTOL of the
+    smallest of those, the cut: estimators of symmetric elements differ by
+    roundoff only, so a group of them is marked whole and the marked set
+    does not depend on that roundoff."""
     eta_sq = report.per_element
     if len(eta_sq) == 0:
         raise AdaptError("cannot mark on an empty estimator report")
@@ -78,10 +88,10 @@ def mark(report: EstimatorReport, strategy: str = "doerfler", param: float = 0.5
         thresh = param * np.sqrt(eta_sq[argmax])
         marked = set(np.flatnonzero(np.sqrt(eta_sq) >= thresh).tolist())
     elif strategy == "doerfler":
-        order = np.lexsort((np.arange(len(eta_sq)), -eta_sq))
-        cum = np.cumsum(eta_sq[order])
-        count = int(np.searchsorted(cum, param * eta_sq.sum())) + 1
-        marked = set(order[: min(count, len(order))].tolist())
+        ranked = np.sort(eta_sq)[::-1]
+        count = int(np.searchsorted(np.cumsum(ranked), param * eta_sq.sum()))
+        cut = ranked[min(count, len(ranked) - 1)]
+        marked = set(np.flatnonzero(eta_sq >= (1.0 - TIE_RTOL) * cut).tolist())
     else:
         raise AdaptError(f"unknown marking strategy {strategy!r}")
     marked.add(argmax)
@@ -216,7 +226,7 @@ def adaptive_solve(
             marked = set(range(mesh.n_elements))
         else:
             marked = mark(report, config.strategy, config.strategy_param)
-        sizes = mesh.sizes()
+        h = np.sqrt(mesh.areas())  # h_K = |K|^(1/2)
         err = (
             error_norm_k(space, u, problem.exact)
             if problem.exact is not None
@@ -226,8 +236,8 @@ def adaptive_solve(
         step = AdaptiveStep(
             k=it,
             ndofs=space.dim,
-            h_min=float(sizes.h_elem.min()),
-            h_max=float(sizes.h_elem.max()),
+            h_min=float(h.min()),
+            h_max=float(h.max()),
             eta_total=report.total,
             eta_residual=er,
             eta_gradjump=eg,

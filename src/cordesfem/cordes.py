@@ -74,7 +74,6 @@ class ControlProblem:
 class CordesReport:
     nu_est: float
     passed: bool
-    worst_point: np.ndarray
     min_eigenvalue: float
 
 
@@ -101,7 +100,6 @@ def verify_ellipticity_cordes(
         raise CordesError("sample point set must be nonempty")
     nu_est = np.inf
     min_eig = np.inf
-    worst = x[0]
     for _, _, alpha, beta in problem.control_pairs():
         a = np.asarray(problem.coeffs.a(x, alpha, beta), dtype=float)
         if not np.allclose(a, np.transpose(a, (0, 2, 1)), atol=1e-12):
@@ -110,17 +108,10 @@ def verify_ellipticity_cordes(
         fro2 = np.einsum("nij,nij->n", a, a)
         ratio = tr**2 / fro2 - (DIM - 1)
         eigs = np.linalg.eigvalsh(a)
-        i = int(np.argmin(ratio))
-        if ratio[i] < nu_est:
-            nu_est = float(ratio[i])
-            worst = x[i]
-        j = int(np.argmin(eigs[:, 0]))
-        if eigs[j, 0] < min_eig:
-            min_eig = float(eigs[j, 0])
-            if eigs[j, 0] <= 0.0:
-                worst = x[j]
+        nu_est = min(nu_est, float(ratio.min()))
+        min_eig = min(min_eig, float(eigs[:, 0].min()))
     passed = (nu_est >= problem.nu - tol) and (min_eig > 0.0)
-    return CordesReport(nu_est, passed, worst, min_eig)
+    return CordesReport(nu_est, passed, min_eig)
 
 
 @dataclass(frozen=True)

@@ -34,12 +34,6 @@ class MeshError(ValueError):
 
 
 @dataclass(frozen=True)
-class SizeData:
-    h_elem: np.ndarray  # h_K = |K|^(1/2)
-    h_face: np.ndarray  # h_F = length(F)
-
-
-@dataclass(frozen=True)
 class MeshLevel:
     """One level of the adaptive hierarchy, immutable once a function returns it."""
 
@@ -84,11 +78,6 @@ class MeshLevel:
 
     def areas(self) -> np.ndarray:
         return signed_areas(self.vertices, self.tri)
-
-    def sizes(self) -> SizeData:
-        h_elem = np.sqrt(self.areas())
-        e = self.vertices[self.face_verts[:, 1]] - self.vertices[self.face_verts[:, 0]]
-        return SizeData(h_elem, np.hypot(e[:, 0], e[:, 1]))
 
     def boundary_vertex_mask(self) -> np.ndarray:
         mask = np.zeros(self.n_vertices, dtype=bool)
@@ -326,31 +315,6 @@ def dissection_keys(mesh: MeshLevel) -> tuple[np.ndarray, int]:
         inner = ~done[eu] & ~done[ev]
         eu, ev = eu[inner], ev[inner]
     return keys, depth
-
-
-def min_angle(mesh: MeshLevel) -> float:
-    """Smallest interior angle over all elements, in radians."""
-    v = mesh.vertices[mesh.tri]  # (ne, 3, 2)
-    angles = []
-    for i in range(3):
-        a = v[:, (i + 1) % 3] - v[:, i]
-        b = v[:, (i + 2) % 3] - v[:, i]
-        cosang = np.einsum("ij,ij->i", a, b) / (
-            np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
-        )
-        angles.append(np.arccos(np.clip(cosang, -1.0, 1.0)))
-    return float(np.min(angles))
-
-
-def shape_regularity(mesh: MeshLevel) -> float:
-    """Max over elements of longest edge / shortest altitude."""
-    v = mesh.vertices[mesh.tri]
-    e0 = np.linalg.norm(v[:, 2] - v[:, 1], axis=1)
-    e1 = np.linalg.norm(v[:, 0] - v[:, 2], axis=1)
-    e2 = np.linalg.norm(v[:, 1] - v[:, 0], axis=1)
-    longest = np.max([e0, e1, e2], axis=0)
-    alt = 2.0 * mesh.areas() / longest
-    return float(np.max(longest / alt))
 
 
 def write_mesh_txt(mesh: MeshLevel, path) -> None:

@@ -80,12 +80,3 @@ def triangle_rule(exactness: int) -> QuadratureRule:
     y = (V * (1.0 - U)).ravel()
     w = (WU * WV * (1.0 - U)).ravel()
     return _shared(QuadratureRule(np.column_stack([x, y]), w, exactness))
-
-
-def quadrature_rule(domain: str, exactness: int) -> QuadratureRule:
-    """Dispatch by domain name ('triangle' or 'segment')."""
-    if domain == "triangle":
-        return triangle_rule(exactness)
-    if domain == "segment":
-        return segment_rule(exactness)
-    raise QuadratureError(f"unknown quadrature domain {domain!r}")

@@ -5,16 +5,19 @@ affine-covariantly (Deuflhard, Newton Methods for Nonlinear Problems,
 Springer 2004): the step t d, t halved from 1, is taken when the simplified
 correction -K^{-1} R(u + t d) is smaller than d in the norm of the Gram
 matrix G of the mesh-dependent norm, and the solve stops once it is below
-tol (1 + |K^{-1} R(0)|_G). Newton comes first, with K the frozen Jacobian J,
-which depends on u only through the controls: its LU is kept while they
-stay, and the simplified correction is then the next one. If Newton stops
-short, a fixed-point phase goes on from its iterate with K the penalty Gram
-P (`Operators.penalty_gram`), the norm Gram with its jumps weighted by sigma
-and rho as the operator weights them. Under the Cordes condition the
-operator is strongly monotone and Lipschitz with h-independent constants
-(Smears & Sueli, SIAM J. Numer. Anal. 52 (2014)), so |K^{-1} r|_G stands in
-for the dual norm |r|_{G^{-1}}, tolerances stay comparable across levels,
-and the fixed point contracts at a rate that the Cordes condition sets.
+tol (1 + |K^{-1} R(0)|_G). Inside the roundoff band of 1e3 tol, where a
+decrease is noise, only t = 1 and 1/2 are tried, and a solve that stops
+short there is accepted at that floor. Newton comes first, with K the
+frozen Jacobian J, which depends on u only through the controls: its LU is
+kept while they stay, and the simplified correction is then the next one.
+If Newton stops short, a fixed-point phase goes on from its iterate with K
+the penalty Gram P (`Operators.penalty_gram`), the norm Gram with its jumps
+weighted by sigma and rho as the operator weights them. Under the Cordes
+condition the operator is strongly monotone and Lipschitz with
+h-independent constants (Smears & Sueli, SIAM J. Numer. Anal. 52 (2014)),
+so |K^{-1} r|_G stands in for the dual norm |r|_{G^{-1}}, tolerances stay
+comparable across levels, and the fixed point contracts at a rate that the
+Cordes condition sets.
 
 P and the frozen Jacobians are factored in the space's own dof numbering,
 nested-dissection order from ND_MIN_DOFS dofs up (`fespace.dof_order`),
@@ -79,7 +82,9 @@ class SolveStats:
     lu_solves: int = 0  # calls of a factorization's solve, refinements included
     # returned above tol, inside the roundoff band of at most 1e3 tol
     floor_accepted: bool = False
-    backtracks: list = field(default_factory=list)  # step halvings, per Newton step
+    # per Newton step, the step halvings before the step taken, or the number
+    # of steps tried (MAX_BACKTRACKS, 2 inside the band) where none was
+    backtracks: list = field(default_factory=list)
     # per Newton step, the quadrature points whose optimal controls changed
     controls_changed: list = field(default_factory=list)
 
@@ -227,8 +232,10 @@ def solve_discrete(
                 d, dn = correction(solve, r)
             if dn <= tol:
                 return accept()
+            # inside the roundoff band try t = 1 and 1/2 only
+            limit = 2 if dn <= 1e3 * tol else MAX_BACKTRACKS
             step = 1.0
-            for halvings in range(MAX_BACKTRACKS):
+            for halvings in range(limit):
                 trial = DiscreteFunction(space, u + step * d)
                 rt = nonlinear_residual(space, problem, trial, params)
                 dt, dtn = correction(solve, rt)
@@ -237,7 +244,7 @@ def solve_discrete(
                 step *= DAMPING
             if newton:
                 stats.newton_iters += 1
-                stats.backtracks.append(halvings if dtn < dn else MAX_BACKTRACKS)
+                stats.backtracks.append(halvings if dtn < dn else limit)
                 changed = dtn < dn and np.not_equal(
                     frozen, ops.inf_sup(problem, trial)[1:]).any(axis=0)
                 stats.controls_changed.append(int(np.count_nonzero(changed)))

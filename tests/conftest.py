@@ -1,6 +1,6 @@
 """Shared fixtures: a small nonuniform mesh hierarchy and cached spaces;
 the mass matrix, and the L2 projection that tests use to build space
-members."""
+members; quadrature rules by domain name and mesh quality measures."""
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from cordesfem import (
     uniform_refine,
     unit_square_mesh,
 )
+from cordesfem.quadrature import QuadratureError, segment_rule, triangle_rule
 from cordesfem.solver import linear_solver
 from lifted_oracle import assemble_csr, mass_blocks
 
@@ -20,6 +21,40 @@ from lifted_oracle import assemble_csr, mass_blocks
 def linear_solve(matrix, rhs, stats=None):
     """A^{-1} rhs by `solver.linear_solver(matrix, stats)`."""
     return linear_solver(matrix, stats)(rhs)
+
+
+def quadrature_rule(domain: str, exactness: int):
+    """The rule by domain name ('triangle' or 'segment')."""
+    if domain == "triangle":
+        return triangle_rule(exactness)
+    if domain == "segment":
+        return segment_rule(exactness)
+    raise QuadratureError(f"unknown quadrature domain {domain!r}")
+
+
+def min_angle(mesh) -> float:
+    """Smallest interior angle over all elements, in radians."""
+    v = mesh.vertices[mesh.tri]  # (ne, 3, 2)
+    angles = []
+    for i in range(3):
+        a = v[:, (i + 1) % 3] - v[:, i]
+        b = v[:, (i + 2) % 3] - v[:, i]
+        cosang = np.einsum("ij,ij->i", a, b) / (
+            np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
+        )
+        angles.append(np.arccos(np.clip(cosang, -1.0, 1.0)))
+    return float(np.min(angles))
+
+
+def shape_regularity(mesh) -> float:
+    """Max over elements of longest edge / shortest altitude."""
+    v = mesh.vertices[mesh.tri]
+    e0 = np.linalg.norm(v[:, 2] - v[:, 1], axis=1)
+    e1 = np.linalg.norm(v[:, 0] - v[:, 2], axis=1)
+    e2 = np.linalg.norm(v[:, 1] - v[:, 0], axis=1)
+    longest = np.max([e0, e1, e2], axis=0)
+    alt = 2.0 * mesh.areas() / longest
+    return float(np.max(longest / alt))
 
 
 def mass_matrix(space):

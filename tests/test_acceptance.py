@@ -7,7 +7,7 @@ PASS record with the measured quantities when it succeeds.
 import numpy as np
 import pytest
 
-from conftest import project_l2
+from conftest import min_angle, project_l2, quadrature_rule, shape_regularity
 from lifted_oracle import R, S_lifted, TrR
 
 from cordesfem import (
@@ -31,8 +31,7 @@ from cordesfem.adapt import transfer_solution
 from cordesfem.cli import build_config, run_study
 from cordesfem.cordes import f_gamma_field
 from cordesfem.forms import get_operators
-from cordesfem.mesh import INTERIOR, min_angle, shape_regularity
-from cordesfem.quadrature import quadrature_rule
+from cordesfem.mesh import INTERIOR
 
 RNG = np.random.default_rng(1234)
 

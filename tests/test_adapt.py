@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import project_l2
+from conftest import project_l2, quadrature_rule
 
 from cordesfem import (
     AdaptiveConfig,
@@ -36,7 +36,7 @@ from cordesfem import mesh as mesh_mod
 from cordesfem.adapt import AdaptError, AdaptiveTrace, error_norm_k, transfer_solution
 from cordesfem.forms import get_operators
 from cordesfem.mesh import uniform_refine
-from cordesfem.quadrature import quadrature_rule, triangle_rule
+from cordesfem.quadrature import triangle_rule
 
 
 def _singleton_problem(f_const):
@@ -277,6 +277,32 @@ def test_doerfler_reaches_fraction(rng):
     eta_sq = rng.uniform(0, 1, size=30)
     marked = mark(_report(eta_sq), "doerfler", 0.5)
     assert sum(eta_sq[list(marked)]) >= 0.5 * eta_sq.sum() - 1e-12
+
+
+def test_doerfler_marks_a_tie_group_whole():
+    # four equal estimators, and half the total is reached after two
+    assert mark(_report([2.0, 2.0, 2.0, 2.0, 1.0]), "doerfler", 0.5) == {0, 1, 2, 3}
+
+
+def test_doerfler_marks_unchanged_by_roundoff_noise(rng):
+    # on the adaptive levels of a symmetric benchmark, where estimators of
+    # mirror-image elements differ by roundoff, 1e-13 relative noise does
+    # not change the marked set
+    levels = []
+
+    def callback(step, mesh, space, u, report):
+        eta_sq = report.per_element
+        want = mark(report, "doerfler", 0.5)
+        for _ in range(5):
+            noisy = eta_sq * (1.0 + 1e-13 * rng.uniform(-1.0, 1.0, eta_sq.size))
+            assert mark(_report(noisy), "doerfler", 0.5) == want, step.k
+        levels.append(len(want))
+
+    cfg = AdaptiveConfig(space=SpaceConfig(p=3, s=0),
+                         params=FormParams.defaults(3, 0), eta_tol=0.3)
+    adaptive_solve(get_problem("two_control_switch"), unit_square_mesh(2), cfg,
+                   callback=callback)
+    assert len(levels) >= 5
 
 
 # ------------------------------------------------------------------------ loop

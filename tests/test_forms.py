@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import mass_matrix, project_l2
+from conftest import mass_matrix, project_l2, quadrature_rule
 from lifted_oracle import (D2, Delta_k, R, S_lifted, TrR, assemble_csr,
                            shape_hessians)
 
@@ -34,7 +34,6 @@ from cordesfem.cordes import frozen_coefficients
 from cordesfem.fespace import SpaceError
 from cordesfem.forms import Operators, elem_tensors, face_tables, get_operators
 from cordesfem.mesh import INTERIOR, convex_polygon_mesh
-from cordesfem.quadrature import quadrature_rule
 
 
 # --------------------------------------------------------- stabilization form

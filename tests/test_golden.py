@@ -1,13 +1,15 @@
-"""Golden-number regression: per-level results of short uniform studies.
+"""Golden-number regression: per-level results of short studies.
 
 The rate and band tests of the acceptance suite tolerate drifts of a few
 percent, so a refactor of assembly or estimation could move every number
 without failing them. This test pins `(ndofs, eta_total, err_norm_k,
 newton_iters)` of every registry problem, both continuities and p in {2, 3}
-over 3 uniform levels from `unit_square_mesh(2)` at relative 1e-8.
+over 3 uniform levels from `unit_square_mesh(2)` at relative 1e-8, and of
+a few adaptive Doerfler 0.5 studies over 6 levels, with `marked` too.
 
-Uniform levels are used because the symmetric sine benchmarks have exact
-Doerfler ties, so roundoff-level changes could flip adaptive marking.
+The symmetric sine benchmarks have Doerfler ties, elements whose estimators
+differ by roundoff only. Marking takes each tie group whole, so the
+adaptive meshes do not move with roundoff-level changes either.
 
 Regenerate `tests/data/golden.json` (only when a change of the numbers is
 intended) with
@@ -38,46 +40,55 @@ CASES = [
     for cont in ("dg", "c0")
     for p in (2, 3)
 ]
+ADAPTIVE_CASES = [("two_control_switch", "dg", 3), ("rotated_anisotropic", "c0", 2)]
+ADAPTIVE_LEVELS = 6
 
 
-def _key(name, cont, p):
-    return f"{name}/{cont}/p{p}"
+def _key(name, cont, p, adaptive=False):
+    return f"{name}/{cont}/p{p}" + ("/doerfler0.5" if adaptive else "")
 
 
-def _levels(name, cont, p):
+def _levels(name, cont, p, adaptive=False):
     s = 0 if cont == "dg" else 1
     config = AdaptiveConfig(
         space=SpaceConfig(p=p, s=s),
         params=FormParams.defaults(p, s),
-        max_iters=3,
-        uniform=True,
+        max_iters=ADAPTIVE_LEVELS if adaptive else 3,
+        uniform=not adaptive,
     )
     trace = adaptive_solve(get_problem(name), unit_square_mesh(2), config)
-    return [
-        {
-            "ndofs": st.ndofs,
-            "eta_total": st.eta_total,
-            "err_norm_k": st.err_norm_k,
-            "newton_iters": st.newton_iters,
-        }
-        for st in trace.steps
-    ]
+    fields = ["ndofs", "eta_total", "err_norm_k", "newton_iters"]
+    fields += ["marked"] if adaptive else []
+    return [{f: getattr(st, f) for f in fields} for st in trace.steps]
+
+
+def _check(got, expected, levels):
+    assert len(got) == len(expected) == levels
+    for k, (g, e) in enumerate(zip(got, expected)):
+        assert g.keys() == e.keys(), k
+        for field in g:
+            if field in ("eta_total", "err_norm_k"):
+                assert g[field] == pytest.approx(e[field], rel=RTOL), (k, field)
+            else:
+                assert g[field] == e[field], (k, field)
 
 
 @pytest.mark.parametrize("name,cont,p", CASES)
 def test_golden_levels(name, cont, p):
     expected = json.loads(GOLDEN.read_text())[_key(name, cont, p)]
-    got = _levels(name, cont, p)
-    assert len(got) == len(expected) == 3
-    for k, (g, e) in enumerate(zip(got, expected)):
-        assert g["ndofs"] == e["ndofs"], k
-        assert g["newton_iters"] == e["newton_iters"], k
-        for field in ("eta_total", "err_norm_k"):
-            assert g[field] == pytest.approx(e[field], rel=RTOL), (k, field)
+    _check(_levels(name, cont, p), expected, 3)
+
+
+@pytest.mark.parametrize("name,cont,p", ADAPTIVE_CASES)
+def test_golden_adaptive_levels(name, cont, p):
+    expected = json.loads(GOLDEN.read_text())[_key(name, cont, p, True)]
+    _check(_levels(name, cont, p, True), expected, ADAPTIVE_LEVELS)
 
 
 if __name__ == "__main__":
     golden = {_key(*case): _levels(*case) for case in CASES}
+    golden.update({_key(*case, True): _levels(*case, True)
+                   for case in ADAPTIVE_CASES})
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
     print(f"wrote {len(golden)} cases to {GOLDEN}")

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import min_angle, shape_regularity
+
 from cordesfem import refine_conforming, uniform_refine, unit_square_mesh
 from cordesfem.mesh import (
     BOUNDARY,
@@ -12,8 +14,6 @@ from cordesfem.mesh import (
     MeshError,
     canonical_normal,
     convex_polygon_mesh,
-    min_angle,
-    shape_regularity,
     write_mesh_txt,
 )
 
@@ -31,9 +31,9 @@ def test_two_triangle_square_counts():
 
 def test_two_triangle_square_sizes():
     m = unit_square_mesh(1)
-    sizes = m.sizes()
-    assert np.allclose(sizes.h_elem, np.sqrt(0.5))
-    lengths = sorted(sizes.h_face)
+    assert np.allclose(np.sqrt(m.areas()), np.sqrt(0.5))
+    e = m.vertices[m.face_verts[:, 1]] - m.vertices[m.face_verts[:, 0]]
+    lengths = sorted(np.hypot(e[:, 0], e[:, 1]))
     assert np.allclose(lengths, [1, 1, 1, 1, np.sqrt(2)])
 
 

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cordesfem.quadrature import MAX_EXACTNESS, QuadratureError, quadrature_rule
+from conftest import quadrature_rule
+
+from cordesfem.quadrature import MAX_EXACTNESS, QuadratureError
 
 
 def test_triangle_known_moment():

@@ -351,6 +351,35 @@ def test_newton_records_step_halvings(monkeypatch):
     assert stats.backtracks == [1, 0] and stats.controls_changed == [0, 0]
 
 
+def test_failed_step_inside_the_band_tries_two_steps(monkeypatch):
+    # the stretched first correction of the test below, f = 1/4, fails at
+    # every step length; a relative tol of 1e-2 puts it at about 60 tol,
+    # inside the roundoff band, where only t = 1 and t = 1/2 are tried
+    # before the solve stops at the floor
+    linear_solver, stretch = solver.linear_solver, iter([0.25])
+
+    def stretched(*args):
+        solve = linear_solver(*args)
+        return lambda rhs: next(stretch, 1.0) * solve(rhs)
+
+    residuals, nonlinear_residual = [], solver.nonlinear_residual
+
+    def counted(*args):
+        residuals.append(args[2])
+        return nonlinear_residual(*args)
+
+    monkeypatch.setattr(solver, "linear_solver", stretched)
+    monkeypatch.setattr(solver, "nonlinear_residual", counted)
+    space = build_space(unit_square_mesh(2), SpaceConfig(p=2, s=0))
+    opts = SolveOptions(tol=1e-2)
+    _, stats = solve_discrete(space, get_problem("poisson_singleton"),
+                              FormParams.defaults(2, 0), opts)
+    tol = opts.tol * (1.0 + stats.residual_history[0])
+    assert tol < stats.final_residual <= 1e3 * tol and stats.floor_accepted
+    assert stats.newton_iters == 1 and stats.backtracks == [2]
+    assert stats.fallback_iters == 0 and len(residuals) == 1 + 2
+
+
 def _record_factorize(monkeypatch):
     """A list that records the matrix of every `solver.factorize` call."""
     factored, factorize = [], solver.factorize
