@@ -20,10 +20,10 @@ number of `splu` calls (`lu_factors`) and the triangular solves of the
 kept factorizations, refinements included (`SolveStats.lu_solves`). The
 `splu` time and fill of the norm Gram matrix, which the Newton solve does
 not factor, come from one `solver.factorize` of it as stored
-(`gram_lu_s`). At the converged state
-it then times one `nonlinear_residual` (`residual_s`), one
-`frozen_jacobian` (`jacobian_s`) and the whole `solver.factorize` of that
-Jacobian as stored (`factorize_s`: everything from the matrix to its LU,
+(`gram_lu_s`). At the converged state it then times one
+`nonlinear_residual` (`residual_s`), one `frozen_jacobian` with its
+`jacobian_coefficients` (`jacobian_s`) and the whole `solver.factorize`
+of that Jacobian as stored (`factorize_s`: everything from the matrix to its LU,
 not `splu` alone). At the full size both spaces lie above
 `ND_MIN_DOFS`, so both LUs take the space's nested-dissection numbering.
 Times are raw wall seconds; the file keeps every repetition and their
@@ -70,7 +70,9 @@ from cordesfem import (
 from cordesfem import forms, solver
 from cordesfem.adapt import error_norm_k
 from cordesfem.fespace import ND_MIN_DOFS
-from cordesfem.forms import frozen_jacobian, get_operators, nonlinear_residual
+from cordesfem.forms import (
+    frozen_jacobian, get_operators, jacobian_coefficients, nonlinear_residual,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 # (name, continuity flag s) of the layer cases, all at p = 3
@@ -156,7 +158,8 @@ def layer_times(mesh, s, repeat):
         _, [(t_gram, gram_fill)] = lu_spans(
             solver.factorize, get_operators(space).norm_gram, natural)
         t_residual, _ = timed(nonlinear_residual, space, problem, u, params)
-        t_jacobian, J = timed(frozen_jacobian, space, problem, u, params)
+        t_jacobian, J = timed(lambda: frozen_jacobian(
+            space, jacobian_coefficients(space, problem, u), params))
         t_factorize, _ = timed(solver.factorize, J, natural)
         t_err, err = timed(error_norm_k, space, u, problem.exact)
         t_est, report = timed(estimate, space, problem, u, params)

@@ -26,6 +26,7 @@ from .fespace import (
 from .forms import (
     FormParams,
     frozen_jacobian,
+    jacobian_coefficients,
     jump_seminorm,
     nonlinear_residual,
     norm_k,

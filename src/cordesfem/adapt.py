@@ -117,6 +117,7 @@ class AdaptiveStep:
     backtracks: list
     controls_changed: list
     lu_fill: list
+    lu_updates: int
     colamd_retries: int
     lu_solves: int
 
@@ -250,6 +251,7 @@ def adaptive_solve(
             backtracks=stats.backtracks,
             controls_changed=stats.controls_changed,
             lu_fill=stats.lu_fill,
+            lu_updates=stats.lu_updates,
             colamd_retries=stats.colamd_retries,
             lu_solves=stats.lu_solves,
         )

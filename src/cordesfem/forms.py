@@ -227,7 +227,9 @@ class Pattern:
         included, sharing the pattern's read-only index arrays (copy it to
         change its structure in place)."""
         n = len(self.indptr) - 1
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+        matrix = sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+        matrix.has_canonical_format = True  # the indices come from np.unique
+        return matrix
 
 
 def face_pattern(ft: FaceTables, ef: np.ndarray, sd: np.ndarray, dim: int) -> Pattern:
@@ -469,30 +471,45 @@ def nonlinear_residual(
     return delta[:-1] + lin @ u.coeffs
 
 
-def frozen_jacobian(
-    space: FESpace,
-    problem: cordes.ControlProblem,
-    u: DiscreteFunction,
-    params: FormParams,
-) -> sp.csr_matrix:
-    """Linearization of the residual with controls frozen at the pointwise
-    optimizers of F_gamma at the state u: Delta_k^T G plus the linear part.
+def jacobian_coefficients(space: FESpace, problem: cordes.ControlProblem,
+                          u: DiscreteFunction) -> np.ndarray:
+    """The frozen coefficients c (ne, nq, 4) of the Jacobian at u: gamma a at
+    the optimal controls kept by the last residual at u, times detJ wq, by
+    the chain rule with the transposed inverse Jacobians (c T^T)."""
+    ops, ne = get_operators(space), len(space.detJ)
+    c = ops.coefficients(problem).frozen(*ops.inf_sup(problem, u)[1:])
+    c = c.reshape(ne, -1, 4) * (space.detJ[:, None] * ops.wq)[:, :, None]
+    return _chain_rule(c, space.invJ.transpose(0, 2, 1), 2)
+
+
+def frozen_jacobian(space: FESpace, c: np.ndarray, params: FormParams) -> sp.csr_matrix:
+    """Linearization of the residual with the controls frozen, from its
+    `jacobian_coefficients` c: Delta_k^T G plus the linear part.
 
     G maps dofs to the modal coefficients of the frozen gamma a : D^2 v; its
     element blocks are detJ Bm^T diag(wq c_ij) PH_ij summed over i, j, exact
     without a modal projection of PH (degree p - 2 <= q). As PH = ref_hess
-    T, T the element's Hessian chain rule, a block is c T^T (nq, 4) times
-    the reference tensor K. The patches of Delta_k^T G are scattered into
-    the data of the linear part, on the whole pattern. The controls are
-    those of `Operators.inf_sup`, kept by the last residual at u."""
+    T, T the element's Hessian chain rule, a block is c (nq, 4) times the
+    reference tensor K. The patches of Delta_k^T G are scattered into the
+    data of the linear part, on the whole pattern."""
     ops = get_operators(space)
     linear = ops.linear_part(params)[1]
-    P, ne = ops.pattern, len(space.detJ)
-    c = ops.coefficients(problem).frozen(*ops.inf_sup(problem, u)[1:])
-    c = c.reshape(ne, -1, 4) * (space.detJ[:, None] * ops.wq)[:, :, None]
-    # c T^T is the chain rule of c with the transposed inverse Jacobians
-    c = _chain_rule(c, space.invJ.transpose(0, 2, 1), 2)
+    P, ne = ops.pattern, len(c)
     G = (c.reshape(ne, -1) @ ops.hess_tensor).reshape(ne, ops.nmod, -1)
     data = P.scatter(P.patch, ops.patch @ G)
     data += linear
     return P.csr(data)
+
+
+def jacobian_terms(space: FESpace, points: np.ndarray, dc: np.ndarray) -> tuple:
+    """(U, V), sparse (dim, r), with J(c) - J(c0) = U V^T where the frozen
+    coefficients differ by dc (r, 4) at the flat quadrature points K nq + q
+    in `points`: U's column is patch[K] Bm[q] in the rows `pattern.rows[K]`,
+    V's ref_hess[q] dc in the element's own; missing and Dirichlet dofs cut."""
+    ops = get_operators(space)
+    K, q = np.divmod(points, len(ops.wq))
+    rows, r = ops.pattern.rows[K], len(points)
+    terms = ((ops.patch[K] @ ops.Bm[q][:, :, None], rows),
+             (ops.ref_hess[q] @ dc[:, :, None], rows[:, : space.nloc]))
+    return tuple(sp.csc_matrix((t.ravel(), i.ravel(), i.shape[1] * np.arange(r + 1)),
+                               shape=(space.dim + 1, r))[:-1] for t, i in terms)

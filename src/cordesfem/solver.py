@@ -8,16 +8,18 @@ matrix G of the mesh-dependent norm, and the solve stops once it is below
 tol (1 + |K^{-1} R(0)|_G). Inside the roundoff band of 1e3 tol, where a
 decrease is noise, only t = 1 and 1/2 are tried, and a solve that stops
 short there is accepted at that floor. Newton comes first, with K the
-frozen Jacobian J, which depends on u only through the controls: its LU is
-kept while they stay, and the simplified correction is then the next one.
-If Newton stops short, a fixed-point phase goes on from its iterate with K
-the penalty Gram P (`Operators.penalty_gram`), the norm Gram with its jumps
-weighted by sigma and rho as the operator weights them. Under the Cordes
-condition the operator is strongly monotone and Lipschitz with
-h-independent constants (Smears & Sueli, SIAM J. Numer. Anal. 52 (2014)),
-so |K^{-1} r|_G stands in for the dual norm |r|_{G^{-1}}, tolerances stay
-comparable across levels, and the fixed point contracts at a rate that the
-Cordes condition sets.
+frozen Jacobian J(c), which depends on u only through its frozen
+coefficients c, gamma a at the optimal controls. The LU of the last J(c0)
+factored is kept: it solves J(c) as it is while c = c0, when the simplified
+correction is the next one, and by a low-rank update while c differs at few
+points (`_jacobian_solver`). If Newton stops short, a fixed-point phase
+goes on from its iterate with K the penalty Gram P
+(`Operators.penalty_gram`), the norm Gram with its jumps weighted by sigma
+and rho as the operator weights them. Under the Cordes condition the
+operator is strongly monotone and Lipschitz with h-independent constants
+(Smears & Sueli, SIAM J. Numer. Anal. 52 (2014)), so |K^{-1} r|_G stands in
+for the dual norm |r|_{G^{-1}}, tolerances stay comparable across levels,
+and the fixed point contracts at a rate that the Cordes condition sets.
 
 P and the frozen Jacobians are factored in the space's own dof numbering,
 nested-dissection order from ND_MIN_DOFS dofs up (`fespace.dof_order`),
@@ -27,11 +29,9 @@ nonsingular. `factorize` equilibrates the stored CSR data and hands splu
 the matrix's own index arrays, which read as CSC hold A^T; it factors A^T,
 as safe as A since x^T A^T x = x^T A x, and solves with its transpose.
 Matrices of fewer than ND_MIN_DOFS rows, where the ordering costs more
-than it saves, are factored in COLAMD order with partial pivoting. A
-factorization that raises or a solve that fails the acceptance gate is
-redone once in COLAMD order. `linear_solver` keeps one factorization and
-solves through the gate, refining only while neither branch of the gate
-holds: the residual relative to |b| or the normwise backward error.
+than it saves, are factored in COLAMD order with partial pivoting.
+`linear_solver` solves through an acceptance gate, and keeps at most one
+LU alive, as the correction loop does.
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ import scipy.sparse.linalg as spla
 from .cordes import ControlProblem
 from .fespace import ND_MIN_DOFS, DiscreteFunction, FESpace
 from .forms import (
-    FormParams, frozen_jacobian, get_operators, nonlinear_residual, norm_k,
+    FormParams, frozen_jacobian, get_operators, jacobian_coefficients,
+    jacobian_terms, nonlinear_residual, norm_k,
 )
 
 
@@ -58,6 +59,8 @@ class SolverError(RuntimeError):
 # step search: halve the step up to MAX_BACKTRACKS times
 DAMPING = 0.5
 MAX_BACKTRACKS = 10
+# the most points where c may differ from the kept LU's c0 for an update
+MAX_UPDATE_RANK = 32
 
 
 @dataclass
@@ -78,6 +81,7 @@ class SolveStats:
     final_residual: float = np.inf
     residual_history: list = field(default_factory=list)
     lu_fill: list = field(default_factory=list)  # per factorization, nnz(L+U)/nnz(A)
+    lu_updates: int = 0  # Jacobians solved by a low-rank update of the kept LU
     colamd_retries: int = 0  # factorizations redone in COLAMD order
     lu_solves: int = 0  # calls of a factorization's solve, refinements included
     # returned above tol, inside the roundoff band of at most 1e3 tol
@@ -93,8 +97,8 @@ def factorize(matrix: sp.csr_matrix, natural: bool):
     """(solve, fill) of the LU of the equilibrated canonical CSR matrix A,
     whose index arrays splu reads as the CSC arrays of A^T: in the stored
     order taking every nonzero diagonal pivot (`natural`), or in COLAMD
-    order with partial pivoting; solve(b) is A^{-1} b and fill
-    nnz(L + U - I) / nnz(A)."""
+    order with partial pivoting; solve(b) is A^{-1} b, for b of shape (n,)
+    or (n, k), and fill nnz(L + U - I) / nnz(A)."""
     n = matrix.shape[0]
     # equilibration tames the scale spread of high-order dofs: a_ij s_i s_j
     d = np.abs(matrix.diagonal())
@@ -105,18 +109,23 @@ def factorize(matrix: sp.csr_matrix, natural: bool):
     nd = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0,
               options=dict(SymmetricMode=True)) if natural else {}
     At = sp.csc_matrix((vals, matrix.indices, matrix.indptr), shape=(n, n))
+    At.has_canonical_format = True  # as the canonical CSR A
     lu = spla.splu(At, **nd)
 
     def solve(b):
-        return scale * lu.solve(scale * b, trans="T")
+        s = scale if b.ndim == 1 else scale[:, None]
+        return s * lu.solve(s * b, trans="T")
 
     return solve, (lu.nnz - n) / max(matrix.nnz, 1)
 
 
-def linear_solver(matrix: sp.spmatrix, stats: SolveStats | None = None):
-    """solve(b) = A^{-1} b from one kept factorization of the matrix, made
-    at the first call, with iterative refinement: in the stored order on
-    the diagonal pivots from ND_MIN_DOFS rows up, in COLAMD order below.
+def linear_solver(matrix: sp.spmatrix, stats: SolveStats | None = None,
+                  kept: list | None = None, update=None, tag: tuple = ()):
+    """solve(b) = A^{-1} b with iterative refinement from the LU whose solve
+    is first in `kept`, a list the caller may keep across matrices, or one
+    made at the first call and kept there followed by `tag`: in the stored
+    order on the diagonal pivots from ND_MIN_DOFS rows up, in COLAMD order
+    below. An `update`, a solve of A from the kept LU, serves in its place.
 
     Each of up to 8 passes makes one triangular solve (from the second on,
     of the last residual) and checks its x against the gate: |Ax - b| <=
@@ -124,11 +133,12 @@ def linear_solver(matrix: sp.spmatrix, stats: SolveStats | None = None):
     + |b|) of at most 1e-13, as the residual branch is unreachable for
     fine-mesh Jacobians whose norm dwarfs |b|. So it refines only while
     neither branch holds and returns the first x that meets one; |A| is
-    taken at the first miss of the residual branch. A stored-order
-    factorization that raises or fails the gate is redone in COLAMD order
-    and kept; `stats` gets the retries, the triangular solves and the fill
-    of each factorization once it passes the gate. Raises SolverError with
-    both diagnostics of the last x checked otherwise."""
+    taken at the first miss of the residual branch. A solve that fails the
+    gate is dropped with `kept`, freeing its LU, and A factored afresh; a
+    stored-order factorization that raises or fails is redone in COLAMD
+    order. `stats` gets the retries, the triangular solves and, once they
+    pass the gate, each factorization's fill and the updates. Raises
+    SolverError with both diagnostics of the last x checked otherwise."""
     matrix = matrix.tocsr()
     if not matrix.has_canonical_format:
         matrix = matrix.copy()
@@ -136,27 +146,30 @@ def linear_solver(matrix: sp.spmatrix, stats: SolveStats | None = None):
     stats = SolveStats() if stats is None else stats
     ordered = matrix.shape[0] >= ND_MIN_DOFS  # stored in factor order
     attempts = [True, False] if ordered else [False]
-    lu = []  # the kept [solve, fill], the fill dropped once recorded
+    kept = [] if kept is None else kept
+    fill, counted = [], False  # a new LU's fill, or an update, to record
     anorm = None  # |A|_inf, taken at the first miss of the residual branch
     failure = ""
 
     def solve(rhs):
-        nonlocal failure, anorm
-        while lu or attempts:
-            if not lu:
+        nonlocal failure, anorm, fill, counted, update
+        while kept or attempts:
+            if not kept:
                 natural = attempts.pop(0)
                 if ordered and not natural:
                     stats.colamd_retries += 1
                 try:
-                    lu[:] = factorize(matrix, natural)
+                    lu, *fill = factorize(matrix, natural)
                 except RuntimeError as err:
                     failure = f"sparse factorization failed: {err}"
                     continue
+                kept[:] = [lu, *tag]
+            inverse = update or kept[0]
             bnorm = np.linalg.norm(rhs)
             target = max(1e-11 * bnorm, 1e-13)
             x = None
             for _ in range(8):  # a pass: one triangular solve, then the gate
-                x = lu[0](rhs) if x is None else x + lu[0](resid)
+                x = inverse(rhs) if x is None else x + inverse(resid)
                 stats.lu_solves += 1
                 if not np.all(np.isfinite(x)):
                     rnorm = backward = np.inf
@@ -170,16 +183,43 @@ def linear_solver(matrix: sp.spmatrix, stats: SolveStats | None = None):
                     denom = anorm * np.linalg.norm(x, np.inf) + bnorm
                     backward = rnorm / denom if denom > 0 else np.inf
                 if backward <= 1e-13:
-                    stats.lu_fill.extend(lu[1:])
-                    del lu[1:]
+                    stats.lu_fill.extend(fill)
+                    stats.lu_updates += update is not None and not counted
+                    fill, counted = [], True
                     return x
             failure = (f"linear solve inaccurate (residual {rnorm:.3e}, |b| "
                        f"{bnorm:.3e}, backward error {backward:.3e}); matrix may "
                        "be singular or severely ill-conditioned")
-            lu.clear()
+            kept.clear()
+            fill, update = [], None
         raise SolverError(failure, stats)
 
     return solve
+
+
+def _jacobian_solver(space: FESpace, J, c: np.ndarray, kept: list, stats):
+    """`linear_solver` of J = J(c) from the LU of J0 = J(c0) in `kept`, [its
+    solve, c0, {point: J0^{-1} u}], while c differs from c0 at r <=
+    MAX_UPDATE_RANK points: J = J0 + U V^T, J^{-1} = (I - Z C^{-1} V^T)
+    J0^{-1}, Z = J0^{-1} U and C = I + V^T Z (Woodbury; Hager, SIAM Rev. 31
+    (1989)). Else `kept` is emptied first; a new LU is kept with c."""
+    points = np.flatnonzero((c != kept[1]).any(axis=-1)) if kept else []
+    if len(points) > MAX_UPDATE_RANK:
+        kept.clear()
+    if len(points) == 0 or not kept:
+        return linear_solver(J, stats, kept, None, (c, {}))
+    U, V = jacobian_terms(space, points, (c - kept[1]).reshape(-1, 4)[points])
+    new = [j for j, point in enumerate(points) if point not in kept[2]]
+    kept[2].update(zip(points[new], kept[0](U[:, new].toarray()).T))
+    Z, Vt = np.stack([kept[2][point] for point in points], axis=1), V.T.tocsr()
+    kept[2].update(zip(points, Z.T))  # as views of Z, so each is held once
+    capacitance = np.eye(len(points)) + Vt @ Z
+
+    def woodbury(b):
+        y = kept[0](b)
+        return y - Z @ np.linalg.solve(capacitance, Vt @ y)
+
+    return linear_solver(J, stats, kept, woodbury, (c, {}))
 
 
 def solve_discrete(
@@ -203,6 +243,9 @@ def solve_discrete(
     uf = DiscreteFunction(space, u)
     r = nonlinear_residual(space, problem, uf, params)
     tol, dn = np.nan, np.inf  # tol is set by the first correction
+    # the controls at u, the frozen coefficients of its Jacobian, its kept LU
+    frozen, c = ops.inf_sup(problem, uf)[1:], jacobian_coefficients(space, problem, uf)
+    kept = []
 
     def correction(solve, b):  # -K^{-1} b and its G norm, for solve = K^{-1}
         nonlocal tol  # opts.tol (1 + |K^{-1} R(0)|_G)
@@ -222,13 +265,13 @@ def solve_discrete(
         d = None  # the correction at u, from the kept solve of K
         for _ in range(budget):
             if d is None:
-                if newton:
-                    frozen = ops.inf_sup(problem, uf)[1:]  # kept by the last residual
-                    K = frozen_jacobian(space, problem, uf, params)
-                else:
-                    K = ops.penalty_gram(params)
                 stats.final_residual = dn  # as a SolverError of the solve finds it
-                solve = linear_solver(K, stats)
+                if newton:
+                    J = frozen_jacobian(space, c, params)
+                    solve = _jacobian_solver(space, J, c, kept, stats)
+                else:
+                    kept.clear()  # the Jacobian LU goes before P's is made
+                    solve = linear_solver(ops.penalty_gram(params), stats)
                 d, dn = correction(solve, r)
             if dn <= tol:
                 return accept()
@@ -245,8 +288,8 @@ def solve_discrete(
             if newton:
                 stats.newton_iters += 1
                 stats.backtracks.append(halvings if dtn < dn else limit)
-                changed = dtn < dn and np.not_equal(
-                    frozen, ops.inf_sup(problem, trial)[1:]).any(axis=0)
+                controls = ops.inf_sup(problem, trial)[1:]
+                changed = dtn < dn and np.not_equal(frozen, controls).any(axis=0)
                 stats.controls_changed.append(int(np.count_nonzero(changed)))
             if dtn >= dn:
                 break
@@ -257,8 +300,11 @@ def solve_discrete(
             # converged to working precision (a fixed point is too slow to tell)
             stalled = newton and dtn > 0.5 * dn and dtn <= 1e3 * tol
             u, uf, r, dn = trial.coeffs, trial, rt, dtn
-            # J, and so its solve, stays while the controls do; P always
-            d = None if newton and np.any(changed) else dt
+            d = dt  # J(c), and so its solve, stays while c does; P always
+            if newton and np.any(changed):
+                frozen, ct = controls, jacobian_coefficients(space, problem, uf)
+                if not np.array_equal(ct, c):
+                    c, d = ct, None
             if dn <= tol or stalled:
                 return accept()
         if dn <= 1e3 * tol:

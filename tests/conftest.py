@@ -13,6 +13,7 @@ from cordesfem import (
     uniform_refine,
     unit_square_mesh,
 )
+from cordesfem.forms import frozen_jacobian, jacobian_coefficients
 from cordesfem.quadrature import QuadratureError, segment_rule, triangle_rule
 from cordesfem.solver import linear_solver
 from lifted_oracle import assemble_csr, mass_blocks
@@ -21,6 +22,11 @@ from lifted_oracle import assemble_csr, mass_blocks
 def linear_solve(matrix, rhs, stats=None):
     """A^{-1} rhs by `solver.linear_solver(matrix, stats)`."""
     return linear_solver(matrix, stats)(rhs)
+
+
+def jacobian(space, problem, u, params):
+    """The frozen Jacobian at u, from its `jacobian_coefficients`."""
+    return frozen_jacobian(space, jacobian_coefficients(space, problem, u), params)
 
 
 def quadrature_rule(domain: str, exactness: int):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import mass_matrix, project_l2, quadrature_rule
+from conftest import jacobian, mass_matrix, project_l2, quadrature_rule
 from lifted_oracle import (D2, Delta_k, R, S_lifted, TrR, assemble_csr,
                            shape_hessians)
 
@@ -17,7 +17,6 @@ from cordesfem import (
     FormParams,
     SpaceConfig,
     build_space,
-    frozen_jacobian,
     get_problem,
     jump_seminorm,
     nonlinear_residual,
@@ -230,7 +229,7 @@ def test_dg_residual_and_jacobian_need_positive_rho(spaces):
     with pytest.raises(SpaceError):
         nonlinear_residual(space, prob, u, params)
     with pytest.raises(SpaceError):
-        frozen_jacobian(space, prob, u, params)
+        jacobian(space, prob, u, params)
 
 
 def test_residual_affine_for_singleton_controls(spaces, rng):
@@ -262,11 +261,9 @@ def test_jacobian_constant_for_singleton_controls(spaces, rng):
     prob = get_problem("poisson_singleton")
     space = spaces(1, 2, 0)
     params = FormParams.defaults(2, 0)
-    J0 = frozen_jacobian(space, prob,
-                         DiscreteFunction(space, np.zeros(space.dim)), params)
-    J1 = frozen_jacobian(space, prob,
-                         DiscreteFunction(space, rng.standard_normal(space.dim)),
-                         params)
+    J0 = jacobian(space, prob, DiscreteFunction(space, np.zeros(space.dim)), params)
+    J1 = jacobian(space, prob,
+                  DiscreteFunction(space, rng.standard_normal(space.dim)), params)
     assert abs(J0 - J1).max() <= 1e-12 * abs(J0).max()
 
 
@@ -276,7 +273,7 @@ def test_jacobian_matches_directional_derivative(spaces, rng):
     params = FormParams.defaults(2, 0)
     u = 0.1 * rng.standard_normal(space.dim)
     w = rng.standard_normal(space.dim)
-    J = frozen_jacobian(space, prob, DiscreteFunction(space, u), params)
+    J = jacobian(space, prob, DiscreteFunction(space, u), params)
     t = 1e-6
     r0 = nonlinear_residual(space, prob, DiscreteFunction(space, u), params)
     rt = nonlinear_residual(space, prob, DiscreteFunction(space, u + t * w), params)
@@ -289,9 +286,8 @@ def test_jacobian_coercive_sample(spaces, rng):
     prob = get_problem("two_control_switch")
     space = spaces(1, 2, 0)
     params = FormParams.defaults(2, 0)
-    J = frozen_jacobian(space, prob,
-                        DiscreteFunction(space, rng.standard_normal(space.dim)),
-                        params)
+    J = jacobian(space, prob,
+                 DiscreteFunction(space, rng.standard_normal(space.dim)), params)
     cs = []
     for _ in range(10):
         x = rng.standard_normal(space.dim)
@@ -323,7 +319,7 @@ def test_jacobian_matches_modal_triple_product(p, s, spaces, rng):
         ref = ref + mult * (lap.T @ (P @ hess[(i, j)]))
     ref = ref.tocsr()
     # a copy: the Jacobian shares the pattern's read-only index arrays
-    J = frozen_jacobian(space, prob, u, params).copy()
+    J = jacobian(space, prob, u, params).copy()
     assert abs(J - ref).max() <= 1e-13 * abs(ref).max()
     for A in (J, ref):
         A.eliminate_zeros()
@@ -439,8 +435,8 @@ def test_cached_newton_data_follows_problem_and_params(s, mesh_hierarchy, rng):
         u, uf = DiscreteFunction(space, coeffs), DiscreteFunction(fresh, coeffs)
         assert np.array_equal(nonlinear_residual(space, prob, u, par),
                               nonlinear_residual(fresh, prob, uf, par))
-        J = frozen_jacobian(space, prob, u, par)
-        Jf = frozen_jacobian(fresh, prob, uf, par)
+        J = jacobian(space, prob, u, par)
+        Jf = jacobian(fresh, prob, uf, par)
         assert (J != Jf).nnz == 0
 
 
@@ -465,8 +461,8 @@ def test_jacobian_reuses_the_controls_of_its_residual(s, rng, monkeypatch):
 
     def fresh(prob):
         other = build_space(mesh, SpaceConfig(p=p, s=s))
-        return frozen_jacobian(other, prob, DiscreteFunction(other, u.coeffs.copy()),
-                               params)
+        return jacobian(other, prob, DiscreteFunction(other, u.coeffs.copy()),
+                        params)
 
     def same(A, B):
         return (np.array_equal(A.indptr, B.indptr)
@@ -475,15 +471,15 @@ def test_jacobian_reuses_the_controls_of_its_residual(s, rng, monkeypatch):
 
     nonlinear_residual(space, probs[0], u, params)
     calls.clear()
-    J = frozen_jacobian(space, probs[0], u, params)
+    J = jacobian(space, probs[0], u, params)
     assert calls == [] and same(J, fresh(probs[0]))
     u.coeffs[::2] *= 1.5
     calls.clear()
-    J = frozen_jacobian(space, probs[0], u, params)
+    J = jacobian(space, probs[0], u, params)
     assert calls == [1] and same(J, fresh(probs[0]))
     nonlinear_residual(space, probs[0], u, params)
     calls.clear()
-    J = frozen_jacobian(space, probs[1], u, params)
+    J = jacobian(space, probs[1], u, params)
     assert calls == [1] and same(J, fresh(probs[1]))
 
 
@@ -497,7 +493,7 @@ def test_operators_freed_with_their_space():
         prob, params = get_problem("two_control_switch"), FormParams.defaults(2, 0)
         u = DiscreteFunction(space, np.ones(space.dim))
         nonlinear_residual(space, prob, u, params)
-        frozen_jacobian(space, prob, u, params)
+        jacobian(space, prob, u, params)
         ops = weakref.ref(get_operators(space))
         del space, u
         assert ops() is None
@@ -539,7 +535,7 @@ def test_matrices_lie_in_the_face_pattern(mesh, p, s, rng):
     u = DiscreteFunction(space, rng.standard_normal(dim))
     keys = set(row * dim + P.indices.astype(np.int64))
     for A in (ops.norm_gram, ops.S_facewise, ops.linear_part(params)[0],
-              frozen_jacobian(space, get_problem("rotated_anisotropic"), u, params)):
+              jacobian(space, get_problem("rotated_anisotropic"), u, params)):
         A = A.tocoo()
         assert keys.issuperset(A.row.astype(np.int64) * dim + A.col)
 
@@ -572,7 +568,7 @@ def test_local_blocks_match_delta_k_formulas(mesh, p, s, rng):
                          (ne * nmod, space.dim))
         terms = (lap.T @ G, lin)
         scale = max(abs(t).max() if t.nnz else 0.0 for t in terms)
-        diff = frozen_jacobian(space, prob, u, params) - (terms[0] + terms[1])
+        diff = jacobian(space, prob, u, params) - (terms[0] + terms[1])
         assert (abs(diff).max() if diff.nnz else 0.0) <= 1e-13 * scale
 
 

@@ -15,9 +15,13 @@ Regenerate `tests/data/golden.json` (only when a change of the numbers is
 intended) with
 
     PYTHONPATH=src python tests/test_golden.py
+
+and print each entry's largest relative deviation from it, rewriting
+nothing, with `--drift`.
 """
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -85,10 +89,26 @@ def test_golden_adaptive_levels(name, cont, p):
     _check(_levels(name, cont, p, True), expected, ADAPTIVE_LEVELS)
 
 
+def _drift(got, expected):
+    """The largest relative deviation of the pinned floats, or inf where an
+    exact field or the number of levels differs."""
+    if len(got) != len(expected) or any(
+            g[f] != e[f] for g, e in zip(got, expected) for f in g
+            if f not in ("eta_total", "err_norm_k")):
+        return float("inf")
+    return max(abs(g[f] - e[f]) / abs(e[f]) for g, e in zip(got, expected)
+               for f in ("eta_total", "err_norm_k"))
+
+
 if __name__ == "__main__":
-    golden = {_key(*case): _levels(*case) for case in CASES}
-    golden.update({_key(*case, True): _levels(*case, True)
-                   for case in ADAPTIVE_CASES})
+    cases = [(*case, False) for case in CASES]
+    cases += [(*case, True) for case in ADAPTIVE_CASES]
+    golden = {_key(*case): _levels(*case) for case in cases}
+    if sys.argv[1:] == ["--drift"]:
+        stored = json.loads(GOLDEN.read_text())
+        for key, levels in golden.items():
+            print(f"{key:45s} {_drift(levels, stored[key]):.2e}")
+        sys.exit()
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
     print(f"wrote {len(golden)} cases to {GOLDEN}")

@@ -1,11 +1,14 @@
 """Newton solver, fixed-point fallback, and the direct linear solve."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conftest import linear_solve, mass_matrix
+from conftest import jacobian, linear_solve, mass_matrix
 
 from cordesfem import (
     FormParams,
@@ -22,7 +25,10 @@ from cordesfem import (
 )
 from cordesfem import cordes, solver
 from cordesfem.fespace import ND_MIN_DOFS, DiscreteFunction, _c0_dofmap, dof_order
-from cordesfem.forms import frozen_jacobian, get_operators, nonlinear_residual
+from cordesfem.forms import (
+    frozen_jacobian, get_operators, jacobian_coefficients, jacobian_terms,
+    nonlinear_residual,
+)
 from cordesfem.mesh import dissection_keys
 from cordesfem.solver import SolverError, factorize
 
@@ -91,7 +97,7 @@ def test_backward_stable_solve_is_not_refined():
     assert space.dim == 529
     problem, params = get_problem("poisson_singleton"), FormParams.defaults(3, 1)
     zero = DiscreteFunction(space, np.zeros(space.dim))
-    J = frozen_jacobian(space, problem, zero, params)
+    J = jacobian(space, problem, zero, params)
     b = nonlinear_residual(space, problem, zero, params)
     stats = SolveStats()
     x = linear_solve(J, b, stats)
@@ -205,7 +211,7 @@ def test_frozen_jacobians_solve_alike_in_both_orders(p, s, rng):
     params = FormParams.defaults(p, s)
     for name in ("two_control_switch", "rotated_anisotropic"):
         u = DiscreteFunction(space, rng.standard_normal(space.dim))
-        J = frozen_jacobian(space, get_problem(name), u, params)
+        J = jacobian(space, get_problem(name), u, params)
         outside = _pattern(J) - _pattern(J).multiply(gram)
         assert outside.count_nonzero() == 0
         b = rng.standard_normal(space.dim)
@@ -227,7 +233,7 @@ def _pattern_matrices(space, p, s, rng):
     yield ops.norm_gram
     for name in ("two_control_switch", "rotated_anisotropic"):
         u = DiscreteFunction(space, rng.standard_normal(space.dim))
-        yield frozen_jacobian(space, get_problem(name), u, params)
+        yield jacobian(space, get_problem(name), u, params)
 
 
 @pytest.mark.parametrize("mesh, p, s", PLAN_CASES)
@@ -268,6 +274,22 @@ def test_plan_factors_the_converted_matrix(mesh, p, s, rng, monkeypatch):
         x = solve(b)
         scale = spla.norm(A, np.inf) * np.abs(x).max() + np.abs(b).max()
         assert np.abs(A @ x - b).max() <= 1e-14 * scale
+
+
+def test_factorization_solves_many_right_hand_sides(rng):
+    # an (n, k) right-hand side is solved as its k columns are, in both
+    # orders
+    space = build_space(unit_square_mesh(5), SpaceConfig(p=3, s=0))
+    u = DiscreteFunction(space, rng.standard_normal(space.dim))
+    problem, params = get_problem("rotated_anisotropic"), FormParams.defaults(3, 0)
+    J = jacobian(space, problem, u, params)
+    B = rng.standard_normal((space.dim, 4))
+    for natural in (True, False):
+        solve, _ = factorize(J, natural)
+        X = solve(B)
+        want = np.column_stack([solve(b) for b in B.T])
+        assert X.shape == B.shape
+        assert np.abs(X - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_generic_matrices_solve_as_dense(rng):
@@ -449,8 +471,10 @@ def test_linear_problem_factors_once(monkeypatch, rng):
 
 
 def test_factorizations_follow_control_changes(monkeypatch):
-    # a new Jacobian LU at every iterate whose controls changed in the step
-    # to it, except the last, where the simplified correction stops the solve
+    # a new Jacobian LU, or a low-rank update of the kept one, at every
+    # iterate whose controls changed in the step to it, except the last,
+    # where the simplified correction stops the solve; here 4 LUs and an
+    # update at the step that changes the controls at 4 points
     space = build_space(unit_square_mesh(4), SpaceConfig(p=3, s=0))
     factored = _count_splu(monkeypatch)
     _, stats = solve_discrete(space, get_problem("rotated_anisotropic"),
@@ -458,7 +482,134 @@ def test_factorizations_follow_control_changes(monkeypatch):
     steps = stats.controls_changed
     assert stats.newton_iters == len(steps) >= 3
     assert all(b < solver.MAX_BACKTRACKS for b in stats.backtracks)
-    assert len(factored) == len(stats.lu_fill) == 1 + sum(c > 0 for c in steps[:-1])
+    assert len(factored) == len(stats.lu_fill)
+    assert len(factored) + stats.lu_updates == 1 + sum(c > 0 for c in steps[:-1])
+    assert stats.lu_updates >= 1
+
+
+def _changed_at(c0, c1, count):
+    """c0 with the frozen coefficients of c1 at the first `count` points
+    where they differ, and those points."""
+    points = np.flatnonzero((c0 != c1).any(axis=-1))[:count]
+    c = c0.copy()
+    c.reshape(-1, 4)[points] = c1.reshape(-1, 4)[points]
+    return c, points
+
+
+@pytest.mark.parametrize("s, rtol", [(0, 1e-12), (1, 1e-11)])
+def test_low_rank_update_solves_as_a_fresh_lu(s, rtol, rng):
+    # J(c) = J(c0) + U V^T over the points where the frozen coefficients
+    # differ, with missing and Dirichlet dofs dropped, and the Woodbury
+    # solve of J(c) from the kept LU of J(c0) agrees with a fresh LU's; a
+    # second update on the same LU solves J0 for its new points only. (The
+    # C0 Jacobians, of condition about 3e5, are solved to 1e-12 relative
+    # by a fresh LU itself, against a dense solve.)
+    space = build_space(unit_square_mesh(4), SpaceConfig(p=3, s=s))
+    problem, params = get_problem("rotated_anisotropic"), FormParams.defaults(3, s)
+    c0, c1 = (jacobian_coefficients(
+        space, problem, DiscreteFunction(space, rng.standard_normal(space.dim)))
+        for _ in range(2))
+    c, points = _changed_at(c0, c1, 5)
+    J0, J = frozen_jacobian(space, c0, params), frozen_jacobian(space, c, params)
+    U, V = jacobian_terms(space, points, (c - c0).reshape(-1, 4)[points])
+    assert U.shape == V.shape == (space.dim, len(points))
+    assert abs(J - J0 - U @ V.T).max() <= 1e-13 * abs(J).max()
+
+    b = rng.standard_normal(space.dim)
+    stats, kept = SolveStats(), []
+    solver.linear_solver(J0, stats, kept, None, (c0, {}))(b)
+    for count in (5, 6):
+        c, points = _changed_at(c0, c1, count)
+        J = frozen_jacobian(space, c, params)
+        x = solver._jacobian_solver(space, J, c, kept, stats)(b)
+        want = solver.linear_solver(J)(b)
+        assert np.linalg.norm(x - want) <= rtol * np.linalg.norm(want)
+        assert sorted(kept[2]) == list(points)
+    assert len(stats.lu_fill) == 1 and stats.lu_updates == 2
+
+
+def _alive_lus(monkeypatch):
+    """Weak references to the solve of every `solver.factorize` call; each
+    call checks that the solves of the earlier ones are freed."""
+    made, factorize = [], solver.factorize
+
+    def tracked(A, natural):
+        assert all(ref() is None for ref in made), "an earlier LU is alive"
+        solve, fill = factorize(A, natural)
+        made.append(weakref.ref(solve))
+        return solve, fill
+
+    monkeypatch.setattr(solver, "factorize", tracked)
+    return made
+
+
+@pytest.mark.parametrize("fail", [False, True])
+def test_failed_update_falls_back_to_a_fresh_lu(fail, monkeypatch):
+    # an update that fails the gate is dropped with the kept LU, the
+    # Jacobian is factored afresh and kept, and Newton goes on as with
+    # updates; either way no LU outlives the next factorization, the
+    # penalty Gram's of the fallback phase included
+    space = build_space(unit_square_mesh(4), SpaceConfig(p=3, s=0))
+    problem, params = get_problem("rotated_anisotropic"), FormParams.defaults(3, 0)
+    _, want = solve_discrete(space, problem, params)
+    assert want.lu_updates >= 1 and not want.floor_accepted
+    linear_solver = solver.linear_solver
+
+    def halving(matrix, stats, kept=None, update=None, tag=()):
+        # a solve returning half the update's x fails the gate in 8 passes
+        if fail and update is not None:
+            update = (lambda f: lambda b: 0.5 * f(b))(update)
+        return linear_solver(matrix, stats, kept, update, tag)
+
+    monkeypatch.setattr(solver, "linear_solver", halving)
+    made = _alive_lus(monkeypatch)
+    gc.collect()
+    gc.disable()
+    try:
+        _, stats = solve_discrete(space, problem, params)
+        newton = want.newton_iters - 1
+        _, short = solve_discrete(space, problem, params,
+                                  SolveOptions(max_newton=newton))
+    finally:
+        gc.enable()
+    assert stats.newton_iters == want.newton_iters and not stats.floor_accepted
+    assert stats.controls_changed == want.controls_changed
+    assert len(stats.lu_fill) + stats.lu_updates == len(want.lu_fill) + want.lu_updates
+    assert stats.lu_updates == (0 if fail else want.lu_updates)
+    assert short.newton_iters == newton and short.fallback_iters > 0
+    assert len(made) == len(stats.lu_fill) + len(short.lu_fill)
+
+
+def test_control_changes_that_keep_the_jacobian_keep_its_lu(monkeypatch):
+    # two_control_switch's controls share a = I but not f, so a change of
+    # controls leaves the frozen Jacobian bitwise equal, and its kept LU
+    # serves the next step with neither a new LU nor an update. Its optimal
+    # controls do not depend on u, so here the alphas are swapped from the
+    # first trial on (the residual reads only the values, which stay); the
+    # first correction is stretched as in test_newton_records_step_halvings,
+    # so that the step with the swap is not the last
+    swaps, inf_sup = iter([0]), cordes.inf_sup
+
+    def swapped(*args):
+        values, alpha, beta = inf_sup(*args)
+        return values, (alpha + next(swaps, 1)) % 2, beta
+
+    linear_solver, stretch = solver.linear_solver, iter([-3.0])
+
+    def stretched(*args):
+        solve = linear_solver(*args)
+        return lambda rhs: next(stretch, 1.0) * solve(rhs)
+
+    monkeypatch.setattr(cordes, "inf_sup", swapped)
+    monkeypatch.setattr(solver, "linear_solver", stretched)
+    factored = _count_splu(monkeypatch)
+    space = build_space(unit_square_mesh(4), SpaceConfig(p=2, s=0))
+    _, stats = solve_discrete(space, get_problem("two_control_switch"),
+                              FormParams.defaults(2, 0))
+    assert stats.newton_iters == 2 and stats.backtracks == [1, 0]
+    points = len(space.detJ) * len(space.elem_rule.weights)
+    assert stats.controls_changed[0] == points
+    assert len(factored) == len(stats.lu_fill) == 1 and stats.lu_updates == 0
 
 
 def test_reused_correction_equals_a_fresh_one(monkeypatch, rng):
@@ -482,7 +633,7 @@ def test_reused_correction_equals_a_fresh_one(monkeypatch, rng):
     assert stats.newton_iters == 2 and len(stats.lu_fill) == 1
     rhs, kept = calls[-1]  # the simplified correction at the returned iterate
     assert np.array_equal(rhs, nonlinear_residual(space, problem, u, params))
-    fresh = linear_solver(frozen_jacobian(space, problem, u, params))(rhs)
+    fresh = linear_solver(jacobian(space, problem, u, params))(rhs)
     assert np.array_equal(kept, fresh)
 
 
