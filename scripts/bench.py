@@ -8,7 +8,11 @@ Run from the repository root:
 
 Layers: on `unit_square_mesh(2)` bisected uniformly 9 times (4,096
 elements: 40,960 DG p=3 dofs and 18,241 C0 p=3 dofs), each of 3
-repetitions builds a fresh space and times, in one process, the
+repetitions times the mesh layer: the last of those bisections, one
+`uniform_refine` from 2,048 to 4,096 elements (`refine_s`), and one
+`verify_ellipticity_cordes` of `rotated_anisotropic` (10 control pairs) at
+the element centroids of the mesh it made (`cordes_s`). On that mesh it
+builds a fresh space and times, in one process, the
 `Operators` build and three parts of it (`pattern_s`: `forms.face_pattern`;
 `volume_s`: `Operators._volume`; `faces_s`: `forms.face_tables` and
 `Operators._faces`, each timed by wrapping it within this script), one
@@ -66,6 +70,7 @@ from cordesfem import (
     solve_discrete,
     uniform_refine,
     unit_square_mesh,
+    verify_ellipticity_cordes,
 )
 from cordesfem import forms, solver
 from cordesfem.adapt import error_norm_k
@@ -143,12 +148,17 @@ def peak_mb(fn, *args):
         tracemalloc.stop()
 
 
-def layer_times(mesh, s, repeat):
-    """Wall times of one level's layers, `repeat` times on fresh spaces."""
+def layer_times(coarse, s, repeat):
+    """Wall times of one level's layers, `repeat` times on fresh meshes,
+    each one uniform bisection of `coarse`, and fresh spaces."""
     problem = get_problem("poisson_singleton")
+    aniso = get_problem("rotated_anisotropic")
     params = FormParams.defaults(3, s)
     runs = []
     for _ in range(repeat):
+        t_refine, mesh = timed(uniform_refine, coarse)
+        centroids = mesh.vertices[mesh.tri].mean(axis=1)
+        t_cordes, _ = timed(verify_ellipticity_cordes, aniso, centroids)
         t_space, space = timed(build_space, mesh, SpaceConfig(p=3, s=s))
         t_ops, (_, parts) = timed(part_times, get_operators, space)
         t_solve, ((u, stats), lus) = timed(
@@ -164,7 +174,8 @@ def layer_times(mesh, s, repeat):
         t_err, err = timed(error_norm_k, space, u, problem.exact)
         t_est, report = timed(estimate, space, problem, u, params)
         runs.append({
-            "ndofs": space.dim, "space_s": t_space, "operators_s": t_ops, **parts,
+            "ndofs": space.dim, "refine_s": t_refine, "cordes_s": t_cordes,
+            "space_s": t_space, "operators_s": t_ops, **parts,
             "solve_s": t_solve, "gram_lu_s": t_gram, "jacobian_lu_s": t_jac,
             "gram_fill": gram_fill, "jacobian_fill": jac_fill,
             "residual_s": t_residual, "jacobian_s": t_jacobian,
@@ -205,9 +216,9 @@ def main():
     refines, repeat, seconds = SIZES[args.size]
     seconds = seconds or bench["run_seconds"]
 
-    mesh = unit_square_mesh(2)
-    for _ in range(refines):
-        mesh = uniform_refine(mesh)
+    coarse = unit_square_mesh(2)  # one bisection short of the layer mesh
+    for _ in range(refines - 1):
+        coarse = uniform_refine(coarse)
     result = {
         "tag": args.tag,
         "env": {"python": platform.python_version(), "numpy": np.__version__,
@@ -220,7 +231,7 @@ def main():
             wl["name"]: perfbench(wl["name"], seconds, args.size)
             for wl in bench["workloads"]
         },
-        "layers": {name: layer_times(mesh, s, repeat) for name, s in CASES},
+        "layers": {name: layer_times(coarse, s, repeat) for name, s in CASES},
     }
     path = Path(f"BENCH_{args.tag}.json")
     path.write_text(json.dumps(result, indent=1) + "\n")

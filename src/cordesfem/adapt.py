@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import cordes
-from .basis import lagrange_ref_points
+from .basis import lagrange_ref_points, rule_tables
 from .fespace import DiscreteFunction, FESpace, SpaceConfig, build_space
 from .forms import FormParams, face_jumps, get_operators, jump_seminorm
 from .mesh import MeshLevel, halve, refine_conforming
@@ -160,9 +160,10 @@ def error_norm_k(space: FESpace, u: DiscreteFunction,
     """
     rule = triangle_rule(space.config.quad_exactness + 2)
     x = space.points(rule.points).reshape(-1, 2)
-    dv = exact.value(x) - u.eval(rule.points, 0).ravel()
-    dg = exact.gradient(x) - u.eval(rule.points, 1).reshape(-1, 2)
-    dh = exact.hessian(x) - u.eval(rule.points, 2).reshape(-1, 2, 2)
+    tabs = rule_tables(space.basis, rule.exactness)
+    dv = exact.value(x) - u.eval_table(tabs[0], 0).ravel()
+    dg = exact.gradient(x) - u.eval_table(tabs[1], 1).reshape(-1, 2)
+    dh = exact.hessian(x) - u.eval_table(tabs[2], 2).reshape(-1, 2, 2)
     sq = dv**2 + np.einsum("ni,ni->n", dg, dg) + np.einsum("nij,nij->n", dh, dh)
     vol = float(space.detJ @ (sq.reshape(-1, rule.n) @ rule.weights))
     return float(np.sqrt(vol + jump_seminorm(space, u) ** 2))
@@ -181,7 +182,7 @@ def transfer_solution(
     parent = new_space.mesh.ancestor
     vals = u.eval(u.space.ref_points(new_space.points(pts), parent), 0, parent)
     if dg:
-        B = new_space.basis.eval(rule.points, 0)
+        B = rule_tables(new_space.basis, rule.exactness)[0][:, :, 0]
         vals = vals @ (rule.weights[:, None] * B)
     coeffs = np.zeros(new_space.dim)
     valid = new_space.dofmap >= 0

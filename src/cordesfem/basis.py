@@ -87,6 +87,17 @@ class RefBasis:
 
 
 @cache
+def rule_tables(basis: RefBasis, exactness: int) -> tuple:
+    """`basis` values, gradients and Hessians at triangle_rule(exactness), each
+    (nq, n, 2^order) as `DiscreteFunction.eval_table` takes them; read-only."""
+    pts = triangle_rule(exactness).points
+    tabs = tuple(basis.eval(pts, k).reshape(len(pts), basis.n, -1) for k in (0, 1, 2))
+    for tab in tabs:
+        tab.flags.writeable = False
+    return tabs
+
+
+@cache
 def ortho_basis(p: int) -> RefBasis:
     """L2(T_ref)-orthonormal basis, lowest mode first."""
     exps = monomial_exponents(p)

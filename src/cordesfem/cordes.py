@@ -98,18 +98,15 @@ def verify_ellipticity_cordes(
     x = np.atleast_2d(np.asarray(sample_points, dtype=float))
     if len(x) == 0:
         raise CordesError("sample point set must be nonempty")
-    nu_est = np.inf
-    min_eig = np.inf
-    for _, _, alpha, beta in problem.control_pairs():
-        a = np.asarray(problem.coeffs.a(x, alpha, beta), dtype=float)
-        if not np.allclose(a, np.transpose(a, (0, 2, 1)), atol=1e-12):
-            raise CordesError("coefficient matrix a is not symmetric")
-        tr = np.einsum("nii->n", a)
-        fro2 = np.einsum("nij,nij->n", a, a)
-        ratio = tr**2 / fro2 - (DIM - 1)
-        eigs = np.linalg.eigvalsh(a)
-        nu_est = min(nu_est, float(ratio.min()))
-        min_eig = min(min_eig, float(eigs[:, 0].min()))
+    # every pair's a stacked, (pairs * n, 2, 2), for one pass of each check
+    a = np.concatenate([np.asarray(problem.coeffs.a(x, alpha, beta), dtype=float)
+                        for _, _, alpha, beta in problem.control_pairs()])
+    if not np.allclose(a, np.transpose(a, (0, 2, 1)), atol=1e-12):
+        raise CordesError("coefficient matrix a is not symmetric")
+    tr = np.einsum("nii->n", a)
+    fro2 = np.einsum("nij,nij->n", a, a)
+    nu_est = float((tr**2 / fro2 - (DIM - 1)).min())
+    min_eig = float(np.linalg.eigvalsh(a)[:, 0].min())
     passed = (nu_est >= problem.nu - tol) and (min_eig > 0.0)
     return CordesReport(nu_est, passed, min_eig)
 

@@ -50,7 +50,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import cordes
-from .basis import ortho_basis
+from .basis import ortho_basis, rule_tables
 from .fespace import DiscreteFunction, FESpace, SpaceError, gather
 from .fespace import _chain_rule
 from .mesh import INTERIOR
@@ -167,8 +167,7 @@ def elem_tensors(basis, modal, exactness: int) -> tuple:
     KL (4, nloc nmod) = sum_q w_q ref_hess[q, a, i] Bm[q, m] at (i, a m)."""
     rule = triangle_rule(exactness)
     w = rule.weights
-    val, grad, hess = (basis.eval(rule.points, k).reshape(rule.n, basis.n, -1)
-                       for k in (0, 1, 2))
+    val, grad, hess = rule_tables(basis, exactness)
     Bm = modal.eval(rule.points, 0)
     # K[(q, k), (m, a)] = Bm[q, m] ref_hess[q, a, k]
     hess_tensor = np.einsum("qm,qak->qkma", Bm, hess).reshape(4 * rule.n, -1)

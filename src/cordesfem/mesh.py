@@ -107,11 +107,13 @@ def canonical_normal(p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
 
 def _build_faces(vertices, tri):
     # the three edges of element e are rows 3e..3e+2, local edge l opposite
-    # local vertex l; faces come out sorted by their vertex pair
+    # local vertex l; faces come out sorted by their key v0 * nv + v1, v0 < v1
+    nv = len(vertices)
     ends = np.sort(tri[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2), axis=1)
-    fv, face_of, count = np.unique(
-        ends, axis=0, return_inverse=True, return_counts=True
+    keys, face_of, count = np.unique(
+        ends[:, 0] * nv + ends[:, 1], return_inverse=True, return_counts=True
     )
+    fv = np.stack(np.divmod(keys, nv), axis=1)
     if np.any(count > 2):
         key = tuple(int(v) for v in fv[np.argmax(count)])
         raise MeshError(f"face {key} shared by more than two elements")
@@ -166,7 +168,7 @@ def unit_square_mesh(n: int) -> MeshLevel:
     v00 = ((n + 1) * np.arange(n)[:, None] + np.arange(n)).ravel()
     v10, v01 = v00 + n + 1, v00 + 1
     # per cell: peak v00 with hypotenuse v10-v01, then peak v11 with v01-v10
-    tri = np.stack([np.c_[v00, v10, v01], np.c_[v10 + 1, v01, v10]], axis=1)
+    tri = np.stack([v00, v10, v01, v10 + 1, v01, v10], axis=1)
     return _initial_mesh(vertices, tri.reshape(-1, 3))
 
 
@@ -244,15 +246,15 @@ def refine_conforming(mesh: MeshLevel, marked) -> MeshLevel:
     m, m2, m1 = mid[ef].T
     peak, b, c = mesh.tri.T
     slots = np.stack([
-        np.where(s2[:, None], np.c_[m1, m, peak],
-                 np.where(s0[:, None], np.c_[m, peak, b], mesh.tri)),
-        np.c_[m1, b, m],
-        np.where(s1[:, None], np.c_[m2, m, c], np.c_[m, c, peak]),
-        np.c_[m2, peak, m],
-    ], axis=1)
-    keep = np.c_[np.ones(ne, dtype=bool), s2, s0, s1]
+        np.where(s2, [m1, m, peak], np.where(s0, [m, peak, b], mesh.tri.T)),
+        [m1, b, m],
+        np.where(s1, [m2, m, c], [m, c, peak]),
+        [m2, peak, m],
+    ]).transpose(2, 0, 1)
+    keep = np.stack([np.ones(ne, dtype=bool), s2, s0, s1], axis=1)
     two = np.full(ne, 2)
-    offset = np.c_[s0.astype(np.int64) + s2, two, 1 + s1.astype(np.int64), two]
+    offset = np.stack([s0.astype(np.int64) + s2, two, 1 + s1.astype(np.int64), two],
+                      axis=1)
     return MeshLevel(
         vertices,
         slots[keep],

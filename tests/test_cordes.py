@@ -24,6 +24,7 @@ from cordesfem import (
 from cordesfem import cordes
 from cordesfem.cordes import (
     CordesError,
+    CordesReport,
     f_gamma_field,
     frozen_coefficients,
     inf_sup,
@@ -127,6 +128,63 @@ def test_registry_problems_pass_their_declared_nu():
         report = verify_ellipticity_cordes(prob, SAMPLES)
         assert report.passed, prob.name
         assert report.nu_est >= prob.nu - 1e-12
+
+
+def _reference_cordes(problem, x, tol=1e-12):
+    """`verify_ellipticity_cordes` as one check of each kind per control
+    pair, in pair order."""
+    nu_est = min_eig = np.inf
+    for _, _, alpha, beta in problem.control_pairs():
+        a = np.asarray(problem.coeffs.a(x, alpha, beta), dtype=float)
+        if not np.allclose(a, np.transpose(a, (0, 2, 1)), atol=1e-12):
+            raise CordesError("coefficient matrix a is not symmetric")
+        tr = np.einsum("nii->n", a)
+        fro2 = np.einsum("nij,nij->n", a, a)
+        nu_est = min(nu_est, float((tr**2 / fro2 - 1).min()))
+        min_eig = min(min_eig, float(np.linalg.eigvalsh(a)[:, 0].min()))
+    passed = (nu_est >= problem.nu - tol) and (min_eig > 0.0)
+    return CordesReport(nu_est, passed, min_eig)
+
+
+def _pairs_problem(mats, nu):
+    """One constant coefficient matrix per control alpha."""
+    return ControlProblem(
+        domain=np.array([[0.0, 0], [1, 0], [1, 1], [0, 1]]),
+        controls=ControlSet(alphas=list(range(len(mats))), betas=[0]),
+        coeffs=CoefficientField(
+            a=lambda x, a, b: np.broadcast_to(mats[a], (len(x), 2, 2)).copy(),
+            f=lambda x, a, b: np.zeros(len(x)),
+        ),
+        nu=nu,
+    )
+
+
+@pytest.mark.parametrize("s", [0, 1])
+def test_cordes_check_matches_per_pair_loop(s):
+    # bitwise, at the element quadrature points run_study checks
+    space = build_space(unit_square_mesh(4), SpaceConfig(p=3, s=s))
+    x = space.points(space.elem_rule.points).reshape(-1, 2)
+    for prob in registry():
+        assert verify_ellipticity_cordes(prob, x) == _reference_cordes(prob, x)
+
+
+def test_nonsymmetric_middle_pair_raises_as_per_pair_loop():
+    prob = _pairs_problem(
+        [np.eye(2), np.array([[1.0, 0.5], [0.1, 1.0]]), np.diag([2.0, 1.0])], nu=0.5)
+    with pytest.raises(CordesError) as want:
+        _reference_cordes(prob, SAMPLES)
+    with pytest.raises(CordesError) as got:
+        verify_ellipticity_cordes(prob, SAMPLES)
+    assert str(got.value) == str(want.value)
+
+
+def test_negative_definite_pair_fails_as_per_pair_loop():
+    # -I has the Cordes ratio of I, so only its eigenvalues fail the check
+    prob = _pairs_problem([np.eye(2), -np.eye(2), np.diag([2.0, 1.0])], nu=0.5)
+    report = verify_ellipticity_cordes(prob, SAMPLES)
+    assert not report.passed and report.min_eigenvalue == -1.0
+    assert report.nu_est >= prob.nu
+    assert report == _reference_cordes(prob, SAMPLES)
 
 
 # ------------------------------------------------------------------- inf-sup F

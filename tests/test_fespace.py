@@ -13,9 +13,10 @@ from cordesfem import (
     unit_square_mesh,
 )
 from cordesfem.basis import _eval_monomials, lagrange_basis, monomial_exponents
-from cordesfem.basis import ortho_basis
+from cordesfem.basis import ortho_basis, rule_tables
 from cordesfem.fespace import SpaceError, gather
 from cordesfem.forms import get_operators
+from cordesfem.quadrature import triangle_rule
 
 
 def test_dg_dimension_two_triangles():
@@ -303,6 +304,14 @@ def test_bases_are_built_once_and_read_only(make):
     assert make(3) is basis and make(2) is not basis
     with pytest.raises(ValueError):
         basis.coeffs[0, 0] = 0.0
+    # so are its tables kept per rule, each equal to a fresh tabulation
+    tabs = rule_tables(basis, 8)
+    assert rule_tables(basis, 8) is tabs and rule_tables(basis, 7) is not tabs
+    for order, tab in enumerate(tabs):
+        want = basis.eval(triangle_rule(8).points, order)
+        assert np.array_equal(tab, want.reshape(tab.shape))
+        with pytest.raises(ValueError):
+            tab[0, 0, 0] = 0.0
 
 
 @pytest.mark.parametrize("s", [0, 1])

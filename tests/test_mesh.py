@@ -12,8 +12,10 @@ from cordesfem.mesh import (
     BOUNDARY,
     INTERIOR,
     MeshError,
+    _outward_normal,
     canonical_normal,
     convex_polygon_mesh,
+    halve,
     write_mesh_txt,
 )
 
@@ -240,6 +242,51 @@ def _reference_refine(mesh, marked):
             np.array(out_level, dtype=np.int64), np.array(out_anc, dtype=np.int64))
 
 
+def _reference_faces(vertices, tri):
+    """The face arrays numbered by a 2-D `np.unique(axis=0)` over the
+    sorted vertex pairs, as `mesh._build_faces` did before its 1-D keys."""
+    ends = np.sort(tri[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2), axis=1)
+    fv, face_of, count = np.unique(
+        ends, axis=0, return_inverse=True, return_counts=True
+    )
+    side = np.argsort(face_of.ravel(), kind="stable") // 3
+    first = np.cumsum(count) - count
+    interior = count == 2
+    fe = np.full((len(fv), 2), -1, dtype=np.int64)
+    fe[:, 0] = side[first]
+    fe[interior, 1] = side[first[interior] + 1]
+    fk = np.where(interior, INTERIOR, BOUNDARY).astype(np.int8)
+    p0, p1 = vertices[fv[:, 0]], vertices[fv[:, 1]]
+    out0 = _outward_normal(vertices, tri[fe[:, 0]], p0, p1)
+    fn = np.where(interior[:, None], canonical_normal(p0, p1), out0)
+    swap = np.einsum("fi,fi->f", out0, fn) < 0.0
+    fe[swap] = fe[swap, ::-1]
+    return fv, fk, fe, fn, face_of.reshape(-1, 3)
+
+
+FACE_ARRAYS = ("face_verts", "face_kind", "face_elems", "face_normals", "elem_faces")
+
+
+def _assert_faces_match_reference(m):
+    for name, want in zip(FACE_ARRAYS, _reference_faces(m.vertices, m.tri)):
+        got = getattr(m, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("make", [
+    lambda: unit_square_mesh(1),
+    lambda: unit_square_mesh(5),
+    lambda: uniform_refine(uniform_refine(unit_square_mesh(3))),
+    lambda: halve(unit_square_mesh(1)),
+    lambda: halve(unit_square_mesh(3)),
+    lambda: convex_polygon_mesh(PENTAGON),
+    lambda: halve(convex_polygon_mesh(PENTAGON)),
+])
+def test_faces_bitwise_match_two_column_unique_reference(make):
+    _assert_faces_match_reference(make())
+
+
 @st.composite
 def _marking_sequences(draw):
     start = draw(st.sampled_from(["square1", "square2", "square3", "pentagon"]))
@@ -266,6 +313,7 @@ def test_refinement_bitwise_matches_elementwise_reference(case):
             got = getattr(fine, name)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes(), name
+        _assert_faces_match_reference(fine)
         m = fine
 
 
