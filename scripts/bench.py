@@ -28,8 +28,7 @@ not factor, come from one `solver.factorize` of it as stored
 `nonlinear_residual` (`residual_s`), one `frozen_jacobian` with its
 `jacobian_coefficients` (`jacobian_s`) and the whole `solver.factorize`
 of that Jacobian as stored (`factorize_s`: everything from the matrix to its LU,
-not `splu` alone). At the full size both spaces lie above
-`ND_MIN_DOFS`, so both LUs take the space's nested-dissection numbering.
+not `splu` alone).
 Times are raw wall seconds; the file keeps every repetition and their
 median. One more, untimed pass per case records the tracemalloc peak, in
 MB, of the `Operators` build and of the Newton solve (tracemalloc slows
@@ -40,8 +39,7 @@ Workloads: every workload that BENCHMARK.json lists runs once through
 file keeps the JSON line it prints. Nothing in perfbench/ is changed.
 
 `--size tiny` is a seconds-long check that the script works: 3 bisections
-(640 DG dofs, enough for the solver's nested-dissection order), 1
-repetition, 1 s workload runs at perfbench's tiny size.
+(640 DG dofs), 1 repetition, 1 s workload runs at perfbench's tiny size.
 
 Both parts are measured on the same host in one invocation, so two
 BENCH files taken back to back compare two versions of the source tree.
@@ -74,7 +72,6 @@ from cordesfem import (
 )
 from cordesfem import forms, solver
 from cordesfem.adapt import error_norm_k
-from cordesfem.fespace import ND_MIN_DOFS
 from cordesfem.forms import (
     frozen_jacobian, get_operators, jacobian_coefficients, nonlinear_residual,
 )
@@ -164,13 +161,12 @@ def layer_times(coarse, s, repeat):
         t_solve, ((u, stats), lus) = timed(
             lu_spans, solve_discrete, space, problem, params)
         t_jac, jac_fill = lus[0]
-        natural = space.dim >= ND_MIN_DOFS
         _, [(t_gram, gram_fill)] = lu_spans(
-            solver.factorize, get_operators(space).norm_gram, natural)
+            solver.factorize, get_operators(space).norm_gram)
         t_residual, _ = timed(nonlinear_residual, space, problem, u, params)
         t_jacobian, J = timed(lambda: frozen_jacobian(
             space, jacobian_coefficients(space, problem, u), params))
-        t_factorize, _ = timed(solver.factorize, J, natural)
+        t_factorize, _ = timed(solver.factorize, J)
         t_err, err = timed(error_norm_k, space, u, problem.exact)
         t_est, report = timed(estimate, space, problem, u, params)
         runs.append({

@@ -118,7 +118,6 @@ class AdaptiveStep:
     controls_changed: list
     lu_fill: list
     lu_updates: int
-    colamd_retries: int
     lu_solves: int
 
 
@@ -253,7 +252,6 @@ def adaptive_solve(
             controls_changed=stats.controls_changed,
             lu_fill=stats.lu_fill,
             lu_updates=stats.lu_updates,
-            colamd_retries=stats.colamd_retries,
             lu_solves=stats.lu_solves,
         )
         trace.steps.append(step)

@@ -5,13 +5,13 @@ matrix is 2|K| times the identity on each element. The C0 space uses
 Lagrange nodes shared across faces, with homogeneous Dirichlet conditions
 imposed by dropping boundary nodes from the global numbering.
 
-Dofs are numbered in the order their matrices are factored. From
-ND_MIN_DOFS dofs up, `dof_order` renumbers them by nested dissection of
-the elements (`mesh.dissection_keys`; George, SIAM J. Numer. Anal. 10
-(1973)): each dof takes the place of the last element holding it, so both
-halves of a part come before their separator. Every matrix on the space's
-face pattern is then stored in factor order, and the solver factors it
-as it is.
+Dofs are numbered in the order their matrices are factored: `dof_order`
+renumbers every space's dofs by nested dissection of the elements
+(`mesh.dissection_keys`; George, SIAM J. Numer. Anal. 10 (1973)): each
+dof takes the place of the last element holding it, so both halves of a
+part come before their separator. Every matrix on the space's face
+pattern is then stored in factor order, and the solver factors it as it
+is.
 
 Evaluation is batched: `FESpace.points`/`ref_points` are the affine maps
 and `FESpace.shapes` the shape tables, at shared or per-element reference
@@ -35,10 +35,6 @@ from .quadrature import triangle_rule
 
 # default `elems` of the batched evaluators: every element, in order
 ALL = slice(None)
-# spaces of ND_MIN_DOFS dofs or more are numbered in nested-dissection
-# order; below, the ordering costs more than its smaller fill saves
-# (measured: DG and C0 p=3 break even at 300-500 dofs)
-ND_MIN_DOFS = 500
 
 
 class SpaceError(ValueError):
@@ -95,9 +91,8 @@ class FESpace:
             dofmap = np.arange(self.dim, dtype=np.int64).reshape(-1, self.nloc)
         else:
             dofmap, self.dim = _c0_dofmap(mesh, p)
-        if self.dim >= ND_MIN_DOFS:  # number the dofs in factor order
-            rank = dof_order(mesh, dofmap, self.dim)
-            dofmap = np.where(dofmap >= 0, rank[dofmap], -1)
+        valid = dofmap >= 0  # number the dofs in factor order
+        dofmap[valid] = dof_order(mesh, dofmap, self.dim)[dofmap[valid]]
         self.dofmap = dofmap
 
         self.elem_rule = triangle_rule(config.quad_exactness)

@@ -21,17 +21,16 @@ operator is strongly monotone and Lipschitz with h-independent constants
 for the dual norm |r|_{G^{-1}}, tolerances stay comparable across levels,
 and the fixed point contracts at a rate that the Cordes condition sets.
 
-P and the frozen Jacobians are factored in the space's own dof numbering,
-nested-dissection order from ND_MIN_DOFS dofs up (`fespace.dof_order`),
-taking each nonzero diagonal pivot. That is safe: P is SPD and J strongly
-monotone, x^T J x >= c |x|^2, so every leading block of either is
-nonsingular. `factorize` equilibrates the stored CSR data and hands splu
-the matrix's own index arrays, which read as CSC hold A^T; it factors A^T,
-as safe as A since x^T A^T x = x^T A x, and solves with its transpose.
-Matrices of fewer than ND_MIN_DOFS rows, where the ordering costs more
-than it saves, are factored in COLAMD order with partial pivoting.
-`linear_solver` solves through an acceptance gate, and keeps at most one
-LU alive, as the correction loop does.
+Every matrix is factored one way: in the space's own dof numbering, the
+nested-dissection order of `fespace.dof_order`, on its nonzero diagonal
+pivots. That is safe: P is SPD and J strongly monotone, x^T J x >= c |x|^2,
+so every leading block of either is nonsingular; a matrix with a singular
+or near-singular leading block fails loudly. `factorize` equilibrates the
+stored CSR data and hands splu the matrix's own index arrays, which read
+as CSC hold A^T; it factors A^T, as safe as A since x^T A^T x = x^T A x,
+and solves with its transpose. `linear_solver` solves through an
+acceptance gate, and keeps at most one LU alive, as the correction loop
+does.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .cordes import ControlProblem
-from .fespace import ND_MIN_DOFS, DiscreteFunction, FESpace
+from .fespace import DiscreteFunction, FESpace
 from .forms import (
     FormParams, frozen_jacobian, get_operators, jacobian_coefficients,
     jacobian_terms, nonlinear_residual, norm_k,
@@ -82,7 +81,6 @@ class SolveStats:
     residual_history: list = field(default_factory=list)
     lu_fill: list = field(default_factory=list)  # per factorization, nnz(L+U)/nnz(A)
     lu_updates: int = 0  # Jacobians solved by a low-rank update of the kept LU
-    colamd_retries: int = 0  # factorizations redone in COLAMD order
     lu_solves: int = 0  # calls of a factorization's solve, refinements included
     # returned above tol, inside the roundoff band of at most 1e3 tol
     floor_accepted: bool = False
@@ -93,12 +91,11 @@ class SolveStats:
     controls_changed: list = field(default_factory=list)
 
 
-def factorize(matrix: sp.csr_matrix, natural: bool):
+def factorize(matrix: sp.csr_matrix):
     """(solve, fill) of the LU of the equilibrated canonical CSR matrix A,
-    whose index arrays splu reads as the CSC arrays of A^T: in the stored
-    order taking every nonzero diagonal pivot (`natural`), or in COLAMD
-    order with partial pivoting; solve(b) is A^{-1} b, for b of shape (n,)
-    or (n, k), and fill nnz(L + U - I) / nnz(A)."""
+    whose index arrays splu reads as the CSC arrays of A^T, in the stored
+    order taking every nonzero diagonal pivot; solve(b) is A^{-1} b, for b
+    of shape (n,) or (n, k), and fill nnz(L + U - I) / nnz(A)."""
     n = matrix.shape[0]
     # equilibration tames the scale spread of high-order dofs: a_ij s_i s_j
     d = np.abs(matrix.diagonal())
@@ -106,11 +103,10 @@ def factorize(matrix: sp.csr_matrix, natural: bool):
     scale = 1.0 / np.sqrt(d)
     vals = matrix.data * np.repeat(scale, np.diff(matrix.indptr))
     vals *= scale[matrix.indices]
-    nd = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0,
-              options=dict(SymmetricMode=True)) if natural else {}
     At = sp.csc_matrix((vals, matrix.indices, matrix.indptr), shape=(n, n))
     At.has_canonical_format = True  # as the canonical CSR A
-    lu = spla.splu(At, **nd)
+    lu = spla.splu(At, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                   options=dict(SymmetricMode=True))
 
     def solve(b):
         s = scale if b.ndim == 1 else scale[:, None]
@@ -123,9 +119,8 @@ def linear_solver(matrix: sp.spmatrix, stats: SolveStats | None = None,
                   kept: list | None = None, update=None, tag: tuple = ()):
     """solve(b) = A^{-1} b with iterative refinement from the LU whose solve
     is first in `kept`, a list the caller may keep across matrices, or one
-    made at the first call and kept there followed by `tag`: in the stored
-    order on the diagonal pivots from ND_MIN_DOFS rows up, in COLAMD order
-    below. An `update`, a solve of A from the kept LU, serves in its place.
+    made at the first call and kept there followed by `tag`. An `update`, a
+    solve of A from the kept LU, serves in its place.
 
     Each of up to 8 passes makes one triangular solve (from the second on,
     of the last residual) and checks its x against the gate: |Ax - b| <=
@@ -133,33 +128,30 @@ def linear_solver(matrix: sp.spmatrix, stats: SolveStats | None = None,
     + |b|) of at most 1e-13, as the residual branch is unreachable for
     fine-mesh Jacobians whose norm dwarfs |b|. So it refines only while
     neither branch holds and returns the first x that meets one; |A| is
-    taken at the first miss of the residual branch. A solve that fails the
-    gate is dropped with `kept`, freeing its LU, and A factored afresh; a
-    stored-order factorization that raises or fails is redone in COLAMD
-    order. `stats` gets the retries, the triangular solves and, once they
-    pass the gate, each factorization's fill and the updates. Raises
-    SolverError with both diagnostics of the last x checked otherwise."""
+    taken at the first miss of the residual branch. A kept LU or an update
+    that fails the gate is dropped with `kept`, freeing its LU, and A
+    factored afresh, once. `stats` gets the triangular solves and, once
+    they pass the gate, each factorization's fill and the updates. Raises
+    SolverError if the factorization raises, and with both diagnostics of
+    the last x checked if its solve fails the gate."""
     matrix = matrix.tocsr()
     if not matrix.has_canonical_format:
         matrix = matrix.copy()
         matrix.sum_duplicates()
     stats = SolveStats() if stats is None else stats
-    ordered = matrix.shape[0] >= ND_MIN_DOFS  # stored in factor order
-    attempts = [True, False] if ordered else [False]
     kept = [] if kept is None else kept
+    fresh = True  # A is factored afresh at most once
     fill, counted = [], False  # a new LU's fill, or an update, to record
     anorm = None  # |A|_inf, taken at the first miss of the residual branch
     failure = ""
 
     def solve(rhs):
-        nonlocal failure, anorm, fill, counted, update
-        while kept or attempts:
+        nonlocal failure, anorm, fill, counted, update, fresh
+        while kept or fresh:
             if not kept:
-                natural = attempts.pop(0)
-                if ordered and not natural:
-                    stats.colamd_retries += 1
+                fresh = False
                 try:
-                    lu, *fill = factorize(matrix, natural)
+                    lu, *fill = factorize(matrix)
                 except RuntimeError as err:
                     failure = f"sparse factorization failed: {err}"
                     continue

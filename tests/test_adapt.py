@@ -413,7 +413,7 @@ def test_solver_lists_in_trace_json_only(tmp_path):
     steps = json.loads((tmp_path / "trace.json").read_text())
     assert len(steps) == 2
     for step in steps:
-        assert len(step["lu_fill"]) == 1 and step["colamd_retries"] == 0
+        assert len(step["lu_fill"]) == 1 and "colamd_retries" not in step
         assert step["lu_solves"] >= 1
         assert step["controls_changed"] == [0] * step["newton_iters"]
         assert len(step["backtracks"]) == step["newton_iters"]

@@ -24,7 +24,7 @@ from cordesfem import (
     unit_square_mesh,
 )
 from cordesfem import cordes, solver
-from cordesfem.fespace import ND_MIN_DOFS, DiscreteFunction, _c0_dofmap, dof_order
+from cordesfem.fespace import DiscreteFunction, _c0_dofmap, dof_order
 from cordesfem.forms import (
     frozen_jacobian, get_operators, jacobian_coefficients, jacobian_terms,
     nonlinear_residual,
@@ -56,37 +56,34 @@ def test_singular_matrix_rejected():
         linear_solve(A, np.array([1.0, 0.0]))
 
 
-def test_near_zero_pivot_retried_in_colamd_order(rng):
-    # from ND_MIN_DOFS rows up a matrix is factored as stored on its
-    # diagonal pivots, so the leading 1e-20 is a pivot; SuperLU row-pivots
-    # past an exactly zero pivot even at threshold 0, but takes this one,
-    # and its growth of 1e20 defeats iterative refinement, so the solve is
-    # repeated once in COLAMD order with partial pivoting
+def test_near_zero_pivot_fails_loudly(rng):
+    # a matrix of any size is factored as stored on its diagonal pivots, so
+    # the leading 1e-20 is a pivot; SuperLU row-pivots past an exactly zero
+    # pivot even at threshold 0, but takes this one, and its growth of 1e20
+    # defeats iterative refinement: the one factorization fails the gate in
+    # 8 passes, and the error names the residual and backward error
     block = np.array([[1e-20, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
-    A = sp.block_diag([block, 2.0 * sp.eye(ND_MIN_DOFS)], format="csr")
-    b = rng.standard_normal(A.shape[0])
-    stats = SolveStats()
-    x = linear_solve(A, b, stats)
-    assert np.linalg.norm(A @ x - b) <= 1e-11 * np.linalg.norm(b)
-    assert stats.colamd_retries == 1
-    assert len(stats.lu_fill) == 1 and stats.lu_fill[0] >= 1.0
-    # below ND_MIN_DOFS rows COLAMD comes first, and nothing is retried
-    A = sp.block_diag([block, 2.0 * sp.eye(3)], format="csr")
-    stats = SolveStats()
-    x = linear_solve(A, b[:6], stats)
-    assert np.linalg.norm(A @ x - b[:6]) <= 1e-11 * np.linalg.norm(b[:6])
-    assert stats.colamd_retries == 0 and len(stats.lu_fill) == 1
+    for n in (500, 3):
+        A = sp.block_diag([block, 2.0 * sp.eye(n)], format="csr")
+        stats = SolveStats()
+        with pytest.raises(SolverError) as err:
+            linear_solve(A, rng.standard_normal(A.shape[0]), stats)
+        assert "linear solve inaccurate (residual " in str(err.value)
+        assert "backward error " in str(err.value)
+        assert stats.lu_solves == 8 and stats.lu_fill == []
 
 
-def test_singular_matrix_rejected_after_retry():
-    A = sp.block_diag([np.array([[1.0, 2.0], [2.0, 4.0]]), sp.eye(ND_MIN_DOFS)],
+def test_singular_matrix_factorization_fails():
+    # an exactly singular leading block stops the one factorization, and
+    # nothing is solved
+    A = sp.block_diag([np.array([[1.0, 2.0], [2.0, 4.0]]), sp.eye(500)],
                       format="csr")
     b = np.zeros(A.shape[0])
     b[0] = 1.0
     stats = SolveStats()
-    with pytest.raises(SolverError):
+    with pytest.raises(SolverError, match="sparse factorization failed"):
         linear_solve(A, b, stats)
-    assert stats.colamd_retries == 1 and stats.lu_fill == []
+    assert stats.lu_solves == 0 and stats.lu_fill == []
 
 
 def test_backward_stable_solve_is_not_refined():
@@ -101,7 +98,7 @@ def test_backward_stable_solve_is_not_refined():
     b = nonlinear_residual(space, problem, zero, params)
     stats = SolveStats()
     x = linear_solve(J, b, stats)
-    assert stats.lu_solves == 1 and stats.colamd_retries == 0
+    assert stats.lu_solves == 1
     rnorm, bnorm = np.linalg.norm(J @ x - b), np.linalg.norm(b)
     assert rnorm > 1e-11 * bnorm
     assert rnorm <= 1e-13 * (spla.norm(J, np.inf) * np.abs(x).max() + bnorm)
@@ -115,8 +112,8 @@ def test_failed_gate_reports_the_last_checked_solve(monkeypatch):
     b = np.linspace(1.0, 2.0, 40)
     factored = factorize
 
-    def halved(matrix, natural):
-        solve, fill = factored(matrix, natural)
+    def halved(matrix):
+        solve, fill = factored(matrix)
         return (lambda rhs: 0.5 * solve(rhs)), fill
 
     monkeypatch.setattr(solver, "factorize", halved)
@@ -136,8 +133,8 @@ def test_failed_gate_reports_the_last_checked_solve(monkeypatch):
 
 ND_MESH = refine_conforming(unit_square_mesh(4), [0, 3, 7])
 ND_CASES = [(p, s) for s in (0, 1) for p in (2, 3, 4)]
-# ND_MESH spaces lie below ND_MIN_DOFS except DG p=4 (570 dofs); those of a
-# 512-element square all lie above it
+# ND_MESH spaces have fewer than 500 dofs except DG p=4 (570 dofs); those of
+# a 512-element square all have more
 ND_MESHES = {"nd": ND_MESH, "square16": unit_square_mesh(16)}
 PLAN_CASES = [(m, p, s) for m in ND_MESHES for s in (0, 1) for p in (2, 3, 4)]
 
@@ -151,7 +148,7 @@ def _pattern(A):
 @pytest.mark.parametrize("p, s", ND_CASES)
 def test_dof_order_is_a_permutation_cached_in_the_plan(p, s):
     # a space numbers its dofs in dof_order, a permutation of the plain
-    # numbering, from ND_MIN_DOFS dofs up, and keeps the plain one below
+    # numbering, at every size
     for mesh in ND_MESHES.values():
         space = build_space(mesh, SpaceConfig(p=p, s=s))
         if s == 0:
@@ -161,10 +158,7 @@ def test_dof_order_is_a_permutation_cached_in_the_plan(p, s):
             assert dim == space.dim
         rank = dof_order(mesh, plain, space.dim)
         assert np.array_equal(np.sort(rank), np.arange(space.dim))
-        if space.dim >= ND_MIN_DOFS:
-            want = np.where(plain >= 0, rank[plain], -1)
-        else:
-            want = plain
+        want = np.where(plain >= 0, rank[plain], -1)
         assert np.array_equal(space.dofmap, want)
 
 
@@ -188,8 +182,7 @@ def test_halves_do_not_couple(p, s):
     assert position[first].max() < position[second].min()
     assert position[second].max() < position[top == 2].min()
     # a space numbered in dof_order is already in it
-    if space.dim >= ND_MIN_DOFS:
-        assert np.array_equal(position, np.arange(space.dim))
+    assert np.array_equal(position, np.arange(space.dim))
     # and every split below it, over all entries at once
     coo = gram.tocoo()
     for level in range(depth):
@@ -203,9 +196,8 @@ def test_halves_do_not_couple(p, s):
 @pytest.mark.parametrize("p, s", ND_CASES)
 def test_frozen_jacobians_solve_alike_in_both_orders(p, s, rng):
     # every Jacobian entry lies in the norm Gram pattern, so the space's one
-    # numbering orders both, and the solve as stored (on the diagonal
-    # pivots from ND_MIN_DOFS dofs up: here DG p=4) agrees with spsolve's
-    # COLAMD one
+    # numbering orders both, and the solve as stored, on the diagonal
+    # pivots, agrees with spsolve's in COLAMD order with partial pivoting
     space = build_space(ND_MESH, SpaceConfig(p=p, s=s))
     gram = _pattern(get_operators(space).norm_gram)
     params = FormParams.defaults(p, s)
@@ -220,7 +212,7 @@ def test_frozen_jacobians_solve_alike_in_both_orders(p, s, rng):
         # spsolve with one step of iterative refinement, as linear_solve
         want = spla.spsolve(J.tocsc(), b)
         want += spla.spsolve(J.tocsc(), b - J @ want)
-        assert stats.colamd_retries == 0
+        assert len(stats.lu_fill) == 1
         assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
 
 
@@ -240,9 +232,8 @@ def _pattern_matrices(space, p, s, rng):
 def test_plan_factors_the_converted_matrix(mesh, p, s, rng, monkeypatch):
     # splu gets the equilibrated A^T bitwise: the stored matrix's own index
     # arrays, which read as CSC hold A^T, with the data of D A D, D =
-    # diag(|a_ii|^-1/2); from ND_MIN_DOFS rows up in the stored order
+    # diag(|a_ii|^-1/2); in the stored order at every size
     space = build_space(ND_MESHES[mesh], SpaceConfig(p=p, s=s))
-    natural = space.dim >= ND_MIN_DOFS
     P = get_operators(space).pattern
     factored, splu = [], spla.splu
 
@@ -254,12 +245,12 @@ def test_plan_factors_the_converted_matrix(mesh, p, s, rng, monkeypatch):
     for A in _pattern_matrices(space, p, s, rng):
         assert np.shares_memory(A.indices, P.indices)
         assert np.shares_memory(A.indptr, P.indptr)
-        solve, _ = factorize(A, natural)
+        solve, _ = factorize(A)
         At, options = factored[-1]
         assert At.format == "csc"
         assert np.shares_memory(At.indices, A.indices)
         assert np.shares_memory(At.indptr, A.indptr)
-        assert options.get("permc_spec") == ("NATURAL" if natural else None)
+        assert options.get("permc_spec") == "NATURAL"
         D = sp.diags(1.0 / np.sqrt(np.abs(A.diagonal())))
         want = (D @ A @ D).tocsr()
         want.sort_indices()
@@ -277,19 +268,17 @@ def test_plan_factors_the_converted_matrix(mesh, p, s, rng, monkeypatch):
 
 
 def test_factorization_solves_many_right_hand_sides(rng):
-    # an (n, k) right-hand side is solved as its k columns are, in both
-    # orders
+    # an (n, k) right-hand side is solved as its k columns are
     space = build_space(unit_square_mesh(5), SpaceConfig(p=3, s=0))
     u = DiscreteFunction(space, rng.standard_normal(space.dim))
     problem, params = get_problem("rotated_anisotropic"), FormParams.defaults(3, 0)
     J = jacobian(space, problem, u, params)
     B = rng.standard_normal((space.dim, 4))
-    for natural in (True, False):
-        solve, _ = factorize(J, natural)
-        X = solve(B)
-        want = np.column_stack([solve(b) for b in B.T])
-        assert X.shape == B.shape
-        assert np.abs(X - want).max() <= 1e-14 * np.abs(want).max()
+    solve, _ = factorize(J)
+    X = solve(B)
+    want = np.column_stack([solve(b) for b in B.T])
+    assert X.shape == B.shape
+    assert np.abs(X - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_generic_matrices_solve_as_dense(rng):
@@ -406,9 +395,9 @@ def _record_factorize(monkeypatch):
     """A list that records the matrix of every `solver.factorize` call."""
     factored, factorize = [], solver.factorize
 
-    def recorded(A, natural):
+    def recorded(A):
         factored.append(A)
-        return factorize(A, natural)
+        return factorize(A)
 
     monkeypatch.setattr(solver, "factorize", recorded)
     return factored
@@ -461,7 +450,6 @@ def test_linear_problem_factors_once(monkeypatch, rng):
     # one Jacobian LU serves the scale |J^-1 R(0)|_G of a nonzero guess and
     # every Newton step, and the norm Gram is never factored
     space = build_space(unit_square_mesh(5), SpaceConfig(p=3, s=0))
-    assert space.dim >= ND_MIN_DOFS
     factored = _count_splu(monkeypatch)
     opts = SolveOptions(tol=1e-12, initial_guess=rng.standard_normal(space.dim))
     _, stats = solve_discrete(space, get_problem("poisson_singleton"),
@@ -533,9 +521,9 @@ def _alive_lus(monkeypatch):
     call checks that the solves of the earlier ones are freed."""
     made, factorize = [], solver.factorize
 
-    def tracked(A, natural):
+    def tracked(A):
         assert all(ref() is None for ref in made), "an earlier LU is alive"
-        solve, fill = factorize(A, natural)
+        solve, fill = factorize(A)
         made.append(weakref.ref(solve))
         return solve, fill
 
@@ -664,7 +652,7 @@ def test_linear_problem_one_newton_iteration():
     u, stats = solve_discrete(space, prob, FormParams.defaults(2, 0))
     assert stats.newton_iters == 1
     assert stats.fallback_iters == 0
-    assert len(stats.lu_fill) == 1 and stats.colamd_retries == 0
+    assert len(stats.lu_fill) == 1
 
 
 def test_unreachable_tol_is_flagged_as_floor_accepted():
