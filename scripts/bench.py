@@ -31,8 +31,10 @@ of that Jacobian as stored (`factorize_s`: everything from the matrix to its LU,
 not `splu` alone).
 Times are raw wall seconds; the file keeps every repetition and their
 median. One more, untimed pass per case records the tracemalloc peak, in
-MB, of the `Operators` build and of the Newton solve (tracemalloc slows
-what it traces, so no timed repetition runs under it).
+MB, of the `Operators` build and of the Newton solve, and the size the
+build keeps, its tracemalloc current size once it returns
+(`operators_retained_mb`; tracemalloc slows what it traces, so no timed
+repetition runs under it).
 
 Workloads: every workload that BENCHMARK.json lists runs once through
 `perfbench/run.py` in a subprocess, with its run length and seed 1; the
@@ -135,12 +137,14 @@ def part_times(fn, *args):
             setattr(owner, name, f)
 
 
-def peak_mb(fn, *args):
-    """The tracemalloc peak, in MB, of what fn(*args) allocates."""
+def traced_mb(fn, *args):
+    """The tracemalloc peak of what fn(*args) allocates and the part of it
+    still held when fn returns, in MB."""
     tracemalloc.start()
     try:
         fn(*args)
-        return tracemalloc.get_traced_memory()[1] / 2**20
+        held, peak = tracemalloc.get_traced_memory()
+        return peak / 2**20, held / 2**20
     finally:
         tracemalloc.stop()
 
@@ -188,8 +192,9 @@ def layer_times(coarse, s, repeat):
         if key.endswith(("_s", "_fill")):
             out[key] = statistics.median(run[key] for run in runs)
     space = build_space(mesh, SpaceConfig(p=3, s=s))
-    out["operators_peak_mb"] = peak_mb(get_operators, space)
-    out["solve_peak_mb"] = peak_mb(solve_discrete, space, problem, params)
+    out["operators_peak_mb"], out["operators_retained_mb"] = traced_mb(
+        get_operators, space)
+    out["solve_peak_mb"] = traced_mb(solve_discrete, space, problem, params)[0]
     return out
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import resource
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -119,6 +120,7 @@ class AdaptiveStep:
     lu_fill: list
     lu_updates: int
     lu_solves: int
+    peak_rss_mb: float  # the process's peak RSS (ru_maxrss) after this level
 
 
 @dataclass
@@ -214,13 +216,15 @@ def adaptive_solve(
     max_iters; `callback(step, mesh, space, u, report)` runs per iteration.
     """
     trace = AdaptiveTrace()
-    mesh = initial_mesh
-    prev_u = None
+    mesh, u = initial_mesh, None
     for it in range(config.max_iters):
         space = build_space(mesh, config.space)
         opts = config.solve_opts
-        if prev_u is not None:
-            opts = replace(opts, initial_guess=transfer_solution(prev_u, space))
+        if u is not None:
+            opts = replace(opts, initial_guess=transfer_solution(u, space))
+            # the previous level's space and Operators go before this
+            # level's are built
+            u = report = None
         u, stats = solve_discrete(space, problem, config.params, opts)
         report = estimate(space, problem, u, config.params)
         if config.uniform:
@@ -253,6 +257,7 @@ def adaptive_solve(
             lu_fill=stats.lu_fill,
             lu_updates=stats.lu_updates,
             lu_solves=stats.lu_solves,
+            peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         )
         trace.steps.append(step)
         if callback is not None:
@@ -266,5 +271,4 @@ def adaptive_solve(
         # uniform mode halves h, so convergence slopes are clean level over
         # level; ancestors refer to this level, which guess transfer reads
         mesh = halve(mesh) if config.uniform else refine_conforming(mesh, marked)
-        prev_u = u
     return trace

@@ -115,13 +115,14 @@ def edge_tables(basis, modal, exactness: int) -> tuple:
     return tuple(tab.reshape(6, len(t), *tab.shape[1:]) for tab in tabs)
 
 
-def face_tables(space: FESpace, modal) -> tuple[FaceTables, np.ndarray]:
-    """FaceTables of a space, plus the averaged Hessian traces
-    (nf, nqf, 2 nloc, 2, 2) that only assembly reads. Each face side lies
+def face_tables(space: FESpace, modal) -> tuple[FaceTables, np.ndarray, np.ndarray]:
+    """FaceTables of a space, plus the contractions t . H . n and t . H . t
+    (nf, nqf, 2 nloc) of the averaged Hessian traces H with the face's unit
+    tangent t and normal n, which only assembly reads. Each face side lies
     on a directed reference edge of its element, so its traces are a gather
     from `edge_tables` and one chain rule with the element's invJ."""
     mesh = space.mesh
-    nf, nloc, fv = mesh.n_faces, space.nloc, mesh.face_verts
+    nf, nloc, fv, n = mesh.n_faces, space.nloc, mesh.face_verts, mesh.face_normals
     frule = segment_rule(space.config.quad_exactness)
     d = mesh.vertices[fv[:, 1]] - mesh.vertices[fv[:, 0]]
     length = np.hypot(d[:, 0], d[:, 1])
@@ -142,19 +143,25 @@ def face_tables(space: FESpace, modal) -> tuple[FaceTables, np.ndarray]:
     avg = np.where(interior[:, None], [0.5, 0.5], [1.0, 0.0])
 
     def by_face(w, t):
-        # weight each side and merge the sides: (nf, 2, nqf, nloc, ...)
-        # -> (nf, nqf, 2 nloc, ...)
-        t = w.reshape(w.shape + (1,) * (t.ndim - 2)) * t
-        return np.moveaxis(t, 1, 2).reshape(nf, frule.n, 2 * nloc, *t.shape[4:])
+        # weight each side and merge the sides in one pass: (nf, 2, nqf,
+        # nloc, ...) -> (nf, nqf, 2 nloc, ...)
+        t = np.moveaxis(t, 1, 2)
+        w = w.reshape(nf, 1, 2, *(1,) * (t.ndim - 3))
+        out = np.multiply(w, t, out=np.empty(t.shape))
+        return out.reshape(nf, frule.n, 2 * nloc, *t.shape[4:])
 
+    ahess = by_face(avg, hess).reshape(nf, -1, 4)
+    t = np.stack([-n[:, 1], n[:, 0]], axis=1)
+    hess_tn, hess_tt = ((ahess @ (t[:, :, None] * v[:, None, :]).reshape(-1, 4, 1))
+                        .reshape(nf, frule.n, 2 * nloc) for v in (n, t))
     dofs = np.where(elems[:, :, None] >= 0, space.dofmap[side], -1)
     tables = FaceTables(
-        elems=elems, interior=interior, normal=mesh.face_normals, length=length,
+        elems=elems, interior=interior, normal=n, length=length,
         wq=frule.weights[None, :] * length[:, None], avg=avg,
         dofs=dofs.reshape(nf, 2 * nloc), jval=by_face(jump, val),
         jgrad=by_face(jump, grad), psi=psi,
     )
-    return tables, by_face(avg, hess)
+    return tables, hess_tn, hess_tt
 
 
 @cache
@@ -193,7 +200,8 @@ def _gram(w, A, B=None):
     At = np.moveaxis(A, 2, 1).reshape(n, A.shape[2], nq * c)
     Bt = At if B is None else np.moveaxis(B, 2, 1).reshape(n, B.shape[2], nq * c)
     w = np.repeat(w, c, axis=-1)[..., None, :]
-    return (At * w) @ Bt.transpose(0, 2, 1)
+    At = At * w  # with B given, the unweighted rows are freed before the matmul
+    return At @ Bt.transpose(0, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -285,16 +293,16 @@ class Operators:
         self.X = space.points(rule.points)  # physical quad points, (ne, nq, 2)
         self.detJ, self.invJ = space.detJ, space.invJ
 
-        self.faces, ahess = face_tables(space, self.modal)
+        self.faces, hess_tn, hess_tt = face_tables(space, self.modal)
         ef = space.mesh.elem_faces  # each element's faces and its side of each
         sd = (self.faces.elems[ef, 1] == np.arange(len(ef))[:, None]).astype(int)
         P = self.pattern = face_pattern(self.faces, ef, sd, space.dim)
         # Delta_k^T as element patches (ne, 4 nloc, nmod); the jump penalty
         # and S_facewise data on the pattern, which the linear part sums
         gram, stab, lap = self._volume(*tensors[3:])
-        sface, self.patch = self._faces(ahess, lap, ef, sd)
+        sface, self.patch = self._faces(hess_tn, hess_tt, lap, ef, sd)
         elem = P.patch[:, : space.nloc]  # the element blocks' slots
-        self._stab = P.scatter(elem, stab) + P.scatter(P.face, sface)
+        self._stab = P.scatter(elem, stab) + sface
         self.norm_gram = P.csr(P.scatter(elem, gram) + self._jgrad + self._jval)
         self._table = None  # (problem, cordes.CoefficientTable)
         # (problem, coefficients, F_gamma, opt_alpha, opt_beta) of the last
@@ -321,32 +329,36 @@ class Operators:
                 lap.reshape(ne, nloc, -1))
 
     # ------------------------------------------------------------------- faces
-    def _faces(self, ahess, lap, ef, sd):
+    def _faces(self, hess_tn, hess_tt, lap, ef, sd):
         """Sets the data of the jump penalties _jgrad and _jval; returns the
-        facewise stabilization's face blocks and the Delta_k^T patches, the
-        Laplacian blocks `lap` minus the sides' lifted traces R00 + R11."""
+        data on the pattern of the facewise stabilization's face blocks, from
+        the `face_tables` contractions t . H . n and t . H . t, and the
+        Delta_k^T patches, the Laplacian blocks `lap` minus the sides' lifted
+        traces R00 + R11. Each face Gram is scattered as soon as it is built."""
         ft, P = self.faces, self.pattern
         n, wq, jval, jgrad = ft.normal, ft.wq, ft.jval, ft.jgrad
         t = np.stack([-n[:, 1], n[:, 0]], axis=1)
 
-        # jump penalty ingredients (raw, unweighted by sigma/rho); gradient
-        # jumps are penalized on interior faces only
+        # jump penalty ingredients (raw, unweighted by sigma/rho), each Gram
+        # scaled in place; gradient jumps are penalized on interior faces only
         I = ft.interior
         h = ft.length[:, None, None]
-        self._jgrad = P.scatter(P.face[I], (1.0 / h[I]) * _gram(wq[I], jgrad[I]))
-        self._jval = P.scatter(P.face, (1.0 / h**3) * _gram(wq, jval))
+        gram = _gram(wq[I], jgrad[I])
+        self._jgrad = P.scatter(P.face[I], np.multiply(1.0 / h[I], gram, out=gram))
+        gram = _gram(wq, jval)
+        self._jval = P.scatter(P.face, np.multiply(1.0 / h**3, gram, out=gram))
+        del gram
 
         # facewise stabilization terms; the tangential-tangential part lives
         # on interior faces only
-        def hess(a, b):  # a . ahess . b per face, (nf, nqf, 2 nloc)
-            ab = (a[:, :, None] * b[:, None, :]).reshape(-1, 4, 1)
-            return (ahess.reshape(len(ab), -1, 4) @ ab).reshape(jgrad.shape[:-1])
-
-        tj = np.einsum("fqai,fi->fqa", jgrad, t)
         jn = np.einsum("fqai,fi->fqa", jgrad, n)
-        loc = -_gram(wq, hess(t, n), tj)
-        l2 = _gram(wq * I[:, None], hess(t, t), jn)
-        sface = loc + loc.transpose(0, 2, 1) + l2 + l2.transpose(0, 2, 1)
+        sface = -_gram(wq, hess_tn, np.einsum("fqai,fi->fqa", jgrad, t))
+        sface = sface + sface.transpose(0, 2, 1)
+        l2 = _gram(wq * I[:, None], hess_tt, jn)
+        sface += l2
+        sface += l2.transpose(0, 2, 1)
+        del l2
+        sface = P.scatter(P.face, sface)
 
         # R00 + R11 lifts n . [grad v]; a boundary face lifts the tangential
         # part of the trace, whose normal part is zero. A patch sums its

@@ -107,9 +107,11 @@ def canonical_normal(p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
 
 def _build_faces(vertices, tri):
     # the three edges of element e are rows 3e..3e+2, local edge l opposite
-    # local vertex l; faces come out sorted by their key v0 * nv + v1, v0 < v1
+    # local vertex l, counterclockwise; faces come out sorted by their key
+    # v0 * nv + v1, v0 < v1
     nv = len(vertices)
-    ends = np.sort(tri[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2), axis=1)
+    edges = tri[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2)
+    ends = np.sort(edges, axis=1)
     keys, face_of, count = np.unique(
         ends[:, 0] * nv + ends[:, 1], return_inverse=True, return_counts=True
     )
@@ -117,33 +119,28 @@ def _build_faces(vertices, tri):
     if np.any(count > 2):
         key = tuple(int(v) for v in fv[np.argmax(count)])
         raise MeshError(f"face {key} shared by more than two elements")
-    # adjacent elements of each face in element order
-    side = np.argsort(face_of.ravel(), kind="stable") // 3
+    # edge rows 3e + l of each face, and its adjacent elements, in element order
+    rows = np.argsort(face_of.ravel(), kind="stable")
     first = np.cumsum(count) - count
     interior = count == 2
     fe = np.full((len(fv), 2), -1, dtype=np.int64)
-    fe[:, 0] = side[first]
-    fe[interior, 1] = side[first[interior] + 1]
+    fe[:, 0] = rows[first] // 3
+    fe[interior, 1] = rows[first[interior] + 1] // 3
     fk = np.where(interior, INTERIOR, BOUNDARY).astype(np.int8)
     p0, p1 = vertices[fv[:, 0]], vertices[fv[:, 1]]
-    out0 = _outward_normal(vertices, tri[fe[:, 0]], p0, p1)
-    fn = np.where(interior[:, None], canonical_normal(p0, p1), out0)
+    fn = canonical_normal(p0, p1)
+    # the first element is counterclockwise, so the clockwise rotation of
+    # p1 - p0 points out of it where its edge runs from fv[:, 0] to fv[:, 1];
+    # a boundary face carries that outward normal
+    t = p1 - p0
+    out = np.stack([t[:, 1], -t[:, 0]], axis=1)
+    out[edges[rows[first], 0] != fv[:, 0]] *= -1.0
+    bd = ~interior
+    fn[bd] = out[bd] / np.hypot(out[bd, 0], out[bd, 1])[:, None]
     # minus side: the element for which n is outward pointing
-    swap = np.einsum("fi,fi->f", out0, fn) < 0.0
+    swap = interior & (np.einsum("fi,fi->f", out, fn) < 0.0)
     fe[swap] = fe[swap, ::-1]
     return fv, fk, fe, fn, face_of.reshape(-1, 3)
-
-
-def _outward_normal(vertices, elem_verts, p0, p1):
-    """Unit normals of the segments p0-p1, (n, 2), pointing out of the
-    elements with vertices elem_verts, (n, 3)."""
-    t = p1 - p0
-    n = np.stack([t[:, 1], -t[:, 0]], axis=1)
-    n /= np.hypot(n[:, 0], n[:, 1])[:, None]
-    centroid = vertices[elem_verts].mean(axis=1)
-    mid = 0.5 * (p0 + p1)
-    outward = np.einsum("fi,fi->f", n, mid - centroid) > 0.0
-    return np.where(outward[:, None], n, -n)
 
 
 def _ccw(vertices, peak, b, c):

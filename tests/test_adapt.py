@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -31,7 +32,7 @@ from cordesfem import (
     solve_discrete,
     unit_square_mesh,
 )
-from cordesfem import cordes
+from cordesfem import adapt, cordes
 from cordesfem import mesh as mesh_mod
 from cordesfem.adapt import AdaptError, AdaptiveTrace, error_norm_k, transfer_solution
 from cordesfem.forms import get_operators
@@ -417,8 +418,35 @@ def test_solver_lists_in_trace_json_only(tmp_path):
         assert step["lu_solves"] >= 1
         assert step["controls_changed"] == [0] * step["newton_iters"]
         assert len(step["backtracks"]) == step["newton_iters"]
+    peaks = [step["peak_rss_mb"] for step in steps]
+    assert peaks[0] > 0.0 and peaks == sorted(peaks)
     header = (tmp_path / "trace.csv").read_text().splitlines()[0]
     assert header.split(",") == AdaptiveTrace.COLUMNS
+
+
+def test_one_level_alive_at_a_time(monkeypatch):
+    # once a level's guess is transferred, the previous level's space, and
+    # with it its Operators, is freed before this level solves
+    spaces, dead = [], []
+    build, solve = adapt.build_space, adapt.solve_discrete
+
+    def recorded(mesh, config):
+        space = build(mesh, config)
+        spaces.append(weakref.ref(space))
+        return space
+
+    def checked(*args):
+        dead.append([ref() is None for ref in spaces[:-1]])
+        return solve(*args)
+
+    monkeypatch.setattr(adapt, "build_space", recorded)
+    monkeypatch.setattr(adapt, "solve_discrete", checked)
+    cfg = AdaptiveConfig(space=SpaceConfig(p=2, s=0),
+                         params=FormParams.defaults(2, 0), max_iters=3)
+    trace = adaptive_solve(get_problem("two_control_switch"),
+                           unit_square_mesh(2), cfg)
+    assert len(trace.steps) == 3
+    assert dead == [[], [True], [True, True]]
 
 
 def test_uniform_step_builds_each_face_table_once(monkeypatch):

@@ -1,6 +1,7 @@
 """Stabilization, liftings, penalties, residual/Jacobian, mesh-dependent norms."""
 
 import gc
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -30,9 +31,11 @@ from cordesfem import (
 from cordesfem import cordes
 from cordesfem.basis import RefBasis
 from cordesfem.cordes import frozen_coefficients
-from cordesfem.fespace import SpaceError
-from cordesfem.forms import Operators, elem_tensors, face_tables, get_operators
+from cordesfem.fespace import SpaceError, _chain_rule
+from cordesfem.forms import (FaceTables, Operators, edge_tables, elem_tensors,
+                             face_pattern, face_tables, get_operators)
 from cordesfem.mesh import INTERIOR, convex_polygon_mesh
+from cordesfem.quadrature import segment_rule
 
 
 # --------------------------------------------------------- stabilization form
@@ -348,7 +351,9 @@ def _einsum_matrices(space, ops):
         np.einsum("e,q,eqai,eqbi->eab", dJ, w, PG, PG),
         np.einsum("e,q,eqaij,eqbij->eab", dJ, w, PH, PH),
         np.einsum("e,q,eqa,eqb->eab", dJ, w, lapl, lapl)))
-    ft, ahess = face_tables(space, ops.modal)
+    # the averaged Hessian traces from the face points mapped into each side
+    ft = face_tables(space, ops.modal)[0]
+    ahess = _merged(ft.avg, _ref_point_traces(space, ops.modal)[2])
     n, wq, I, g = ft.normal, ft.wq, ft.interior, ft.jgrad
     t = np.stack([-n[:, 1], n[:, 0]], axis=1)
     rows, cols = ft.dofs[:, :, None], ft.dofs[:, None, :]
@@ -590,27 +595,139 @@ def _ref_point_traces(space, modal):
             modal.eval(ref.reshape(-1, 2), 0).reshape(nf, 2, frule.n, -1))
 
 
+def _merged(w, t):
+    # weight each side and merge the sides with a product and a reshape
+    # copy: (nf, 2, nqf, nloc, ...) -> (nf, nqf, 2 nloc, ...)
+    t = w.reshape(w.shape + (1,) * (t.ndim - 2)) * t
+    return np.moveaxis(t, 1, 2).reshape(t.shape[0], t.shape[2], -1, *t.shape[4:])
+
+
 @pytest.mark.parametrize("mesh,p,s", PATTERN_CASES)
 def test_edge_tables_match_ref_point_traces(mesh, p, s):
     # the traces gathered from the six reference edge tables equal those
     # tabulated at the face points mapped into each element
     space = build_space(PATTERN_MESHES[mesh](), SpaceConfig(p=p, s=s))
     ops = get_operators(space)
-    ft, ahess = face_tables(space, ops.modal)
+    ft, hess_tn, hess_tt = face_tables(space, ops.modal)
     val, grad, hess, psi = _ref_point_traces(space, ops.modal)
-    nf, nqf = ft.wq.shape
     jump = np.where(ft.interior[:, None], [1.0, -1.0], [1.0, 0.0])
-
-    def merged(w, t):  # (nf, 2, nqf, nloc, ...) -> (nf, nqf, 2 nloc, ...)
-        t = w.reshape(w.shape + (1,) * (t.ndim - 2)) * t
-        return np.moveaxis(t, 1, 2).reshape(nf, nqf, -1, *t.shape[4:])
-
-    want = {"jval": merged(jump, val), "jgrad": merged(jump, grad), "psi": psi,
-            "ahess": merged(ft.avg, hess)}
-    got = {"jval": ft.jval, "jgrad": ft.jgrad, "psi": ft.psi, "ahess": ahess}
+    n = ft.normal
+    t = np.stack([-n[:, 1], n[:, 0]], axis=1)
+    ahess = _merged(ft.avg, hess)
+    want = {"jval": _merged(jump, val), "jgrad": _merged(jump, grad), "psi": psi,
+            "hess_tn": np.einsum("fqaij,fi,fj->fqa", ahess, t, n),
+            "hess_tt": np.einsum("fqaij,fi,fj->fqa", ahess, t, t)}
+    got = {"jval": ft.jval, "jgrad": ft.jgrad, "psi": ft.psi,
+           "hess_tn": hess_tn, "hess_tt": hess_tt}
     for name, ref in want.items():
         assert got[name].shape == ref.shape, name
         assert np.abs(got[name] - ref).max() <= 1e-13 * np.abs(ref).max(), name
+
+
+def _reference_gram(w, A, B=None):
+    # forms._gram with the unweighted rows kept through the matmul
+    n, nq, c = A.shape[0], A.shape[1], int(np.prod(A.shape[3:]))
+    At = np.moveaxis(A, 2, 1).reshape(n, A.shape[2], nq * c)
+    Bt = At if B is None else np.moveaxis(B, 2, 1).reshape(n, B.shape[2], nq * c)
+    w = np.repeat(w, c, axis=-1)[..., None, :]
+    return (At * w) @ Bt.transpose(0, 2, 1)
+
+
+def _reference_build(space, ops):
+    """The arrays of an Operators build made with a product and a reshape
+    copy per face table, the averaged Hessian traces kept until the face
+    Grams, and out-of-place Gram scalings and sums; `ops` gives only the
+    reference tensors and the volume blocks."""
+    mesh, nloc, cfg = space.mesh, space.nloc, space.config
+    nf, fv, elems = mesh.n_faces, mesh.face_verts, mesh.face_elems
+    frule = segment_rule(cfg.quad_exactness)
+    d = mesh.vertices[fv[:, 1]] - mesh.vertices[fv[:, 0]]
+    length = np.hypot(d[:, 0], d[:, 1])
+    I = mesh.face_kind == INTERIOR
+    side = np.where(elems >= 0, elems, elems[:, :1])
+    a, b = (np.argmax(mesh.tri[side] == fv[:, i, None, None], axis=2) for i in (0, 1))
+    tabs = edge_tables(space.basis, ops.modal, frule.exactness)
+    val, grad, hess, psi = (t[2 * a + b - (b > a)] for t in tabs)
+    invJ, tab = space.invJ[side.ravel()], (nf, 2, frule.n, nloc)
+    grad = _chain_rule(grad.reshape(2 * nf, -1, 2), invJ, 1).reshape(*tab, 2)
+    hess = _chain_rule(hess.reshape(2 * nf, -1, 4), invJ, 2).reshape(*tab, 2, 2)
+    jump = np.where(I[:, None], [1.0, -1.0], [1.0, 0.0])
+    avg = np.where(I[:, None], [0.5, 0.5], [1.0, 0.0])
+    dofs = np.where(elems[:, :, None] >= 0, space.dofmap[side], -1)
+    ft = FaceTables(elems, I, mesh.face_normals, length,
+                    frule.weights[None, :] * length[:, None], avg,
+                    dofs.reshape(nf, 2 * nloc), _merged(jump, val),
+                    _merged(jump, grad), psi)
+    ahess = _merged(avg, hess)
+    ef = mesh.elem_faces
+    sd = (elems[ef, 1] == np.arange(len(ef))[:, None]).astype(int)
+    P = face_pattern(ft, ef, sd, space.dim)
+    gram, stab, lap = ops._volume(*elem_tensors(space.basis, ops.modal,
+                                                cfg.quad_exactness)[3:])
+    n, wq, jgrad = ft.normal, ft.wq, ft.jgrad
+    t = np.stack([-n[:, 1], n[:, 0]], axis=1)
+    h = length[:, None, None]
+    Jgrad = P.scatter(P.face[I], (1.0 / h[I]) * _reference_gram(wq[I], jgrad[I]))
+    Jval = P.scatter(P.face, (1.0 / h**3) * _reference_gram(wq, ft.jval))
+
+    def contract(a, b):
+        ab = (a[:, :, None] * b[:, None, :]).reshape(-1, 4, 1)
+        return (ahess.reshape(len(ab), -1, 4) @ ab).reshape(jgrad.shape[:-1])
+
+    tj = np.einsum("fqai,fi->fqa", jgrad, t)
+    jn = np.einsum("fqai,fi->fqa", jgrad, n)
+    loc = -_reference_gram(wq, contract(t, n), tj)
+    l2 = _reference_gram(wq * I[:, None], contract(t, t), jn)
+    sface = loc + loc.transpose(0, 2, 1) + l2 + l2.transpose(0, 2, 1)
+    ne, nmod = len(ef), ops.nmod
+    src = (wq[:, :, None] * I[:, None, None] * jn).transpose(0, 2, 1)
+    src = np.ascontiguousarray(src).reshape(nf, 2, nloc, -1)
+    lift = psi[ef, sd] * -(avg[ef, sd] / space.detJ[:, None])[..., None, None]
+    own = src[ef, sd].transpose(0, 2, 1, 3).reshape(ne, nloc, -1)
+    own = lap + own @ lift.reshape(ne, -1, nmod)
+    patch = np.concatenate([own[:, None], src[ef, 1 - sd] @ lift], axis=1)
+    elem = P.patch[:, :nloc]
+    return {**{f"faces.{k}": v for k, v in vars(ft).items()},
+            **{f"pattern.{k}": v for k, v in vars(P).items()},
+            "patch": patch.reshape(ne, 4 * nloc, nmod), "_jgrad": Jgrad,
+            "_jval": Jval, "_stab": P.scatter(elem, stab) + P.scatter(P.face, sface),
+            "norm_gram.data": P.scatter(elem, gram) + Jgrad + Jval}
+
+
+@pytest.mark.parametrize("mesh,p,s", [(m, p, s) for m in PATTERN_MESHES
+                                      for p in (2, 3, 4, 5) for s in (0, 1)])
+def test_operators_arrays_equal_the_reference_build(mesh, p, s):
+    # the lean build gives every array bitwise, with the reference's dtype,
+    # shape and strides, on an NVB mesh and one without interior faces
+    space = build_space(PATTERN_MESHES[mesh](), SpaceConfig(p=p, s=s))
+    ops = get_operators(space)
+    got = {**{f"faces.{k}": v for k, v in vars(ops.faces).items()},
+           **{f"pattern.{k}": v for k, v in vars(ops.pattern).items()},
+           "patch": ops.patch, "_jgrad": ops._jgrad, "_jval": ops._jval,
+           "_stab": ops._stab, "norm_gram.data": ops.norm_gram.data}
+    want = _reference_build(space, ops)
+    assert got.keys() == want.keys()
+    for name, ref in want.items():
+        arr = got[name]
+        assert (arr.dtype, arr.shape, arr.strides) == (ref.dtype, ref.shape,
+                                                       ref.strides), name
+        assert arr.tobytes() == ref.tobytes(), name
+
+
+@pytest.mark.parametrize("s,n,bound", [(1, 16, 2.0), (0, 12, 1.65)])
+def test_operators_build_transient_stays_bounded(s, n, bound):
+    # past the per-process tables, which a first build fills, the tracemalloc
+    # peak of one build is a bounded multiple of what it keeps: each face
+    # array is written once and each intermediate dropped after its last use
+    get_operators(build_space(unit_square_mesh(2), SpaceConfig(p=3, s=s)))
+    space = build_space(unit_square_mesh(n), SpaceConfig(p=3, s=s))
+    tracemalloc.start()
+    try:
+        get_operators(space)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * kept
 
 
 @pytest.mark.parametrize("p,s", [(p, s) for p in (2, 3, 4) for s in (0, 1)])

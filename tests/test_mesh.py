@@ -12,7 +12,6 @@ from cordesfem.mesh import (
     BOUNDARY,
     INTERIOR,
     MeshError,
-    _outward_normal,
     canonical_normal,
     convex_polygon_mesh,
     halve,
@@ -242,9 +241,23 @@ def _reference_refine(mesh, marked):
             np.array(out_level, dtype=np.int64), np.array(out_anc, dtype=np.int64))
 
 
+def _outward_normal(vertices, elem_verts, p0, p1):
+    """Unit normals of the segments p0-p1, (n, 2), pointing out of the
+    elements with vertices elem_verts, (n, 3), by their centroids."""
+    t = p1 - p0
+    n = np.stack([t[:, 1], -t[:, 0]], axis=1)
+    n /= np.hypot(n[:, 0], n[:, 1])[:, None]
+    centroid = vertices[elem_verts].mean(axis=1)
+    mid = 0.5 * (p0 + p1)
+    outward = np.einsum("fi,fi->f", n, mid - centroid) > 0.0
+    return np.where(outward[:, None], n, -n)
+
+
 def _reference_faces(vertices, tri):
     """The face arrays numbered by a 2-D `np.unique(axis=0)` over the
-    sorted vertex pairs, as `mesh._build_faces` did before its 1-D keys."""
+    sorted vertex pairs, and every face's outward normal taken from its
+    first element's centroid, as `mesh._build_faces` did before its 1-D keys
+    and orientation-based normals."""
     ends = np.sort(tri[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2), axis=1)
     fv, face_of, count = np.unique(
         ends, axis=0, return_inverse=True, return_counts=True

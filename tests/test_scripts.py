@@ -31,6 +31,7 @@ def test_script_runs(script, args, tmp_path):
         layers = json.loads((tmp_path / "BENCH_tiny.json").read_text())["layers"]
         for layer in layers.values():
             assert layer["operators_peak_mb"] > 0 and layer["solve_peak_mb"] > 0
+            assert layer["operators_retained_mb"] > 0
             assert layer["jacobian_s"] > 0 and layer["factorize_s"] > 0
             assert layer["residual_s"] > 0
             assert layer["refine_s"] > 0 and layer["cordes_s"] > 0
