@@ -40,6 +40,10 @@ Workloads: every workload that BENCHMARK.json lists runs once through
 `perfbench/run.py` in a subprocess, with its run length and seed 1; the
 file keeps the JSON line it prints. Nothing in perfbench/ is changed.
 
+The file also keeps `src_lines`, the line count (newlines, as `wc -l`
+counts them) of the measured package's `cordesfem/*.py`, next to the
+timings.
+
 `--size tiny` is a seconds-long check that the script works: 3 bisections
 (640 DG dofs), 1 repetition, 1 s workload runs at perfbench's tiny size.
 
@@ -61,6 +65,7 @@ import numpy as np
 import scipy
 import scipy.sparse.linalg as spla
 
+import cordesfem
 from cordesfem import (
     FormParams,
     SpaceConfig,
@@ -198,6 +203,12 @@ def layer_times(coarse, s, repeat):
     return out
 
 
+def src_lines() -> int:
+    """Lines of the imported package's modules, as `wc -l` counts them."""
+    package = Path(cordesfem.__file__).parent
+    return sum(path.read_bytes().count(b"\n") for path in package.glob("*.py"))
+
+
 def perfbench(workload, seconds, size):
     """The last (JSON) line that perfbench/run.py prints for one workload."""
     proc = subprocess.run(
@@ -226,6 +237,7 @@ def main():
                 "scipy": scipy.__version__, "machine": platform.machine()},
         "args": {"size": args.size, "refines": refines, "repeat": repeat,
                  "seed": SEED, "seconds": seconds},
+        "src_lines": src_lines(),
         # the workloads run first: Linux carries the peak RSS of this process
         # at fork into a child's ru_maxrss, which perfbench reports
         "perfbench": {
@@ -244,6 +256,7 @@ def main():
         metrics = ", ".join(f"{k} {m['value']:.4g}"
                             for k, m in run["metrics"].items())
         print(f"{name}: {metrics}")
+    print(f"src_lines {result['src_lines']}")
     print(f"wrote {path.resolve()}")
 
 

@@ -2,7 +2,8 @@
 """Uniform-refinement convergence studies over the benchmark registry.
 
 Runs every (problem, p, continuity) combination, prints a rate table, and
-leaves per-study artifacts (trace.csv, summary.json) under --out.
+writes one trace per study to --out as <problem>_p<p>_<cont>.csv (cont is
+dg or c0ip); it writes no summary.
 """
 
 import argparse

@@ -185,10 +185,9 @@ def transfer_solution(
     if dg:
         B = rule_tables(new_space.basis, rule.exactness)[0][:, :, 0]
         vals = vals @ (rule.weights[:, None] * B)
-    coeffs = np.zeros(new_space.dim)
-    valid = new_space.dofmap >= 0
-    coeffs[new_space.dofmap[valid]] = vals[valid]
-    return coeffs
+    coeffs = np.zeros(new_space.dim + 1)  # the absent dof dim is a dropped pad
+    coeffs[new_space.dofmap] = vals
+    return coeffs[:-1]
 
 
 @dataclass

@@ -4,6 +4,9 @@ The DG space uses the orthonormal modal basis per element, so the mass
 matrix is 2|K| times the identity on each element. The C0 space uses
 Lagrange nodes shared across faces, with homogeneous Dirichlet conditions
 imposed by dropping boundary nodes from the global numbering.
+An absent dof (a dropped boundary node, or the missing side of a boundary
+face in `forms`) is `dim` in every dof map: `gather` reads 0 there, and
+sums scatter it into a pad entry that they drop.
 
 Dofs are numbered in the order their matrices are factored: `dof_order`
 renumbers every space's dofs by nested dissection of the elements
@@ -46,7 +49,6 @@ class SpaceConfig:
     p: int
     s: int = 0
     q: int | None = None  # lifting degree, default p
-    quad_exactness: int | None = None  # default 2p + 2
 
     def __post_init__(self):
         if self.p < 2:
@@ -57,8 +59,10 @@ class SpaceConfig:
         if q < self.p - 2:
             raise SpaceError("lifting degree q must satisfy q >= p - 2")
         object.__setattr__(self, "q", q)
-        if self.quad_exactness is None:
-            object.__setattr__(self, "quad_exactness", 2 * self.p + 2)
+
+    @property
+    def quad_exactness(self) -> int:
+        return 2 * self.p + 2
 
 
 class FESpace:
@@ -91,9 +95,8 @@ class FESpace:
             dofmap = np.arange(self.dim, dtype=np.int64).reshape(-1, self.nloc)
         else:
             dofmap, self.dim = _c0_dofmap(mesh, p)
-        valid = dofmap >= 0  # number the dofs in factor order
-        dofmap[valid] = dof_order(mesh, dofmap, self.dim)[dofmap[valid]]
-        self.dofmap = dofmap
+        # number the dofs in factor order; _c0_dofmap's -1 reads the pad dim
+        self.dofmap = np.append(dof_order(mesh, dofmap, self.dim), self.dim)[dofmap]
 
         self.elem_rule = triangle_rule(config.quad_exactness)
         self._ops = None  # cache slot for the forms.Operators of this space
@@ -140,11 +143,8 @@ def _chain_rule(ref: np.ndarray, invJ: np.ndarray, order: int) -> np.ndarray:
 
 
 def gather(coeffs: np.ndarray, dofs: np.ndarray) -> np.ndarray:
-    """coeffs[dofs] with zeros where a dof index is negative."""
-    out = np.zeros(dofs.shape)
-    valid = dofs >= 0
-    out[valid] = coeffs[dofs[valid]]
-    return out
+    """coeffs[dofs], with 0 at the absent dof dim."""
+    return np.append(coeffs, 0.0)[dofs]
 
 
 def _c0_dofmap(mesh: MeshLevel, p: int):
@@ -188,13 +188,12 @@ def dof_order(mesh: MeshLevel, dofmap: np.ndarray, dim: int) -> np.ndarray:
     entries couple dofs of one element or of face neighbours, and a dof held
     in both halves of a part sits on an interior vertex or edge, whose ring
     of elements crosses the cut at a face of a separator element; so the
-    halves never couple."""
+    halves never couple. An absent dof (dim or -1) lands in a dropped pad."""
     keys, _ = dissection_keys(mesh)
     rank = np.argsort(np.argsort(keys, kind="stable"))
-    valid = dofmap >= 0
-    last = np.zeros(dim, dtype=np.int64)
-    np.maximum.at(last, dofmap[valid], rank[np.nonzero(valid)[0]])
-    return np.argsort(np.argsort(last, kind="stable"))
+    last = np.zeros(dim + 1, dtype=np.int64)
+    np.maximum.at(last, dofmap, rank[:, None])
+    return np.argsort(np.argsort(last[:-1], kind="stable"))
 
 
 def build_space(mesh: MeshLevel, config: SpaceConfig) -> FESpace:

@@ -15,11 +15,12 @@ seminorm and estimator jumps as sums of squares) read one `FaceTables` per
 space. A face side lies on one of six directed reference edges, whose
 tables (`edge_tables`) are built once per process, so its traces are a
 gather and one chain rule. A boundary face is a two-sided face whose plus
-side has weight 0 and dofs -1, so face integrals have no interior/boundary
-branch. Face Grams are one weighted-Gram matmul each (`_gram`). Element
-maps are affine, so each kind of element block is one matmul of
-coefficients of invJ and detJ with a reference tensor (`elem_tensors`,
-built once per process; Kirby and Logg, ACM TOMS 32 (2006)).
+side has weight 0 and dofs dim, the absent dof of `fespace`, so face
+integrals have no interior/boundary branch. Face Grams are one
+weighted-Gram matmul each (`_gram`). Element maps are affine, so each kind
+of element block is one matmul of coefficients of invJ and detJ with a
+reference tensor (`elem_tensors`, built once per process; Kirby and Logg,
+ACM TOMS 32 (2006)).
 
 Every square matrix lives on one `Pattern` per space, the dof pairs that
 share a face: its int32 slot maps send face blocks and element patches
@@ -83,7 +84,7 @@ class FaceTables:
     """Struct-of-arrays traces of the local shape functions on all faces.
 
     Every face is two-sided. The plus side of a boundary face has element
-    -1, dofs -1 and jump and average weights 0, so interior and boundary
+    -1, dofs dim and jump and average weights 0, so interior and boundary
     faces share one code path. The `2 nloc` local dofs of a face are those
     of its minus element followed by those of its plus element.
     """
@@ -94,7 +95,7 @@ class FaceTables:
     length: np.ndarray  # (nf,)
     wq: np.ndarray  # (nf, nqf) physical quadrature weights
     avg: np.ndarray  # (nf, 2) average weights, (1/2, 1/2) or (1, 0)
-    dofs: np.ndarray  # (nf, 2 nloc), -1 on the missing side and Dirichlet dofs
+    dofs: np.ndarray  # (nf, 2 nloc), dim on the missing side and Dirichlet dofs
     jval: np.ndarray  # (nf, nqf, 2 nloc) value jumps of the face shape functions
     jgrad: np.ndarray  # (nf, nqf, 2 nloc, 2) gradient jumps
     psi: np.ndarray  # (nf, 2, nqf, nmod) modal traces per side
@@ -129,7 +130,7 @@ def face_tables(space: FESpace, modal) -> tuple[FaceTables, np.ndarray, np.ndarr
     interior = mesh.face_kind == INTERIOR
     elems = mesh.face_elems
     # the missing plus side borrows the minus element; its zero weights and
-    # -1 dofs keep it out of every sum
+    # absent dofs keep it out of every sum
     side = np.where(elems >= 0, elems, elems[:, :1])
     # local vertices a, b of each side at the face's vertices, (nf, 2) each
     a, b = (np.argmax(mesh.tri[side] == fv[:, i, None, None], axis=2) for i in (0, 1))
@@ -154,7 +155,7 @@ def face_tables(space: FESpace, modal) -> tuple[FaceTables, np.ndarray, np.ndarr
     t = np.stack([-n[:, 1], n[:, 0]], axis=1)
     hess_tn, hess_tt = ((ahess @ (t[:, :, None] * v[:, None, :]).reshape(-1, 4, 1))
                         .reshape(nf, frule.n, 2 * nloc) for v in (n, t))
-    dofs = np.where(elems[:, :, None] >= 0, space.dofmap[side], -1)
+    dofs = np.where(elems[:, :, None] >= 0, space.dofmap[side], space.dim)
     tables = FaceTables(
         elems=elems, interior=interior, normal=n, length=length,
         wq=frule.weights[None, :] * length[:, None], avg=avg,
@@ -211,8 +212,7 @@ class Pattern:
     nloc), which hold every pair, and face blocks (nf, 2 nloc, 2 nloc) into
     it. A patch pairs its `rows`, the element's dofs and then its
     neighbour's across each local face, with the element's dofs. A pair
-    with a missing dof (-1, dim in `rows`) has the extra slot nnz, which
-    `scatter` drops."""
+    with an absent dof dim has the extra slot nnz, which `scatter` drops."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -251,7 +251,7 @@ def face_pattern(ft: FaceTables, ef: np.ndarray, sd: np.ndarray, dim: int) -> Pa
     rows = np.concatenate([dofs[e0, s0][:, None], dofs[ef, nb]], 1).reshape(ne, -1)
     cols = dofs[e0, s0][:, None, :]
     # missing pairs get the key dim^2, past every pair, so their slot is nnz
-    keys = np.where((rows[:, :, None] >= 0) & (cols >= 0),
+    keys = np.where((rows[:, :, None] < dim) & (cols < dim),
                     rows[:, :, None] * dim + cols, dim * dim)
     pairs, slots = np.unique(keys, return_inverse=True)
     pairs = pairs[pairs < dim * dim]
@@ -269,7 +269,6 @@ def face_pattern(ft: FaceTables, ef: np.ndarray, sd: np.ndarray, dim: int) -> Pa
     e = ft.elems[:, None, :]
     face = np.where(e[..., None, None] >= 0, patch[e, blk], len(pairs))
     face = face.transpose(0, 1, 3, 2, 4).reshape(nf, m, m)
-    rows = np.where(rows >= 0, rows, dim)
     return Pattern(indptr, indices, face, patch.reshape(ne, 4 * nloc, nloc), rows)
 
 
@@ -286,23 +285,23 @@ class Operators:
 
         rule = space.elem_rule
         self.wq = rule.weights
-        # the reference tensors; hessian_at_qp reuses ref_hess, the frozen
-        # Jacobian hess_tensor
+        # the reference tensors; inf_sup reads ref_hess, frozen_jacobian hess_tensor
         tensors = elem_tensors(space.basis, self.modal, cfg.quad_exactness)
         self.Bm, self.ref_hess, self.hess_tensor = tensors[:3]
         self.X = space.points(rule.points)  # physical quad points, (ne, nq, 2)
         self.detJ, self.invJ = space.detJ, space.invJ
 
-        self.faces, hess_tn, hess_tt = face_tables(space, self.modal)
+        self.faces, *hess = face_tables(space, self.modal)
         ef = space.mesh.elem_faces  # each element's faces and its side of each
         sd = (self.faces.elems[ef, 1] == np.arange(len(ef))[:, None]).astype(int)
         P = self.pattern = face_pattern(self.faces, ef, sd, space.dim)
         # Delta_k^T as element patches (ne, 4 nloc, nmod); the jump penalty
         # and S_facewise data on the pattern, which the linear part sums
         gram, stab, lap = self._volume(*tensors[3:])
-        sface, self.patch = self._faces(hess_tn, hess_tt, lap, ef, sd)
+        sface, self.patch = self._faces(hess, lap, ef, sd)
         elem = P.patch[:, : space.nloc]  # the element blocks' slots
         self._stab = P.scatter(elem, stab) + sface
+        del lap, stab, sface  # dead before the last scatter
         self.norm_gram = P.csr(P.scatter(elem, gram) + self._jgrad + self._jval)
         self._table = None  # (problem, cordes.CoefficientTable)
         # (problem, coefficients, F_gamma, opt_alpha, opt_beta) of the last
@@ -329,11 +328,12 @@ class Operators:
                 lap.reshape(ne, nloc, -1))
 
     # ------------------------------------------------------------------- faces
-    def _faces(self, hess_tn, hess_tt, lap, ef, sd):
+    def _faces(self, hess, lap, ef, sd):
         """Sets the data of the jump penalties _jgrad and _jval; returns the
         data on the pattern of the facewise stabilization's face blocks, from
-        the `face_tables` contractions t . H . n and t . H . t, and the
-        Delta_k^T patches, the Laplacian blocks `lap` minus the sides' lifted
+        the list `hess` of the `face_tables` contractions t . H . n and
+        t . H . t, which it empties before their scatter, and the Delta_k^T
+        patches, the Laplacian blocks `lap` minus the sides' lifted
         traces R00 + R11. Each face Gram is scattered as soon as it is built."""
         ft, P = self.faces, self.pattern
         n, wq, jval, jgrad = ft.normal, ft.wq, ft.jval, ft.jgrad
@@ -352,9 +352,10 @@ class Operators:
         # facewise stabilization terms; the tangential-tangential part lives
         # on interior faces only
         jn = np.einsum("fqai,fi->fqa", jgrad, n)
-        sface = -_gram(wq, hess_tn, np.einsum("fqai,fi->fqa", jgrad, t))
+        sface = -_gram(wq, hess[0], np.einsum("fqai,fi->fqa", jgrad, t))
         sface = sface + sface.transpose(0, 2, 1)
-        l2 = _gram(wq * I[:, None], hess_tt, jn)
+        l2 = _gram(wq * I[:, None], hess[1], jn)
+        hess.clear()  # the caller's list, so the contractions are freed here
         sface += l2
         sface += l2.transpose(0, 2, 1)
         del l2
@@ -375,11 +376,6 @@ class Operators:
     @cached_property
     def S_facewise(self) -> sp.csr_matrix:
         return self.pattern.csr(self._stab)
-
-    # ------------------------------------------------------------- state fields
-    def hessian_at_qp(self, u: DiscreteFunction) -> np.ndarray:
-        """Broken Hessian of u at the element quadrature points, (ne, nq, 2, 2)."""
-        return u.eval_table(self.ref_hess, 2)
 
     # ----------------------------------------------------- u-independent caches
     def coefficients(self, problem: cordes.ControlProblem) -> cordes.CoefficientTable:
@@ -417,7 +413,8 @@ class Operators:
         kept = self._inf_sup
         if (kept is None or kept[0] is not problem
                 or not np.array_equal(kept[1], u.coeffs)):
-            found = cordes.inf_sup(self.coefficients(problem), self.hessian_at_qp(u))
+            found = cordes.inf_sup(self.coefficients(problem),
+                                   u.eval_table(self.ref_hess, 2))
             for a in found:
                 a.flags.writeable = False
             kept = self._inf_sup = (problem, u.coeffs.copy(), *found)
@@ -516,7 +513,7 @@ def jacobian_terms(space: FESpace, points: np.ndarray, dc: np.ndarray) -> tuple:
     """(U, V), sparse (dim, r), with J(c) - J(c0) = U V^T where the frozen
     coefficients differ by dc (r, 4) at the flat quadrature points K nq + q
     in `points`: U's column is patch[K] Bm[q] in the rows `pattern.rows[K]`,
-    V's ref_hess[q] dc in the element's own; missing and Dirichlet dofs cut."""
+    V's ref_hess[q] dc in the element's own; the absent dof dim cut."""
     ops = get_operators(space)
     K, q = np.divmod(points, len(ops.wq))
     rows, r = ops.pattern.rows[K], len(points)

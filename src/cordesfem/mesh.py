@@ -143,15 +143,6 @@ def _build_faces(vertices, tri):
     return fv, fk, fe, fn, face_of.reshape(-1, 3)
 
 
-def _ccw(vertices, peak, b, c):
-    """Order (b, c) so that (peak, b, c) is counterclockwise."""
-    d1 = vertices[b] - vertices[peak]
-    d2 = vertices[c] - vertices[peak]
-    if d1[0] * d2[1] - d1[1] * d2[0] > 0.0:
-        return peak, b, c
-    return peak, c, b
-
-
 def unit_square_mesh(n: int) -> MeshLevel:
     """Structured triangulation of (0,1)^2 with 2*n^2 right triangles.
 
@@ -171,28 +162,22 @@ def unit_square_mesh(n: int) -> MeshLevel:
 
 def convex_polygon_mesh(points) -> MeshLevel:
     """Fan triangulation of a convex polygon given by its counterclockwise
-    vertices. Nonconvex input is rejected."""
+    vertices: each fan triangle (0, i, i + 1) starts at its peak, the vertex
+    opposite its longest edge. Nonconvex input is rejected."""
     pts = np.asarray(points, dtype=float)
-    m = len(pts)
-    if m < 3:
+    if len(pts) < 3:
         raise MeshError("polygon needs at least 3 vertices")
-    for i in range(m):
-        a, b, c = pts[i], pts[(i + 1) % m], pts[(i + 2) % m]
-        cr = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        if cr <= 0.0:
-            raise MeshError("polygon is not strictly convex counterclockwise")
-    tris = []
-    for i in range(1, m - 1):
-        # peak at the vertex opposite the longest edge of the fan triangle
-        verts = [0, i, i + 1]
-        lengths = [
-            np.linalg.norm(pts[verts[(j + 1) % 3]] - pts[verts[(j + 2) % 3]])
-            for j in range(3)
-        ]
-        peak = verts[int(np.argmax(lengths))]
-        rest = [v for v in verts if v != peak]
-        tris.append(_ccw(pts, peak, rest[0], rest[1]))
-    return _initial_mesh(pts.copy(), np.array(tris, dtype=np.int64))
+    d1, d2 = np.roll(pts, -1, axis=0) - pts, np.roll(pts, -2, axis=0) - pts
+    if np.any(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] <= 0.0):
+        raise MeshError("polygon is not strictly convex counterclockwise")
+    i = np.arange(1, len(pts) - 1)
+    fan = np.stack([np.zeros_like(i), i, i + 1], axis=1)
+    # a rotation keeps the triangle counterclockwise; the edge lengths come
+    # from a dot product per edge, so near-ties break as for one np.linalg.norm
+    edge = pts[np.roll(fan, -1, axis=1)] - pts[np.roll(fan, -2, axis=1)]
+    peak = np.argmax(np.sqrt(edge[..., None, :] @ edge[..., None])[..., 0, 0], axis=1)
+    tri = np.take_along_axis(fan, (peak[:, None] + np.arange(3)) % 3, axis=1)
+    return _initial_mesh(pts.copy(), tri)
 
 
 def _initial_mesh(vertices, tri) -> MeshLevel:

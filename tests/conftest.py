@@ -77,7 +77,7 @@ def project_l2(space, f) -> DiscreteFunction:
     x = space.points(rule.points)
     fx = np.asarray(f(x.reshape(-1, 2)), dtype=float).reshape(x.shape[:2])
     loc = space.detJ[:, None] * (fx @ (rule.weights[:, None] * vals))
-    valid = space.dofmap >= 0
+    valid = space.dofmap < space.dim
     rhs = np.bincount(space.dofmap[valid], loc[valid], minlength=space.dim)
     return DiscreteFunction(space, linear_solve(mass_matrix(space), rhs))
 

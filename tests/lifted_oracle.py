@@ -20,10 +20,10 @@ from cordesfem.forms import get_operators
 
 def assemble_csr(rows, cols, data, shape) -> sp.csr_matrix:
     """Sum COO triplets into a CSR matrix. The three arrays broadcast
-    together; entries with a negative row or column index (Dirichlet dofs,
-    the missing side of a boundary face) are dropped."""
+    together; entries with a row or column index past the shape (the absent
+    dof dim, the modal rows of a missing boundary-face side) are dropped."""
     rows, cols, data = (a.ravel() for a in np.broadcast_arrays(rows, cols, data))
-    keep = (rows >= 0) & (cols >= 0)
+    keep = (rows < shape[0]) & (cols < shape[1])
     return sp.csr_matrix((data[keep], (rows[keep], cols[keep])), shape=shape)
 
 
@@ -71,7 +71,8 @@ def R(space) -> dict:
     src = np.where(ft.interior[:, None, None, None], g, tangential)
     scale = ft.avg / ops.detJ[ft.elems]  # the plus side of a boundary face is 0
     elems = ft.elems[:, :, None]
-    rows = np.where(elems >= 0, elems * nmod + np.arange(nmod), -1)[..., None]
+    rows = np.where(elems >= 0, elems * nmod + np.arange(nmod),
+                    _modal_shape(space)[0])[..., None]
     cols = ft.dofs[:, None, None, :]
     psi = ft.psi.transpose(0, 1, 3, 2)  # (nf, 2, nmod, nqf)
     out = {}

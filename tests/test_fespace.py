@@ -10,9 +10,11 @@ from cordesfem import (
     DiscreteFunction,
     SpaceConfig,
     build_space,
+    refine_conforming,
     unit_square_mesh,
 )
-from cordesfem.basis import _eval_monomials, lagrange_basis, monomial_exponents
+from cordesfem.basis import _eval_monomials, lagrange_basis, lagrange_ref_points
+from cordesfem.basis import monomial_exponents
 from cordesfem.basis import ortho_basis, rule_tables
 from cordesfem.fespace import SpaceError, gather
 from cordesfem.forms import get_operators
@@ -131,7 +133,8 @@ def test_batched_shapes_and_eval_match_per_element_transform(p, s, order, spaces
             want = _reference_shapes(space, e, pts if pts.ndim == 2 else pts[k], order)
             scale = np.abs(want).max()
             assert np.allclose(tab[k], want, rtol=1e-12, atol=1e-13 * scale)
-            loc = np.where(space.dofmap[e] >= 0, coeffs[space.dofmap[e]], 0.0)
+            idx = space.dofmap[e]  # the absent dof dim wraps to 0, then is masked
+            loc = np.where(idx < space.dim, coeffs[idx % space.dim], 0.0)
             want_u = np.tensordot(loc, want, axes=(0, 1))
             assert np.allclose(vals[k], want_u, rtol=1e-12, atol=1e-12 * scale)
 
@@ -160,7 +163,7 @@ def _assert_close(got, want):
 @pytest.mark.parametrize("s", [0, 1])
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_matmul_kernels_match_einsum(p, s, spaces, rng):
-    # points, shapes, coefficient-first eval and hessian_at_qp on a
+    # points, shapes, coefficient-first eval and the kept Hessian table on a
     # nonuniform mesh, at the shared quadrature points and at per-element
     # points
     space = spaces(3, p, s)
@@ -180,7 +183,7 @@ def test_matmul_kernels_match_einsum(p, s, spaces, rng):
             _assert_close(u.eval(pts, order, es),
                           np.einsum("eql...,el->eq...", want, loc))
     PH = _einsum_shapes(space, rule, 2, np.arange(ne))
-    _assert_close(get_operators(space).hessian_at_qp(u),
+    _assert_close(u.eval_table(get_operators(space).ref_hess, 2),
                   np.einsum("eqlij,el->eqij", PH, gather(u.coeffs, space.dofmap)))
 
 
@@ -257,6 +260,29 @@ def test_c0_traces_continuous(spaces, rng):
             assert np.abs(vals_minus).max() <= 1e-10
 
 
+@pytest.mark.parametrize("s", [0, 1])
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_absent_dof_is_dim_in_every_dof_map(p, s, rng):
+    # one index, dim, marks an absent dof: a C0 space's dropped boundary
+    # node and the missing side of a boundary face; gather reads 0 there
+    mesh = unit_square_mesh(2)
+    for _ in range(3):
+        mesh = refine_conforming(mesh, rng.choice(
+            mesh.n_elements, size=mesh.n_elements // 3, replace=False))
+    space = build_space(mesh, SpaceConfig(p=p, s=s))
+    ops, dim = get_operators(space), space.dim
+    for dofs in (space.dofmap, ops.faces.dofs, ops.pattern.rows):
+        assert dofs.min() >= 0 and dofs.max() <= dim
+    plus = ops.faces.dofs.reshape(mesh.n_faces, 2, -1)[:, 1]
+    assert np.all(plus[~ops.faces.interior] == dim)
+    # the Lagrange nodes on the boundary of the unit square
+    x = space.points(lagrange_ref_points(p))
+    boundary = np.any(np.isclose(x, 0.0) | np.isclose(x, 1.0), axis=-1)
+    assert np.array_equal(space.dofmap == dim, boundary & (s == 1))
+    loc = gather(rng.standard_normal(dim), space.dofmap)
+    assert np.array_equal(loc == 0.0, space.dofmap == dim)
+
+
 def _masked_monomials(pts, exps, order):
     # the masked-power formula the power tables replaced, as the oracle
     x, y = pts[:, :1], pts[:, 1:]
@@ -316,7 +342,7 @@ def test_bases_are_built_once_and_read_only(make):
 
 @pytest.mark.parametrize("s", [0, 1])
 def test_kept_hessian_table_evaluates_bitwise(s, spaces, rng, monkeypatch):
-    # hessian_at_qp reads the Operators' reference table, not a new one
+    # eval_table reads the Operators' reference table, not a new one
     from cordesfem.basis import RefBasis
 
     space = spaces(2, 3, s)
@@ -324,4 +350,4 @@ def test_kept_hessian_table_evaluates_bitwise(s, spaces, rng, monkeypatch):
     u = DiscreteFunction(space, rng.standard_normal(space.dim))
     want = u.eval(space.elem_rule.points, 2)
     monkeypatch.setattr(RefBasis, "eval", None)  # any tabulation now raises
-    assert np.array_equal(ops.hessian_at_qp(u), want)
+    assert np.array_equal(u.eval_table(ops.ref_hess, 2), want)

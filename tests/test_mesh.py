@@ -198,6 +198,92 @@ def test_mesh_txt_roundtrip_format(tmp_path):
 PENTAGON = np.array([[0, 0], [2, 0], [3, 1.5], [1, 3], [-1, 1]], dtype=float)
 
 
+def _reference_polygon_mesh(points):
+    """The fan triangles of `convex_polygon_mesh` from its former loops: each
+    fan triangle's peak, then its other two vertices ordered by the sign of
+    a cross product; MeshError for input that is not strictly convex."""
+    pts = np.asarray(points, dtype=float)
+    m = len(pts)
+    if m < 3:
+        raise MeshError("polygon needs at least 3 vertices")
+    for i in range(m):
+        a, b, c = pts[i], pts[(i + 1) % m], pts[(i + 2) % m]
+        cr = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+        if cr <= 0.0:
+            raise MeshError("polygon is not strictly convex counterclockwise")
+    tris = []
+    for i in range(1, m - 1):
+        verts = [0, i, i + 1]
+        lengths = [np.linalg.norm(pts[verts[(j + 1) % 3]] - pts[verts[(j + 2) % 3]])
+                   for j in range(3)]
+        peak = verts[int(np.argmax(lengths))]
+        b, c = [v for v in verts if v != peak]
+        d1, d2 = pts[b] - pts[peak], pts[c] - pts[peak]
+        tris.append((peak, b, c) if d1[0] * d2[1] - d1[1] * d2[0] > 0.0
+                    else (peak, c, b))
+    return np.array(tris, dtype=np.int64)
+
+
+def _assert_polygon_mesh_matches_reference(pts):
+    try:
+        want = _reference_polygon_mesh(pts)
+    except MeshError:
+        with pytest.raises(MeshError):
+            convex_polygon_mesh(pts)
+        return
+    got = convex_polygon_mesh(pts).tri
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _regular_polygon(n):
+    angles = 2.0 * np.pi * np.arange(n) / n
+    return np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+@pytest.mark.parametrize("pts", [PENTAGON] + [_regular_polygon(n)
+                                              for n in range(3, 13)])
+def test_polygon_mesh_matches_loop_reference(pts):
+    # the edges of a regular polygon tie, so its peaks follow argmax's ties
+    _assert_polygon_mesh_matches_reference(pts)
+
+
+def test_near_regular_polygon_meshes_match_loop_reference():
+    # regular polygons moved by a few ulps: their edge lengths tie to the
+    # last bit, so the peaks follow the lengths' rounding
+    rng = np.random.default_rng(5)
+    for n in np.tile(np.arange(3, 13), 200):
+        angles = 2.0 * np.pi * np.arange(n) / n + rng.integers(-3, 4, n) * 2.0**-52
+        scale = 1.0 + rng.integers(-3, 4, (n, 1)) * 2.0**-52
+        pts = np.column_stack([np.cos(angles), np.sin(angles)]) * scale
+        _assert_polygon_mesh_matches_reference(pts)
+
+
+@st.composite
+def _polygons(draw):
+    # counterclockwise points at increasing angles, from sorted draws (which
+    # may nearly coincide) or from gaps (equal gaps tie edge lengths), at
+    # equal radii (convex) or random ones (mostly not), under a map of
+    # positive determinant
+    n = draw(st.integers(min_value=3, max_value=12))
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    if draw(st.booleans()):
+        angles = 2.0 * np.pi * np.sort(draw(st.lists(unit, min_size=n, max_size=n)))
+    else:
+        gaps = draw(st.lists(st.floats(min_value=0.1, max_value=1.0),
+                             min_size=n, max_size=n))
+        angles = 2.0 * np.pi * np.cumsum(gaps) / sum(gaps)
+    radii = draw(st.one_of(st.just([1.0] * n), st.lists(
+        st.floats(min_value=0.5, max_value=1.5), min_size=n, max_size=n)))
+    pts = np.column_stack([np.cos(angles), np.sin(angles)]) * np.array(radii)[:, None]
+    return pts @ np.array([[1.0, 0.0], [draw(unit), 0.2 + draw(unit)]])
+
+
+@given(_polygons())
+@settings(max_examples=200, deadline=None)
+def test_random_polygon_mesh_matches_loop_reference(pts):
+    _assert_polygon_mesh_matches_reference(pts)
+
+
 def _reference_refine(mesh, marked):
     """Element-by-element newest-vertex bisection: closure sweeps over all
     elements with edges as vertex pairs, then recursive bisection."""

@@ -28,7 +28,11 @@ def test_script_runs(script, args, tmp_path):
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     if script == "bench.py":
-        layers = json.loads((tmp_path / "BENCH_tiny.json").read_text())["layers"]
+        bench = json.loads((tmp_path / "BENCH_tiny.json").read_text())
+        lines = sum(path.read_bytes().count(b"\n")
+                    for path in (ROOT / "src" / "cordesfem").glob("*.py"))
+        assert bench["src_lines"] == lines > 0
+        layers = bench["layers"]
         for layer in layers.values():
             assert layer["operators_peak_mb"] > 0 and layer["solve_peak_mb"] > 0
             assert layer["operators_retained_mb"] > 0
