@@ -29,6 +29,11 @@ not factor, come from one `solver.factorize` of it as stored
 `jacobian_coefficients` (`jacobian_s`) and the whole `solver.factorize`
 of that Jacobian as stored (`factorize_s`: everything from the matrix to its LU,
 not `splu` alone).
+Last, it times one `transfer_solution` of a random function on the mesh
+one bisection short (2,048 elements), whose space is built once, onto the
+fresh space (`transfer_s`), and one `cordes.tabulate` of `rotated_anisotropic` (10
+control pairs) at the fresh space's element quadrature points
+(`tabulate_s`).
 Times are raw wall seconds; the file keeps every repetition and their
 median. One more, untimed pass per case records the tracemalloc peak, in
 MB, of the `Operators` build and of the Newton solve, and the size the
@@ -77,8 +82,9 @@ from cordesfem import (
     unit_square_mesh,
     verify_ellipticity_cordes,
 )
-from cordesfem import forms, solver
-from cordesfem.adapt import error_norm_k
+from cordesfem import cordes, forms, solver
+from cordesfem.adapt import error_norm_k, transfer_solution
+from cordesfem.fespace import DiscreteFunction
 from cordesfem.forms import (
     frozen_jacobian, get_operators, jacobian_coefficients, nonlinear_residual,
 )
@@ -160,6 +166,9 @@ def layer_times(coarse, s, repeat):
     problem = get_problem("poisson_singleton")
     aniso = get_problem("rotated_anisotropic")
     params = FormParams.defaults(3, s)
+    parent = build_space(coarse, SpaceConfig(p=3, s=s))
+    guess = DiscreteFunction(
+        parent, np.random.default_rng(SEED).standard_normal(parent.dim))
     runs = []
     for _ in range(repeat):
         t_refine, mesh = timed(uniform_refine, coarse)
@@ -178,6 +187,9 @@ def layer_times(coarse, s, repeat):
         t_factorize, _ = timed(solver.factorize, J)
         t_err, err = timed(error_norm_k, space, u, problem.exact)
         t_est, report = timed(estimate, space, problem, u, params)
+        t_transfer, _ = timed(transfer_solution, guess, space)
+        x = space.points(space.elem_rule.points).reshape(-1, 2)
+        t_tabulate, _ = timed(cordes.tabulate, aniso, x)
         runs.append({
             "ndofs": space.dim, "refine_s": t_refine, "cordes_s": t_cordes,
             "space_s": t_space, "operators_s": t_ops, **parts,
@@ -186,12 +198,14 @@ def layer_times(coarse, s, repeat):
             "residual_s": t_residual, "jacobian_s": t_jacobian,
             "factorize_s": t_factorize,
             "error_norm_k_s": t_err, "estimate_s": t_est,
+            "transfer_s": t_transfer, "tabulate_s": t_tabulate,
             "newton_iters": stats.newton_iters, "lu_factors": len(lus),
             "lu_solves": stats.lu_solves,
             "error_norm_k": err,
             "eta_total": report.total,
         })
-        del space, u, report, J
+        del space, u, report, J, x
+    del parent, guess
     out = {"elements": mesh.n_elements, "ndofs": runs[0]["ndofs"], "runs": runs}
     for key in runs[0]:
         if key.endswith(("_s", "_fill")):

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import cordes
 from .basis import lagrange_ref_points, rule_tables
-from .fespace import DiscreteFunction, FESpace, SpaceConfig, build_space
+from .fespace import DiscreteFunction, FESpace, SpaceConfig, build_space, gather
 from .forms import FormParams, face_jumps, get_operators, jump_seminorm
 from .mesh import MeshLevel, halve, refine_conforming
 from .quadrature import triangle_rule
@@ -45,12 +45,8 @@ class EstimatorReport:
         return tuple(float(np.sqrt(t.sum())) for t in terms)
 
 
-def estimate(
-    space: FESpace,
-    problem: cordes.ControlProblem,
-    u: DiscreteFunction,
-    params: FormParams,
-) -> EstimatorReport:
+def estimate(space: FESpace, problem: cordes.ControlProblem, u: DiscreteFunction,
+             params: FormParams) -> EstimatorReport:
     """Element-wise estimator: squared residual |F_gamma[u]|^2 over the
     element plus face jump terms weighted so each interior face is counted
     once in the total (1/2 per adjacent element, 1 on the boundary)."""
@@ -99,6 +95,11 @@ def mark(report: EstimatorReport, strategy: str = "doerfler", param: float = 0.5
     return marked
 
 
+# the AdaptiveStep fields that copy the level's SolveStats fields of these names
+STATS_FIELDS = ("newton_iters", "fallback_iters", "floor_accepted", "backtracks",
+                "controls_changed", "lu_fill", "lu_updates", "lu_solves")
+
+
 @dataclass
 class AdaptiveStep:
     k: int
@@ -113,7 +114,7 @@ class AdaptiveStep:
     newton_iters: int
     fallback_iters: int
     marked: int
-    # trace.json only: the SolveStats fields of the same names
+    # trace.json only
     floor_accepted: bool
     backtracks: list
     controls_changed: list
@@ -157,36 +158,52 @@ def error_norm_k(space: FESpace, u: DiscreteFunction,
     degrees beyond the default so quadrature error stays subordinate.
 
     The exact solution is smooth with zero boundary trace, so its own jump
-    contributions vanish and the jump part reduces to that of u_k.
+    contributions vanish and the jump part reduces to that of u_k, the
+    `face_jumps` that `estimate` at u_k keeps. Its value, gradient and
+    Hessian are evaluated in one `at(x)` scope.
     """
     rule = triangle_rule(space.config.quad_exactness + 2)
     x = space.points(rule.points).reshape(-1, 2)
     tabs = rule_tables(space.basis, rule.exactness)
-    dv = exact.value(x) - u.eval_table(tabs[0], 0).ravel()
-    dg = exact.gradient(x) - u.eval_table(tabs[1], 1).reshape(-1, 2)
-    dh = exact.hessian(x) - u.eval_table(tabs[2], 2).reshape(-1, 2, 2)
+    with exact.at(x):
+        dv = exact.value(x) - u.eval_table(tabs[0], 0).ravel()
+        dg = exact.gradient(x) - u.eval_table(tabs[1], 1).reshape(-1, 2)
+        dh = exact.hessian(x) - u.eval_table(tabs[2], 2).reshape(-1, 2, 2)
     sq = dv**2 + np.einsum("ni,ni->n", dg, dg) + np.einsum("nij,nij->n", dh, dh)
     vol = float(space.detJ @ (sq.reshape(-1, rule.n) @ rule.weights))
     return float(np.sqrt(vol + jump_seminorm(space, u) ** 2))
 
 
-def transfer_solution(
-    u: DiscreteFunction, new_space: FESpace
-) -> np.ndarray:
+def transfer_solution(u: DiscreteFunction, new_space: FESpace) -> np.ndarray:
     """Initial-guess transfer to a refined mesh by element-wise polynomial
-    injection (exact for nested meshes): the parent polynomial is evaluated
-    at each child's Lagrange nodes (C0) or quadrature points, then projected
-    onto the modal basis (DG)."""
+    injection (exact for nested meshes). Under bisection a child's vertices
+    have dyadic reference coordinates in its parent, exact at 2^-20, and
+    the children share a few such child-in-parent maps. Each map gets one
+    matrix: the parent basis at the child's Lagrange nodes (C0), or at its
+    quadrature points projected onto its modal basis (DG). All maps' points
+    are tabulated at once, and the matrices meet the gathered parent
+    coefficients in one batched product."""
+    mesh, old, parent = new_space.mesh, u.space, new_space.mesh.ancestor
+    grid = old.ref_points(mesh.vertices[mesh.tri], parent).reshape(-1, 6) * 2.0**20
+    keys = np.rint(grid).astype(np.int64)
+    if np.abs(grid - keys).max(initial=0.0) > 1e-6:
+        raise AdaptError("children are not bisections of their parents")
+    # one 1-D np.unique of the key rows as bytes
+    keys, child_map = np.unique(keys.view(np.dtype((np.void, 48))).ravel(),
+                                return_inverse=True)
+    corners = keys.view(np.int64).reshape(-1, 3, 2) / 2.0**20
     rule = new_space.elem_rule
     dg = new_space.config.s == 0
     pts = rule.points if dg else lagrange_ref_points(new_space.config.p)
-    parent = new_space.mesh.ancestor
-    vals = u.eval(u.space.ref_points(new_space.points(pts), parent), 0, parent)
-    if dg:
+    # each map's points in its parent's reference coordinates, one tabulation
+    x = corners[:, :1] + pts @ (corners[:, 1:] - corners[:, :1])
+    maps = old.basis.eval(x.reshape(-1, 2)).reshape(len(keys), len(pts), -1)
+    if dg:  # (maps, child nloc, parent nloc)
         B = rule_tables(new_space.basis, rule.exactness)[0][:, :, 0]
-        vals = vals @ (rule.weights[:, None] * B)
+        maps = (rule.weights[:, None] * B).T @ maps
+    loc = gather(u.coeffs, old.dofmap[parent])
     coeffs = np.zeros(new_space.dim + 1)  # the absent dof dim is a dropped pad
-    coeffs[new_space.dofmap] = vals
+    coeffs[new_space.dofmap] = (maps[child_map] @ loc[:, :, None])[:, :, 0]
     return coeffs[:-1]
 
 
@@ -231,32 +248,15 @@ def adaptive_solve(
         else:
             marked = mark(report, config.strategy, config.strategy_param)
         h = np.sqrt(mesh.areas())  # h_K = |K|^(1/2)
-        err = (
-            error_norm_k(space, u, problem.exact)
-            if problem.exact is not None
-            else float("nan")
-        )
+        exact = problem.exact
+        err = float("nan") if exact is None else error_norm_k(space, u, exact)
         er, eg, ev = report.parts()
         step = AdaptiveStep(
-            k=it,
-            ndofs=space.dim,
-            h_min=float(h.min()),
-            h_max=float(h.max()),
-            eta_total=report.total,
-            eta_residual=er,
-            eta_gradjump=eg,
-            eta_valjump=ev,
-            err_norm_k=err,
-            newton_iters=stats.newton_iters,
-            fallback_iters=stats.fallback_iters,
-            marked=len(marked),
-            floor_accepted=stats.floor_accepted,
-            backtracks=stats.backtracks,
-            controls_changed=stats.controls_changed,
-            lu_fill=stats.lu_fill,
-            lu_updates=stats.lu_updates,
-            lu_solves=stats.lu_solves,
+            k=it, ndofs=space.dim, h_min=float(h.min()), h_max=float(h.max()),
+            eta_total=report.total, eta_residual=er, eta_gradjump=eg,
+            eta_valjump=ev, err_norm_k=err, marked=len(marked),
             peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+            **{name: getattr(stats, name) for name in STATS_FIELDS},
         )
         trace.steps.append(step)
         if callback is not None:

@@ -10,11 +10,13 @@ The inf-sup has two parts: `tabulate` evaluates the u-independent
 coefficients a, f and gamma of every control pair at fixed points, and
 `inf_sup` gives F_gamma and its optimal controls from such a table for any
 Hessian values. `forms.Operators` keeps the table of its quadrature points,
-so a whole solve and estimate call a and f once per control pair.
+so a whole solve and estimate call a and f once per control pair, inside
+one `at(x)` scope of the field, where the pairs may share their work.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -41,6 +43,7 @@ class ControlSet:
 class CoefficientField:
     a: Callable  # (x, alpha, beta) -> (n, 2, 2) symmetric
     f: Callable  # (x, alpha, beta) -> (n,)
+    at: Callable = nullcontext  # x -> a scope for calls at the points x
 
 
 @dataclass(frozen=True)
@@ -48,6 +51,7 @@ class ExactSolution:
     value: Callable  # (n, 2) -> (n,)
     gradient: Callable  # (n, 2) -> (n, 2)
     hessian: Callable  # (n, 2) -> (n, 2, 2)
+    at: Callable = nullcontext  # x -> a scope for calls at the points x
 
 
 @dataclass(frozen=True)
@@ -129,14 +133,15 @@ class CoefficientTable:
 
 def tabulate(problem: ControlProblem, x: np.ndarray) -> CoefficientTable:
     """Coefficients of every control pair at points x (n, 2), from one call of
-    a and f per pair."""
+    a and f per pair, all in one `at(x)` scope of the coefficient field."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     na, nb = len(problem.controls.alphas), len(problem.controls.betas)
     a = np.empty((na, nb, len(x), DIM, DIM))
     f = np.empty((na, nb, len(x)))
-    for ia, ib, alpha, beta in problem.control_pairs():
-        a[ia, ib] = problem.coeffs.a(x, alpha, beta)
-        f[ia, ib] = problem.coeffs.f(x, alpha, beta)
+    with problem.coeffs.at(x):
+        for ia, ib, alpha, beta in problem.control_pairs():
+            a[ia, ib] = problem.coeffs.a(x, alpha, beta)
+            f[ia, ib] = problem.coeffs.f(x, alpha, beta)
     gamma = _gamma_field(a.reshape(-1, DIM, DIM)).reshape(na, nb, len(x))
     return CoefficientTable(a, f, gamma)
 

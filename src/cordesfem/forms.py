@@ -39,7 +39,9 @@ coefficient table of the last problem and the linear part of the last
 `FormParams`. `Operators.inf_sup` is the one inf-sup of an iterate: it
 keeps F_gamma and the optimal controls with a copy of the coefficients it
 saw, so the residual, the frozen Jacobian and the estimator at equal
-coefficients and the same problem share one evaluation.
+coefficients and the same problem share one evaluation. `face_jumps` keeps
+its last per-face jumps the same way, so the estimator and the error norm
+of one iterate share them.
 """
 
 from __future__ import annotations
@@ -307,6 +309,7 @@ class Operators:
         # (problem, coefficients, F_gamma, opt_alpha, opt_beta) of the last
         # inf_sup
         self._inf_sup = None
+        self._jumps = None  # (coefficients, grad, val) of the last face_jumps
         self._linear = None  # (FormParams, linear part, its data)
 
     # ------------------------------------------------------------------ volume
@@ -445,13 +448,19 @@ def face_jumps(space: FESpace, v) -> tuple[np.ndarray, np.ndarray]:
     """Per-face (1/h) int |[grad v]|^2 (interior faces) and h^-3 int [v]^2:
     sums of squares of jump traces, accurate where the jump penalties'
     quadratic form cancels (C0 value jumps, small gradient jumps on fine
-    meshes)."""
-    ft = get_operators(space).faces
-    x = gather(_vec(v), ft.dofs)
-    jv = np.einsum("fqa,fa->fq", ft.jval, x)
-    jg = np.einsum("fqai,fa->fqi", ft.jgrad, x)
-    grad = ft.interior * np.einsum("fq,fqi,fqi->f", ft.wq, jg, jg) / ft.length
-    return grad, np.einsum("fq,fq->f", ft.wq, jv**2) / ft.length**3
+    meshes), read-only: kept by the space's Operators with a copy of the
+    coefficients and returned again while they stay equal."""
+    ops, coeffs = get_operators(space), _vec(v)
+    if ops._jumps is None or not np.array_equal(ops._jumps[0], coeffs):
+        ft = ops.faces
+        x = gather(coeffs, ft.dofs)
+        jv = np.einsum("fqa,fa->fq", ft.jval, x)
+        jg = np.einsum("fqai,fa->fqi", ft.jgrad, x)
+        grad = ft.interior * np.einsum("fq,fqi,fqi->f", ft.wq, jg, jg) / ft.length
+        val = np.einsum("fq,fq->f", ft.wq, jv**2) / ft.length**3
+        grad.flags.writeable = val.flags.writeable = False
+        ops._jumps = (coeffs.copy(), grad, val)
+    return ops._jumps[1:]
 
 
 def jump_seminorm(space: FESpace, v) -> float:

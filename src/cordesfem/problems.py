@@ -3,9 +3,14 @@
 Every registered problem passes the ellipticity/Cordes verification with
 its declared nu, and at the exact solution the pointwise inf-sup vanishes
 identically, which is the manufactured-solution oracle used by the tests.
+Exact fields are evaluated once per point set: all pairs' f in `tabulate`,
+and u's value, gradient and Hessian in `error_norm_k`, until it returns.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 
@@ -19,53 +24,59 @@ from .cordes import (
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 
-def _sine_exact() -> ExactSolution:
+def _sine_fields(x) -> dict:
+    """u = sin(pi x) sin(pi y) ("value"), its "gradient" and "hessian", and
+    the "switch" field g = cos(pi x) cos(pi y), from one sin/cos pass."""
     pi = np.pi
-
-    def value(x):
-        return np.sin(pi * x[:, 0]) * np.sin(pi * x[:, 1])
-
-    def gradient(x):
-        sx, cx = np.sin(pi * x[:, 0]), np.cos(pi * x[:, 0])
-        sy, cy = np.sin(pi * x[:, 1]), np.cos(pi * x[:, 1])
-        return pi * np.column_stack([cx * sy, sx * cy])
-
-    def hessian(x):
-        sx, cx = np.sin(pi * x[:, 0]), np.cos(pi * x[:, 0])
-        sy, cy = np.sin(pi * x[:, 1]), np.cos(pi * x[:, 1])
-        h = np.empty((len(x), 2, 2))
-        h[:, 0, 0] = -(pi**2) * sx * sy
-        h[:, 1, 1] = -(pi**2) * sx * sy
-        h[:, 0, 1] = pi**2 * cx * cy
-        h[:, 1, 0] = h[:, 0, 1]
-        return h
-
-    return ExactSolution(value, gradient, hessian)
+    sx, cx = np.sin(pi * x[:, 0]), np.cos(pi * x[:, 0])
+    sy, cy = np.sin(pi * x[:, 1]), np.cos(pi * x[:, 1])
+    h = np.empty((len(x), 2, 2))
+    h[:, 0, 0] = h[:, 1, 1] = -(pi**2) * sx * sy
+    h[:, 0, 1] = h[:, 1, 0] = pi**2 * cx * cy
+    return {"value": sx * sy, "gradient": pi * np.column_stack([cx * sy, sx * cy]),
+            "hessian": h, "switch": cx * cy}
 
 
-def _switch_field(x):
-    return np.cos(np.pi * x[:, 0]) * np.cos(np.pi * x[:, 1])
+@contextmanager
+def _point_set(scope: list, x):
+    """x, a copy of x and `_sine_fields` at x kept in `scope` while open."""
+    scope[:] = [x, x.copy(), _sine_fields(x)]
+    try:
+        yield
+    finally:
+        scope.clear()
 
 
 def _sine_problem(name, alphas, betas, a_of, c_of, nu, notes) -> ControlProblem:
     """The problem on the unit square with exact solution u = sin(pi x)
     sin(pi y), the constant a = a_of(alpha) and f = a_of(alpha):D^2 u -
-    (c_of(alpha) - beta) g, with g the sign-changing `_switch_field`: the
-    inf-sup of (c - beta) g vanishes identically at u as long as the
-    controls reach c = beta at every point."""
-    exact = _sine_exact()
+    (c_of(alpha) - beta) g, with g the sign-changing switch field of
+    `_sine_fields`: the inf-sup of (c - beta) g vanishes identically at u as
+    long as the controls reach c = beta at every point. Outside an `at(x)`
+    scope, or at x changed in place, the fields are evaluated afresh."""
+    scope = []
+    at = partial(_point_set, scope)
+
+    def fields(x):
+        if scope and scope[0] is x and np.array_equal(scope[1], x):
+            return scope[2]
+        return _sine_fields(x)
+
+    exact = ExactSolution(lambda x: fields(x)["value"], lambda x: fields(x)["gradient"],
+                          lambda x: fields(x)["hessian"], at)
 
     def a(x, alpha, beta):
         return np.broadcast_to(a_of(alpha), (len(x), 2, 2)).copy()
 
     def f(x, alpha, beta):
-        aM = np.einsum("ij,nij->n", a_of(alpha), exact.hessian(x))
-        return aM - (c_of(alpha) - beta) * _switch_field(x)
+        at_x = fields(x)
+        aM = np.einsum("ij,nij->n", a_of(alpha), at_x["hessian"])
+        return aM - (c_of(alpha) - beta) * at_x["switch"]
 
     return ControlProblem(
         domain=UNIT_SQUARE,
         controls=ControlSet(alphas=alphas, betas=betas),
-        coeffs=CoefficientField(a, f),
+        coeffs=CoefficientField(a, f, at),
         nu=nu,
         exact=exact,
         name=name,

@@ -25,6 +25,7 @@ from cordesfem import (
     SpaceConfig,
     adaptive_solve,
     build_space,
+    convex_polygon_mesh,
     estimate,
     get_problem,
     jump_seminorm,
@@ -36,7 +37,8 @@ from cordesfem import adapt, cordes
 from cordesfem import mesh as mesh_mod
 from cordesfem.adapt import AdaptError, AdaptiveTrace, error_norm_k, transfer_solution
 from cordesfem.forms import get_operators
-from cordesfem.mesh import uniform_refine
+from cordesfem.basis import lagrange_ref_points, rule_tables
+from cordesfem.mesh import halve, uniform_refine
 from cordesfem.quadrature import triangle_rule
 
 
@@ -199,11 +201,60 @@ def test_transfer_exact_on_nested_local_refinement(level, p, s, spaces, rng):
         assert np.allclose(v.eval(pts, 0, [e])[0], want, rtol=1e-10, atol=1e-10)
 
 
+def _injection_oracle(u, new_space):
+    """Transfer by point evaluation: the parent polynomial at each child's
+    Lagrange nodes (C0) or quadrature points, mapped through the physical
+    points one element at a time in a batch, then projected onto the modal
+    basis (DG)."""
+    rule = new_space.elem_rule
+    dg = new_space.config.s == 0
+    pts = rule.points if dg else lagrange_ref_points(new_space.config.p)
+    parent = new_space.mesh.ancestor
+    vals = u.eval(u.space.ref_points(new_space.points(pts), parent), 0, parent)
+    if dg:
+        B = rule_tables(new_space.basis, rule.exactness)[0][:, :, 0]
+        vals = vals @ (rule.weights[:, None] * B)
+    coeffs = np.zeros(new_space.dim + 1)
+    coeffs[new_space.dofmap] = vals
+    return coeffs[:-1]
+
+
+@pytest.mark.parametrize("s", [0, 1])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("step", ["closure", "halve"])
+def test_transfer_matches_point_evaluation_injection(step, p, s, mesh_hierarchy, rng):
+    # level 3 refines level 2 with closure, so children of one and two
+    # bisections; halve makes children of two uniform sweeps
+    coarse = mesh_hierarchy[2 if step == "closure" else 1]
+    fine = mesh_hierarchy[3] if step == "closure" else halve(coarse)
+    old, new = (build_space(m, SpaceConfig(p=p, s=s)) for m in (coarse, fine))
+    u = DiscreteFunction(old, rng.standard_normal(old.dim))
+    got, want = transfer_solution(u, new), _injection_oracle(u, new)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_transfer_rejects_children_off_the_dyadic_grid(rng):
+    # on a pentagon, a child paired with a parent it was not bisected from
+    # has non-dyadic reference coordinates there
+    angles = np.pi / 2 + 2 * np.pi * np.arange(5) / 5
+    coarse = convex_polygon_mesh(np.column_stack([np.cos(angles), np.sin(angles)]))
+    fine = uniform_refine(coarse)
+    config = SpaceConfig(p=2, s=0)
+    old = build_space(coarse, config)
+    u = DiscreteFunction(old, rng.standard_normal(old.dim))
+    new = build_space(fine, config)
+    got, want = transfer_solution(u, new), _injection_oracle(u, new)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    shifted = replace(fine, ancestor=np.roll(fine.ancestor, 1))
+    with pytest.raises(AdaptError, match="bisections"):
+        transfer_solution(u, build_space(shifted, config))
+
+
 def test_basis_tabulations_do_not_grow_with_elements(spaces, monkeypatch):
     # error_norm_k, transfer_solution and project_l2 tabulate the reference
     # basis a fixed number of times, whatever the element count; once the
     # kept rule tables exist, error_norm_k tabulates nothing and
-    # transfer_solution only its per-element points
+    # transfer_solution only the points of its child-in-parent maps, at once
     from cordesfem.basis import RefBasis
 
     calls = []

@@ -28,12 +28,13 @@ from cordesfem import (
     uniform_refine,
     unit_square_mesh,
 )
-from cordesfem import cordes
+from cordesfem import cordes, estimate, forms
+from cordesfem.adapt import error_norm_k
 from cordesfem.basis import RefBasis
 from cordesfem.cordes import frozen_coefficients
 from cordesfem.fespace import SpaceError, _chain_rule
 from cordesfem.forms import (FaceTables, Operators, edge_tables, elem_tensors,
-                             face_pattern, face_tables, get_operators)
+                             face_jumps, face_pattern, face_tables, get_operators)
 from cordesfem.mesh import INTERIOR, convex_polygon_mesh
 from cordesfem.quadrature import segment_rule
 
@@ -842,6 +843,42 @@ def test_norms_of_zero(spaces):
     zero = np.zeros(space.dim)
     assert norm_k(space, zero) == 0.0
     assert jump_seminorm(space, zero) == 0.0
+
+
+@pytest.mark.parametrize("s", [0, 1])
+def test_face_jumps_kept_while_the_coefficients_stay(s, rng, monkeypatch):
+    # the jumps are kept, read-only, with a copy of the coefficients: the
+    # error norm at an estimated u gathers nothing, and an in-place change
+    # of u's coefficients makes them recomputed, equal to a fresh space's
+    calls, gather = [], forms.gather
+
+    def counting(*args):
+        calls.append(1)
+        return gather(*args)
+
+    monkeypatch.setattr(forms, "gather", counting)
+    prob = get_problem("two_control_switch")
+    mesh, config = refine_conforming(unit_square_mesh(3), [0, 5]), SpaceConfig(p=3, s=s)
+    params = FormParams.defaults(3, s)
+    space = build_space(mesh, config)
+    u = DiscreteFunction(space, rng.standard_normal(space.dim))
+    estimate(space, prob, u, params)
+    kept = face_jumps(space, u)
+    calls.clear()
+    error_norm_k(space, u, prob.exact)
+    got = face_jumps(space, u.coeffs.copy())
+    assert calls == [] and all(a is b for a, b in zip(got, kept))
+    for term in got:
+        assert not term.flags.writeable
+        with pytest.raises(ValueError):
+            term[0] = 1.0
+    u.coeffs[::3] *= -2.0
+    got = face_jumps(space, u)
+    assert calls == [1]
+    fresh = build_space(mesh, config)
+    want = face_jumps(fresh, DiscreteFunction(fresh, u.coeffs.copy()))
+    for a, b, old in zip(got, want, kept):
+        assert np.array_equal(a, b) and not np.array_equal(a, old)
 
 
 @pytest.mark.parametrize("s", [0, 1])

@@ -39,6 +39,7 @@ def test_script_runs(script, args, tmp_path):
             assert layer["jacobian_s"] > 0 and layer["factorize_s"] > 0
             assert layer["residual_s"] > 0
             assert layer["refine_s"] > 0 and layer["cordes_s"] > 0
+            assert layer["transfer_s"] > 0 and layer["tabulate_s"] > 0
             assert all(run["lu_factors"] == 1 for run in layer["runs"])
             assert all(run["lu_solves"] >= 1 for run in layer["runs"])
             parts = ("pattern_s", "volume_s", "faces_s")
