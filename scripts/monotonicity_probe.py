@@ -22,8 +22,8 @@ from cordesfem import (
     norm_k,
     stab_form,
     uniform_refine,
-    unit_square_mesh,
 )
+from cordesfem.cli import domain_mesh
 
 
 def main():
@@ -40,7 +40,7 @@ def main():
     s = 1 if args.cont == "c0ip" else 0
     prob = get_problem(args.problem)
     params = FormParams.defaults(args.p, s)
-    mesh = unit_square_mesh(2)
+    mesh = domain_mesh(prob.domain, 2)
 
     print(f"{'level':>5s} {'ndofs':>7s} {'c_mon':>9s} {'C_stab':>9s}")
     for level in range(args.levels):

@@ -17,8 +17,8 @@ from cordesfem import (
     SpaceConfig,
     adaptive_solve,
     get_problem,
-    unit_square_mesh,
 )
+from cordesfem.cli import domain_mesh
 
 
 def main():
@@ -45,7 +45,7 @@ def main():
                     uniform=True,
                     max_iters=args.levels,
                 )
-                trace = adaptive_solve(prob, unit_square_mesh(args.n0), cfg)
+                trace = adaptive_solve(prob, domain_mesh(prob.domain, args.n0), cfg)
                 tag = f"{name}_p{p}_{'c0ip' if s else 'dg'}"
                 trace.write_csv(outdir / f"{tag}.csv")
                 errs = np.array([st.err_norm_k for st in trace.steps])

@@ -15,7 +15,7 @@ from .fespace import DiscreteFunction, FESpace, SpaceConfig, build_space, gather
 from .forms import FormParams, face_jumps, get_operators, jump_seminorm
 from .mesh import MeshLevel, halve, refine_conforming
 from .quadrature import triangle_rule
-from .solver import SolveOptions, solve_discrete
+from .solver import SolveOptions, SolveStats, solve_discrete
 
 
 # Doerfler marking also marks the estimators within this relative band of its cut
@@ -95,13 +95,10 @@ def mark(report: EstimatorReport, strategy: str = "doerfler", param: float = 0.5
     return marked
 
 
-# the AdaptiveStep fields that copy the level's SolveStats fields of these names
-STATS_FIELDS = ("newton_iters", "fallback_iters", "floor_accepted", "backtracks",
-                "controls_changed", "lu_fill", "lu_updates", "lu_solves")
-
-
 @dataclass
 class AdaptiveStep:
+    """One level of the loop, with the SolveStats of its solve."""
+
     k: int
     ndofs: int
     h_min: float
@@ -111,21 +108,16 @@ class AdaptiveStep:
     eta_gradjump: float
     eta_valjump: float
     err_norm_k: float  # nan when no exact solution
-    newton_iters: int
-    fallback_iters: int
     marked: int
-    # trace.json only
-    floor_accepted: bool
-    backtracks: list
-    controls_changed: list
-    lu_fill: list
-    lu_updates: int
-    lu_solves: int
     peak_rss_mb: float  # the process's peak RSS (ru_maxrss) after this level
+    stats: SolveStats
 
 
 @dataclass
 class AdaptiveTrace:
+    """The steps of a run. A step's record is its own fields, then those of
+    its SolveStats: trace.json holds each whole, trace.csv its COLUMNS."""
+
     steps: list = field(default_factory=list)
 
     COLUMNS = (
@@ -133,23 +125,22 @@ class AdaptiveTrace:
         "eta_valjump err_norm_k newton_iters marked"
     ).split()
 
-    def rows(self):
-        """One row per step: the step's field of each column (`iter` reads
-        `k`); csv writes a float as its repr."""
-        fields = ["k" if c == "iter" else c for c in self.COLUMNS]
-        for s in self.steps:
-            yield [getattr(s, f) for f in fields]
+    def records(self) -> list[dict]:
+        return [{**{f: v for f, v in vars(s).items() if f != "stats"},
+                 **vars(s.stats)} for s in self.steps]
 
     def write_csv(self, path) -> None:
+        """The record's field of each column (`iter` reads `k`); csv writes
+        a float as its repr."""
+        fields = ["k" if c == "iter" else c for c in self.COLUMNS]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(self.COLUMNS)
-            writer.writerows(self.rows())
+            writer.writerows([r[f] for f in fields] for r in self.records())
 
     def write_json(self, path) -> None:
-        payload = [s.__dict__ for s in self.steps]
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump(self.records(), fh, indent=2)
 
 
 def error_norm_k(space: FESpace, u: DiscreteFunction,
@@ -256,7 +247,7 @@ def adaptive_solve(
             eta_total=report.total, eta_residual=er, eta_gradjump=eg,
             eta_valjump=ev, err_norm_k=err, marked=len(marked),
             peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-            **{name: getattr(stats, name) for name in STATS_FIELDS},
+            stats=stats,
         )
         trace.steps.append(step)
         if callback is not None:

@@ -61,16 +61,17 @@ class StudyConfig:
 
 MARKERS = ("max", "doerfler")
 CONTINUITIES = ("dg", "c0ip")  # s = 0, 1
+SLOPE_WINDOW = 3  # the levels the summary's slopes are fitted over
 
 
-def _fit_slope(x: np.ndarray, y: np.ndarray, window: int = 3):
-    """Least-squares slope of log y vs log x over the last `window` points,
-    with R^2; requires at least 4 levels, else (None, None)."""
+def _fit_slope(x: np.ndarray, y: np.ndarray):
+    """Least-squares slope of log y vs log x over the last SLOPE_WINDOW
+    points, with R^2; requires at least 4 levels, else (None, None)."""
     ok = np.isfinite(y) & (y > 0)
     x, y = x[ok], y[ok]
-    if len(y) < 4 or window < 2:
+    if len(y) < 4:
         return None, None
-    lh, ly = np.log(x[-window:]), np.log(y[-window:])
+    lh, ly = np.log(x[-SLOPE_WINDOW:]), np.log(y[-SLOPE_WINDOW:])
     A = np.column_stack([lh, np.ones_like(lh)])
     coef, res, *_ = np.linalg.lstsq(A, ly, rcond=None)
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
@@ -79,7 +80,7 @@ def _fit_slope(x: np.ndarray, y: np.ndarray, window: int = 3):
     return float(coef[0]), r2
 
 
-def _domain_mesh(domain: np.ndarray, n0: int) -> MeshLevel:
+def domain_mesh(domain: np.ndarray, n0: int) -> MeshLevel:
     """unit_square_mesh(n0) on the unit square; any other convex polygon is
     fan-triangulated and bisected uniformly until it has at least the
     2 n0^2 elements of that mesh."""
@@ -94,12 +95,11 @@ def _domain_mesh(domain: np.ndarray, n0: int) -> MeshLevel:
 def run_study(config: StudyConfig) -> dict:
     """Execute the study, write trace.csv / summary.json / mesh exports and
     return the summary dict."""
-    np.random.seed(config.seed)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
 
     problem = get_problem(config.problem)
-    mesh0 = _domain_mesh(problem.domain, config.n0)
+    mesh0 = domain_mesh(problem.domain, config.n0)
     # the scheme evaluates a at the element quadrature points, so check there
     space0 = FESpace(mesh0, config.space_config())
     samples = space0.points(space0.elem_rule.points).reshape(-1, 2)

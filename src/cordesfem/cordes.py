@@ -23,6 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 DIM = 2
+NU_TOL = 1e-12
 
 
 class CordesError(ValueError):
@@ -89,14 +90,13 @@ def _gamma_field(a: np.ndarray) -> np.ndarray:
     return np.einsum("nii->n", a) / fro2
 
 
-def verify_ellipticity_cordes(
-    problem: ControlProblem, sample_points: np.ndarray, tol: float = 1e-12
-) -> CordesReport:
+def verify_ellipticity_cordes(problem: ControlProblem,
+                              sample_points: np.ndarray) -> CordesReport:
     """Check symmetry, positivity and the Cordes ratio over sampled points
     and all sampled control pairs.
 
     nu_est is the minimum of (Tr a)^2 / |a|^2 - (d - 1) over the samples;
-    the check passes iff nu_est >= problem.nu - tol and all eigenvalues of
+    the check passes iff nu_est >= problem.nu - NU_TOL and all eigenvalues of
     a are positive.
     """
     x = np.atleast_2d(np.asarray(sample_points, dtype=float))
@@ -111,7 +111,7 @@ def verify_ellipticity_cordes(
     fro2 = np.einsum("nij,nij->n", a, a)
     nu_est = float((tr**2 / fro2 - (DIM - 1)).min())
     min_eig = float(np.linalg.eigvalsh(a)[:, 0].min())
-    passed = (nu_est >= problem.nu - tol) and (min_eig > 0.0)
+    passed = (nu_est >= problem.nu - NU_TOL) and (min_eig > 0.0)
     return CordesReport(nu_est, passed, min_eig)
 
 

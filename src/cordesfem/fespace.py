@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import basis as bas
-from .mesh import BOUNDARY, MeshLevel, dissection_keys
+from .mesh import MeshLevel, dissection_keys
 from .quadrature import triangle_rule
 
 
@@ -156,7 +156,7 @@ def _c0_dofmap(mesh: MeshLevel, p: int):
 
     n_edge = p - 1  # >= 1 since p >= 2
     face_dof = np.full((mesh.n_faces, n_edge), -1, dtype=np.int64)
-    inner = mesh.face_kind != BOUNDARY
+    inner = mesh.face_elems[:, 1] >= 0
     n_inner = int(np.count_nonzero(inner))
     face_dof[inner] = next_dof + np.arange(n_inner * n_edge).reshape(n_inner, n_edge)
     next_dof += n_inner * n_edge

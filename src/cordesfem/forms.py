@@ -56,7 +56,6 @@ from . import cordes
 from .basis import ortho_basis, rule_tables
 from .fespace import DiscreteFunction, FESpace, SpaceError, gather
 from .fespace import _chain_rule
-from .mesh import INTERIOR
 from .quadrature import segment_rule, triangle_rule
 
 
@@ -129,8 +128,8 @@ def face_tables(space: FESpace, modal) -> tuple[FaceTables, np.ndarray, np.ndarr
     frule = segment_rule(space.config.quad_exactness)
     d = mesh.vertices[fv[:, 1]] - mesh.vertices[fv[:, 0]]
     length = np.hypot(d[:, 0], d[:, 1])
-    interior = mesh.face_kind == INTERIOR
     elems = mesh.face_elems
+    interior = elems[:, 1] >= 0
     # the missing plus side borrows the minus element; its zero weights and
     # absent dofs keep it out of every sum
     side = np.where(elems >= 0, elems, elems[:, :1])

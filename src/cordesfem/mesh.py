@@ -9,8 +9,10 @@ normal. The normal of a face therefore depends on its endpoint coordinates
 only, never on the refinement level.
 
 The face numbering is the only edge identity: `face_verts` holds the sorted
-vertex pair of each face and `elem_faces[e, l]` the face opposite local
-vertex l, so column 0 is the refinement edge. Newest-vertex bisection works
+vertex pair of each face, `face_elems` its minus and plus element, and
+`elem_faces[e, l]` the face opposite local vertex l, so column 0 is the
+refinement edge. A boundary face has no plus element (-1), so the interior
+faces are those with `face_elems[:, 1] >= 0`. Newest-vertex bisection works
 on it with arrays: a boolean closure over faces, midpoints numbered by
 first occurrence, and up to four children per element from fixed slots.
 `dissection_keys` orders the elements by nested dissection, which the
@@ -23,8 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-INTERIOR = 0
-BOUNDARY = 1
 # nested dissection does not bisect parts of at most ND_LEAF elements
 ND_LEAF = 8
 
@@ -35,17 +35,15 @@ class MeshError(ValueError):
 
 @dataclass(frozen=True)
 class MeshLevel:
-    """One level of the adaptive hierarchy, immutable once a function returns it."""
+    """One level of the adaptive hierarchy, immutable once a function returns
+    it; the face data derive from `vertices` and `tri`."""
 
     vertices: np.ndarray  # (nv, 2)
     tri: np.ndarray  # (ne, 3) peak-first, counterclockwise
-    level: np.ndarray  # (ne,) bisection generation per element
     ancestor: np.ndarray  # (ne,) element id in the previous MeshLevel, or -1
-    k: int = 0
 
     # face data, filled in __post_init__
     face_verts: np.ndarray = field(default=None, repr=False)
-    face_kind: np.ndarray = field(default=None, repr=False)
     face_elems: np.ndarray = field(default=None, repr=False)  # (nf, 2), minus first
     face_normals: np.ndarray = field(default=None, repr=False)
     elem_faces: np.ndarray = field(default=None, repr=False)  # (ne, 3)
@@ -57,9 +55,8 @@ class MeshLevel:
         areas = signed_areas(v, t)
         if np.any(areas <= 0.0):
             raise MeshError("element with nonpositive signed area")
-        fv, fk, fe, fn, ef = _build_faces(v, t)
+        fv, fe, fn, ef = _build_faces(v, t)
         object.__setattr__(self, "face_verts", fv)
-        object.__setattr__(self, "face_kind", fk)
         object.__setattr__(self, "face_elems", fe)
         object.__setattr__(self, "face_normals", fn)
         object.__setattr__(self, "elem_faces", ef)
@@ -81,7 +78,7 @@ class MeshLevel:
 
     def boundary_vertex_mask(self) -> np.ndarray:
         mask = np.zeros(self.n_vertices, dtype=bool)
-        mask[self.face_verts[self.face_kind == BOUNDARY].ravel()] = True
+        mask[self.face_verts[self.face_elems[:, 1] < 0].ravel()] = True
         return mask
 
 
@@ -126,7 +123,6 @@ def _build_faces(vertices, tri):
     fe = np.full((len(fv), 2), -1, dtype=np.int64)
     fe[:, 0] = rows[first] // 3
     fe[interior, 1] = rows[first[interior] + 1] // 3
-    fk = np.where(interior, INTERIOR, BOUNDARY).astype(np.int8)
     p0, p1 = vertices[fv[:, 0]], vertices[fv[:, 1]]
     fn = canonical_normal(p0, p1)
     # the first element is counterclockwise, so the clockwise rotation of
@@ -140,7 +136,7 @@ def _build_faces(vertices, tri):
     # minus side: the element for which n is outward pointing
     swap = interior & (np.einsum("fi,fi->f", out, fn) < 0.0)
     fe[swap] = fe[swap, ::-1]
-    return fv, fk, fe, fn, face_of.reshape(-1, 3)
+    return fv, fe, fn, face_of.reshape(-1, 3)
 
 
 def unit_square_mesh(n: int) -> MeshLevel:
@@ -181,18 +177,16 @@ def convex_polygon_mesh(points) -> MeshLevel:
 
 
 def _initial_mesh(vertices, tri) -> MeshLevel:
-    """Level 0: every element of generation 0 and without ancestor."""
-    ne = len(tri)
-    return MeshLevel(vertices, tri, np.zeros(ne, dtype=np.int64),
-                     np.full(ne, -1, dtype=np.int64))
+    """The first level: no element has an ancestor."""
+    return MeshLevel(vertices, tri, np.full(len(tri), -1, dtype=np.int64))
 
 
 def refine_conforming(mesh: MeshLevel, marked) -> MeshLevel:
     """Newest-vertex bisection of the marked elements with conformity closure.
 
-    Returns a new conforming MeshLevel with k incremented; an empty marked
-    set yields an identical copy. Every new element records the id of the
-    element of `mesh` it came from.
+    Returns a new conforming MeshLevel; an empty marked set yields an
+    identical copy. Every new element records the id of the element of
+    `mesh` it came from.
     """
     ne, nv = mesh.n_elements, mesh.n_vertices
     marked = np.fromiter(marked, dtype=np.int64)
@@ -234,16 +228,8 @@ def refine_conforming(mesh: MeshLevel, marked) -> MeshLevel:
         [m2, peak, m],
     ]).transpose(2, 0, 1)
     keep = np.stack([np.ones(ne, dtype=bool), s2, s0, s1], axis=1)
-    two = np.full(ne, 2)
-    offset = np.stack([s0.astype(np.int64) + s2, two, 1 + s1.astype(np.int64), two],
-                      axis=1)
-    return MeshLevel(
-        vertices,
-        slots[keep],
-        (mesh.level[:, None] + offset)[keep],
-        np.repeat(np.arange(ne, dtype=np.int64), keep.sum(axis=1)),
-        k=mesh.k + 1,
-    )
+    return MeshLevel(vertices, slots[keep],
+                     np.repeat(np.arange(ne, dtype=np.int64), keep.sum(axis=1)))
 
 
 def uniform_refine(mesh: MeshLevel) -> MeshLevel:

@@ -31,7 +31,6 @@ from cordesfem.adapt import transfer_solution
 from cordesfem.cli import build_config, run_study
 from cordesfem.cordes import f_gamma_field
 from cordesfem.forms import get_operators
-from cordesfem.mesh import INTERIOR
 
 RNG = np.random.default_rng(1234)
 
@@ -290,7 +289,7 @@ def test_criterion_9_mesh_suite():
 
     def audit(coarse, fine):
         for f in range(fine.n_faces):
-            if fine.face_kind[f] == INTERIOR:
+            if fine.face_elems[f, 1] >= 0:
                 va, vb = fine.face_verts[f]
                 for e in fine.face_elems[f]:
                     assert {va, vb} <= set(fine.tri[e])

@@ -4,7 +4,7 @@ import csv
 import io
 import json
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -35,11 +35,13 @@ from cordesfem import (
 )
 from cordesfem import adapt, cordes
 from cordesfem import mesh as mesh_mod
-from cordesfem.adapt import AdaptError, AdaptiveTrace, error_norm_k, transfer_solution
+from cordesfem.adapt import AdaptError, AdaptiveStep, AdaptiveTrace, error_norm_k
+from cordesfem.adapt import transfer_solution
 from cordesfem.forms import get_operators
 from cordesfem.basis import lagrange_ref_points, rule_tables
 from cordesfem.mesh import halve, uniform_refine
 from cordesfem.quadrature import triangle_rule
+from cordesfem.solver import SolveStats
 
 
 def _singleton_problem(f_const):
@@ -417,7 +419,7 @@ def test_trace_csv_columns(tmp_path):
 
 
 def test_trace_csv_rows_read_the_columns(tmp_path):
-    # each row is the step's fields in COLUMNS order (iter reads k), byte for
+    # each row is the step's record in COLUMNS order (iter reads k), byte for
     # byte as a writer listing every field wrote it: ints as they are,
     # floats by repr
     cfg = AdaptiveConfig(space=SpaceConfig(p=2, s=0),
@@ -433,7 +435,7 @@ def test_trace_csv_rows_read_the_columns(tmp_path):
         writer.writerow([s.k, s.ndofs, repr(s.h_min), repr(s.h_max),
                          repr(s.eta_total), repr(s.eta_residual),
                          repr(s.eta_gradjump), repr(s.eta_valjump),
-                         repr(s.err_norm_k), s.newton_iters, s.marked])
+                         repr(s.err_norm_k), s.stats.newton_iters, s.marked])
     assert path.read_bytes() == want.getvalue().encode()
 
 
@@ -470,6 +472,13 @@ def test_solver_lists_in_trace_json_only(tmp_path):
         assert step["lu_solves"] >= 1
         assert step["controls_changed"] == [0] * step["newton_iters"]
         assert len(step["backtracks"]) == step["newton_iters"]
+    # one flat record per step: its own fields, then its SolveStats'
+    own = {f.name for f in fields(AdaptiveStep)} - {"stats"}
+    solve = {f.name for f in fields(SolveStats)}
+    assert not own & solve
+    for step, record in zip(trace.steps, steps):
+        assert record.keys() == own | solve
+        assert record["residual_history"] == step.stats.residual_history
     peaks = [step["peak_rss_mb"] for step in steps]
     assert peaks[0] > 0.0 and peaks == sorted(peaks)
     header = (tmp_path / "trace.csv").read_text().splitlines()[0]
@@ -526,8 +535,7 @@ def test_uniform_step_builds_each_face_table_once(monkeypatch):
         fine = uniform_refine(want)
         finer = uniform_refine(fine)
         want = replace(finer, ancestor=fine.ancestor[finer.ancestor])
-        assert mesh.k == want.k
-        for name in ("vertices", "tri", "level", "ancestor", "face_verts",
-                     "face_kind", "face_elems", "face_normals", "elem_faces"):
+        for name in ("vertices", "tri", "ancestor", "face_verts", "face_elems",
+                     "face_normals", "elem_faces"):
             got, ref = getattr(mesh, name), getattr(want, name)
             assert got.dtype == ref.dtype and np.array_equal(got, ref), name

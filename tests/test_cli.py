@@ -153,6 +153,19 @@ def test_rerun_byte_identical_trace(tmp_path):
     assert (out_a / "trace.csv").read_bytes() == (out_b / "trace.csv").read_bytes()
 
 
+def test_study_keeps_the_global_random_state(tmp_path):
+    # nothing in a study draws from numpy's global generator, so a run
+    # leaves the caller's state as it was
+    np.random.seed(12345)
+    before = np.random.get_state()
+    run_study(build_config([
+        "--problem", "poisson_singleton", "--p", "2", "--cont", "dg",
+        "--uniform", "--levels", "1", "--seed", "11", "--out", str(tmp_path / "x"),
+    ]))
+    after = np.random.get_state()
+    assert np.array_equal(before[1], after[1]) and before[2:] == after[2:]
+
+
 def test_bad_problem_name_rejected(tmp_path):
     with pytest.raises((SystemExit, KeyError)):
         run_study(build_config(["--problem", "no_such", "--out",

@@ -35,7 +35,7 @@ from cordesfem.cordes import frozen_coefficients
 from cordesfem.fespace import SpaceError, _chain_rule
 from cordesfem.forms import (FaceTables, Operators, edge_tables, elem_tensors,
                              face_jumps, face_pattern, face_tables, get_operators)
-from cordesfem.mesh import INTERIOR, convex_polygon_mesh
+from cordesfem.mesh import convex_polygon_mesh
 from cordesfem.quadrature import segment_rule
 
 
@@ -93,7 +93,7 @@ def test_unit_jump_lifting_value_from_definition():
     # two-triangle square, computed from the defining variational problem
     # with piecewise constants: r = |F| / (2 |K|) = sqrt(2)
     mesh = unit_square_mesh(1)
-    f = int(np.flatnonzero(mesh.face_kind == INTERIOR)[0])
+    f = int(np.flatnonzero(mesh.face_elems[:, 1] >= 0)[0])
     va, vb = mesh.face_verts[f]
     length = float(np.linalg.norm(mesh.vertices[vb] - mesh.vertices[va]))
     for e in mesh.face_elems[f]:
@@ -644,7 +644,7 @@ def _reference_build(space, ops):
     frule = segment_rule(cfg.quad_exactness)
     d = mesh.vertices[fv[:, 1]] - mesh.vertices[fv[:, 0]]
     length = np.hypot(d[:, 0], d[:, 1])
-    I = mesh.face_kind == INTERIOR
+    I = elems[:, 1] >= 0
     side = np.where(elems >= 0, elems, elems[:, :1])
     a, b = (np.argmax(mesh.tri[side] == fv[:, i, None, None], axis=2) for i in (0, 1))
     tabs = edge_tables(space.basis, ops.modal, frule.exactness)
@@ -902,7 +902,7 @@ def test_jump_seminorm_free_of_cancellation(s):
 def test_operators_on_a_mesh_without_interior_faces():
     # the one-element mesh of a triangle domain: empty interior-face batches
     mesh = convex_polygon_mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    assert mesh.n_elements == 1 and not np.any(mesh.face_kind == INTERIOR)
+    assert mesh.n_elements == 1 and not np.any(mesh.face_elems[:, 1] >= 0)
     space = build_space(mesh, SpaceConfig(p=3, s=0))
     ops = get_operators(space)
     assert not np.any(ops._jgrad) and np.any(ops._jval)

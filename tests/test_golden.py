@@ -4,19 +4,22 @@ The rate and band tests of the acceptance suite tolerate drifts of a few
 percent, so a refactor of assembly or estimation could move every number
 without failing them. This test pins `(ndofs, eta_total, err_norm_k,
 newton_iters)` of every registry problem, both continuities and p in {2, 3}
-over 3 uniform levels from `unit_square_mesh(2)` at relative 1e-8, and of
-a few adaptive Doerfler 0.5 studies over 6 levels, with `marked` too.
+over 3 uniform levels from `domain_mesh(problem.domain, 2)` (the
+`unit_square_mesh(2)` of the unit square) at relative 1e-8, and of a few
+adaptive Doerfler 0.5 studies over 6 levels, with `marked` too.
 
 The symmetric sine benchmarks have Doerfler ties, elements whose estimators
 differ by roundoff only. Marking takes each tie group whole, so the
 adaptive meshes do not move with roundoff-level changes either.
 
-Regenerate `tests/data/golden.json` (only when a change of the numbers is
-intended) with
+Add the cases that `tests/data/golden.json` lacks, and print their keys,
+with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and print each entry's largest relative deviation from it, rewriting
+Every entry it holds stays as it is, so to change one on purpose (only
+when a change of its numbers is intended), delete it from the file first.
+Print each entry's largest relative deviation from the file, rewriting
 nothing, with `--drift`.
 """
 
@@ -33,8 +36,8 @@ from cordesfem import (
     adaptive_solve,
     get_problem,
     registry,
-    unit_square_mesh,
 )
+from cordesfem.cli import domain_mesh
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden.json"
 RTOL = 1e-8
@@ -46,6 +49,8 @@ CASES = [
 ]
 ADAPTIVE_CASES = [("two_control_switch", "dg", 3), ("rotated_anisotropic", "c0", 2)]
 ADAPTIVE_LEVELS = 6
+ALL_CASES = [(*case, False) for case in CASES]
+ALL_CASES += [(*case, True) for case in ADAPTIVE_CASES]
 
 
 def _key(name, cont, p, adaptive=False):
@@ -60,10 +65,11 @@ def _levels(name, cont, p, adaptive=False):
         max_iters=ADAPTIVE_LEVELS if adaptive else 3,
         uniform=not adaptive,
     )
-    trace = adaptive_solve(get_problem(name), unit_square_mesh(2), config)
+    problem = get_problem(name)
+    trace = adaptive_solve(problem, domain_mesh(problem.domain, 2), config)
     fields = ["ndofs", "eta_total", "err_norm_k", "newton_iters"]
     fields += ["marked"] if adaptive else []
-    return [{f: getattr(st, f) for f in fields} for st in trace.steps]
+    return [{f: r[f] for f in fields} for r in trace.records()]
 
 
 def _check(got, expected, levels):
@@ -100,15 +106,38 @@ def _drift(got, expected):
                for f in ("eta_total", "err_norm_k"))
 
 
+def _add_missing(path):
+    """Adds the cases that the golden file at `path` lacks, keeping every
+    entry it holds; returns their keys."""
+    golden = json.loads(path.read_text()) if path.exists() else {}
+    missing = [case for case in ALL_CASES if _key(*case) not in golden]
+    golden.update({_key(*case): _levels(*case) for case in missing})
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(golden, indent=1) + "\n")
+    return [_key(*case) for case in missing]
+
+
+def test_regeneration_adds_only_missing_cases(tmp_path):
+    path = tmp_path / "golden.json"
+    blob = GOLDEN.read_bytes()
+    path.write_bytes(blob)
+    assert _add_missing(path) == [] and path.read_bytes() == blob
+    stored = json.loads(blob)
+    key = _key("poisson_singleton", "dg", 2)
+    path.write_text(json.dumps({k: v for k, v in stored.items() if k != key}))
+    assert _add_missing(path) == [key]
+    restored = json.loads(path.read_text())
+    assert restored.keys() == stored.keys()
+    assert all(restored[k] == v for k, v in stored.items() if k != key)
+    _check(restored[key], stored[key], 3)
+
+
 if __name__ == "__main__":
-    cases = [(*case, False) for case in CASES]
-    cases += [(*case, True) for case in ADAPTIVE_CASES]
-    golden = {_key(*case): _levels(*case) for case in cases}
     if sys.argv[1:] == ["--drift"]:
+        golden = {_key(*case): _levels(*case) for case in ALL_CASES}
         stored = json.loads(GOLDEN.read_text())
         for key, levels in golden.items():
             print(f"{key:45s} {_drift(levels, stored[key]):.2e}")
         sys.exit()
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
-    print(f"wrote {len(golden)} cases to {GOLDEN}")
+    added = _add_missing(GOLDEN)
+    print(f"added {len(added)} cases to {GOLDEN}", *added, sep="\n")

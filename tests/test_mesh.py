@@ -9,8 +9,6 @@ from conftest import min_angle, shape_regularity
 
 from cordesfem import refine_conforming, uniform_refine, unit_square_mesh
 from cordesfem.mesh import (
-    BOUNDARY,
-    INTERIOR,
     MeshError,
     canonical_normal,
     convex_polygon_mesh,
@@ -27,7 +25,7 @@ def test_two_triangle_square_counts():
     assert m.n_vertices == 4
     assert m.n_elements == 2
     assert m.n_faces == 5
-    assert int(np.sum(m.face_kind == INTERIOR)) == 1
+    assert int(np.sum(m.face_elems[:, 1] >= 0)) == 1
 
 
 def test_two_triangle_square_sizes():
@@ -68,7 +66,7 @@ def _polygon_area(pts):
 def _assert_conforming(m):
     # every interior face is induced with the same vertex pair by both elements
     for f in range(m.n_faces):
-        if m.face_kind[f] == INTERIOR:
+        if m.face_elems[f, 1] >= 0:
             va, vb = m.face_verts[f]
             for e in m.face_elems[f]:
                 tri = set(m.tri[e])
@@ -81,7 +79,6 @@ def test_refine_marked_single_element():
     m = unit_square_mesh(1)
     fine = refine_conforming(m, {0})
     assert fine.n_elements == 4
-    assert fine.k == m.k + 1
     _assert_conforming(fine)
     # marked element 0 no longer survives unrefined
     assert not np.any((fine.ancestor == 0) & _same_area(fine, m, 0))
@@ -95,7 +92,7 @@ def test_refine_empty_marked_set():
     m = unit_square_mesh(2)
     fine = refine_conforming(m, set())
     assert fine.n_elements == m.n_elements
-    assert fine.k == m.k + 1
+    assert np.array_equal(fine.tri, m.tri)
 
 
 def test_nestedness_child_areas_sum_to_parent():
@@ -153,7 +150,7 @@ def test_degenerate_face_rejected():
 def test_boundary_normals_outward():
     m = unit_square_mesh(2)
     for f in range(m.n_faces):
-        if m.face_kind[f] == BOUNDARY:
+        if m.face_elems[f, 1] < 0:
             mid = m.vertices[m.face_verts[f]].mean(axis=0)
             n = m.face_normals[f]
             # stepping outward leaves the unit square
@@ -304,13 +301,12 @@ def _reference_refine(mesh, marked):
 
     vertices = [tuple(x) for x in mesh.vertices]
     midpoint = {}
-    out_tri, out_level, out_anc = [], [], []
+    out_tri, out_anc = [], []
 
-    def bisect(verts, level, anc):
+    def bisect(verts, anc):
         p, b, c = verts
         if key(b, c) not in split:
             out_tri.append(verts)
-            out_level.append(level)
             out_anc.append(anc)
             return
         if key(b, c) not in midpoint:
@@ -318,13 +314,13 @@ def _reference_refine(mesh, marked):
             pm = 0.5 * (mesh.vertices[b] + mesh.vertices[c])
             vertices.append((pm[0], pm[1]))
         m = midpoint[key(b, c)]
-        bisect((m, p, b), level + 1, anc)
-        bisect((m, c, p), level + 1, anc)
+        bisect((m, p, b), anc)
+        bisect((m, c, p), anc)
 
     for e in range(mesh.n_elements):
-        bisect(tuple(int(v) for v in tri[e]), int(mesh.level[e]), e)
+        bisect(tuple(int(v) for v in tri[e]), e)
     return (np.array(vertices, dtype=float), np.array(out_tri, dtype=np.int64),
-            np.array(out_level, dtype=np.int64), np.array(out_anc, dtype=np.int64))
+            np.array(out_anc, dtype=np.int64))
 
 
 def _outward_normal(vertices, elem_verts, p0, p1):
@@ -354,16 +350,15 @@ def _reference_faces(vertices, tri):
     fe = np.full((len(fv), 2), -1, dtype=np.int64)
     fe[:, 0] = side[first]
     fe[interior, 1] = side[first[interior] + 1]
-    fk = np.where(interior, INTERIOR, BOUNDARY).astype(np.int8)
     p0, p1 = vertices[fv[:, 0]], vertices[fv[:, 1]]
     out0 = _outward_normal(vertices, tri[fe[:, 0]], p0, p1)
     fn = np.where(interior[:, None], canonical_normal(p0, p1), out0)
     swap = np.einsum("fi,fi->f", out0, fn) < 0.0
     fe[swap] = fe[swap, ::-1]
-    return fv, fk, fe, fn, face_of.reshape(-1, 3)
+    return fv, fe, fn, face_of.reshape(-1, 3)
 
 
-FACE_ARRAYS = ("face_verts", "face_kind", "face_elems", "face_normals", "elem_faces")
+FACE_ARRAYS = ("face_verts", "face_elems", "face_normals", "elem_faces")
 
 
 def _assert_faces_match_reference(m):
@@ -408,7 +403,7 @@ def test_refinement_bitwise_matches_elementwise_reference(case):
         marked = set(rng.choice(m.n_elements, size=size, replace=False).tolist())
         fine = refine_conforming(m, marked)
         ref = _reference_refine(m, marked)
-        for name, want in zip(("vertices", "tri", "level", "ancestor"), ref):
+        for name, want in zip(("vertices", "tri", "ancestor"), ref):
             got = getattr(fine, name)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes(), name
@@ -443,7 +438,7 @@ def test_refine_accepts_any_iterable_of_ids(marked):
     m = unit_square_mesh(2)
     want = refine_conforming(m, set(int(e) for e in marked))
     got = refine_conforming(m, marked)
-    for name in ("vertices", "tri", "level", "ancestor"):
+    for name in ("vertices", "tri", "ancestor"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
