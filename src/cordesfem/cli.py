@@ -34,7 +34,7 @@ class StudyConfig:
     q: int | None = None
     theta: float = 0.5
     sigma: float | None = None  # None -> 10 p^2
-    rho: float | None = None  # None -> 10 p^4 (dg) or 0 (c0ip)
+    rho: float | None = None  # None -> 10 p^4 (dg) or 0 (c0ip); no effect on c0ip
     strategy: str = "doerfler"
     strategy_param: float = 0.5
     uniform: bool = False

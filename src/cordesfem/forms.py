@@ -22,6 +22,12 @@ of element block is one matmul of coefficients of invJ and detJ with a
 reference tensor (`elem_tensors`, built once per process; Kirby and Logg,
 ACM TOMS 32 (2006)).
 
+A DG space assembles the gradient and value jumps and both facewise
+stabilization terms. A C0 space, continuous and zero on the boundary, has
+[v] = 0 and t . [grad v] = 0 on every face, so it builds only the normal
+gradient jumps and the tangential-tangential term: the others would
+assemble to roundoff, and rho has no effect on it.
+
 Every square matrix lives on one `Pattern` per space, the dof pairs that
 share a face: its int32 slot maps send face blocks and element patches
 into it, so a matrix is one `np.bincount` of local blocks and sums of
@@ -303,7 +309,10 @@ class Operators:
         elem = P.patch[:, : space.nloc]  # the element blocks' slots
         self._stab = P.scatter(elem, stab) + sface
         del lap, stab, sface  # dead before the last scatter
-        self.norm_gram = P.csr(P.scatter(elem, gram) + self._jgrad + self._jval)
+        data = P.scatter(elem, gram) + self._jgrad
+        if self.dg:
+            data += self._jval
+        self.norm_gram = P.csr(data)
         self._table = None  # (problem, cordes.CoefficientTable)
         # (problem, coefficients, F_gamma, opt_alpha, opt_beta) of the last
         # inf_sup
@@ -336,29 +345,40 @@ class Operators:
         the list `hess` of the `face_tables` contractions t . H . n and
         t . H . t, which it empties before their scatter, and the Delta_k^T
         patches, the Laplacian blocks `lap` minus the sides' lifted
-        traces R00 + R11. Each face Gram is scattered as soon as it is built."""
+        traces R00 + R11. Each face Gram is scattered as soon as it is built.
+        A DG space assembles [grad v], [v], -(t . <D^2 v> n)(t . [grad w]) and
+        (t . <D^2 v> t)(n . [grad w]). A C0 space has [v] = 0 = t . [grad v],
+        being continuous and zero on the boundary: it penalizes n . [grad v]
+        alone, keeps a zero-stride view as _jval and adds the second term alone."""
         ft, P = self.faces, self.pattern
         n, wq, jval, jgrad = ft.normal, ft.wq, ft.jval, ft.jgrad
         t = np.stack([-n[:, 1], n[:, 0]], axis=1)
 
         # jump penalty ingredients (raw, unweighted by sigma/rho), each Gram
         # scaled in place; gradient jumps are penalized on interior faces only
-        I = ft.interior
-        h = ft.length[:, None, None]
-        gram = _gram(wq[I], jgrad[I])
-        self._jgrad = P.scatter(P.face[I], np.multiply(1.0 / h[I], gram, out=gram))
-        gram = _gram(wq, jval)
-        self._jval = P.scatter(P.face, np.multiply(1.0 / h**3, gram, out=gram))
-        del gram
+        I, h = ft.interior, ft.length[:, None, None]
+        if self.dg:
+            gram = _gram(wq[I], jgrad[I])
+            self._jgrad = P.scatter(P.face[I], np.multiply(1.0 / h[I], gram, out=gram))
+            gram = _gram(wq, jval)
+            self._jval = P.scatter(P.face, np.multiply(1.0 / h**3, gram, out=gram))
+            del gram
 
-        # facewise stabilization terms; the tangential-tangential part lives
-        # on interior faces only
-        jn = np.einsum("fqai,fi->fqa", jgrad, n)
-        sface = -_gram(wq, hess[0], np.einsum("fqai,fi->fqa", jgrad, t))
-        sface = sface + sface.transpose(0, 2, 1)
-        l2 = _gram(wq * I[:, None], hess[1], jn)
+            # facewise stabilization terms; the tangential-tangential part
+            # lives on interior faces only
+            jn = np.einsum("fqai,fi->fqa", jgrad, n)
+            sface = -_gram(wq, hess[0], np.einsum("fqai,fi->fqa", jgrad, t))
+            sface = sface + sface.transpose(0, 2, 1)
+            l2 = _gram(wq * I[:, None], hess[1], jn)
+            sface += l2
+        else:
+            jn = np.einsum("fqai,fi->fqa", jgrad, n)
+            gram = _gram(wq[I], jn[I])
+            self._jgrad = P.scatter(P.face[I], np.multiply(1.0 / h[I], gram, out=gram))
+            del gram
+            self._jval = np.broadcast_to(0.0, P.nnz)
+            sface = l2 = _gram(wq * I[:, None], hess[1], jn)
         hess.clear()  # the caller's list, so the contractions are freed here
-        sface += l2
         sface += l2.transpose(0, 2, 1)
         del l2
         sface = P.scatter(P.face, sface)
@@ -388,23 +408,25 @@ class Operators:
         return self._table[1]
 
     def linear_part(self, params: FormParams) -> tuple[sp.csr_matrix, np.ndarray]:
-        """theta S_facewise plus the gradient- and value-jump penalties
-        times sigma and rho, and its data on the pattern, kept until other
-        FormParams ask for them. The residual and the Jacobian read it, so
-        it alone checks that a DG space has rho > 0."""
+        """theta S_facewise plus sigma times the gradient-jump penalty and,
+        for DG, rho times the value-jump penalty, and its data on the
+        pattern, kept until other FormParams ask for them. The residual and
+        the Jacobian read it, so it alone checks that a DG space has rho > 0."""
         if self._linear is None or self._linear[0] != params:
             if self.dg and params.rho <= 0.0:
                 raise SpaceError("rho must be positive for the DG space (s=0)")
-            data = (params.theta * self._stab + params.sigma * self._jgrad
-                    + params.rho * self._jval)
+            data = params.theta * self._stab + params.sigma * self._jgrad
+            if self.dg:
+                data += params.rho * self._jval
             self._linear = (params, self.pattern.csr(data), data)
         return self._linear[1:]
 
     def penalty_gram(self, params: FormParams) -> sp.csr_matrix:
         """The norm Gram with its gradient- and value-jump penalties times
         sigma and rho, as the linear part weights them; built on each call."""
-        data = (self.norm_gram.data + (params.sigma - 1.0) * self._jgrad
-                + (params.rho - 1.0) * self._jval)
+        data = self.norm_gram.data + (params.sigma - 1.0) * self._jgrad
+        if self.dg:
+            data += (params.rho - 1.0) * self._jval
         return self.pattern.csr(data)
 
     def inf_sup(self, problem: cordes.ControlProblem, u: DiscreteFunction):

@@ -680,6 +680,15 @@ def _reference_build(space, ops):
     loc = -_reference_gram(wq, contract(t, n), tj)
     l2 = _reference_gram(wq * I[:, None], contract(t, t), jn)
     sface = loc + loc.transpose(0, 2, 1) + l2 + l2.transpose(0, 2, 1)
+    if cfg.s == 1:
+        # a C0 space has [v] = 0 and t . [grad v] = 0 on every face: its
+        # gradient-jump penalty reads the normal jumps alone, its value-jump
+        # data is a zero view, and its stabilization the tangential-tangential
+        # term alone (adding the zero view below keeps every entry's bits,
+        # as no sum of scatters is -0.0)
+        Jgrad = P.scatter(P.face[I], (1.0 / h[I]) * _reference_gram(wq[I], jn[I]))
+        Jval = np.broadcast_to(0.0, P.nnz)
+        sface = l2 + l2.transpose(0, 2, 1)
     ne, nmod = len(ef), ops.nmod
     src = (wq[:, :, None] * I[:, None, None] * jn).transpose(0, 2, 1)
     src = np.ascontiguousarray(src).reshape(nf, 2, nloc, -1)
@@ -713,6 +722,43 @@ def test_operators_arrays_equal_the_reference_build(mesh, p, s):
         assert (arr.dtype, arr.shape, arr.strides) == (ref.dtype, ref.shape,
                                                        ref.strides), name
         assert arr.tobytes() == ref.tobytes(), name
+
+
+@pytest.mark.parametrize("mesh,p", [(m, p) for m in PATTERN_MESHES for p in (2, 3, 4)])
+def test_c0_face_terms_that_assembly_drops_vanish(mesh, p):
+    # the value-jump Gram, the tangential half of the gradient-jump Gram and
+    # the stabilization term -(t . <D^2 v> n)(t . [grad w]) with its
+    # transpose, from the face tables with the full formulas: on a C0 space
+    # each assembles to roundoff of its largest local entry, on the DG space
+    # of the same mesh to far more (the tangential gradient jumps live on
+    # interior faces, which the one-triangle mesh lacks)
+    def assembled(s):
+        space = build_space(PATTERN_MESHES[mesh](), SpaceConfig(p=p, s=s))
+        ft, hess_tn, _ = face_tables(space, get_operators(space).modal)
+        n, wq, I, h = ft.normal, ft.wq, ft.interior, ft.length[:, None, None]
+        tj = np.einsum("fqai,fi->fqa", ft.jgrad, np.stack([-n[:, 1], n[:, 0]], 1))
+        loc = -np.einsum("fq,fqa,fqb->fab", wq, hess_tn, tj)
+        terms = {  # name: (local blocks, their dofs)
+            "value jumps": ((1.0 / h**3) * np.einsum(
+                "fq,fqa,fqb->fab", wq, ft.jval, ft.jval), ft.dofs),
+            "tangential gradient jumps": ((1.0 / h[I]) * np.einsum(
+                "fq,fqa,fqb->fab", wq[I], tj[I], tj[I]), ft.dofs[I]),
+            "tangential-normal stabilization": (loc + loc.transpose(0, 2, 1),
+                                                ft.dofs),
+        }
+        shape = (space.dim, space.dim)
+        return {name: (np.abs(assemble_csr(d[:, :, None], d[:, None, :], blocks,
+                                           shape).data).max(initial=0.0),
+                       np.abs(blocks).max())
+                for name, (blocks, d) in terms.items() if len(blocks)}
+
+    c0, dg = assembled(1), assembled(0)
+    assert c0.keys() == dg.keys()
+    assert len(dg) == (3 if mesh == "nvb" else 2)
+    for name, (value, scale) in c0.items():
+        assert value <= 1e-13 * scale, name
+    for name, (value, scale) in dg.items():
+        assert value >= 1e-3 * scale, name
 
 
 @pytest.mark.parametrize("s,n,bound", [(1, 16, 2.0), (0, 12, 1.4)])

@@ -20,7 +20,8 @@ with
 Every entry it holds stays as it is, so to change one on purpose (only
 when a change of its numbers is intended), delete it from the file first.
 Print each entry's largest relative deviation from the file, rewriting
-nothing, with `--drift`.
+nothing, with `--drift`; it exits with status 1 if any deviation is at
+least RTOL, or inf (a pinned count or the number of levels changed).
 """
 
 import json
@@ -106,6 +107,17 @@ def _drift(got, expected):
                for f in ("eta_total", "err_norm_k"))
 
 
+def _report_drift(levels, path):
+    """Prints the drift of each entry of `levels` from the golden file at
+    `path`; returns the exit status of `--drift`: 1 if any drift is at least
+    RTOL or not a number, else 0."""
+    stored = json.loads(path.read_text())
+    drifts = {key: _drift(got, stored[key]) for key, got in levels.items()}
+    for key, drift in drifts.items():
+        print(f"{key:45s} {drift:.2e}")
+    return int(not all(drift < RTOL for drift in drifts.values()))
+
+
 def _add_missing(path):
     """Adds the cases that the golden file at `path` lacks, keeping every
     entry it holds; returns their keys."""
@@ -132,12 +144,43 @@ def test_regeneration_adds_only_missing_cases(tmp_path):
     _check(restored[key], stored[key], 3)
 
 
+def test_drift_exit_status(tmp_path, capsys):
+    # the stored levels against doctored copies of the golden file, with no
+    # recomputation: status 0 below RTOL, 1 at a float drift of RTOL or
+    # more, a changed pinned count or a changed number of levels
+    stored = json.loads(GOLDEN.read_text())
+    key = _key("poisson_singleton", "c0", 3)
+    path = tmp_path / "golden.json"
+
+    def status(doctor):
+        golden = json.loads(GOLDEN.read_text())
+        doctor(golden[key])
+        path.write_text(json.dumps(golden))
+        capsys.readouterr()
+        return _report_drift(stored, path), capsys.readouterr().out.splitlines()
+
+    def scale(factor):
+        def doctor(levels):
+            levels[-1]["err_norm_k"] *= factor
+        return doctor
+
+    def bump(levels):
+        levels[0]["newton_iters"] += 1
+
+    code, lines = status(lambda levels: None)
+    assert code == 0
+    assert lines == [f"{k:45s} {0.0:.2e}" for k in stored]
+    assert status(scale(1.0 + RTOL / 10))[0] == 0
+    assert status(scale(1.0 + 10 * RTOL))[0] == 1
+    for doctor in (bump, list.pop):
+        code, lines = status(doctor)
+        assert code == 1
+        assert f"{key:45s} {float('inf'):.2e}" in lines
+
+
 if __name__ == "__main__":
     if sys.argv[1:] == ["--drift"]:
-        golden = {_key(*case): _levels(*case) for case in ALL_CASES}
-        stored = json.loads(GOLDEN.read_text())
-        for key, levels in golden.items():
-            print(f"{key:45s} {_drift(levels, stored[key]):.2e}")
-        sys.exit()
+        sys.exit(_report_drift({_key(*case): _levels(*case) for case in ALL_CASES},
+                               GOLDEN))
     added = _add_missing(GOLDEN)
     print(f"added {len(added)} cases to {GOLDEN}", *added, sep="\n")
