@@ -35,11 +35,17 @@ fresh space (`transfer_s`), and one `cordes.tabulate` of `rotated_anisotropic` (
 control pairs) at the fresh space's element quadrature points
 (`tabulate_s`).
 Times are raw wall seconds; the file keeps every repetition and their
-median. One more, untimed pass per case records the tracemalloc peak, in
-MB, of the `Operators` build and of the Newton solve, and the size the
-build keeps, its tracemalloc current size once it returns
-(`operators_retained_mb`; tracemalloc slows what it traces, so no timed
-repetition runs under it).
+median. One pass of perfbench's `Calibration` kernel runs right before and
+one right after each repetition, and their mean is that repetition's
+`calibration_s`; `scaled` holds the median over the repetitions of each
+`_s` time times `CAL_REF_S / calibration_s`, the time at perfbench's
+reference host speed, so that layer times taken minutes apart on a shared
+host compare. One more, untimed pass per case records the tracemalloc
+peak, in MB, of the `Operators` build, of the Newton solve and of the
+`tabulate` above (`table_peak_mb`), and the size the build and the table
+keep, their tracemalloc current size once they return
+(`operators_retained_mb`, `table_retained_mb`; tracemalloc slows what it
+traces, so no timed repetition runs under it).
 
 Workloads: every workload that BENCHMARK.json lists runs once through
 `perfbench/run.py` in a subprocess, with its run length and seed 1; the
@@ -90,6 +96,10 @@ from cordesfem.forms import (
 )
 
 ROOT = Path(__file__).resolve().parent.parent
+# perfbench's calibration kernel, read only; run.py's main is guarded
+sys.path.insert(0, str(ROOT / "perfbench"))
+from run import CAL_REF_S, Calibration
+
 # (name, continuity flag s) of the layer cases, all at p = 3
 CASES = (("dg_p3", 0), ("c0_p3", 1))
 SEED = 1
@@ -150,10 +160,10 @@ def part_times(fn, *args):
 
 def traced_mb(fn, *args):
     """The tracemalloc peak of what fn(*args) allocates and the part of it
-    still held when fn returns, in MB."""
+    still held when fn returns, its result included, in MB."""
     tracemalloc.start()
     try:
-        fn(*args)
+        result = fn(*args)  # held while measured
         held, peak = tracemalloc.get_traced_memory()
         return peak / 2**20, held / 2**20
     finally:
@@ -169,8 +179,9 @@ def layer_times(coarse, s, repeat):
     parent = build_space(coarse, SpaceConfig(p=3, s=s))
     guess = DiscreteFunction(
         parent, np.random.default_rng(SEED).standard_normal(parent.dim))
-    runs = []
+    runs, cal = [], Calibration()
     for _ in range(repeat):
+        before = cal.measure()
         t_refine, mesh = timed(uniform_refine, coarse)
         centroids = mesh.vertices[mesh.tri].mean(axis=1)
         t_cordes, _ = timed(verify_ellipticity_cordes, aniso, centroids)
@@ -186,10 +197,11 @@ def layer_times(coarse, s, repeat):
             space, jacobian_coefficients(space, problem, u), params))
         t_factorize, _ = timed(solver.factorize, J)
         t_err, err = timed(error_norm_k, space, u, problem.exact)
-        t_est, report = timed(estimate, space, problem, u, params)
+        t_est, report = timed(estimate, space, problem, u)
         t_transfer, _ = timed(transfer_solution, guess, space)
         x = space.points(space.elem_rule.points).reshape(-1, 2)
         t_tabulate, _ = timed(cordes.tabulate, aniso, x)
+        calibration = (before + cal.measure()) / 2
         runs.append({
             "ndofs": space.dim, "refine_s": t_refine, "cordes_s": t_cordes,
             "space_s": t_space, "operators_s": t_ops, **parts,
@@ -199,6 +211,7 @@ def layer_times(coarse, s, repeat):
             "factorize_s": t_factorize,
             "error_norm_k_s": t_err, "estimate_s": t_est,
             "transfer_s": t_transfer, "tabulate_s": t_tabulate,
+            "calibration_s": calibration,
             "newton_iters": stats.newton_iters, "lu_factors": len(lus),
             "lu_solves": stats.lu_solves,
             "error_norm_k": err,
@@ -210,10 +223,17 @@ def layer_times(coarse, s, repeat):
     for key in runs[0]:
         if key.endswith(("_s", "_fill")):
             out[key] = statistics.median(run[key] for run in runs)
+    out["scaled"] = {
+        key: statistics.median(run[key] * CAL_REF_S / run["calibration_s"]
+                               for run in runs)
+        for key in runs[0] if key.endswith("_s") and key != "calibration_s"}
     space = build_space(mesh, SpaceConfig(p=3, s=s))
     out["operators_peak_mb"], out["operators_retained_mb"] = traced_mb(
         get_operators, space)
     out["solve_peak_mb"] = traced_mb(solve_discrete, space, problem, params)[0]
+    x = space.points(space.elem_rule.points).reshape(-1, 2)
+    out["table_peak_mb"], out["table_retained_mb"] = traced_mb(
+        cordes.tabulate, aniso, x)
     return out
 
 

@@ -45,8 +45,8 @@ class EstimatorReport:
         return tuple(float(np.sqrt(t.sum())) for t in terms)
 
 
-def estimate(space: FESpace, problem: cordes.ControlProblem, u: DiscreteFunction,
-             params: FormParams) -> EstimatorReport:
+def estimate(space: FESpace, problem: cordes.ControlProblem,
+             u: DiscreteFunction) -> EstimatorReport:
     """Element-wise estimator: squared residual |F_gamma[u]|^2 over the
     element plus face jump terms weighted so each interior face is counted
     once in the total (1/2 per adjacent element, 1 on the boundary)."""
@@ -233,7 +233,7 @@ def adaptive_solve(
             # level's are built
             u = report = None
         u, stats = solve_discrete(space, problem, config.params, opts)
-        report = estimate(space, problem, u, config.params)
+        report = estimate(space, problem, u)
         if config.uniform:
             marked = set(range(mesh.n_elements))
         else:

@@ -66,7 +66,6 @@ class RefBasis:
     """Basis phi_l = sum_m C[l, m] * monomial_m on the reference triangle."""
 
     def __init__(self, p: int, coeffs: np.ndarray):
-        self.p = p
         self.exps = monomial_exponents(p)
         self.coeffs = coeffs
         self.n = coeffs.shape[0]

@@ -11,13 +11,14 @@ coefficients a, f and gamma of every control pair at fixed points, and
 `inf_sup` gives F_gamma and its optimal controls from such a table for any
 Hessian values. `forms.Operators` keeps the table of its quadrature points,
 so a whole solve and estimate call a and f once per control pair, inside
-one `at(x)` scope of the field, where the pairs may share their work.
+one `at(x)` scope of the field, where the pairs may share their work. An a of
+stride 0 along the points is constant there: kept and checked at one point.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -42,7 +43,7 @@ class ControlSet:
 
 @dataclass(frozen=True)
 class CoefficientField:
-    a: Callable  # (x, alpha, beta) -> (n, 2, 2) symmetric
+    a: Callable  # (x, alpha, beta) -> (n, 2, 2) symmetric, or a read-only view
     f: Callable  # (x, alpha, beta) -> (n,)
     at: Callable = nullcontext  # x -> a scope for calls at the points x
 
@@ -63,7 +64,6 @@ class ControlProblem:
     nu: float
     exact: Optional[ExactSolution] = None
     name: str = ""
-    notes: str = field(default="", compare=False)
 
     def __post_init__(self):
         if not (0.0 < self.nu <= 1.0):
@@ -97,14 +97,14 @@ def verify_ellipticity_cordes(problem: ControlProblem,
 
     nu_est is the minimum of (Tr a)^2 / |a|^2 - (d - 1) over the samples;
     the check passes iff nu_est >= problem.nu - NU_TOL and all eigenvalues of
-    a are positive.
+    a are positive. An a of stride 0 along the points is checked at one.
     """
     x = np.atleast_2d(np.asarray(sample_points, dtype=float))
     if len(x) == 0:
         raise CordesError("sample point set must be nonempty")
-    # every pair's a stacked, (pairs * n, 2, 2), for one pass of each check
-    a = np.concatenate([np.asarray(problem.coeffs.a(x, alpha, beta), dtype=float)
-                        for _, _, alpha, beta in problem.control_pairs()])
+    pairs = (np.asarray(problem.coeffs.a(x, alpha, beta), dtype=float)
+             for _, _, alpha, beta in problem.control_pairs())
+    a = np.concatenate([pair[:1] if pair.strides[0] == 0 else pair for pair in pairs])
     if not np.allclose(a, np.transpose(a, (0, 2, 1)), atol=1e-12):
         raise CordesError("coefficient matrix a is not symmetric")
     tr = np.einsum("nii->n", a)
@@ -118,7 +118,8 @@ def verify_ellipticity_cordes(problem: ControlProblem,
 @dataclass(frozen=True)
 class CoefficientTable:
     """The u-independent coefficients of every control pair at fixed points:
-    a (na, nb, n, 2, 2), f and gamma = Tr(a) / |a|^2 (na, nb, n)."""
+    a (na, nb, n, 2, 2), f and gamma = Tr(a) / |a|^2 (na, nb, n), with a
+    and gamma read-only views of their C-ordered values at m = 1 or n points."""
 
     a: np.ndarray
     f: np.ndarray
@@ -132,18 +133,20 @@ class CoefficientTable:
 
 
 def tabulate(problem: ControlProblem, x: np.ndarray) -> CoefficientTable:
-    """Coefficients of every control pair at points x (n, 2), from one call of
-    a and f per pair, all in one `at(x)` scope of the coefficient field."""
+    """Every control pair's coefficients at x (n, 2), one a and f call per pair
+    in one `at(x)` scope; a and gamma at one point if each a has stride 0."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    na, nb = len(problem.controls.alphas), len(problem.controls.betas)
-    a = np.empty((na, nb, len(x), DIM, DIM))
-    f = np.empty((na, nb, len(x)))
+    na, nb, n = len(problem.controls.alphas), len(problem.controls.betas), len(x)
+    a, f = [], np.empty((na, nb, n))
     with problem.coeffs.at(x):
         for ia, ib, alpha, beta in problem.control_pairs():
-            a[ia, ib] = problem.coeffs.a(x, alpha, beta)
+            a.append(np.asarray(problem.coeffs.a(x, alpha, beta), dtype=float))
             f[ia, ib] = problem.coeffs.f(x, alpha, beta)
-    gamma = _gamma_field(a.reshape(-1, DIM, DIM)).reshape(na, nb, len(x))
-    return CoefficientTable(a, f, gamma)
+    m = 1 if all(pair.strides[0] == 0 for pair in a) else n
+    a = np.array([pair[:m] for pair in a]).reshape(na, nb, m, DIM, DIM)  # C order
+    gamma = _gamma_field(a.reshape(-1, DIM, DIM)).reshape(na, nb, m)
+    return CoefficientTable(np.broadcast_to(a, (na, nb, n, DIM, DIM)), f,
+                            np.broadcast_to(gamma, (na, nb, n)))
 
 
 def inf_sup(

@@ -310,8 +310,7 @@ class Operators:
         self._stab = P.scatter(elem, stab) + sface
         del lap, stab, sface  # dead before the last scatter
         data = P.scatter(elem, gram) + self._jgrad
-        if self.dg:
-            data += self._jval
+        data += self._jval
         self.norm_gram = P.csr(data)
         self._table = None  # (problem, cordes.CoefficientTable)
         # (problem, coefficients, F_gamma, opt_alpha, opt_beta) of the last
@@ -416,8 +415,7 @@ class Operators:
             if self.dg and params.rho <= 0.0:
                 raise SpaceError("rho must be positive for the DG space (s=0)")
             data = params.theta * self._stab + params.sigma * self._jgrad
-            if self.dg:
-                data += params.rho * self._jval
+            data += params.rho * self._jval
             self._linear = (params, self.pattern.csr(data), data)
         return self._linear[1:]
 
@@ -425,8 +423,7 @@ class Operators:
         """The norm Gram with its gradient- and value-jump penalties times
         sigma and rho, as the linear part weights them; built on each call."""
         data = self.norm_gram.data + (params.sigma - 1.0) * self._jgrad
-        if self.dg:
-            data += (params.rho - 1.0) * self._jval
+        data += (params.rho - 1.0) * self._jval
         return self.pattern.csr(data)
 
     def inf_sup(self, problem: cordes.ControlProblem, u: DiscreteFunction):

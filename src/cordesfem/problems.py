@@ -47,7 +47,7 @@ def _point_set(scope: list, x):
         scope.clear()
 
 
-def _sine_problem(name, alphas, betas, a_of, c_of, nu, notes) -> ControlProblem:
+def _sine_problem(name, alphas, betas, a_of, c_of, nu) -> ControlProblem:
     """The problem on the unit square with exact solution u = sin(pi x)
     sin(pi y), the constant a = a_of(alpha) and f = a_of(alpha):D^2 u -
     (c_of(alpha) - beta) g, with g the sign-changing switch field of
@@ -66,7 +66,7 @@ def _sine_problem(name, alphas, betas, a_of, c_of, nu, notes) -> ControlProblem:
                           lambda x: fields(x)["hessian"], at)
 
     def a(x, alpha, beta):
-        return np.broadcast_to(a_of(alpha), (len(x), 2, 2)).copy()
+        return np.broadcast_to(a_of(alpha), (len(x), 2, 2))
 
     def f(x, alpha, beta):
         at_x = fields(x)
@@ -80,23 +80,20 @@ def _sine_problem(name, alphas, betas, a_of, c_of, nu, notes) -> ControlProblem:
         nu=nu,
         exact=exact,
         name=name,
-        notes=notes,
     )
 
 
 def poisson_singleton() -> ControlProblem:
     """Singleton controls, a = I: the scheme reduces to a linear problem."""
     return _sine_problem("poisson_singleton", [0], [0], lambda alpha: np.eye(2),
-                         lambda alpha: alpha, 1.0,
-                         "linear reduction; u = sin(pi x) sin(pi y)")
+                         lambda alpha: alpha, 1.0)
 
 
 def two_control_switch() -> ControlProblem:
     """Isaacs problem with A = B = {0, 1}, a = I and genuinely switching
     optimal controls: f^(ab) = Lap(u) - (a - b) g."""
     return _sine_problem("two_control_switch", [0, 1], [0, 1],
-                         lambda alpha: np.eye(2), lambda alpha: alpha, 1.0,
-                         "switching Isaacs benchmark; u = sin(pi x) sin(pi y)")
+                         lambda alpha: np.eye(2), lambda alpha: alpha, 1.0)
 
 
 def rotated_anisotropic(eps: float = 0.1, n_angles: int = 5) -> ControlProblem:
@@ -115,8 +112,7 @@ def rotated_anisotropic(eps: float = 0.1, n_angles: int = 5) -> ControlProblem:
         return R.T @ np.diag([1.0, eps]) @ R
 
     return _sine_problem("rotated_anisotropic", alphas, [0, 1], a_of,
-                         lambda alpha: alpha[1], 2.0 * eps / (1.0 + eps**2),
-                         f"anisotropy eps={eps}, {n_angles} rotation angles")
+                         lambda alpha: alpha[1], 2.0 * eps / (1.0 + eps**2))
 
 
 _REGISTRY = {

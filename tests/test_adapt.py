@@ -63,7 +63,7 @@ def _singleton_problem(f_const):
 def test_estimator_zero_for_trivial_data(spaces):
     space = spaces(1, 2, 0)
     u = DiscreteFunction(space, np.zeros(space.dim))
-    report = estimate(space, _singleton_problem(0.0), u, FormParams.defaults(2, 0))
+    report = estimate(space, _singleton_problem(0.0), u)
     assert report.total == 0.0
 
 
@@ -72,7 +72,7 @@ def test_estimator_constant_forcing_elementwise():
     mesh = unit_square_mesh(2)
     space = build_space(mesh, SpaceConfig(p=2, s=0))
     u = DiscreteFunction(space, np.zeros(space.dim))
-    report = estimate(space, _singleton_problem(1.0), u, FormParams.defaults(2, 0))
+    report = estimate(space, _singleton_problem(1.0), u)
     assert np.allclose(report.per_element, mesh.areas(), atol=1e-13)
     assert report.total == pytest.approx(1.0, rel=1e-12)
 
@@ -80,8 +80,7 @@ def test_estimator_constant_forcing_elementwise():
 def test_estimator_decomposition(spaces, rng):
     space = spaces(2, 2, 0)
     u = DiscreteFunction(space, rng.standard_normal(space.dim))
-    report = estimate(space, get_problem("two_control_switch"), u,
-                      FormParams.defaults(2, 0))
+    report = estimate(space, get_problem("two_control_switch"), u)
     total_sq = (report.eta_sq_residual.sum() + report.eta_sq_gradjump.sum()
                 + report.eta_sq_valjump.sum())
     assert report.total ** 2 == pytest.approx(total_sq, rel=1e-12)
@@ -126,7 +125,7 @@ def test_estimator_face_terms_match_face_loop(p, s, spaces, rng):
             valjump[e] += val_term / len(elems)
 
     report = estimate(space, get_problem("two_control_switch"),
-                      DiscreteFunction(space, u), FormParams.defaults(p, s))
+                      DiscreteFunction(space, u))
     atol = 1e-12 * gradjump.max()
     assert np.allclose(report.eta_sq_gradjump, gradjump, rtol=1e-10, atol=atol)
     assert np.allclose(report.eta_sq_valjump, valjump, rtol=1e-10, atol=atol)
@@ -154,15 +153,15 @@ def test_estimate_reuses_the_inf_sup_of_the_solve(name, monkeypatch):
     space = build_space(mesh, config)
     u, _ = solve_discrete(space, prob, params)
     calls.clear()
-    got = estimate(space, prob, u, params)
+    got = estimate(space, prob, u)
     assert calls == []
     fresh = build_space(mesh, config)
-    want = estimate(fresh, prob, DiscreteFunction(fresh, u.coeffs.copy()), params)
+    want = estimate(fresh, prob, DiscreteFunction(fresh, u.coeffs.copy()))
     for part in ("eta_sq_residual", "eta_sq_gradjump", "eta_sq_valjump"):
         assert np.array_equal(getattr(got, part), getattr(want, part)), part
     u.coeffs[::2] *= 1.5
     calls.clear()
-    estimate(space, prob, u, params)
+    estimate(space, prob, u)
     assert calls == [1]
 
 
@@ -396,7 +395,7 @@ def test_marked_elements_are_refined():
     from cordesfem import refine_conforming, solve_discrete
 
     u, _ = solve_discrete(space, prob, FormParams.defaults(2, 0))
-    report = estimate(space, prob, u, FormParams.defaults(2, 0))
+    report = estimate(space, prob, u)
     marked = mark(report, "doerfler", 0.5)
     fine = refine_conforming(mesh, marked)
     for e in marked:

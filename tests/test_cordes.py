@@ -1,5 +1,7 @@
 """Renormalization, ellipticity/Cordes verification, and pointwise inf-sup."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -280,6 +282,46 @@ def test_tabulated_inf_sup_matches_control_pair_loop(name, rng):
     assert np.array_equal(frozen, gamma_a[ia, ib, np.arange(n)])
 
 
+def _per_point(prob, copy=np.ndarray.copy):
+    """prob with an a that copies its matrices to every point."""
+    def a(x, alpha, beta):
+        return copy(prob.coeffs.a(x, alpha, beta))
+
+    return replace(prob, coeffs=CoefficientField(a, prob.coeffs.f, prob.coeffs.at))
+
+
+@pytest.mark.parametrize("name", [prob.name for prob in registry()])
+def test_constant_coefficients_kept_once(name, rng):
+    # a registry a is a stride-0 view, so the table keeps one matrix and one
+    # gamma per pair; a per-point a keeps every point, in C order or in the
+    # point-fastest order np.copy gives a stride-0 view, and the tables give
+    # bitwise the same coefficients, inf-sup and frozen coefficients
+    prob = get_problem(name)
+    x = rng.uniform(0, 1, size=(300, 2))
+    M = rng.standard_normal((300, 2, 2))
+    M = M + np.transpose(M, (0, 2, 1))
+    kept = tabulate(prob, x)
+    assert kept.a.strides[2] == 0 and kept.gamma.strides[2] == 0
+    for copy in (np.ndarray.copy, np.copy):
+        full = tabulate(_per_point(prob, copy), x)
+        assert full.a.strides[2] != 0 and full.gamma.strides[2] != 0
+        for part in ("a", "f", "gamma"):
+            assert np.array_equal(getattr(kept, part), getattr(full, part))
+        got, want = inf_sup(kept, M), inf_sup(full, M)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert np.array_equal(kept.frozen(*got[1:]), full.frozen(*want[1:]))
+
+
+@pytest.mark.parametrize("name", [prob.name for prob in registry()])
+def test_cordes_check_of_constant_a_equals_per_point_check(name, rng):
+    prob = get_problem(name)
+    x = rng.uniform(0, 1, size=(300, 2))
+    report = verify_ellipticity_cordes(prob, x)
+    assert report == verify_ellipticity_cordes(_per_point(prob), x)
+    assert report == _reference_cordes(prob, x)
+
+
 def _argmax_inf_sup(table, M):
     """inf_sup by argmax over beta and argmin over alpha, first index
     winning ties: the oracle of the running comparisons."""
@@ -359,7 +401,7 @@ def test_coefficient_callables_run_once_per_control_pair():
     assert calls == {"a": 0, "f": 0}
     params = FormParams.defaults(2, 0)
     u, stats = solve_discrete(space, prob, params)
-    estimate(space, prob, u, params)
+    estimate(space, prob, u)
     pairs = len(prob.controls.alphas) * len(prob.controls.betas)
     assert stats.newton_iters > 1
     assert calls == {"a": pairs, "f": pairs}

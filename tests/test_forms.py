@@ -905,10 +905,9 @@ def test_face_jumps_kept_while_the_coefficients_stay(s, rng, monkeypatch):
     monkeypatch.setattr(forms, "gather", counting)
     prob = get_problem("two_control_switch")
     mesh, config = refine_conforming(unit_square_mesh(3), [0, 5]), SpaceConfig(p=3, s=s)
-    params = FormParams.defaults(3, s)
     space = build_space(mesh, config)
     u = DiscreteFunction(space, rng.standard_normal(space.dim))
-    estimate(space, prob, u, params)
+    estimate(space, prob, u)
     kept = face_jumps(space, u)
     calls.clear()
     error_norm_k(space, u, prob.exact)
