@@ -41,9 +41,10 @@ one right after each repetition, and their mean is that repetition's
 `_s` time times `CAL_REF_S / calibration_s`, the time at perfbench's
 reference host speed, so that layer times taken minutes apart on a shared
 host compare. One more, untimed pass per case records the tracemalloc
-peak, in MB, of the `Operators` build, of the Newton solve and of the
-`tabulate` above (`table_peak_mb`), and the size the build and the table
-keep, their tracemalloc current size once they return
+peak, in MB, of the `Operators` build, of one `forms.face_pattern` call
+with the arguments the build passes it (`pattern_peak_mb`), of the Newton
+solve and of the `tabulate` above (`table_peak_mb`), and the size the
+build and the table keep, their tracemalloc current size once they return
 (`operators_retained_mb`, `table_retained_mb`; tracemalloc slows what it
 traces, so no timed repetition runs under it).
 
@@ -230,6 +231,10 @@ def layer_times(coarse, s, repeat):
     space = build_space(mesh, SpaceConfig(p=3, s=s))
     out["operators_peak_mb"], out["operators_retained_mb"] = traced_mb(
         get_operators, space)
+    ef, faces = mesh.elem_faces, get_operators(space).faces
+    sd = (faces.elems[ef, 1] == np.arange(len(ef))[:, None]).astype(int)
+    out["pattern_peak_mb"] = traced_mb(
+        forms.face_pattern, faces, ef, sd, space.dim)[0]
     out["solve_peak_mb"] = traced_mb(solve_discrete, space, problem, params)[0]
     x = space.points(space.elem_rule.points).reshape(-1, 2)
     out["table_peak_mb"], out["table_retained_mb"] = traced_mb(

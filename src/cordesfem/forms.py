@@ -242,14 +242,14 @@ class Pattern:
         change its structure in place)."""
         n = len(self.indptr) - 1
         matrix = sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
-        matrix.has_canonical_format = True  # the indices come from np.unique
+        matrix.has_canonical_format = True  # the indices come from one sort
         return matrix
 
 
 def face_pattern(ft: FaceTables, ef: np.ndarray, sd: np.ndarray, dim: int) -> Pattern:
     """The Pattern of a space from its FaceTables and element faces and
-    sides: one `np.unique` of the patch keys, a third fewer than the face
-    blocks', and the face slots gathered from the patch slots."""
+    sides: one in-place sort of the patch keys, packed with their positions
+    and a third fewer than the face blocks', and face slots from patch slots."""
     nf, m = ft.dofs.shape
     nloc, ne = m // 2, len(ef)
     dofs = ft.dofs.reshape(nf, 2, nloc)
@@ -257,16 +257,28 @@ def face_pattern(ft: FaceTables, ef: np.ndarray, sd: np.ndarray, dim: int) -> Pa
     # a patch: its element's rows, then its neighbour's across each face
     rows = np.concatenate([dofs[e0, s0][:, None], dofs[ef, nb]], 1).reshape(ne, -1)
     cols = dofs[e0, s0][:, None, :]
-    # missing pairs get the key dim^2, past every pair, so their slot is nnz
-    keys = np.where((rows[:, :, None] < dim) & (cols < dim),
-                    rows[:, :, None] * dim + cols, dim * dim)
-    pairs, slots = np.unique(keys, return_inverse=True)
-    pairs = pairs[pairs < dim * dim]
+    n = rows.size * nloc
+    bits = (n - 1).bit_length()  # of a position
+    if (dim * dim).bit_length() + bits > 63:
+        raise SpaceError(f"{dim} dofs and {n} patch keys overflow int64 keys")
+    # sort (row dim + col) << bits | position; a missing pair's dim^2 sorts last
+    keys = (rows[:, :, None] * dim + cols).ravel()
+    keys[((rows[:, :, None] == dim) | (cols == dim)).ravel()] = dim * dim
+    keys <<= bits
+    keys |= np.arange(n)
+    keys.sort()
+    pos = (keys & ((1 << bits) - 1)).astype(np.int32)
+    keys >>= bits
+    first = np.r_[True, keys[1:] != keys[:-1]]  # a pair's first key
+    keys = keys[first]  # the pairs, then dim^2 if a pair is missing: slot nnz
+    pairs = keys[: np.searchsorted(keys, dim * dim)]
     indptr = np.searchsorted(pairs, np.arange(dim + 1) * dim).astype(np.int32)
     indices = (pairs % dim).astype(np.int32)
     # matrices on the whole pattern share these
     indptr.flags.writeable = indices.flags.writeable = False
-    patch = slots.astype(np.int32).reshape(ne, 4, nloc, nloc)
+    first[0] = False  # its cumulative sum is now each sorted key's slot
+    patch = np.empty((ne, 4, nloc, nloc), np.int32)
+    patch.ravel()[pos] = np.cumsum(first, dtype=np.int32)
     # face block (r, c) pairs side r's rows with side c's dofs: side c's
     # element's patch block 0 (r = c) or 1 + its local face (r != c); a
     # missing side c has only missing pairs
@@ -274,7 +286,7 @@ def face_pattern(ft: FaceTables, ef: np.ndarray, sd: np.ndarray, dim: int) -> Pa
     local[ef, sd] = np.arange(3)
     blk = np.where(np.eye(2, dtype=bool), 0, 1 + local[:, None, :])
     e = ft.elems[:, None, :]
-    face = np.where(e[..., None, None] >= 0, patch[e, blk], len(pairs))
+    face = np.where(e[..., None, None] >= 0, patch[e, blk], len(indices))
     face = face.transpose(0, 1, 3, 2, 4).reshape(nf, m, m)
     return Pattern(indptr, indices, face, patch.reshape(ne, 4 * nloc, nloc), rows)
 

@@ -35,7 +35,7 @@ def test_script_runs(script, args, tmp_path):
         layers = bench["layers"]
         for layer in layers.values():
             assert layer["operators_peak_mb"] > 0 and layer["solve_peak_mb"] > 0
-            assert layer["operators_retained_mb"] > 0
+            assert layer["operators_retained_mb"] > 0 and layer["pattern_peak_mb"] > 0
             assert layer["table_peak_mb"] > 0 and layer["table_retained_mb"] > 0
             assert all(run["calibration_s"] > 0 for run in layer["runs"])
             assert layer["scaled"]["operators_s"] > 0
