@@ -18,8 +18,8 @@ is.
 
 Evaluation is batched: `FESpace.points`/`ref_points` are the affine maps
 and `FESpace.shapes` the shape tables, at shared or per-element reference
-points. `_chain_rule` alone applies the inverse Jacobians, as one batched
-matmul with invJ (gradients) or invJ (x) invJ (flattened Hessians).
+points. `_chain_rule` applies invJ (gradients) or invJ (x) invJ (flattened Hessians)
+to them in one batched matmul; `forms` contracts face traces in the face frame.
 `DiscreteFunction.eval` is coefficient-first: coefficients meet the
 reference tabulation in one matmul, and only the result is transformed;
 `eval_table` does the same with a tabulation the caller keeps.
@@ -63,6 +63,10 @@ class SpaceConfig:
     @property
     def quad_exactness(self) -> int:
         return 2 * self.p + 2
+
+    @property
+    def face_exactness(self) -> int:  # the degree of [v][w] and (n . [grad v]) psi
+        return max(2 * self.p, self.p - 1 + self.q)
 
 
 class FESpace:

@@ -14,7 +14,8 @@ All face terms (penalties, facewise stabilization, liftings, and the jump
 seminorm and estimator jumps as sums of squares) read one `FaceTables` per
 space. A face side lies on one of six directed reference edges, whose
 tables (`edge_tables`) are built once per process, so its traces are a
-gather and one chain rule. A boundary face is a two-sided face whose plus
+gather contracted with the face's normal and tangent, the only directions
+the face terms read. A boundary face is a two-sided face whose plus
 side has weight 0 and dofs dim, the absent dof of `fespace`, so face
 integrals have no interior/boundary branch. Face Grams are one
 weighted-Gram matmul each (`_gram`). Element maps are affine, so each kind
@@ -98,21 +99,22 @@ class FaceTables:
 
     elems: np.ndarray  # (nf, 2) minus and plus element, plus -1 on the boundary
     interior: np.ndarray  # (nf,) bool
-    normal: np.ndarray  # (nf, 2)
     length: np.ndarray  # (nf,)
-    wq: np.ndarray  # (nf, nqf) physical quadrature weights
+    wq: np.ndarray  # (nf, nqf) physical weights of the face rule (face_exactness)
     avg: np.ndarray  # (nf, 2) average weights, (1/2, 1/2) or (1, 0)
     dofs: np.ndarray  # (nf, 2 nloc), dim on the missing side and Dirichlet dofs
     jval: np.ndarray  # (nf, nqf, 2 nloc) value jumps of the face shape functions
-    jgrad: np.ndarray  # (nf, nqf, 2 nloc, 2) gradient jumps
+    jgrad: np.ndarray  # (nf, nqf, 2 nloc, 2) n . and t . gradient jumps
     psi: np.ndarray  # (nf, 2, nqf, nmod) modal traces per side
 
 
 @cache
 def edge_tables(basis, modal, exactness: int) -> tuple:
     """`basis` values, gradients and Hessians and `modal` values (6, nqf, n,
-    ...) at R[a] + t (R[b] - R[a]), t on the segment rule, on the directed
-    reference edges (a, b), a != b, at index 2a + b - (b > a); read-only."""
+    ...) at R[a] + t (R[b] - R[a]), t on the face rule of `exactness`, on
+    the directed reference edges (a, b), a != b, at index 2a + b - (b > a);
+    read-only. `face_tables` contracts the gradients and Hessians in the
+    face frame, so `FaceTables.jgrad` holds n . and t . [grad v]."""
     t = segment_rule(exactness).points
     R = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     pts = np.concatenate([R[a] + t * (R[b] - R[a])
@@ -123,17 +125,17 @@ def edge_tables(basis, modal, exactness: int) -> tuple:
     return tuple(tab.reshape(6, len(t), *tab.shape[1:]) for tab in tabs)
 
 
-def face_tables(space: FESpace, modal) -> tuple[FaceTables, np.ndarray, np.ndarray]:
-    """FaceTables of a space, plus the contractions t . H . n and t . H . t
-    (nf, nqf, 2 nloc) of the averaged Hessian traces H with the face's unit
-    tangent t and normal n, which only assembly reads. Each face side lies
-    on a directed reference edge of its element, so its traces are a gather
-    from `edge_tables` and one chain rule with the element's invJ."""
+def face_tables(space: FESpace, modal) -> tuple:
+    """FaceTables of a space on its face rule, exact to `face_exactness`, and
+    the averaged Hessian traces t . <D^2 v> n (None for a C0 space) and
+    t . <D^2 v> t (nf, nqf, 2 nloc). A side's traces are a gather from
+    `edge_tables` and one batched matmul per table with its weighted frame
+    maps: invJ n and invJ t (so `jgrad` holds n . and t . [grad v]) for the
+    gradients, their outer products for the Hessians."""
     mesh = space.mesh
     nf, nloc, fv, n = mesh.n_faces, space.nloc, mesh.face_verts, mesh.face_normals
-    frule = segment_rule(space.config.quad_exactness)
-    d = mesh.vertices[fv[:, 1]] - mesh.vertices[fv[:, 0]]
-    length = np.hypot(d[:, 0], d[:, 1])
+    frule = segment_rule(space.config.face_exactness)
+    length = np.hypot(*(mesh.vertices[fv[:, 1]] - mesh.vertices[fv[:, 0]]).T)
     elems = mesh.face_elems
     interior = elems[:, 1] >= 0
     # the missing plus side borrows the minus element; its zero weights and
@@ -143,33 +145,29 @@ def face_tables(space: FESpace, modal) -> tuple[FaceTables, np.ndarray, np.ndarr
     a, b = (np.argmax(mesh.tri[side] == fv[:, i, None, None], axis=2) for i in (0, 1))
     tabs = edge_tables(space.basis, modal, frule.exactness)
     val, grad, hess, psi = (t[2 * a + b - (b > a)] for t in tabs)
-    invJ, tab = space.invJ[side.ravel()], (nf, 2, frule.n, nloc)
-    grad = _chain_rule(grad.reshape(2 * nf, -1, 2), invJ, 1).reshape(*tab, 2)
-    hess = _chain_rule(hess.reshape(2 * nf, -1, 4), invJ, 2).reshape(*tab, 2, 2)
-
     jump = np.where(interior[:, None], [1.0, -1.0], [1.0, 0.0])
     avg = np.where(interior[:, None], [0.5, 0.5], [1.0, 0.0])
-
-    def by_face(w, t):
-        # weight each side and merge the sides in one pass: (nf, 2, nqf,
-        # nloc, ...) -> (nf, nqf, 2 nloc, ...)
-        t = np.moveaxis(t, 1, 2)
-        w = w.reshape(nf, 1, 2, *(1,) * (t.ndim - 3))
-        out = np.multiply(w, t, out=np.empty(t.shape))
-        return out.reshape(nf, frule.n, 2 * nloc, *t.shape[4:])
-
-    ahess = by_face(avg, hess).reshape(nf, -1, 4)
+    # each side's invJ n and invJ t (nf, 2, 2, 2) and, flattened as the
+    # Hessians, (invJ t)(invJ n)^T, which a C0 space (s = 1) skips, and
+    # (invJ t)(invJ t)^T, weighted by the side's jump and average weights
     t = np.stack([-n[:, 1], n[:, 0]], axis=1)
-    hess_tn, hess_tt = ((ahess @ (t[:, :, None] * v[:, None, :]).reshape(-1, 4, 1))
-                        .reshape(nf, frule.n, 2 * nloc) for v in (n, t))
+    g = space.invJ[side] @ np.stack([n, t], axis=2)[:, None]
+    hmap = g[..., :, None, 1:] * g[..., None, :, space.config.s:]
+    hmap = (avg[:, :, None, None, None] * hmap).reshape(2 * nf, 4, -1)
+    jmap = (jump[:, :, None, None] * g).reshape(2 * nf, 2, 2)
+    # the sides merged: (nf, nqf, 2 nloc, 2) and (r, nf, nqf, 2 nloc)
+    jgrad = (grad.reshape(2 * nf, -1, 2) @ jmap).reshape(nf, 2, frule.n, nloc, 2)
+    jgrad = np.moveaxis(jgrad, 1, 2).reshape(nf, frule.n, -1, 2)
+    hess = (hess.reshape(2 * nf, -1, 4) @ hmap).reshape(nf, 2, frule.n, nloc, -1)
+    hess = np.moveaxis(hess, (4, 1), (0, 3)).reshape(-1, nf, frule.n, 2 * nloc)
+    jval = np.multiply(jump.reshape(nf, 1, 2, 1), np.moveaxis(val, 1, 2),
+                       out=np.empty((nf, frule.n, 2, nloc)))
     dofs = np.where(elems[:, :, None] >= 0, space.dofmap[side], space.dim)
     tables = FaceTables(
-        elems=elems, interior=interior, normal=n, length=length,
-        wq=frule.weights[None, :] * length[:, None], avg=avg,
-        dofs=dofs.reshape(nf, 2 * nloc), jval=by_face(jump, val),
-        jgrad=by_face(jump, grad), psi=psi,
-    )
-    return tables, hess_tn, hess_tt
+        elems=elems, interior=interior, length=length, avg=avg, jgrad=jgrad,
+        wq=frule.weights[None, :] * length[:, None], psi=psi,
+        dofs=dofs.reshape(nf, 2 * nloc), jval=jval.reshape(nf, frule.n, -1))
+    return tables, (hess[0] if len(hess) == 2 else None), hess[-1]
 
 
 @cache
@@ -272,23 +270,22 @@ def face_pattern(ft: FaceTables, ef: np.ndarray, sd: np.ndarray, dim: int) -> Pa
     first = np.r_[True, keys[1:] != keys[:-1]]  # a pair's first key
     keys = keys[first]  # the pairs, then dim^2 if a pair is missing: slot nnz
     pairs = keys[: np.searchsorted(keys, dim * dim)]
-    indptr = np.searchsorted(pairs, np.arange(dim + 1) * dim).astype(np.int32)
-    indices = (pairs % dim).astype(np.int32)
+    starts = np.arange(dim + 1) * dim  # each row's first key
+    indptr = np.searchsorted(pairs, starts).astype(np.int32)
+    indices = (pairs - np.repeat(starts[:-1], np.diff(indptr))).astype(np.int32)
     # matrices on the whole pattern share these
     indptr.flags.writeable = indices.flags.writeable = False
     first[0] = False  # its cumulative sum is now each sorted key's slot
-    patch = np.empty((ne, 4, nloc, nloc), np.int32)
-    patch.ravel()[pos] = np.cumsum(first, dtype=np.int32)
+    patch = np.empty((ne + 1, 4, nloc, nloc), np.int32)
+    patch[:ne].ravel()[pos] = np.cumsum(first, dtype=np.int32)
+    patch[ne] = len(indices)  # a pad of missing pairs, which element -1 reads
     # face block (r, c) pairs side r's rows with side c's dofs: side c's
-    # element's patch block 0 (r = c) or 1 + its local face (r != c); a
-    # missing side c has only missing pairs
+    # element's patch block 0 (r = c) or 1 + its local face (r != c)
     local = np.zeros((nf, 2), dtype=int)
     local[ef, sd] = np.arange(3)
     blk = np.where(np.eye(2, dtype=bool), 0, 1 + local[:, None, :])
-    e = ft.elems[:, None, :]
-    face = np.where(e[..., None, None] >= 0, patch[e, blk], len(indices))
-    face = face.transpose(0, 1, 3, 2, 4).reshape(nf, m, m)
-    return Pattern(indptr, indices, face, patch.reshape(ne, 4 * nloc, nloc), rows)
+    face = patch[ft.elems[:, None, :], blk].transpose(0, 1, 3, 2, 4).reshape(nf, m, m)
+    return Pattern(indptr, indices, face, patch[:ne].reshape(ne, 4 * nloc, nloc), rows)
 
 
 class Operators:
@@ -351,41 +348,35 @@ class Operators:
 
     # ------------------------------------------------------------------- faces
     def _faces(self, hess, lap, ef, sd):
-        """Sets the data of the jump penalties _jgrad and _jval; returns the
-        data on the pattern of the facewise stabilization's face blocks, from
-        the list `hess` of the `face_tables` contractions t . H . n and
-        t . H . t, which it empties before their scatter, and the Delta_k^T
-        patches, the Laplacian blocks `lap` minus the sides' lifted
-        traces R00 + R11. Each face Gram is scattered as soon as it is built.
-        A DG space assembles [grad v], [v], -(t . <D^2 v> n)(t . [grad w]) and
-        (t . <D^2 v> t)(n . [grad w]). A C0 space has [v] = 0 = t . [grad v],
-        being continuous and zero on the boundary: it penalizes n . [grad v]
-        alone, keeps a zero-stride view as _jval and adds the second term alone."""
+        """Sets the jump penalties' data _jgrad and _jval; returns the data on
+        the pattern of the facewise stabilization's face blocks, from the list
+        `hess` of `face_tables` Hessian traces, which it empties before their
+        scatter, and the Delta_k^T patches, the Laplacian blocks `lap` minus
+        the sides' lifted traces R00 + R11, scattering each face Gram when
+        built. A DG space assembles [grad v], [v], -(t . <D^2 v> n)(t . [grad w])
+        and (t . <D^2 v> t)(n . [grad w]); a C0 space, where [v] = 0 and
+        t . [grad v] = 0, n . [grad v] and the second term, and a zero-stride _jval."""
         ft, P = self.faces, self.pattern
-        n, wq, jval, jgrad = ft.normal, ft.wq, ft.jval, ft.jgrad
-        t = np.stack([-n[:, 1], n[:, 0]], axis=1)
+        wq, jval, jgrad = ft.wq, ft.jval, ft.jgrad
+        jn = jgrad[..., 0]  # n . [grad v]; jgrad[..., 1] is t . [grad v]
 
-        # jump penalty ingredients (raw, unweighted by sigma/rho), each Gram
-        # scaled in place; gradient jumps are penalized on interior faces only
+        # raw jump penalties (unweighted by sigma, rho), each Gram scaled in
+        # place; gradient jumps on interior faces only, a C0 space's normal ones
         I, h = ft.interior, ft.length[:, None, None]
+        gram = _gram(wq[I], (jgrad if self.dg else jn)[I])
+        self._jgrad = P.scatter(P.face[I], np.multiply(1.0 / h[I], gram, out=gram))
         if self.dg:
-            gram = _gram(wq[I], jgrad[I])
-            self._jgrad = P.scatter(P.face[I], np.multiply(1.0 / h[I], gram, out=gram))
             gram = _gram(wq, jval)
             self._jval = P.scatter(P.face, np.multiply(1.0 / h**3, gram, out=gram))
             del gram
 
             # facewise stabilization terms; the tangential-tangential part
             # lives on interior faces only
-            jn = np.einsum("fqai,fi->fqa", jgrad, n)
-            sface = -_gram(wq, hess[0], np.einsum("fqai,fi->fqa", jgrad, t))
+            sface = -_gram(wq, hess[0], jgrad[..., 1])
             sface = sface + sface.transpose(0, 2, 1)
             l2 = _gram(wq * I[:, None], hess[1], jn)
             sface += l2
         else:
-            jn = np.einsum("fqai,fi->fqa", jgrad, n)
-            gram = _gram(wq[I], jn[I])
-            self._jgrad = P.scatter(P.face[I], np.multiply(1.0 / h[I], gram, out=gram))
             del gram
             self._jval = np.broadcast_to(0.0, P.nnz)
             sface = l2 = _gram(wq * I[:, None], hess[1], jn)
@@ -399,7 +390,7 @@ class Operators:
         # sides' lifts in its own rows, one product over (face, point)
         ne, nloc, nmod = lap.shape
         src = (wq[:, :, None] * I[:, None, None] * jn).transpose(0, 2, 1)
-        src = np.ascontiguousarray(src).reshape(len(n), 2, nloc, -1)
+        src = np.ascontiguousarray(src).reshape(len(wq), 2, nloc, -1)
         psi = ft.psi[ef, sd] * -(ft.avg[ef, sd] / self.detJ[:, None])[..., None, None]
         own = src[ef, sd].transpose(0, 2, 1, 3).reshape(ne, nloc, -1)
         own = lap + own @ psi.reshape(ne, -1, nmod)

@@ -66,7 +66,10 @@ def R(space) -> dict:
     only the tangential part of the trace."""
     ops = get_operators(space)
     ft, nmod = ops.faces, ops.nmod
-    n, g = ft.normal, ft.jgrad
+    n, (jn, jt) = space.mesh.face_normals, np.moveaxis(ft.jgrad, -1, 0)
+    # the Cartesian gradient jumps from their face-frame components
+    t = np.stack([-n[:, 1], n[:, 0]], axis=1)
+    g = jn[..., None] * n[:, None, None] + jt[..., None] * t[:, None, None]
     tangential = g - np.einsum("fqai,fi->fqa", g, n)[..., None] * n[:, None, None]
     src = np.where(ft.interior[:, None, None, None], g, tangential)
     scale = ft.avg / ops.detJ[ft.elems]  # the plus side of a boundary face is 0

@@ -32,7 +32,7 @@ from cordesfem import cordes, estimate, forms
 from cordesfem.adapt import error_norm_k
 from cordesfem.basis import RefBasis
 from cordesfem.cordes import frozen_coefficients
-from cordesfem.fespace import SpaceError, _chain_rule
+from cordesfem.fespace import SpaceError
 from cordesfem.forms import (FaceTables, Operators, edge_tables, elem_tensors,
                              face_jumps, face_pattern, face_tables, get_operators)
 from cordesfem.mesh import convex_polygon_mesh
@@ -355,8 +355,11 @@ def _einsum_matrices(space, ops):
     # the averaged Hessian traces from the face points mapped into each side
     ft = face_tables(space, ops.modal)[0]
     ahess = _merged(ft.avg, _ref_point_traces(space, ops.modal)[2])
-    n, wq, I, g = ft.normal, ft.wq, ft.interior, ft.jgrad
+    n, wq, I = space.mesh.face_normals, ft.wq, ft.interior
+    jn, jt = np.moveaxis(ft.jgrad, -1, 0)
+    # the Cartesian gradient jumps from their face-frame components
     t = np.stack([-n[:, 1], n[:, 0]], axis=1)
+    g = jn[..., None] * n[:, None, None] + jt[..., None] * t[:, None, None]
     rows, cols = ft.dofs[:, :, None], ft.dofs[:, None, :]
     h = ft.length[:, None, None]
     Jgrad = scatter(rows[I], cols[I], (1.0 / h[I]) * np.einsum(
@@ -582,7 +585,7 @@ def _ref_point_traces(space, modal):
     # per-side values, gradients, Hessians and modal values with every face
     # point mapped back into its side's element and tabulated there
     mesh, nloc, nf = space.mesh, space.nloc, space.mesh.n_faces
-    frule = quadrature_rule("segment", space.config.quad_exactness)
+    frule = quadrature_rule("segment", space.config.face_exactness)
     p0 = mesh.vertices[mesh.face_verts[:, 0]]
     d = mesh.vertices[mesh.face_verts[:, 1]] - p0
     xq = p0[:, None, :] + frule.points[None, :, :1] * d[:, None, :]
@@ -605,21 +608,28 @@ def _merged(w, t):
 
 @pytest.mark.parametrize("mesh,p,s", PATTERN_CASES)
 def test_edge_tables_match_ref_point_traces(mesh, p, s):
-    # the traces gathered from the six reference edge tables equal those
-    # tabulated at the face points mapped into each element
+    # the traces gathered from the six reference edge tables and contracted
+    # in the face frame equal the Cartesian traces tabulated at the face
+    # points mapped into each element, contracted with n and t
     space = build_space(PATTERN_MESHES[mesh](), SpaceConfig(p=p, s=s))
     ops = get_operators(space)
     ft, hess_tn, hess_tt = face_tables(space, ops.modal)
     val, grad, hess, psi = _ref_point_traces(space, ops.modal)
     jump = np.where(ft.interior[:, None], [1.0, -1.0], [1.0, 0.0])
-    n = ft.normal
+    n = space.mesh.face_normals
     t = np.stack([-n[:, 1], n[:, 0]], axis=1)
-    ahess = _merged(ft.avg, hess)
-    want = {"jval": _merged(jump, val), "jgrad": _merged(jump, grad), "psi": psi,
+    jgrad, ahess = _merged(jump, grad), _merged(ft.avg, hess)
+    assert ft.jgrad.shape == jgrad.shape
+    want = {"jval": _merged(jump, val), "psi": psi,
+            "n . jgrad": np.einsum("fqai,fi->fqa", jgrad, n),
+            "t . jgrad": np.einsum("fqai,fi->fqa", jgrad, t),
             "hess_tn": np.einsum("fqaij,fi,fj->fqa", ahess, t, n),
             "hess_tt": np.einsum("fqaij,fi,fj->fqa", ahess, t, t)}
-    got = {"jval": ft.jval, "jgrad": ft.jgrad, "psi": ft.psi,
-           "hess_tn": hess_tn, "hess_tt": hess_tt}
+    got = {"jval": ft.jval, "psi": ft.psi, "n . jgrad": ft.jgrad[..., 0],
+           "t . jgrad": ft.jgrad[..., 1], "hess_tn": hess_tn, "hess_tt": hess_tt}
+    if s == 1:  # a C0 space's assembly never reads t . <D^2 v> n
+        assert got.pop("hess_tn") is None
+        del want["hess_tn"]
     for name, ref in want.items():
         assert got[name].shape == ref.shape, name
         assert np.abs(got[name] - ref).max() <= 1e-13 * np.abs(ref).max(), name
@@ -635,13 +645,13 @@ def _reference_gram(w, A, B=None):
 
 
 def _reference_build(space, ops):
-    """The arrays of an Operators build made with a product and a reshape
-    copy per face table, the averaged Hessian traces kept until the face
-    Grams, and out-of-place Gram scalings and sums; `ops` gives only the
-    reference tensors and the volume blocks."""
+    """The arrays of an Operators build made with out-of-place products, a
+    reshape copy per face table and per Hessian trace, and out-of-place
+    Gram scalings and sums; `ops` gives only the reference tensors and the
+    volume blocks."""
     mesh, nloc, cfg = space.mesh, space.nloc, space.config
     nf, fv, elems = mesh.n_faces, mesh.face_verts, mesh.face_elems
-    frule = segment_rule(cfg.quad_exactness)
+    frule = segment_rule(cfg.face_exactness)
     d = mesh.vertices[fv[:, 1]] - mesh.vertices[fv[:, 0]]
     length = np.hypot(d[:, 0], d[:, 1])
     I = elems[:, 1] >= 0
@@ -649,38 +659,43 @@ def _reference_build(space, ops):
     a, b = (np.argmax(mesh.tri[side] == fv[:, i, None, None], axis=2) for i in (0, 1))
     tabs = edge_tables(space.basis, ops.modal, frule.exactness)
     val, grad, hess, psi = (t[2 * a + b - (b > a)] for t in tabs)
-    invJ, tab = space.invJ[side.ravel()], (nf, 2, frule.n, nloc)
-    grad = _chain_rule(grad.reshape(2 * nf, -1, 2), invJ, 1).reshape(*tab, 2)
-    hess = _chain_rule(hess.reshape(2 * nf, -1, 4), invJ, 2).reshape(*tab, 2, 2)
     jump = np.where(I[:, None], [1.0, -1.0], [1.0, 0.0])
     avg = np.where(I[:, None], [0.5, 0.5], [1.0, 0.0])
+    n = mesh.face_normals
+    t = np.stack([-n[:, 1], n[:, 0]], axis=1)
+    # each side's invJ n and invJ t, and the Hessian maps (invJ t)(invJ n)^T
+    # and (invJ t)(invJ t)^T; a C0 space contracts with the second alone
+    g = space.invJ[side] @ np.stack([n, t], axis=2)[:, None]
+    gt, cols = g[..., 1], (0, 1) if cfg.s == 0 else (1,)
+    hmaps = [(gt[..., :, None] * g[..., None, :, c]).reshape(nf, 2, 4) for c in cols]
+
+    def sides(tab, w, m):
+        # each side's tables times its weighted map (nf, 2, c, r), then the
+        # sides merged: (nf, nqf, 2 nloc, r)
+        c = m.shape[2]
+        m = (w[:, :, None, None] * m).reshape(2 * nf, c, -1)
+        out = (tab.reshape(2 * nf, -1, c) @ m).reshape(nf, 2, frule.n, nloc, -1)
+        return np.moveaxis(out, 1, 2).reshape(nf, frule.n, 2 * nloc, -1)
+
+    jgrad = sides(grad, jump, g)
+    hess = sides(hess, avg, np.stack(hmaps, axis=-1))
     dofs = np.where(elems[:, :, None] >= 0, space.dofmap[side], space.dim)
-    ft = FaceTables(elems, I, mesh.face_normals, length,
-                    frule.weights[None, :] * length[:, None], avg,
-                    dofs.reshape(nf, 2 * nloc), _merged(jump, val),
-                    _merged(jump, grad), psi)
-    ahess = _merged(avg, hess)
+    ft = FaceTables(elems, I, length, frule.weights[None, :] * length[:, None],
+                    avg, dofs.reshape(nf, 2 * nloc), _merged(jump, val), jgrad, psi)
     ef = mesh.elem_faces
     sd = (elems[ef, 1] == np.arange(len(ef))[:, None]).astype(int)
     P = face_pattern(ft, ef, sd, space.dim)
     gram, stab, lap = ops._volume(*elem_tensors(space.basis, ops.modal,
                                                 cfg.quad_exactness)[3:])
-    n, wq, jgrad = ft.normal, ft.wq, ft.jgrad
-    t = np.stack([-n[:, 1], n[:, 0]], axis=1)
-    h = length[:, None, None]
-    Jgrad = P.scatter(P.face[I], (1.0 / h[I]) * _reference_gram(wq[I], jgrad[I]))
-    Jval = P.scatter(P.face, (1.0 / h**3) * _reference_gram(wq, ft.jval))
-
-    def contract(a, b):
-        ab = (a[:, :, None] * b[:, None, :]).reshape(-1, 4, 1)
-        return (ahess.reshape(len(ab), -1, 4) @ ab).reshape(jgrad.shape[:-1])
-
-    tj = np.einsum("fqai,fi->fqa", jgrad, t)
-    jn = np.einsum("fqai,fi->fqa", jgrad, n)
-    loc = -_reference_gram(wq, contract(t, n), tj)
-    l2 = _reference_gram(wq * I[:, None], contract(t, t), jn)
-    sface = loc + loc.transpose(0, 2, 1) + l2 + l2.transpose(0, 2, 1)
-    if cfg.s == 1:
+    wq, h = ft.wq, length[:, None, None]
+    jn = jgrad[..., 0]
+    l2 = _reference_gram(wq * I[:, None], hess[..., -1].copy(), jn)
+    if cfg.s == 0:
+        Jgrad = P.scatter(P.face[I], (1.0 / h[I]) * _reference_gram(wq[I], jgrad[I]))
+        Jval = P.scatter(P.face, (1.0 / h**3) * _reference_gram(wq, ft.jval))
+        loc = -_reference_gram(wq, hess[..., 0].copy(), jgrad[..., 1])
+        sface = loc + loc.transpose(0, 2, 1) + l2 + l2.transpose(0, 2, 1)
+    else:
         # a C0 space has [v] = 0 and t . [grad v] = 0 on every face: its
         # gradient-jump penalty reads the normal jumps alone, its value-jump
         # data is a zero view, and its stabilization the tangential-tangential
@@ -724,6 +739,51 @@ def test_operators_arrays_equal_the_reference_build(mesh, p, s):
         assert arr.tobytes() == ref.tobytes(), name
 
 
+@pytest.mark.parametrize("p,q,s", [(p, q, s) for p in (2, 3, 4, 5)
+                                   for q in (p - 2, p, p + 2) for s in (0, 1)])
+def test_face_rule_of_face_exactness_is_exact(p, q, s, monkeypatch):
+    # face_exactness is the degree of [v][w] and (n . [grad v]) psi_m, and
+    # no face integrand has a higher one: every face Gram and every face or
+    # patch array assembled on the face rule agrees with the one on the
+    # rules two and four degrees higher. Relative to its block's largest
+    # entry it may differ by 1e-13, or by the roundoff in which the two
+    # higher rules differ, up to 2.2e-12 at q = 7, from the tabulated
+    # degree-q modal traces; the rule two degrees lower misses by O(1)
+    space = build_space(PATTERN_MESHES["nvb"](), SpaceConfig(p=p, s=s, q=q))
+    exactness = SpaceConfig.face_exactness
+
+    def built(extra):
+        # (face rule points, {name: (blocks, their scales)})
+        monkeypatch.setattr(SpaceConfig, "face_exactness",
+                            property(lambda cfg: exactness.fget(cfg) + extra))
+        ops = Operators(space)
+        ft, hess_tn, hess_tt = face_tables(space, ops.modal)
+        jn, jt = ft.jgrad[..., 0], ft.jgrad[..., 1]
+        blocks = {"jgrad Gram": forms._gram(ft.wq, ft.jgrad),
+                  "jval Gram": forms._gram(ft.wq, ft.jval),
+                  "tt stabilization Gram": forms._gram(ft.wq, hess_tt, jn),
+                  **{f"side {i} lifting Gram": forms._gram(ft.wq, jn, ft.psi[:, i])
+                     for i in (0, 1)},
+                  "patch": ops.patch}
+        if s == 0:
+            blocks["tn stabilization Gram"] = forms._gram(ft.wq, hess_tn, jt)
+        scaled = {name: (A, np.abs(A).max(axis=(1, 2), keepdims=True))
+                  for name, A in blocks.items()}
+        # an array on the pattern is one block
+        scaled.update({name: (A, np.abs(A).max()) for name, A in (
+            ("_stab", ops._stab), ("_jgrad", ops._jgrad), ("_jval", ops._jval))})
+        return ft.wq.shape[1], scaled
+
+    def error(A, ref, scale):
+        return np.max(np.abs(A - ref) / np.where(scale > 0, scale, 1.0))
+
+    (nq, got), (nq2, exact), (nq4, finer) = (built(extra) for extra in (0, 2, 4))
+    assert (nq, nq2, nq4) == (max(2 * p, p - 1 + q) // 2 + 1, nq + 1, nq + 2)
+    for name, (ref, scale) in exact.items():
+        floor = error(finer[name][0], ref, scale)
+        assert error(got[name][0], ref, scale) <= max(1e-13, 4 * floor), name
+
+
 @pytest.mark.parametrize("mesh,p", [(m, p) for m in PATTERN_MESHES for p in (2, 3, 4)])
 def test_c0_face_terms_that_assembly_drops_vanish(mesh, p):
     # the value-jump Gram, the tangential half of the gradient-jump Gram and
@@ -734,9 +794,16 @@ def test_c0_face_terms_that_assembly_drops_vanish(mesh, p):
     # interior faces, which the one-triangle mesh lacks)
     def assembled(s):
         space = build_space(PATTERN_MESHES[mesh](), SpaceConfig(p=p, s=s))
-        ft, hess_tn, _ = face_tables(space, get_operators(space).modal)
-        n, wq, I, h = ft.normal, ft.wq, ft.interior, ft.length[:, None, None]
-        tj = np.einsum("fqai,fi->fqa", ft.jgrad, np.stack([-n[:, 1], n[:, 0]], 1))
+        modal = get_operators(space).modal
+        ft = face_tables(space, modal)[0]
+        n, wq, I = space.mesh.face_normals, ft.wq, ft.interior
+        h = ft.length[:, None, None]
+        t = np.stack([-n[:, 1], n[:, 0]], 1)
+        tj = ft.jgrad[..., 1]
+        # a C0 space's face_tables skips t . <D^2 v> n: take it at the
+        # mapped face points
+        ahess = _merged(ft.avg, _ref_point_traces(space, modal)[2])
+        hess_tn = np.einsum("fqaij,fi,fj->fqa", ahess, t, n)
         loc = -np.einsum("fq,fqa,fqb->fab", wq, hess_tn, tj)
         terms = {  # name: (local blocks, their dofs)
             "value jumps": ((1.0 / h**3) * np.einsum(

@@ -49,3 +49,4 @@ def test_script_runs(script, args, tmp_path):
             for run in layer["runs"]:
                 assert all(run[part] > 0 for part in parts)
                 assert sum(run[part] for part in parts) <= run["operators_s"]
+                assert 0 < run["face_traces_s"] <= run["faces_s"]
