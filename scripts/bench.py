@@ -49,6 +49,14 @@ build and the table keep, their tracemalloc current size once they return
 (`operators_retained_mb`, `table_retained_mb`; tracemalloc slows what it
 traces, so no timed repetition runs under it).
 
+tracemalloc does not see SuperLU's factors. So for each case a fresh
+interpreter (`fresh_solve_memory`) builds the layer space and its
+`Operators` and solves `rotated_anisotropic` once (`solve_memory`). It
+reports its resident high-water after the solve (`solve_rss_mb`, in MB:
+VmHWM from /proc/self/status, which also counts the imports and the build;
+a forked child's `ru_maxrss` would carry its parent's peak) and the minor
+page faults of the solve alone (`solve_minflt`, from `ru_minflt`).
+
 Workloads: every workload that BENCHMARK.json lists runs once through
 `perfbench/run.py` in a subprocess, with its run length and seed 1; the
 file keeps the JSON line it prints. Nothing in perfbench/ is changed.
@@ -67,6 +75,7 @@ BENCH files taken back to back compare two versions of the source tree.
 import argparse
 import json
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -245,6 +254,33 @@ def layer_times(coarse, s, repeat):
     return out
 
 
+def solve_memory(refines, s):
+    """The resident high-water (MB) of this process and the minor page
+    faults of one `rotated_anisotropic` solve on the layer space of
+    continuity s, built on `unit_square_mesh(2)` bisected `refines` times."""
+    mesh = unit_square_mesh(2)
+    for _ in range(refines):
+        mesh = uniform_refine(mesh)
+    space = build_space(mesh, SpaceConfig(p=3, s=s))
+    get_operators(space)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    solve_discrete(space, get_problem("rotated_anisotropic"), FormParams.defaults(3, s))
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    status = Path("/proc/self/status").read_text().splitlines()
+    [hwm] = [int(line.split()[1]) for line in status if line.startswith("VmHWM:")]
+    return {"solve_rss_mb": hwm / 1024, "solve_minflt": faults}
+
+
+def fresh_solve_memory(refines, s):
+    """`solve_memory(refines, s)` in a fresh interpreter, whose high-water
+    nothing before it has raised."""
+    code = (f"import json, sys; sys.path.insert(0, {str(ROOT / 'scripts')!r}); "
+            f"import bench; print(json.dumps(bench.solve_memory({refines}, {s})))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
 def src_lines() -> int:
     """Lines of the imported package's modules, as `wc -l` counts them."""
     package = Path(cordesfem.__file__).parent
@@ -286,13 +322,16 @@ def main():
             wl["name"]: perfbench(wl["name"], seconds, args.size)
             for wl in bench["workloads"]
         },
-        "layers": {name: layer_times(coarse, s, repeat) for name, s in CASES},
+        "layers": {name: {**layer_times(coarse, s, repeat),
+                          **fresh_solve_memory(refines, s)}
+                   for name, s in CASES},
     }
     path = Path(f"BENCH_{args.tag}.json")
     path.write_text(json.dumps(result, indent=1) + "\n")
     for name, layer in result["layers"].items():
         times = ", ".join(f"{k} {v:.3f}" for k, v in layer.items()
                           if k.endswith(("_s", "_fill", "_mb")))
+        times += f", solve_minflt {layer['solve_minflt']}"
         print(f"{name} ({layer['ndofs']} dofs): {times}")
     for name, run in result["perfbench"].items():
         metrics = ", ".join(f"{k} {m['value']:.4g}"

@@ -231,8 +231,7 @@ class Pattern:
 
     def scatter(self, slots: np.ndarray, blocks: np.ndarray) -> np.ndarray:
         """Data on the pattern: the sum of the local blocks at their slots."""
-        out = np.bincount(slots.ravel(), blocks.ravel(), minlength=self.nnz + 1)
-        return out[:-1]
+        return np.bincount(slots.ravel(), blocks.ravel(), minlength=self.nnz + 1)[:-1]
 
     def csr(self, data: np.ndarray) -> sp.csr_matrix:
         """The matrix of `data` on the whole pattern, explicit zeros
@@ -322,9 +321,7 @@ class Operators:
         data += self._jval
         self.norm_gram = P.csr(data)
         self._table = None  # (problem, cordes.CoefficientTable)
-        # (problem, coefficients, F_gamma, opt_alpha, opt_beta) of the last
-        # inf_sup
-        self._inf_sup = None
+        self._inf_sup = None  # (problem, coefficients, F_gamma, opt_alpha, opt_beta)
         self._jumps = None  # (coefficients, grad, val) of the last face_jumps
         self._linear = None  # (FormParams, linear part, its data)
 
@@ -418,7 +415,8 @@ class Operators:
             if self.dg and params.rho <= 0.0:
                 raise SpaceError("rho must be positive for the DG space (s=0)")
             data = params.theta * self._stab + params.sigma * self._jgrad
-            data += params.rho * self._jval
+            if self.dg:  # a C0 space's _jval is a zero view, which a product copies
+                data += params.rho * self._jval
             self._linear = (params, self.pattern.csr(data), data)
         return self._linear[1:]
 
@@ -426,7 +424,8 @@ class Operators:
         """The norm Gram with its gradient- and value-jump penalties times
         sigma and rho, as the linear part weights them; built on each call."""
         data = self.norm_gram.data + (params.sigma - 1.0) * self._jgrad
-        data += (params.rho - 1.0) * self._jval
+        if self.dg:
+            data += (params.rho - 1.0) * self._jval
         return self.pattern.csr(data)
 
     def inf_sup(self, problem: cordes.ControlProblem, u: DiscreteFunction):
@@ -460,9 +459,8 @@ def stab_form(space: FESpace, w, v) -> float:
 
 
 def norm_k(space: FESpace, v) -> float:
-    ops = get_operators(space)
     x = _vec(v)
-    return float(np.sqrt(max(x @ (ops.norm_gram @ x), 0.0)))
+    return float(np.sqrt(max(x @ (get_operators(space).norm_gram @ x), 0.0)))
 
 
 def face_jumps(space: FESpace, v) -> tuple[np.ndarray, np.ndarray]:
@@ -531,11 +529,10 @@ def frozen_jacobian(space: FESpace, c: np.ndarray, params: FormParams) -> sp.csr
     reference tensor K. The patches of Delta_k^T G are scattered into the
     data of the linear part, on the whole pattern."""
     ops = get_operators(space)
-    linear = ops.linear_part(params)[1]
     P, ne = ops.pattern, len(c)
     G = (c.reshape(ne, -1) @ ops.hess_tensor).reshape(ne, ops.nmod, -1)
     data = P.scatter(P.patch, ops.patch @ G)
-    data += linear
+    data += ops.linear_part(params)[1]
     return P.csr(data)
 
 

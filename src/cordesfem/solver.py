@@ -12,8 +12,12 @@ frozen Jacobian J(c), which depends on u only through its frozen
 coefficients c, gamma a at the optimal controls. The LU of the last J(c0)
 factored is kept: it solves J(c) as it is while c = c0, when the simplified
 correction is the next one, and by a low-rank update while c differs at few
-points (`_jacobian_solver`). If Newton stops short, a fixed-point phase
-goes on from its iterate with K the penalty Gram P
+points. For each new c, `_jacobian_solver` decides from c alone which of
+these serves or whether a fresh LU is needed; it then releases the kept LU
+and its update columns if one is, assembles J(c), the last J having gone
+with its solve, and then factors it if so. So at most one Jacobian and one
+LU are alive at any point. If Newton stops short, both go before a
+fixed-point phase goes on from its iterate with K the penalty Gram P
 (`Operators.penalty_gram`), the norm Gram with its jumps weighted by sigma
 and rho as the operator weights them. Under the Cordes condition the
 operator is strongly monotone and Lipschitz with h-independent constants
@@ -29,8 +33,7 @@ or near-singular leading block fails loudly. `factorize` equilibrates the
 stored CSR data and hands splu the matrix's own index arrays, which read
 as CSC hold A^T; it factors A^T, as safe as A since x^T A^T x = x^T A x,
 and solves with its transpose. `linear_solver` solves through an
-acceptance gate, and keeps at most one LU alive, as the correction loop
-does.
+acceptance gate.
 """
 
 from __future__ import annotations
@@ -74,9 +77,8 @@ class SolveOptions:
 class SolveStats:
     newton_iters: int = 0
     fallback_iters: int = 0
-    # correction norms |K^{-1} R(u)|_G, K the frozen Jacobian J or, in the
-    # fallback, the penalty Gram: of the first iterate, then of each
-    # accepted one, and of the one returned
+    # correction norms |K^{-1} R(u)|_G, K = J or, in the fallback, P: of the
+    # first iterate, then of each accepted one, and of the one returned
     final_residual: float = np.inf
     residual_history: list = field(default_factory=list)
     lu_fill: list = field(default_factory=list)  # per factorization, nnz(L+U)/nnz(A)
@@ -189,15 +191,16 @@ def linear_solver(matrix: sp.spmatrix, stats: SolveStats | None = None,
     return solve
 
 
-def _jacobian_solver(space: FESpace, J, c: np.ndarray, kept: list, stats):
+def _jacobian_solver(space: FESpace, params, c: np.ndarray, kept: list, stats):
     """`linear_solver` of J = J(c) from the LU of J0 = J(c0) in `kept`, [its
     solve, c0, {point: J0^{-1} u}], while c differs from c0 at r <=
     MAX_UPDATE_RANK points: J = J0 + U V^T, J^{-1} = (I - Z C^{-1} V^T)
     J0^{-1}, Z = J0^{-1} U and C = I + V^T Z (Woodbury; Hager, SIAM Rev. 31
-    (1989)). Else `kept` is emptied first; a new LU is kept with c."""
+    (1989)). Else `kept` is emptied before J is built; a new LU is kept with c."""
     points = np.flatnonzero((c != kept[1]).any(axis=-1)) if kept else []
     if len(points) > MAX_UPDATE_RANK:
         kept.clear()
+    J = frozen_jacobian(space, c, params)
     if len(points) == 0 or not kept:
         return linear_solver(J, stats, kept, None, (c, {}))
     U, V = jacobian_terms(space, points, (c - kept[1]).reshape(-1, 4)[points])
@@ -258,9 +261,9 @@ def solve_discrete(
         for _ in range(budget):
             if d is None:
                 stats.final_residual = dn  # as a SolverError of the solve finds it
+                solve = None  # the last K, which its solve holds, goes first
                 if newton:
-                    J = frozen_jacobian(space, c, params)
-                    solve = _jacobian_solver(space, J, c, kept, stats)
+                    solve = _jacobian_solver(space, params, c, kept, stats)
                 else:
                     kept.clear()  # the Jacobian LU goes before P's is made
                     solve = linear_solver(ops.penalty_gram(params), stats)

@@ -37,6 +37,7 @@ def test_script_runs(script, args, tmp_path):
             assert layer["operators_peak_mb"] > 0 and layer["solve_peak_mb"] > 0
             assert layer["operators_retained_mb"] > 0 and layer["pattern_peak_mb"] > 0
             assert layer["table_peak_mb"] > 0 and layer["table_retained_mb"] > 0
+            assert layer["solve_rss_mb"] > 0 and layer["solve_minflt"] > 0
             assert all(run["calibration_s"] > 0 for run in layer["runs"])
             assert layer["scaled"]["operators_s"] > 0
             assert layer["jacobian_s"] > 0 and layer["factorize_s"] > 0

@@ -23,7 +23,7 @@ from cordesfem import (
     uniform_refine,
     unit_square_mesh,
 )
-from cordesfem import cordes, solver
+from cordesfem import cordes, forms, solver
 from cordesfem.fespace import DiscreteFunction, _c0_dofmap, dof_order
 from cordesfem.forms import (
     frozen_jacobian, get_operators, jacobian_coefficients, jacobian_terms,
@@ -509,7 +509,7 @@ def test_low_rank_update_solves_as_a_fresh_lu(s, rtol, rng):
     for count in (5, 6):
         c, points = _changed_at(c0, c1, count)
         J = frozen_jacobian(space, c, params)
-        x = solver._jacobian_solver(space, J, c, kept, stats)(b)
+        x = solver._jacobian_solver(space, params, c, kept, stats)(b)
         want = solver.linear_solver(J)(b)
         assert np.linalg.norm(x - want) <= rtol * np.linalg.norm(want)
         assert sorted(kept[2]) == list(points)
@@ -566,6 +566,97 @@ def test_failed_update_falls_back_to_a_fresh_lu(fail, monkeypatch):
     assert stats.lu_updates == (0 if fail else want.lu_updates)
     assert short.newton_iters == newton and short.fallback_iters > 0
     assert len(made) == len(stats.lu_fill) + len(short.lu_fill)
+
+
+def _lifecycle(monkeypatch):
+    """Weak references to every Jacobian that `solver.frozen_jacobian` and
+    every solve that `solver.factorize` returns, and a list of the calls:
+    ("jacobian", its index) or ("factorize", the index of the Jacobian it
+    factors, None for another matrix), each with the Jacobians and the LUs
+    alive as it starts. The tests disable the GC, so only refcounts free them."""
+    jacobians, lus, calls = [], [], []
+    frozen, factorize = solver.frozen_jacobian, solver.factorize
+
+    def alive():
+        return tuple(sum(ref() is not None for ref in refs)
+                     for refs in (jacobians, lus))
+
+    def assembled(*args):
+        calls.append(("jacobian", len(jacobians), *alive()))
+        jacobians.append(weakref.ref(J := frozen(*args)))
+        return J
+
+    def factored(A):
+        index = next((i for i, ref in enumerate(jacobians) if ref() is A), None)
+        calls.append(("factorize", index, *alive()))
+        solve, fill = factorize(A)
+        lus.append(weakref.ref(solve))
+        return solve, fill
+
+    monkeypatch.setattr(solver, "frozen_jacobian", assembled)
+    monkeypatch.setattr(solver, "factorize", factored)
+    return calls, alive
+
+
+def test_a_fresh_lu_is_made_with_nothing_else_alive(monkeypatch):
+    # the solve of test_factorizations_follow_control_changes: before a
+    # Jacobian that is then factored afresh is assembled, the kept LU is
+    # freed, its update columns with it; and the last Jacobian goes with its
+    # solve before any next one is assembled, also when the kept LU serves
+    space = build_space(unit_square_mesh(4), SpaceConfig(p=3, s=0))
+    calls, _ = _lifecycle(monkeypatch)
+    gc.collect()
+    gc.disable()
+    try:
+        _, stats = solve_discrete(space, get_problem("rotated_anisotropic"),
+                                  FormParams.defaults(3, 0))
+    finally:
+        gc.enable()
+    assembly = {index: lus for kind, index, _, lus in calls if kind == "jacobian"}
+    fresh = [index for kind, index, _, _ in calls if kind == "factorize"]
+    assert len(fresh) == len(stats.lu_fill) >= 3 and stats.lu_updates >= 1
+    assert len(assembly) == stats.newton_iters and None not in fresh
+    assert all(assembly[index] == 0 for index in fresh)
+    assert sum(lus == 1 for lus in assembly.values()) == stats.lu_updates
+    # at most one of each: a Jacobian is assembled with none other alive, and
+    # factored with no LU alive
+    for kind, _, jacobians, lus in calls:
+        assert jacobians == (kind == "factorize") and lus <= (kind == "jacobian")
+
+
+def test_the_fallback_builds_the_penalty_gram_with_no_newton_matrix_alive(
+        monkeypatch):
+    # the hand-off of test_failed_newton_step_hands_off_to_the_fallback: the
+    # last Newton Jacobian and its LU are freed before the penalty Gram,
+    # whose LU then comes from the only matrix alive
+    linear_solver, stretch = solver.linear_solver, iter([0.25])
+
+    def stretched(*args):
+        solve = linear_solver(*args)
+        return lambda rhs: next(stretch, 1.0) * solve(rhs)
+
+    monkeypatch.setattr(solver, "linear_solver", stretched)
+    calls, alive = _lifecycle(monkeypatch)
+    penalties, penalty_gram = [], forms.Operators.penalty_gram
+
+    def built(self, params):
+        penalties.append(alive())
+        return penalty_gram(self, params)
+
+    monkeypatch.setattr(forms.Operators, "penalty_gram", built)
+    space = build_space(unit_square_mesh(2), SpaceConfig(p=2, s=0))
+    gc.collect()
+    gc.disable()
+    try:
+        _, stats = solve_discrete(space, get_problem("poisson_singleton"),
+                                  FormParams.defaults(2, 0))
+    finally:
+        gc.enable()
+    assert stats.newton_iters == 1 and stats.fallback_iters > 0
+    assert penalties == [(0, 0)]
+    assert [call[:2] for call in calls] == [
+        ("jacobian", 0), ("factorize", 0), ("factorize", None)]
+    assert calls[-1][2:] == (0, 0)
 
 
 def test_control_changes_that_keep_the_jacobian_keep_its_lu(monkeypatch):
